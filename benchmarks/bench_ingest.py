@@ -115,14 +115,8 @@ def counter_value(name: str) -> float:
 
 
 def base_config() -> DistinctConfig:
-    """The ingest pipeline configuration: fast kernels, fixed SVM cost."""
-    return DistinctConfig(
-        n_positive=300,
-        n_negative=300,
-        svm_C=10.0,
-        similarity_backend="vectorized",
-        propagation_backend="batched",
-    )
+    """The ingest pipeline configuration: fixed SVM cost."""
+    return DistinctConfig(n_positive=300, n_negative=300, svm_C=10.0)
 
 
 @dataclass
@@ -370,9 +364,7 @@ def main(argv=None) -> int:
     refs = extract_references(distinct3.db, TARGET, distinct3.config)
     new_rows = [r for r in refs.rows if r not in set(target_base.rows)]
     t0 = time.perf_counter()
-    extended, assignments = extend_resolution(
-        distinct3, target_base, new_rows, backend="vectorized"
-    )
+    extended, assignments = extend_resolution(distinct3, target_base, new_rows)
     greedy_s = time.perf_counter() - t0
     exact_resolution = report.resolution(TARGET)
     exact_cluster_of = {}
@@ -441,8 +433,6 @@ def main(argv=None) -> int:
             "workers": args.workers,
             "n_refs": setup["n_refs"],
             "delta_fraction": setup["delta_fraction"],
-            "backend": config.similarity_backend,
-            "propagation": config.propagation_backend,
         },
         "setup": setup,
         "exact": exact,

@@ -1,41 +1,40 @@
-"""Perf-kernel benchmark: scalar vs vectorized vs batched vs parallel.
+"""Perf-kernel benchmark: the pair-feature route against its scalar reference.
 
 Standalone script (not a pytest bench — CI runs it directly)::
 
     PYTHONPATH=src python benchmarks/bench_perf_kernels.py [--tiny] [--out PATH]
 
-It times the execution strategies this repo offers for the propagation
-and similarity stages on a synthetic ambiguous name:
+It times each stage of the pair-feature route against the scalar
+reference the tests use, on a synthetic ambiguous name:
 
-1. **scalar** — the reference per-pair loops
+1. **pair kernels** — the pair-list kernels of
+   :mod:`repro.similarity.vectorized` against the per-pair loops
    (:func:`repro.similarity.resemblance.set_resemblance`,
    :func:`repro.similarity.randomwalk.walk_probability`);
-2. **vectorized** — the chunked sparse-matrix kernels of
-   :mod:`repro.similarity.vectorized`, both the pair-list and the
-   all-pairs-matrix forms;
-3. **batched propagation** — :mod:`repro.paths.batch` SpMM propagation
+2. **batched propagation** — :mod:`repro.paths.batch` SpMM propagation
    against the scalar :class:`~repro.paths.profiles.ProfileBuilder`
    walk, on a community-structured synthetic DBLP database;
-4. **pair pruning** — :mod:`repro.perf.blocking` zero-overlap pruning
-   against full evaluation, including the clustering-unchanged check;
-5. **parallel** — the per-name map of :mod:`repro.perf.parallel`, with
+3. **pipeline route** — :func:`repro.core.features.compute_pair_features`
+   (batched propagation, exact blocking, matrix kernels) against the
+   scalar propagation and per-pair kernels, including the
+   clustering-unchanged check;
+4. **parallel** — the per-name map of :mod:`repro.perf.parallel`, with
    dispatch mode chosen by :func:`repro.perf.should_inline`.
 
 Results land in ``BENCH_perf.json`` (machine-readable: wall times,
 speedup ratios, max kernel deviations), and a one-line summary of each
 run is appended to ``BENCH_history.jsonl`` for trend tracking across
-commits. The script exits non-zero if any backend disagrees with its
-scalar reference beyond ``ATOL``, if pruning changes any feature value
-or the clustering, or if the parallel map's output differs from serial —
-those equivalence gates are what the CI bench-smoke job enforces;
-speedups are reported for trend tracking, not gated in CI (they are
-hardware-dependent).
+commits. The script exits non-zero if any stage disagrees with its
+scalar reference beyond ``ATOL``, if the route changes the clustering,
+or if the parallel map's output differs from serial — those equivalence
+gates are what the CI bench-smoke job enforces; speedups are reported
+for trend tracking, not gated in CI (they are hardware-dependent).
 
 Kernel-stage profiles are synthesized with a seeded RNG to the paper's
 scale (§5: the largest evaluated name has 151 references); the
 propagation stages run on a generated DBLP-style database whose papers
 split into disjoint coauthor/conference communities (the structure that
-makes zero-overlap pruning bite), so the bench needs no world generation
+makes exact blocking bite), so the bench needs no world generation
 or SVM fit and runs in seconds.
 """
 
@@ -69,8 +68,6 @@ from repro.similarity.resemblance import set_resemblance
 from repro.similarity.vectorized import (
     pair_resemblance_values,
     pair_walk_values,
-    pairwise_resemblance_matrix,
-    pairwise_walk_matrix,
     profile_matrices,
 )
 
@@ -126,7 +123,7 @@ def synth_community_db(n_refs: int, n_communities: int, seed: int):
     assigned round-robin to ``n_communities`` communities with disjoint
     coauthor pools and disjoint conferences, so references of different
     communities share no neighbor tuples on any of ``PROP_PATHS`` — the
-    structure zero-overlap pruning exploits. Returns the database and the
+    structure exact blocking exploits. Returns the database and the
     Publish row ids of the ambiguous references.
     """
     rng = np.random.default_rng(seed)
@@ -244,27 +241,6 @@ def vectorized_features(profiles_by_path, pairs):
     return resem, walk
 
 
-def scalar_matrices(profiles_by_path):
-    out = []
-    for profiles in profiles_by_path:
-        n = len(profiles)
-        resem = np.zeros((n, n))
-        walk = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                resem[i, j] = resem[j, i] = set_resemblance(profiles[i], profiles[j])
-                walk[i, j] = walk[j, i] = walk_probability(profiles[i], profiles[j])
-        out.append((resem, walk))
-    return out
-
-
-def vectorized_matrices(profiles_by_path):
-    return [
-        (pairwise_resemblance_matrix(p), pairwise_walk_matrix(p))
-        for p in profiles_by_path
-    ]
-
-
 def _name_task(payload, name_idx):
     """Per-name work unit for the parallel phase (module-level: pickled
     by reference into the pool)."""
@@ -273,7 +249,7 @@ def _name_task(payload, name_idx):
     return float(resem.sum() + walk.sum())
 
 
-# -- propagation + pruning stages (real database) -----------------------------
+# -- propagation + pipeline-route stages (real database) ----------------------
 
 
 def _fresh_builder(db) -> ProfileBuilder:
@@ -321,59 +297,60 @@ def _counter(name: str) -> float:
     return float(get_metrics().snapshot()["counters"].get(name, 0.0))
 
 
-def bench_pair_pruning(
-    db, ref_rows, backend: str, propagation: str, repeats: int
-) -> dict:
-    """Full evaluation vs zero-overlap pruning through the pipeline route.
+def bench_pipeline_route(db, ref_rows, repeats: int) -> dict:
+    """The production pair-feature route against the scalar reference.
 
-    Pruned pairs are *exact* zeros; a full evaluation of the same pair
-    carries the kernel's reassociation noise (~1e-16) around that zero,
-    so features are compared at ``ATOL`` — and the downstream
-    agglomerative clustering must produce identical clusters.
+    Both sides start from a fresh builder, so each pays its own
+    propagation. Blocked pairs are *exact* zeros on both sides; features
+    are compared at ``ATOL``, and the downstream agglomerative
+    clustering must produce identical clusters.
     """
     pairs = [
         (ref_rows[i], ref_rows[j])
         for i in range(len(ref_rows))
         for j in range(i + 1, len(ref_rows))
     ]
-    builder = _fresh_builder(db)
-    if propagation == "scalar":
-        builder.warm(ref_rows)  # compare the similarity stage, not the cache
-    run_full = lambda: compute_pair_features(
-        builder, pairs, backend=backend, propagation=propagation, prune=False
-    )
-    run_pruned = lambda: compute_pair_features(
-        builder, pairs, backend=backend, propagation=propagation, prune=True
-    )
-    full_s, full = timed(run_full, repeats)
-    pruned_before = _counter("blocking.pairs_pruned")
-    pruned_s, pruned = timed(run_pruned, repeats)
-    pruned_count = int(
-        (_counter("blocking.pairs_pruned") - pruned_before) / repeats
-    )
 
+    def run_scalar():
+        builder = _fresh_builder(db)
+        resem = np.zeros((len(pairs), len(PROP_PATHS)))
+        walk = np.zeros_like(resem)
+        for k, (a, b) in enumerate(pairs):
+            profiles_a, profiles_b = builder.profiles_for(a), builder.profiles_for(b)
+            for p, path in enumerate(PROP_PATHS):
+                resem[k, p] = set_resemblance(profiles_a[path], profiles_b[path])
+                walk[k, p] = walk_probability(profiles_a[path], profiles_b[path])
+        return resem, walk
+
+    scalar_s, (resem, walk) = timed(run_scalar, repeats)
+    blocked_before = _counter("blocking.pairs_pruned")
+    route_s, route = timed(
+        lambda: compute_pair_features(_fresh_builder(db), pairs), repeats
+    )
+    blocked = int((_counter("blocking.pairs_pruned") - blocked_before) / repeats)
     features_max_diff = max(
-        float(np.abs(full.resemblance - pruned.resemblance).max()),
-        float(np.abs(full.walk - pruned.walk).max()),
+        float(np.abs(resem - route.resemblance).max()),
+        float(np.abs(walk - route.walk).max()),
     )
 
-    def clusters_of(features):
-        uniform = uniform_weights(len(PROP_PATHS))
-        resem_values, walk_values = features.combined(uniform, uniform)
-        resem = pair_matrix(ref_rows, features.pairs, resem_values)
-        walk = pair_matrix(ref_rows, features.pairs, walk_values)
+    def clusters_of(resem_rows, walk_rows):
+        uniform = np.asarray(uniform_weights(len(PROP_PATHS)).weights)
+        resem_m = pair_matrix(ref_rows, pairs, resem_rows @ uniform)
+        walk_m = pair_matrix(ref_rows, pairs, walk_rows @ uniform)
         result = AgglomerativeClusterer(min_sim=0.005).cluster(
-            CompositeMeasure(resem, walk)
+            CompositeMeasure(resem_m, walk_m)
         )
         return sorted(sorted(c) for c in result.clusters)
 
-    clusterings_identical = clusters_of(full) == clusters_of(pruned)
+    clusterings_identical = clusters_of(resem, walk) == clusters_of(
+        route.resemblance, route.walk
+    )
     return {
-        "full_seconds": full_s,
-        "pruned_seconds": pruned_s,
-        "speedup": full_s / pruned_s,
+        "scalar_seconds": scalar_s,
+        "route_seconds": route_s,
+        "speedup": scalar_s / route_s,
         "pairs_total": len(pairs),
-        "pairs_pruned": pruned_count,
+        "pairs_blocked": blocked,
         "max_abs_diff": features_max_diff,
         "clusterings_identical": clusterings_identical,
     }
@@ -389,18 +366,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--seed", type=int, default=1007)
-    parser.add_argument(
-        "--backend",
-        choices=("scalar", "vectorized"),
-        default="vectorized",
-        help="similarity backend for the pair-pruning stage",
-    )
-    parser.add_argument(
-        "--propagation",
-        choices=("scalar", "batched"),
-        default="batched",
-        help="propagation backend for the pair-pruning stage",
-    )
     parser.add_argument(
         "--timestamp",
         default=None,
@@ -449,31 +414,12 @@ def main(argv=None) -> int:
     diff_resem = float(np.abs(resem_s - resem_v).max())
     diff_walk = float(np.abs(walk_s - walk_v).max())
 
-    # -- all-pairs matrices ---------------------------------------------------
-    with span("bench.all_pairs_matrices"):
-        scalar_m, grids_s = timed(lambda: scalar_matrices(profiles_by_path), 1)
-        vector_m, grids_v = timed(
-            lambda: vectorized_matrices(profiles_by_path), repeats
-        )
-    diff_matrix = 0.0
-    for (rs, ws), (rv, wv) in zip(grids_s, grids_v):
-        np.fill_diagonal(rs, 0.0)  # matrix kernels zero the diagonal
-        np.fill_diagonal(ws, 0.0)
-        wv = wv.toarray() if hasattr(wv, "toarray") else wv
-        diff_matrix = max(
-            diff_matrix,
-            float(np.abs(rs - rv).max()),
-            float(np.abs(ws - wv).max()),
-        )
-
-    # -- batched propagation + zero-overlap pruning (real database) ----------
+    # -- batched propagation + the pipeline route (real database) ------------
     prop_db, ref_rows = synth_community_db(n_refs, n_communities, args.seed + 2)
     with span("bench.propagation", n_refs=len(ref_rows)):
         propagation = bench_propagation(prop_db, ref_rows, repeats)
-    with span("bench.pair_pruning"):
-        pruning = bench_pair_pruning(
-            prop_db, ref_rows, args.backend, args.propagation, repeats
-        )
+    with span("bench.pipeline_route"):
+        route = bench_pipeline_route(prop_db, ref_rows, repeats)
 
     # -- parallel per-name map ------------------------------------------------
     name_rng = np.random.default_rng(args.seed + 1)
@@ -508,9 +454,8 @@ def main(argv=None) -> int:
         max(
             diff_resem,
             diff_walk,
-            diff_matrix,
             propagation["max_abs_diff"],
-            pruning["max_abs_diff"],
+            route["max_abs_diff"],
         )
         <= ATOL
     )
@@ -536,8 +481,6 @@ def main(argv=None) -> int:
             "workers": args.workers,
             "seed": args.seed,
             "repeats": repeats,
-            "backend": args.backend,
-            "propagation": args.propagation,
         },
         "pair_kernels": {
             "scalar_seconds": scalar_s,
@@ -546,14 +489,8 @@ def main(argv=None) -> int:
             "max_abs_diff_resemblance": diff_resem,
             "max_abs_diff_walk": diff_walk,
         },
-        "all_pairs_matrices": {
-            "scalar_seconds": scalar_m,
-            "vectorized_seconds": vector_m,
-            "speedup": scalar_m / vector_m,
-            "max_abs_diff": diff_matrix,
-        },
         "propagation": propagation,
-        "pair_pruning": pruning,
+        "pipeline_route": route,
         "parallel_map": {
             "serial_seconds": serial_p,
             "parallel_seconds": parallel_p,
@@ -574,13 +511,12 @@ def main(argv=None) -> int:
         "config": report["config"],
         "speedups": {
             "pair_kernels": report["pair_kernels"]["speedup"],
-            "all_pairs_matrices": report["all_pairs_matrices"]["speedup"],
             "propagation": propagation["speedup"],
-            "pair_pruning": pruning["speedup"],
+            "pipeline_route": route["speedup"],
             "parallel_map": report["parallel_map"]["speedup"],
         },
         "parallel_mode": report["parallel_map"]["mode"],
-        "pairs_pruned": pruning["pairs_pruned"],
+        "pairs_blocked": route["pairs_blocked"],
         "equivalent": equivalent,
     }
     with args.history.open("a") as fh:
@@ -592,19 +528,15 @@ def main(argv=None) -> int:
         f"({report['pair_kernels']['speedup']:.1f}x)"
     )
     print(
-        f"  all-pairs    : scalar {scalar_m:.3f}s  vectorized {vector_m:.3f}s  "
-        f"({report['all_pairs_matrices']['speedup']:.1f}x)"
-    )
-    print(
         f"  propagation  : scalar {propagation['scalar_seconds']:.3f}s  "
         f"batched {propagation['batched_seconds']:.3f}s  "
         f"({propagation['speedup']:.1f}x, max diff "
         f"{propagation['max_abs_diff']:.2e})"
     )
     print(
-        f"  pair pruning : full {pruning['full_seconds']:.3f}s  pruned "
-        f"{pruning['pruned_seconds']:.3f}s  ({pruning['speedup']:.2f}x, "
-        f"{pruning['pairs_pruned']}/{pruning['pairs_total']} pairs pruned)"
+        f"  route        : scalar {route['scalar_seconds']:.3f}s  route "
+        f"{route['route_seconds']:.3f}s  ({route['speedup']:.2f}x, "
+        f"{route['pairs_blocked']}/{route['pairs_total']} pairs blocked)"
     )
     print(
         f"  parallel map : serial {serial_p:.3f}s  workers={args.workers} "
@@ -614,7 +546,7 @@ def main(argv=None) -> int:
     )
     print(
         f"  equivalence  : max diff "
-        f"{max(diff_resem, diff_walk, diff_matrix, propagation['max_abs_diff']):.2e} "
+        f"{max(diff_resem, diff_walk, propagation['max_abs_diff'], route['max_abs_diff']):.2e} "
         f"(atol {ATOL:g}) -> {'OK' if equivalent else 'FAIL'}"
     )
     print(f"  history      : {timestamp} ({sha[:12]}) >> {args.history}")
@@ -623,15 +555,15 @@ def main(argv=None) -> int:
         print(f"  trace        : {args.trace_out}")
     if not equivalent:
         print(
-            "FAIL: a backend deviates from the scalar reference beyond ATOL",
+            "FAIL: a stage deviates from the scalar reference beyond ATOL",
             file=sys.stderr,
         )
         return 1
     if not propagation["supports_identical"]:
         print("FAIL: batched propagation support differs from scalar", file=sys.stderr)
         return 1
-    if not pruning["clusterings_identical"]:
-        print("FAIL: pair pruning changed the clustering", file=sys.stderr)
+    if not route["clusterings_identical"]:
+        print("FAIL: the pipeline route changed the clustering", file=sys.stderr)
         return 1
     if not parallel_identical:
         print("FAIL: parallel map results differ from serial", file=sys.stderr)

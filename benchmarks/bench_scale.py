@@ -1,4 +1,4 @@
-"""Scale-out benchmark: tiered worlds, shared-memory workers, MinHash blocking.
+"""Scale-out benchmark: tiered worlds and shared-memory workers.
 
 Standalone script (not a pytest bench — CI runs it directly)::
 
@@ -6,8 +6,8 @@ Standalone script (not a pytest bench — CI runs it directly)::
 
 The paper evaluates DISTINCT against full DBLP (§5: 616K papers / 1.29M
 authorship rows); this bench grows the synthetic world toward that scale
-in tiers and measures the three scale-out mechanisms this repo offers on
-the largest tier:
+in tiers and measures the scale-out mechanisms this repo offers on the
+largest tier:
 
 1. **worlds** — generated DBLP-style worlds at increasing ``scale``,
    recording tuple counts and generate/load/fit wall times (the full
@@ -20,25 +20,18 @@ the largest tier:
    name: serial, ``workers=4`` with static shards, and ``workers=4``
    with cost-model (refs²) work-stealing shards + shared-memory payload
    — all three must produce byte-identical per-name results, and no
-   ``/dev/shm`` segment may survive the run;
-4. **minhash** — ``pair_pruning="minhash"`` against the exact
-   zero-overlap mode over the same names: pairs evaluated, prepare wall,
-   measured LSH recall on the largest name's forward supports, and
-   per-name result agreement. MinHash blocking is the *approximate*
-   scale-out knob: the exact re-check keeps its survivors a strict
-   subset of the exact mode's, and the bench reports the recall and
-   agreement so the tradeoff is measured, not assumed. The pipeline's
-   default (exact) mode is the one the end-to-end gates hold
-   byte-identical to serial.
+   ``/dev/shm`` segment may survive the run. Every run takes the one
+   pair-feature route (batched propagation, exact blocking, matrix
+   kernels); ``pairs_blocked`` reports how many pairs exact blocking
+   skipped.
 
 Results land in ``BENCH_scale.json``; one summary line per run is
 appended to ``BENCH_history.jsonl`` with ``"bench": "scale"`` so the
 regression observatory (``repro regress``) trends this bench separately
 from the kernel bench. Equivalence gates (byte-identical end-to-end
-results, shm results identical, no leaked segments, minhash survivors a
-subset) fail the run in both modes; throughput gates (shm wall win,
-parallel beating serial, ≥5x minhash reduction) only in the full run —
-tiny worlds are too small for stable ratios.
+results, shm results identical, no leaked segments) fail the run in
+both modes; throughput gates (shm wall win, parallel beating serial)
+only in the full run — tiny worlds are too small for stable ratios.
 """
 
 from __future__ import annotations
@@ -57,21 +50,17 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import Distinct, DistinctConfig, GeneratorConfig, generate_world
-from repro.core.references import exclusions_for_name, extract_references
+from repro.core.references import extract_references
 from repro.core.variants import variant_by_key
 from repro.data.ambiguity import AmbiguousNameSpec
 from repro.data.world import world_to_database
 from repro.eval.persistence import name_result_to_dict
 from repro.eval.runner import run_resilient
 from repro.obs import get_metrics
-from repro.paths.profiles import ProfileBuilder
 from repro.perf import (
     PickledPayload,
     SharedPayload,
     active_segments,
-    blocking_recall,
-    intersecting_pair_mask,
-    minhash_pair_mask,
     ordered_process_map,
 )
 
@@ -138,15 +127,8 @@ def world_config(scale: float, seed: int) -> GeneratorConfig:
 
 
 def base_config() -> DistinctConfig:
-    """The scale-out pipeline configuration: fast backends, exact pruning."""
-    return DistinctConfig(
-        n_positive=300,
-        n_negative=300,
-        svm_C=10.0,
-        similarity_backend="vectorized",
-        propagation_backend="batched",
-        pair_pruning="exact",
-    )
+    """The scale-out pipeline configuration: fixed SVM cost."""
+    return DistinctConfig(n_positive=300, n_negative=300, svm_C=10.0)
 
 
 # -- shm section --------------------------------------------------------------
@@ -162,12 +144,7 @@ def _chunk_mass(payload, chunk: int):
 def profile_payload(distinct: Distinct, name: str) -> dict:
     """The largest name's real per-path profile matrices, CSR, as a payload."""
     refs = extract_references(distinct.db, name, distinct.config)
-    builder = ProfileBuilder(
-        distinct.db,
-        distinct.paths_,
-        exclusions_for_name(distinct.db, name, distinct.config),
-    )
-    matrices = builder.matrices_for(refs.rows)
+    matrices = distinct.profile_builder(name).matrices_for(refs.rows)
     forwards = [matrices[path].forward.tocsr() for path in distinct.paths_]
     backwards = [matrices[path].backward.tocsr() for path in distinct.paths_]
     n = len(refs.rows)
@@ -218,7 +195,7 @@ def bench_shm(payload: dict, workers: int, repeats: int) -> dict:
     }
 
 
-# -- end-to-end + minhash sections --------------------------------------------
+# -- end-to-end section ---------------------------------------------------------
 
 
 def run_experiment(
@@ -228,7 +205,6 @@ def run_experiment(
     tracked = (
         "blocking.pairs_kept",
         "blocking.pairs_pruned",
-        "blocking.minhash.candidates",
         "perf.shard.steals",
         "perf.shard.shards",
         "perf.shm.unlinks",
@@ -248,22 +224,6 @@ def run_experiment(
     if not outcome.complete:
         raise RuntimeError("experiment run did not complete")
     return wall, [name_result_to_dict(r) for r in outcome.result.names], deltas
-
-
-def measured_recall(payload: dict, config: DistinctConfig) -> float:
-    """LSH recall against exact overlap on the largest name's supports."""
-    n = len(payload["rows"])
-    idx_a, idx_b = np.triu_indices(n, k=1)
-    exact = intersecting_pair_mask(payload["forwards"], idx_a, idx_b)
-    candidates = minhash_pair_mask(
-        payload["forwards"],
-        idx_a,
-        idx_b,
-        bands=config.minhash_bands,
-        rows=config.minhash_rows,
-        seed=config.seed,
-    )
-    return blocking_recall(exact, candidates)
 
 
 def main(argv=None) -> int:
@@ -375,6 +335,8 @@ def main(argv=None) -> int:
         "shard_steals": int(cost_counters["perf.shard.steals"]),
         "shm_unlinks": int(cost_counters["perf.shm.unlinks"]),
         "segments_clean": active_segments() == [],
+        "pairs_kept": int(serial_counters["blocking.pairs_kept"]),
+        "pairs_blocked": int(serial_counters["blocking.pairs_pruned"]),
         "mean_f1": float(np.mean([r["f1"] for r in serial_results])),
     }
     print(
@@ -384,45 +346,6 @@ def main(argv=None) -> int:
         f"({end_to_end['parallel_speedup']:.2f}x, "
         f"steals={end_to_end['shard_steals']}, "
         f"identical={end_to_end['cost_shm_identical']})"
-    )
-
-    # -- minhash: approximate blocking vs exact pruning ----------------------
-    minhash_distinct = Distinct.from_models(
-        distinct.db,
-        distinct.resem_model_,
-        distinct.walk_model_,
-        replace(config, pair_pruning="minhash"),
-    )
-    minhash_s, minhash_results, minhash_counters = run_experiment(
-        minhash_distinct, truth, names, workers=1
-    )
-    kept_exact = int(serial_counters["blocking.pairs_kept"])
-    kept_minhash = int(minhash_counters["blocking.pairs_kept"])
-    agree = sum(
-        1 for a, b in zip(minhash_results, serial_results) if a == b
-    )
-    minhash = {
-        "pairs_kept_exact": kept_exact,
-        "pairs_kept_minhash": kept_minhash,
-        "lsh_candidates": int(minhash_counters["blocking.minhash.candidates"]),
-        "reduction": kept_exact / max(1, kept_minhash),
-        "exact_seconds": serial_s,
-        "minhash_seconds": minhash_s,
-        "prepare_speedup": serial_s / minhash_s,
-        "survivors_subset": kept_minhash <= kept_exact,
-        "measured_recall": measured_recall(payload, config),
-        "names_identical": agree,
-        "mean_f1": float(np.mean([r["f1"] for r in minhash_results])),
-        "bands": config.minhash_bands,
-        "rows": config.minhash_rows,
-    }
-    print(
-        f"minhash: {kept_minhash}/{kept_exact} pairs evaluated "
-        f"({minhash['reduction']:.1f}x reduction), wall {minhash_s:.1f}s vs "
-        f"{serial_s:.1f}s exact ({minhash['prepare_speedup']:.1f}x), "
-        f"recall {minhash['measured_recall']:.3f} on {biggest}, "
-        f"f1 {minhash['mean_f1']:.3f} vs {end_to_end['mean_f1']:.3f} exact, "
-        f"{agree}/{len(names)} names identical"
     )
 
     # -- gates ---------------------------------------------------------------
@@ -435,15 +358,11 @@ def main(argv=None) -> int:
         failures.append("shm: shared dispatch bytes not below pickled")
     if not end_to_end["static_identical"] or not end_to_end["cost_shm_identical"]:
         failures.append("end_to_end: parallel results differ from serial")
-    if not minhash["survivors_subset"]:
-        failures.append("minhash: survivors exceed exact survivors")
     if not args.tiny:
         if top["tuples"] < 100_000:
             failures.append("worlds: largest tier below 100K tuples")
         if shm["wall_ratio"] <= 1.0:
             failures.append("shm: shared-memory map not beating pickled wall")
-        if minhash["reduction"] < 5.0:
-            failures.append("minhash: candidate reduction below 5x")
         if end_to_end["parallel_speedup"] <= 1.0:
             failures.append("end_to_end: parallel run not beating serial")
     equivalent = not failures
@@ -464,15 +383,10 @@ def main(argv=None) -> int:
             "workers": args.workers,
             "seed": args.seed,
             "repeats": repeats,
-            "backend": config.similarity_backend,
-            "propagation": config.propagation_backend,
-            "minhash_bands": config.minhash_bands,
-            "minhash_rows": config.minhash_rows,
         },
         "worlds": tiers,
         "shm": shm,
         "end_to_end": end_to_end,
-        "minhash": minhash,
         "gates": {"failures": failures, "equivalent": equivalent},
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
@@ -487,8 +401,6 @@ def main(argv=None) -> int:
             "shm_dispatch_ratio": shm["dispatch_ratio"],
             "shm_wall": shm["wall_ratio"],
             "parallel_end_to_end": end_to_end["parallel_speedup"],
-            "minhash_reduction": minhash["reduction"],
-            "minhash_prepare": minhash["prepare_speedup"],
         },
         "tuples": top["tuples"],
         "shard_steals": end_to_end["shard_steals"],

@@ -9,18 +9,18 @@ extension modules:
 - `repro.core.candidates` — structural ambiguity scan;
 - `repro.eval.calibration`  — min-sim calibration from synthetic ambiguity
   (pooled rare names), zero manual labels;
-- `repro.core.incremental` — online assignment of held-back references.
+- `repro.ingest.greedy` — online assignment of held-back references.
 
 Run:  python examples/discovery_pipeline.py
 """
 
 from repro import Distinct, DistinctConfig, GeneratorConfig, generate_world
 from repro.core.candidates import find_ambiguous_candidates
-from repro.core.incremental import extend_resolution
 from repro.data.ambiguity import AmbiguousNameSpec
 from repro.data.world import world_to_database
-from repro.eval.metrics import pairwise_scores
 from repro.eval.calibration import calibrate_min_sim
+from repro.eval.metrics import pairwise_scores
+from repro.ingest.greedy import extend_resolution
 
 
 def main() -> None:

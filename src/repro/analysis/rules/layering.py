@@ -122,7 +122,7 @@ def check_layering(project: Project, config: LintConfig) -> Iterator[Finding]:
                         f"{src_pkg!r} (layer {ranks[src_pkg]}) may not import "
                         f"{dst_pkg!r} (layer {ranks[dst_pkg]}): imports must "
                         "go strictly down the DAG "
-                        "reldb -> paths/strings -> similarity -> cluster/ml "
+                        "reldb -> paths -> similarity -> cluster/ml "
                         "-> core -> eval -> cli"
                     ),
                     hint="move the shared code down a layer, invert the "

@@ -141,92 +141,42 @@ def _add_resilience_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_perf_options(p: argparse.ArgumentParser, workers: bool = False) -> None:
-    """Flags for the performance knobs (similarity backend, process pool)."""
+def _add_perf_options(p: argparse.ArgumentParser) -> None:
+    """Flags for the process pool of the per-name loop."""
     group = p.add_argument_group("performance")
     group.add_argument(
-        "--backend",
-        choices=("scalar", "vectorized"),
-        default=None,
-        help="similarity kernel backend (default: the config's, scalar); "
-             "vectorized computes all pairs with chunked matrix kernels",
-    )
-    group.add_argument(
-        "--propagation",
-        choices=("scalar", "batched"),
-        default=None,
-        help="propagation backend (default: the config's, scalar); batched "
-             "propagates all references of a name at once as sparse matrix "
-             "products (implies the matrix similarity kernels)",
-    )
-    group.add_argument(
-        "--pair-pruning",
-        nargs="?",
-        const="exact",
-        choices=("off", "exact", "minhash"),
-        default=None,
-        help="candidate blocking mode (default: the config's, off). exact "
-             "skips pairs with disjoint neighbor supports on every path "
-             "(lossless; bare --pair-pruning means exact); minhash narrows "
-             "to banded-LSH candidates first and exact-rechecks survivors",
-    )
-    group.add_argument(
-        "--minhash-bands",
+        "--workers",
         type=int,
-        default=None,
-        metavar="B",
-        help="LSH bands for --pair-pruning minhash (default: the config's, 32)",
+        default=1,
+        metavar="N",
+        help="process-pool size for the per-name loop (default 1 = "
+             "in-process; results are identical for any N)",
     )
     group.add_argument(
-        "--minhash-rows",
+        "--shared-memory",
+        action="store_true",
+        default=None,
+        help="dispatch the worker payload through one read-only "
+             "shared-memory segment instead of per-worker copies "
+             "(zero-copy; results are unchanged)",
+    )
+    group.add_argument(
+        "--shard-strategy",
+        choices=("static", "cost"),
+        default=None,
+        help="how the parallel loop orders dispatch (default: the "
+             "config's, static); cost dispatches cost-balanced shards "
+             "heaviest-first so idle workers steal the stragglers",
+    )
+    group.add_argument(
+        "--task-retries",
         type=int,
-        default=None,
-        metavar="R",
-        help="rows per LSH band for --pair-pruning minhash "
-             "(default: the config's, 2)",
+        default=DEFAULT_TASK_RETRIES,
+        metavar="K",
+        help="re-dispatch budget per task when a pool worker dies "
+             f"(default {DEFAULT_TASK_RETRIES}); past the budget the task "
+             "fails as WorkerCrashed under the --on-error policy",
     )
-    group.add_argument(
-        "--degradation",
-        choices=("strict", "fallback"),
-        default=None,
-        help="what to do when a fast backend fails at runtime (default: the "
-             "config's, strict); fallback recomputes the failed batch on the "
-             "scalar reference path instead of failing the run",
-    )
-    if workers:
-        group.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="N",
-            help="process-pool size for the per-name loop (default 1 = "
-                 "in-process; results are identical for any N)",
-        )
-        group.add_argument(
-            "--shared-memory",
-            action="store_true",
-            default=None,
-            help="dispatch the worker payload through one read-only "
-                 "shared-memory segment instead of per-worker copies "
-                 "(zero-copy; results are unchanged)",
-        )
-        group.add_argument(
-            "--shard-strategy",
-            choices=("static", "cost"),
-            default=None,
-            help="how the parallel loop orders dispatch (default: the "
-                 "config's, static); cost dispatches cost-balanced shards "
-                 "heaviest-first so idle workers steal the stragglers",
-        )
-        group.add_argument(
-            "--task-retries",
-            type=int,
-            default=DEFAULT_TASK_RETRIES,
-            metavar="K",
-            help="re-dispatch budget per task when a pool worker dies "
-                 f"(default {DEFAULT_TASK_RETRIES}); past the budget the task "
-                 "fails as WorkerCrashed under the --on-error policy",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negative", type=int, default=1000)
     p.add_argument("--svm-c", type=float, default=None,
                    help="fixed SVM cost (default: cross-validated search)")
-    _add_perf_options(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("resolve", help="cluster the references of one name")
@@ -282,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True)
     p.add_argument("--min-sim", type=float, default=None)
     p.add_argument("--truth", default=None, help="ground-truth JSON to score against")
-    _add_perf_options(p)
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser(
@@ -311,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--members", type=int, default=2, help="rare names pooled per synthetic name")
     p.add_argument("--seed", type=int, default=0)
     _add_resilience_options(p)
-    _add_perf_options(p, workers=True)
+    _add_perf_options(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser(
@@ -471,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", choices=("distinct", "all"), default="distinct")
     p.add_argument("--min-sim", type=float, default=None)
     _add_resilience_options(p)
-    _add_perf_options(p, workers=True)
+    _add_perf_options(p)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser(
@@ -499,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write the scored results + ingest stats JSON here")
     _add_resilience_options(p)
-    _add_perf_options(p, workers=True)
+    _add_perf_options(p)
     p.set_defaults(func=cmd_ingest)
 
     return parser
@@ -570,7 +518,6 @@ def cmd_fit(args) -> int:
     config = DistinctConfig(
         n_positive=args.positive, n_negative=args.negative, svm_C=args.svm_c
     )
-    config = _apply_perf_overrides(config, args)
     distinct = Distinct(config).fit(db)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -605,22 +552,10 @@ def _apply_perf_overrides(config: DistinctConfig, args) -> DistinctConfig:
     Uses ``getattr`` defaults because not every subcommand carries every
     perf flag (e.g. the pool flags exist only where ``--workers`` does).
     """
-    if getattr(args, "backend", None):
-        config = config.with_options(similarity_backend=args.backend)
-    if getattr(args, "propagation", None):
-        config = config.with_options(propagation_backend=args.propagation)
-    if getattr(args, "pair_pruning", None) is not None:
-        config = config.with_options(pair_pruning=args.pair_pruning)
-    if getattr(args, "minhash_bands", None) is not None:
-        config = config.with_options(minhash_bands=args.minhash_bands)
-    if getattr(args, "minhash_rows", None) is not None:
-        config = config.with_options(minhash_rows=args.minhash_rows)
     if getattr(args, "shared_memory", None):
         config = config.with_options(shared_memory=True)
     if getattr(args, "shard_strategy", None):
         config = config.with_options(shard_strategy=args.shard_strategy)
-    if getattr(args, "degradation", None):
-        config = config.with_options(degradation=args.degradation)
     return config
 
 

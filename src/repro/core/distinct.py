@@ -24,7 +24,6 @@ from repro.config import DistinctConfig
 from repro.core.features import (
     PairFeatures,
     all_pairs,
-    coerce_pruning,
     compute_pair_features,
     pair_matrix,
 )
@@ -198,17 +197,11 @@ class Distinct:
     def _training_features(self, training_set: TrainingSet) -> PairFeatures:
         """Features for training pairs, routing each reference through the
         profile builder of its own name (same exclusions as at resolve time)."""
-        assert self.db is not None and self.paths_ is not None
         builders: dict[str, ProfileBuilder] = {}
 
         def builder_for(name: str) -> ProfileBuilder:
             if name not in builders:
-                builders[name] = ProfileBuilder(
-                    self.db,
-                    self.paths_,
-                    exclusions_for_name(self.db, name, self.config),
-                    memo_size=self.config.propagation_memo_size,
-                )
+                builders[name] = self.profile_builder(name)
             return builders[name]
 
         router = _RoutedProfiles(self.paths_, {})
@@ -216,17 +209,21 @@ class Distinct:
             router.route[pair.row_a] = builder_for(pair.name_a)
             router.route[pair.row_b] = builder_for(pair.name_b)
         pairs = [(p.row_a, p.row_b) for p in training_set.pairs]
-        return compute_pair_features(
-            router,
-            pairs,
-            backend=self.config.similarity_backend,
-            pair_chunk=self.config.similarity_pair_chunk,
-            propagation=self.config.propagation_backend,
-            prune=self.config.pair_pruning,
-            degradation=self.config.degradation,
-            minhash_bands=self.config.minhash_bands,
-            minhash_rows=self.config.minhash_rows,
-            minhash_seed=self.config.seed,
+        return compute_pair_features(router, pairs)
+
+    def profile_builder(self, name: str, transition_cache=None) -> ProfileBuilder:
+        """The profile builder of ``name``: its exclusions, the configured
+        fanout memo, and an optional caller-owned transition cache. Every
+        feature computation for a real name goes through one of these, so
+        resolution, training, explanation and ingest see the same values."""
+        if self.db is None or self.paths_ is None:
+            raise NotFittedError("call fit(db) before building profiles")
+        return ProfileBuilder(
+            self.db,
+            self.paths_,
+            exclusions_for_name(self.db, name, self.config),
+            memo_size=self.config.propagation_memo_size,
+            transition_cache=transition_cache,
         )
 
     def _train_measure(
@@ -327,42 +324,12 @@ class Distinct:
             if len(refs.rows) <= 1:
                 prep_span.annotate(n_refs=len(refs.rows))
                 return NamePreparation(name=name, rows=list(refs.rows), features=None)
-            builder = ProfileBuilder(
-                self.db,
-                self.paths_,
-                exclusions_for_name(self.db, name, self.config),
-                memo_size=self.config.propagation_memo_size,
-            )
-            if self.config.propagation_backend == "scalar":
-                # Batched propagation computes all references at once inside
-                # compute_pair_features; warming the per-reference cache
-                # would propagate everything a second time.
-                with span("resolve.profiles", name=name, n_refs=len(refs.rows)) as sp:
-                    builder.warm(refs.rows)
-                    sp.annotate(n_profiles=builder.cache_size)
+            builder = self.profile_builder(name)
+            with span("resolve.profiles", name=name, n_refs=len(refs.rows)):
+                matrices = builder.matrices_for(refs.rows)
             pairs = all_pairs(refs.rows)
-            with span(
-                "resolve.similarity",
-                name=name,
-                n_pairs=len(pairs),
-                backend=self.config.similarity_backend,
-                propagation=self.config.propagation_backend,
-                prune=coerce_pruning(self.config.pair_pruning),
-            ) as sim_span:
-                features = compute_pair_features(
-                    builder,
-                    pairs,
-                    backend=self.config.similarity_backend,
-                    pair_chunk=self.config.similarity_pair_chunk,
-                    propagation=self.config.propagation_backend,
-                    prune=self.config.pair_pruning,
-                    degradation=self.config.degradation,
-                    minhash_bands=self.config.minhash_bands,
-                    minhash_rows=self.config.minhash_rows,
-                    minhash_seed=self.config.seed,
-                )
-                if features.degraded:
-                    sim_span.annotate(degraded=True)
+            with span("resolve.similarity", name=name, n_pairs=len(pairs)):
+                features = compute_pair_features(builder, pairs, matrices)
             _PAIRS_SCORED.inc(len(pairs))
             prep_span.annotate(n_refs=len(refs.rows), n_pairs=len(pairs))
         log.debug("prepared %r: %d references, %d pairs", name, len(refs.rows),
@@ -464,9 +431,6 @@ class _RoutedProfiles:
     def __init__(self, paths: list[JoinPath], route: dict[int, ProfileBuilder]) -> None:
         self.paths = paths
         self.route = route
-
-    def profiles_for(self, row: int):
-        return self.route[row].profiles_for(row)
 
     def matrices_for(self, rows: list[int]):
         """Batched matrices across builders: one batch per builder, merged.

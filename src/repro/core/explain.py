@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 from repro.core.distinct import Distinct
 from repro.core.features import compute_pair_features
-from repro.core.references import exclusions_for_name
 from repro.errors import NotFittedError
-from repro.paths.profiles import ProfileBuilder
 from repro.similarity.combine import geometric_mean
 
 
@@ -94,12 +92,7 @@ def explain_pair(
     if distinct.resem_model_ is None or distinct.walk_model_ is None:
         raise NotFittedError("explanations use the supervised models")
 
-    builder = ProfileBuilder(
-        distinct.db,
-        distinct.paths_,
-        exclusions_for_name(distinct.db, name, distinct.config),
-    )
-    features = compute_pair_features(builder, [(row_a, row_b)])
+    features = compute_pair_features(distinct.profile_builder(name), [(row_a, row_b)])
     resem_values, walk_values = distinct._combined_pair_values(features, True)
 
     clamp = distinct.config.clamp_negative_weights

@@ -6,131 +6,38 @@ and one walk-probability value per join path — these are the inputs to the
 aggregates. Everything here is vectorized over pairs: ``resemblance`` and
 ``walk`` are (n_pairs, n_paths) arrays aligned with ``pairs``.
 
-Two backends produce the same features (``DistinctConfig.similarity_backend``):
+:func:`compute_pair_features` takes one route:
 
-- ``"scalar"`` — the reference implementation, one
-  :func:`set_resemblance`/:func:`walk_probability` call per (pair, path);
-- ``"vectorized"`` — per path, stack the profiles into sparse matrices
-  once and evaluate the whole pair list with the chunked kernels of
-  :mod:`repro.similarity.vectorized` (equal to the scalar values up to
-  floating-point reassociation).
+1. **batched propagation** — every reference of the batch propagates at
+   once as sparse matrix products (:mod:`repro.paths.batch`), giving one
+   stacked (forward, backward) matrix pair per path;
+2. **exact blocking** — pairs whose forward supports are disjoint on
+   every path are dropped (:func:`intersecting_pair_mask`). Both measures
+   are *exactly* zero there, so their rows stay zero and the clustering
+   is unchanged;
+3. **matrix kernels** — the surviving pairs are evaluated per path by
+   the pair-list kernels of :mod:`repro.similarity.vectorized`.
 
-Orthogonally, ``propagation`` selects how the profiles themselves are
-computed (``DistinctConfig.propagation_backend``): ``"scalar"`` walks one
-reference at a time through the builder's profile cache; ``"batched"``
-computes every reference of the batch at once as sparse matrix products
-(:mod:`repro.paths.batch`) and feeds the stacked matrices straight into
-the pair kernels — with batched propagation the similarity stage always
-runs the matrix kernels, whatever ``backend`` says, since per-pair dict
-profiles are never materialized.
-
-``prune`` selects the candidate-blocking mode (``"off"`` | ``"exact"``
-| ``"minhash"``; booleans coerce for back-compat). ``"exact"`` skips
-evaluation of pairs whose neighbor supports are disjoint on every path
-(:mod:`repro.perf.blocking`): both measures are *exactly* zero there, so
-the skipped rows are zero-filled and downstream clustering output is
-unchanged. ``"minhash"`` first narrows the pair list to banded-LSH
-candidates (:mod:`repro.perf.minhash`, tuned by ``minhash_bands`` /
-``minhash_rows`` / ``minhash_seed``) and exact-rechecks the survivors:
-every evaluated pair provably intersects, evaluation cost drops further
-on ambient-overlap worlds, and the residual risk is bounded by the
-measured-recall property suite.
-
-``degradation`` is the graceful-degradation ladder: under
-``"fallback"``, a fast route that raises at runtime (``MemoryError`` on
-an oversized name, a SciPy sparse failure) is retried per batch on the
-scalar reference path — slower but correct — instead of failing the
-run. Every fallback increments ``resilience.degraded.features`` /
-``.pairs`` and flags the returned :class:`PairFeatures`, so silent
-slowdowns are impossible. ``"strict"`` (the default) propagates the
-error unchanged.
+The scalar per-reference propagation (:meth:`ProfileBuilder.profiles_for`)
+and the per-pair kernels (:func:`repro.similarity.resemblance
+.set_resemblance`, :func:`repro.similarity.randomwalk.walk_probability`)
+are the reference the equivalence tests compare this route against; no
+runtime code calls them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import DeadlineExceeded
-from repro.obs import counter, get_logger
+from repro.paths.batch import BatchedProfiles
 from repro.paths.joinpath import JoinPath
-from repro.perf.blocking import intersecting_pair_mask
-from repro.perf.minhash import DEFAULT_BANDS, DEFAULT_ROWS, minhash_refined_mask
 from repro.paths.profiles import ProfileBuilder
+from repro.perf.blocking import intersecting_pair_mask
 from repro.resilience import fault_check
 from repro.similarity.combine import PathWeights, normalize_feature_rows
-from repro.similarity.randomwalk import walk_probability
-from repro.similarity.resemblance import set_resemblance
-from repro.similarity.vectorized import (
-    DEFAULT_PAIR_CHUNK,
-    pair_resemblance_values,
-    pair_walk_values,
-    profile_matrices,
-)
-
-log = get_logger("core.features")
-
-BACKENDS = ("scalar", "vectorized")
-PROPAGATION_BACKENDS = ("scalar", "batched")
-DEGRADATION_POLICIES = ("strict", "fallback")
-PRUNING_MODES = ("off", "exact", "minhash")
-
-
-def coerce_pruning(value: bool | str | None) -> str:
-    """Normalize a ``pair_pruning`` value to one of :data:`PRUNING_MODES`.
-
-    Booleans are the historical surface (``False`` -> ``"off"``,
-    ``True`` -> ``"exact"``); ``None`` means off.
-    """
-    if value is None or value is False:
-        return "off"
-    if value is True:
-        return "exact"
-    if value not in PRUNING_MODES:
-        raise ValueError(
-            f"pair pruning mode must be one of {PRUNING_MODES}, got {value!r}"
-        )
-    return value
-
-@dataclass(frozen=True)
-class _MinHashParams:
-    """LSH banding knobs threaded into the pruning routes."""
-
-    bands: int = DEFAULT_BANDS
-    rows: int = DEFAULT_ROWS
-    seed: int = 0
-
-
-def _keep_mask(
-    prune_mode: str,
-    forwards: list,
-    idx_a: np.ndarray,
-    idx_b: np.ndarray,
-    pair_chunk: int,
-    minhash: _MinHashParams,
-) -> np.ndarray:
-    """The blocking mask for the selected mode over stacked supports."""
-    if prune_mode == "minhash":
-        return minhash_refined_mask(
-            forwards,
-            idx_a,
-            idx_b,
-            bands=minhash.bands,
-            rows=minhash.rows,
-            seed=minhash.seed,
-            pair_chunk=pair_chunk,
-        )
-    return intersecting_pair_mask(forwards, idx_a, idx_b, pair_chunk=pair_chunk)
-
-
-#: Pairs evaluated through the vectorized backend (scalar pairs are
-#: tracked per call by ``similarity.resemblance.calls`` / ``.walk.calls``).
-_VECTORIZED_PAIRS = counter("features.vectorized.pairs")
-#: Fast-backend failures absorbed by ``degradation="fallback"`` (one per
-#: degraded compute_pair_features call / per affected pair).
-_DEGRADED = counter("resilience.degraded.features")
-_DEGRADED_PAIRS = counter("resilience.degraded.pairs")
+from repro.similarity.vectorized import pair_resemblance_values, pair_walk_values
 
 
 @dataclass
@@ -146,11 +53,6 @@ class PairFeatures:
     pairs: list[tuple[int, int]]
     resemblance: np.ndarray
     walk: np.ndarray
-    #: True when a fast backend failed and the values were recomputed on
-    #: the scalar reference path (``degradation="fallback"``). Telemetry,
-    #: not a result: excluded from equality so degraded and non-degraded
-    #: runs of the same inputs stay comparable.
-    degraded: bool = field(default=False, compare=False)
 
     @property
     def n_pairs(self) -> int:
@@ -179,219 +81,35 @@ class PairFeatures:
 def compute_pair_features(
     builder: ProfileBuilder,
     pairs: list[tuple[int, int]],
-    backend: str = "scalar",
-    pair_chunk: int = DEFAULT_PAIR_CHUNK,
-    propagation: str = "scalar",
-    prune: bool | str = False,
-    degradation: str = "strict",
-    minhash_bands: int = DEFAULT_BANDS,
-    minhash_rows: int = DEFAULT_ROWS,
-    minhash_seed: int = 0,
+    matrices: dict[JoinPath, BatchedProfiles] | None = None,
 ) -> PairFeatures:
     """Compute both measures for every pair along every path of ``builder``.
 
-    With scalar ``propagation``, profiles are cached inside the builder,
-    so the cost is one propagation per (reference, path) plus the
-    per-(pair, path) similarity kernel of the chosen ``backend``; with
-    ``propagation="batched"`` the whole batch propagates as sparse
-    matrix products and the matrix pair kernels evaluate the list (see
-    module docstring). ``pair_chunk`` bounds the matrix kernels'
-    per-slice working set. ``prune`` selects the blocking mode (see
-    module docstring): pairs blocked out are zero-filled instead of
-    evaluated; under ``"minhash"`` the LSH banding is tuned by
-    ``minhash_bands``/``minhash_rows``/``minhash_seed``.
-    ``degradation="fallback"`` absorbs a fast-route failure by
-    recomputing this batch on the scalar reference path (see module
-    docstring); ``"strict"`` propagates it.
+    ``matrices`` is the batch of a caller that already propagated the
+    pairs' references (``builder.matrices_for(rows)`` with every row of
+    ``pairs`` among ``rows``); without it the pairs' rows propagate here.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if propagation not in PROPAGATION_BACKENDS:
-        raise ValueError(
-            f"propagation must be one of {PROPAGATION_BACKENDS}, got {propagation!r}"
-        )
-    if degradation not in DEGRADATION_POLICIES:
-        raise ValueError(
-            f"degradation must be one of {DEGRADATION_POLICIES}, "
-            f"got {degradation!r}"
-        )
-    prune_mode = coerce_pruning(prune)
-    minhash = _MinHashParams(minhash_bands, minhash_rows, minhash_seed)
-    if propagation != "batched" and backend != "vectorized" and prune_mode == "off":
-        return _scalar_pair_features(builder, pairs)
-    try:
-        fault_check("features.backend")
-        if propagation == "batched":
-            return _batched_pair_features(
-                builder, pairs, pair_chunk, prune_mode, minhash
-            )
-        if prune_mode != "off":
-            return _pruned_pair_features(
-                builder, pairs, backend, pair_chunk, prune_mode, minhash
-            )
-        return _vectorized_pair_features(builder, pairs, pair_chunk)
-    except (DeadlineExceeded, KeyboardInterrupt):
-        raise  # control flow, never a degradation trigger
-    except Exception as exc:
-        if degradation != "fallback":
-            raise
-        _DEGRADED.inc()
-        _DEGRADED_PAIRS.inc(len(pairs))
-        log.warning(
-            "fast backend failed (%s: %s); degrading %d pair(s) to the "
-            "scalar reference path (backend=%s propagation=%s prune=%s)",
-            type(exc).__name__, exc, len(pairs), backend, propagation,
-            prune_mode,
-        )
-        features = _scalar_pair_features(builder, pairs)
-        features.degraded = True
-        return features
-
-
-def _scalar_pair_features(
-    builder: ProfileBuilder, pairs: list[tuple[int, int]]
-) -> PairFeatures:
-    """The reference implementation: one kernel call per (pair, path)."""
+    fault_check("features.backend")
     paths = builder.paths
     resem = np.zeros((len(pairs), len(paths)))
     walk = np.zeros((len(pairs), len(paths)))
-    for k, (row_a, row_b) in enumerate(pairs):
-        profiles_a = builder.profiles_for(row_a)
-        profiles_b = builder.profiles_for(row_b)
-        for p, path in enumerate(paths):
-            a = profiles_a[path]
-            b = profiles_b[path]
-            resem[k, p] = set_resemblance(a, b)
-            walk[k, p] = walk_probability(a, b)
-    return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
-
-
-def _pair_index_arrays(
-    pairs: list[tuple[int, int]],
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """First-seen row order plus aligned pair index arrays."""
-    rows = list(dict.fromkeys(row for pair in pairs for row in pair))
-    index = {row: i for i, row in enumerate(rows)}
+    if not pairs or not paths:
+        return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
+    if matrices is None:
+        rows = list(dict.fromkeys(row for pair in pairs for row in pair))
+        matrices = builder.matrices_for(rows)
+    index = {row: k for k, row in enumerate(matrices[paths[0]].rows)}
     idx_a = np.fromiter((index[a] for a, _ in pairs), dtype=np.int64, count=len(pairs))
     idx_b = np.fromiter((index[b] for _, b in pairs), dtype=np.int64, count=len(pairs))
-    return rows, idx_a, idx_b
 
-
-def _batched_pair_features(
-    builder: ProfileBuilder,
-    pairs: list[tuple[int, int]],
-    pair_chunk: int,
-    prune_mode: str,
-    minhash: _MinHashParams,
-) -> PairFeatures:
-    """Batched-propagation route: SpMM profiles, matrix pair kernels.
-
-    The batched matrices double as the blocking index: under
-    ``"exact"``/``"minhash"`` pruning, the keep mask comes straight from
-    the forward patterns and only surviving pairs reach the kernels.
-    """
-    paths = builder.paths
-    resem = np.zeros((len(pairs), len(paths)))
-    walk = np.zeros((len(pairs), len(paths)))
-    if not pairs:
-        return PairFeatures(paths=paths, pairs=[], resemblance=resem, walk=walk)
-
-    rows, idx_a, idx_b = _pair_index_arrays(pairs)
-    matrices = builder.matrices_for(rows)
-    if prune_mode != "off":
-        keep = _keep_mask(
-            prune_mode,
-            [matrices[path].forward for path in paths],
-            idx_a,
-            idx_b,
-            pair_chunk,
-            minhash,
-        )
-        selected = np.flatnonzero(keep)
-    else:
-        selected = np.arange(len(pairs))
-    sel_a = idx_a[selected]
-    sel_b = idx_b[selected]
+    kept = np.flatnonzero(
+        intersecting_pair_mask([matrices[path].forward for path in paths], idx_a, idx_b)
+    )
+    kept_a, kept_b = idx_a[kept], idx_b[kept]
     for p, path in enumerate(paths):
         stacked = matrices[path]
-        resem[selected, p] = pair_resemblance_values(
-            stacked.forward, sel_a, sel_b, pair_chunk=pair_chunk
-        )
-        walk[selected, p] = pair_walk_values(
-            stacked.forward, stacked.backward, sel_a, sel_b, pair_chunk=pair_chunk
-        )
-    _VECTORIZED_PAIRS.inc(len(selected) * len(paths))
-    return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
-
-
-def _pruned_pair_features(
-    builder: ProfileBuilder,
-    pairs: list[tuple[int, int]],
-    backend: str,
-    pair_chunk: int,
-    prune_mode: str,
-    minhash: _MinHashParams,
-) -> PairFeatures:
-    """Scalar-propagation pruning route: mask, evaluate survivors, scatter.
-
-    The mask needs the stacked forward patterns, so pruning on top of
-    scalar propagation pays one extra stacking pass per path; pruning is
-    cheapest combined with the vectorized or batched routes.
-    """
-    paths = builder.paths
-    resem = np.zeros((len(pairs), len(paths)))
-    walk = np.zeros((len(pairs), len(paths)))
-    if not pairs:
-        return PairFeatures(paths=paths, pairs=[], resemblance=resem, walk=walk)
-
-    rows, idx_a, idx_b = _pair_index_arrays(pairs)
-    profiles_by_row = {row: builder.profiles_for(row) for row in rows}
-    forwards = []
-    for path in paths:
-        forward, _ = profile_matrices([profiles_by_row[row][path] for row in rows])
-        forwards.append(forward)
-    keep = _keep_mask(prune_mode, forwards, idx_a, idx_b, pair_chunk, minhash)
-    selected = np.flatnonzero(keep)
-    kept_pairs = [pairs[int(k)] for k in selected]
-    survivors = compute_pair_features(
-        builder, kept_pairs, backend=backend, pair_chunk=pair_chunk
-    )
-    resem[selected] = survivors.resemblance
-    walk[selected] = survivors.walk
-    return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
-
-
-def _vectorized_pair_features(
-    builder: ProfileBuilder, pairs: list[tuple[int, int]], pair_chunk: int
-) -> PairFeatures:
-    """Matrix-kernel route: stack profiles per path, evaluate the pair list.
-
-    Stacks only the rows that actually appear in ``pairs`` (in first-seen
-    order), so arbitrary pair lists — e.g. training pairs spanning many
-    names — never pay for an all-pairs grid.
-    """
-    paths = builder.paths
-    resem = np.zeros((len(pairs), len(paths)))
-    walk = np.zeros((len(pairs), len(paths)))
-    if not pairs:
-        return PairFeatures(paths=paths, pairs=[], resemblance=resem, walk=walk)
-
-    rows = list(dict.fromkeys(row for pair in pairs for row in pair))
-    index = {row: i for i, row in enumerate(rows)}
-    profiles_by_row = {row: builder.profiles_for(row) for row in rows}
-    idx_a = np.fromiter((index[a] for a, _ in pairs), dtype=np.int64, count=len(pairs))
-    idx_b = np.fromiter((index[b] for _, b in pairs), dtype=np.int64, count=len(pairs))
-
-    for p, path in enumerate(paths):
-        stacked = [profiles_by_row[row][path] for row in rows]
-        forward, backward = profile_matrices(stacked)
-        resem[:, p] = pair_resemblance_values(
-            forward, idx_a, idx_b, pair_chunk=pair_chunk
-        )
-        walk[:, p] = pair_walk_values(
-            forward, backward, idx_a, idx_b, pair_chunk=pair_chunk
-        )
-    _VECTORIZED_PAIRS.inc(len(pairs) * len(paths))
+        resem[kept, p] = pair_resemblance_values(stacked.forward, kept_a, kept_b)
+        walk[kept, p] = pair_walk_values(stacked.forward, stacked.backward, kept_a, kept_b)
     return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
 
 

@@ -146,18 +146,7 @@ def prepare_synthetic(distinct: Distinct, synthetic: SyntheticName) -> NamePrepa
         {config.object_relation: frozenset(excluded_rows)},
         memo_size=config.propagation_memo_size,
     )
-    features = compute_pair_features(
-        builder,
-        all_pairs(synthetic.rows),
-        backend=config.similarity_backend,
-        pair_chunk=config.similarity_pair_chunk,
-        propagation=config.propagation_backend,
-        prune=config.pair_pruning,
-        degradation=config.degradation,
-        minhash_bands=config.minhash_bands,
-        minhash_rows=config.minhash_rows,
-        minhash_seed=config.seed,
-    )
+    features = compute_pair_features(builder, all_pairs(synthetic.rows))
     return NamePreparation(
         name="+".join(synthetic.member_names), rows=synthetic.rows, features=features
     )

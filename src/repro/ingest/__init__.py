@@ -9,15 +9,13 @@ four-rung invalidation ladder (dirty rows → dirty references → dirty
 pairs → dirty merges; see :mod:`repro.ingest.engine`) whose every rung
 preserves bytes: the refreshed resolutions equal a cold
 ``prepare``/``cluster_prepared`` on the post-delta database exactly,
-across similarity/propagation backends, pruning modes, and worker
-counts.
+for any worker count.
 
 - :mod:`repro.ingest.dirty` — which existing rows a delta touched;
 - :mod:`repro.ingest.engine` — :class:`IngestEngine`, the per-name
   state + refresh ladder (``--mode exact``);
 - :mod:`repro.ingest.greedy` — the approximate single-reference
-  assigner folded in from ``repro.core.incremental``
-  (``--mode greedy``);
+  assigner (``--mode greedy``);
 - :mod:`repro.ingest.runner` — the resilient ``repro ingest`` loop:
   checkpoints, ``--resume``, policies, workers.
 

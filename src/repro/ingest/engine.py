@@ -23,8 +23,8 @@ ladder instead of recomputing the world:
    .touched_row_mask`) or it is new; clean references provably kept
    their exact profiles;
 3. **dirty pairs** — only pairs touching a dirty or new reference are
-   re-evaluated (through the *configured* backends, so the recomputed
-   values are bit-identical to a cold run's); clean pair values are
+   re-evaluated (through the same pair-feature route as a cold run, so
+   the recomputed values are bit-identical); clean pair values are
    scattered from the previous feature arrays;
 4. **dirty merges** — :func:`repro.cluster.recluster_incremental`
    replays the previous dendrogram prefix the dirty pairs cannot have
@@ -32,8 +32,7 @@ ladder instead of recomputing the world:
 
 Every rung preserves bytes, so ``ingest()`` produces resolutions equal
 to a cold ``prepare``/``cluster_prepared`` on the post-delta database —
-the property suite asserts full equality across backends, pruning
-modes, and worker counts.
+the property suite asserts full equality across worker counts.
 
 With ``workers > 1`` the per-name refresh fans out over the
 fork-primed process pool (:func:`repro.perf.ordered_process_map`): the
@@ -59,7 +58,7 @@ from repro.core.features import (
     compute_pair_features,
     pair_matrix,
 )
-from repro.core.references import exclusions_for_name, extract_references
+from repro.core.references import extract_references
 from repro.errors import NotFittedError, ReproError
 from repro.obs import counter, get_logger, span
 from repro.paths.batch import batch_profile_matrices
@@ -230,13 +229,8 @@ class IngestEngine:
         return state.resolution
 
     def _builder(self, name: str) -> ProfileBuilder:
-        distinct = self.distinct
-        return ProfileBuilder(
-            self.db,
-            distinct.paths_,
-            exclusions_for_name(self.db, name, distinct.config),
-            memo_size=distinct.config.propagation_memo_size,
-            transition_cache=TransitionCache(epoch=self.db.epoch),
+        return self.distinct.profile_builder(
+            name, transition_cache=TransitionCache(epoch=self.db.epoch)
         )
 
     def _cold_state(self, name: str) -> _NameState:
@@ -253,16 +247,16 @@ class IngestEngine:
                 None, resolution, {},
             )
         traces: dict[str, sparse.csr_matrix] = {}
-        # The trace pass doubles as the transition-cache warm-up; with
-        # scalar propagation it is extra work that never feeds values.
-        batch_profile_matrices(
+        # The traced batch is the one prepare() propagates; its matrices
+        # feed the pair kernels directly.
+        matrices = batch_profile_matrices(
             builder.engine,
             distinct.paths_,
             refs.rows,
             cache=builder.transition_cache,
             trace=traces,
         )
-        features = self._compute_features(builder, refs.rows, all_pairs(refs.rows))
+        features = compute_pair_features(builder, all_pairs(refs.rows), matrices)
         prep = NamePreparation(name=name, rows=list(refs.rows), features=features)
         resolution = distinct.cluster_prepared(
             prep, self.min_sim, self.measure, self.supervised
@@ -270,30 +264,6 @@ class IngestEngine:
         return _NameState(
             name, list(refs.rows), list(refs.object_rows), builder,
             features, resolution, traces,
-        )
-
-    def _compute_features(
-        self,
-        builder: ProfileBuilder,
-        rows: list[int],
-        pairs: list[tuple[int, int]],
-    ) -> PairFeatures:
-        """Pair features through the configured backends — the exact code
-        path :meth:`Distinct.prepare` takes, so values are bit-identical."""
-        config = self.distinct.config
-        if config.propagation_backend == "scalar":
-            builder.warm(rows)
-        return compute_pair_features(
-            builder,
-            pairs,
-            backend=config.similarity_backend,
-            pair_chunk=config.similarity_pair_chunk,
-            propagation=config.propagation_backend,
-            prune=config.pair_pruning,
-            degradation=config.degradation,
-            minhash_bands=config.minhash_bands,
-            minhash_rows=config.minhash_rows,
-            minhash_seed=config.seed,
         )
 
     # -- delta application -------------------------------------------------
@@ -443,9 +413,8 @@ class IngestEngine:
         """Install a worker-computed refresh into the parent engine.
 
         The parent's epoch-pinned caches were already advanced by
-        :meth:`apply`, so correctness only needs the results copied over
-        and any possibly-stale profile-cache entries dropped; the
-        worker-side recomputations (profiles, transition rows) are lost
+        :meth:`apply`, so correctness only needs the results copied over;
+        the worker-side recomputations (transition rows, fanouts) are lost
         to the parent — a warmth cost, never a value change.
         """
         state = self._states.get(refresh.name)
@@ -461,8 +430,6 @@ class IngestEngine:
                     self.db, refresh.name, self.distinct.config
                 ).object_rows
             )
-        else:
-            state.builder.evict(set(state.rows) | set(refresh.resolution.rows))
         self._install(state, refresh)
 
     def ingest(self, delta: Delta, workers: int = 1) -> IngestReport:
@@ -504,7 +471,6 @@ class IngestEngine:
 
         builder = state.builder
         dirty_origins = [state.rows[int(i)] for i in plan.dirty_idx] + plan.new_rows
-        builder.evict(dirty_origins)
 
         # Fresh traces (and transition-cache warm-up) for the dirty slice.
         refreshed_traces: dict[str, sparse.csr_matrix] = {}
@@ -537,9 +503,7 @@ class IngestEngine:
             walk[k] = state.features.walk[old_k]
             reused += 1
         if recompute:
-            sub = self._compute_features(
-                builder, dirty_origins, [pairs_new[k] for k in recompute]
-            )
+            sub = compute_pair_features(builder, [pairs_new[k] for k in recompute])
             idx = np.asarray(recompute, dtype=np.int64)
             resem[idx] = sub.resemblance
             walk[idx] = sub.walk
@@ -571,17 +535,15 @@ class IngestEngine:
         exclusions changed — the cached partner lists bake the old ones in)."""
         distinct = self.distinct
         builder = self._builder(state.name) if plan.rebuild else state.builder
-        if not plan.rebuild:
-            builder.evict(rows_new + state.rows)
         traces: dict[str, sparse.csr_matrix] = {}
-        batch_profile_matrices(
+        matrices = batch_profile_matrices(
             builder.engine,
             distinct.paths_,
             rows_new,
             cache=builder.transition_cache,
             trace=traces,
         )
-        features = self._compute_features(builder, rows_new, all_pairs(rows_new))
+        features = compute_pair_features(builder, all_pairs(rows_new), matrices)
         prep = NamePreparation(name=state.name, rows=rows_new, features=features)
         resolution = distinct.cluster_prepared(
             prep, self.min_sim, self.measure, self.supervised

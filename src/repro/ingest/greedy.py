@@ -5,9 +5,7 @@ cold refit byte-for-byte; this module is the cheap approximation the
 ``--mode greedy`` switch selects: assign each new reference to the most
 similar existing cluster (same composite measure, same ``min_sim``
 cutoff) without revisiting any previous merge. It is the online
-counterpart of §4.2's incremental aggregates — and the original seed
-implementation, folded in from ``repro.core.incremental`` (which remains
-as a compat shim).
+counterpart of §4.2's incremental aggregates.
 
 Greedy assignment can disagree with a cold refit (an arrival that would
 have changed an early merge is pinned to the old dendrogram); the
@@ -23,10 +21,8 @@ import numpy as np
 
 from repro.core.distinct import Distinct, NameResolution
 from repro.core.features import compute_pair_features
-from repro.core.references import exclusions_for_name
 from repro.errors import NotFittedError
 from repro.obs import counter
-from repro.paths.profiles import ProfileBuilder
 from repro.similarity.combine import geometric_mean
 
 __all__ = ["Assignment", "extend_resolution"]
@@ -50,7 +46,6 @@ def extend_resolution(
     resolution: NameResolution,
     new_rows: list[int],
     min_sim: float | None = None,
-    backend: str | None = None,
 ) -> tuple[NameResolution, list[Assignment]]:
     """Assign ``new_rows`` to the clusters of an existing resolution.
 
@@ -58,10 +53,9 @@ def extend_resolution(
     per-row assignment record. New rows are processed in order; a row
     assigned to a cluster is visible to subsequent rows.
 
-    ``backend`` selects the similarity kernels for the new rows' pair
-    features; ``None`` follows the pipeline's configured
-    ``similarity_backend``. The per-tuple fanout memo is enabled exactly
-    as at resolve time.
+    The pairs every new row forms with the rows before it do not depend on
+    the assignments, so their features are computed up front, in one
+    batch, by the builder and route :meth:`Distinct.prepare` uses.
     """
     if distinct.db is None or distinct.paths_ is None:
         raise NotFittedError("fit the pipeline before extending a resolution")
@@ -69,33 +63,31 @@ def extend_resolution(
         raise ValueError("resolution carries no pair matrices; re-resolve the name")
     config = distinct.config
     min_sim = config.min_sim if min_sim is None else min_sim
-    backend = config.similarity_backend if backend is None else backend
-
-    builder = ProfileBuilder(
-        distinct.db,
-        distinct.paths_,
-        exclusions_for_name(distinct.db, resolution.name, config),
-        memo_size=config.propagation_memo_size,
-    )
 
     rows = list(resolution.rows)
+    for k, new_row in enumerate(new_rows):
+        if new_row in rows or new_row in new_rows[:k]:
+            raise ValueError(f"reference row {new_row} already resolved")
+    pairs = [
+        (new_row, row)
+        for k, new_row in enumerate(new_rows)
+        for row in rows + list(new_rows[:k])
+    ]
+    features = compute_pair_features(distinct.profile_builder(resolution.name), pairs)
+    all_resem, all_walk = distinct._combined_pair_values(features, True)
+
     clusters = [set(c) for c in resolution.clusters]
     index_of = {row: i for i, row in enumerate(rows)}
     resem = resolution.resem_matrix.copy()
     walk = resolution.walk_matrix.copy()
     assignments: list[Assignment] = []
 
+    start = 0
     for new_row in new_rows:
-        if new_row in index_of:
-            raise ValueError(f"reference row {new_row} already resolved")
-        pairs = [(new_row, row) for row in rows]
-        features = compute_pair_features(
-            builder,
-            pairs,
-            backend=backend,
-            pair_chunk=config.similarity_pair_chunk,
-        )
-        resem_vals, walk_vals = distinct._combined_pair_values(features, True)
+        # This row's pairs, one per row before it, in ``rows`` order.
+        resem_vals = all_resem[start : start + len(rows)]
+        walk_vals = all_walk[start : start + len(rows)]
+        start += len(rows)
 
         best_cluster = -1
         best_sim = 0.0

@@ -279,7 +279,6 @@ def ingest_resilient(
                                     cold[name],
                                     greedy_new[name],
                                     min_sim=min_sim,
-                                    backend="vectorized",
                                 )
                                 scored = score_resolution(extended, truth)
                                 stats["refs_new"] += len(greedy_new[name])

@@ -20,9 +20,6 @@ from __future__ import annotations
 __all__ = ["REGISTERED_METRICS"]
 
 REGISTERED_METRICS: dict[str, str] = {
-    # MinHash/LSH candidate blocking (repro.perf.minhash)
-    "blocking.minhash.candidates": "counter",
-    "blocking.minhash.rechecked": "counter",
     # zero-overlap pair pruning (repro.perf.blocking)
     "blocking.pairs_kept": "counter",
     "blocking.pairs_pruned": "counter",
@@ -48,7 +45,6 @@ REGISTERED_METRICS: dict[str, str] = {
     "experiment.names_failed": "counter",
     "experiment.names_scored": "counter",
     # vectorized kernels (repro.core.features)
-    "features.vectorized.pairs": "counter",
     # delta ingest (repro.ingest / repro.reldb.delta)
     "ingest.deltas_applied": "counter",
     "ingest.greedy.assigned": "counter",
@@ -112,18 +108,14 @@ REGISTERED_METRICS: dict[str, str] = {
     "propagation.batch.origin_corrections": "counter",
     "propagation.batch.runs": "counter",
     "propagation.batch.spmm": "counter",
-    "propagation.batch.tuples": "counter",
     "propagation.runs": "counter",
     "propagation.steps": "counter",
     "propagation.tuples_visited": "counter",
-    # graceful degradation ladder (repro.core.features)
-    "resilience.degraded.features": "counter",
-    "resilience.degraded.pairs": "counter",
     # error policies and retries (repro.resilience.policy / .retry)
     "resilience.errors_collected": "counter",
     "resilience.items_skipped": "counter",
     "resilience.retry_attempts": "counter",
-    # similarity kernels (repro.similarity)
+    # similarity kernels, per (pair, path) value (repro.similarity)
     "similarity.resemblance.calls": "counter",
     "similarity.walk.calls": "counter",
     # SVM training (repro.ml.svm)

@@ -1,8 +1,8 @@
 """Batched sparse propagation: all references of one name at once.
 
 :class:`~repro.paths.propagation.PropagationEngine` walks one reference
-at a time over Python dicts; ``propagation.tuples_visited`` makes that
-the dominant pipeline cost. But one forward step is a linear map of the
+at a time over Python dicts, so its cost grows with references times
+tuples visited. But one forward step is a linear map of the
 mass vector, identical for every reference of a name (the *per-origin*
 part — the origin tuple is not an intermediate stop — is a rank-limited
 perturbation). Stacking the references' mass vectors as the rows of a
@@ -62,14 +62,14 @@ from repro.perf.transitions import Transition, TransitionCache
 
 __all__ = ["BatchedProfiles", "batch_profile_matrices", "merge_batched"]
 
-#: Work accounting for the batched backend. ``tuples`` counts nonzeros
-#: materialized per level (the batched analogue of
-#: ``propagation.tuples_visited``, deduplicated across references);
-#: ``spmm`` counts sparse matrix products; ``origin_corrections`` counts
-#: corrected entries.
+#: Work accounting. ``propagation.tuples_visited`` keeps the scalar
+#: engine's definition: the nonzeros of each forward and backward level,
+#: summed over references (one reference's row holds exactly the tuples
+#: the scalar walk materializes at that level). ``spmm`` counts sparse
+#: matrix products; ``origin_corrections`` counts corrected entries.
 _BATCH_RUNS = counter("propagation.batch.runs")
 _BATCH_SPMM = counter("propagation.batch.spmm")
-_BATCH_TUPLES = counter("propagation.batch.tuples")
+_TUPLES_VISITED = counter("propagation.tuples_visited")
 _BATCH_CORRECTIONS = counter("propagation.batch.origin_corrections")
 
 
@@ -137,7 +137,7 @@ class _BatchContext:
 
         Routing through :meth:`PropagationEngine._partners` keeps the
         exclusion filtering and the :class:`~repro.perf.memo.FanoutMemo`
-        identical across backends.
+        identical to the scalar reference.
         """
         fanout = self._fanouts.get(step)
         if fanout is None:
@@ -234,7 +234,7 @@ def _forward_step_batch(
     if ctx.engine.exclude_origin and step.dst_relation == start_relation:
         nxt = _forward_origin_fix(ctx, step, current, nxt, transition)
     nxt = _canonical(nxt)
-    _BATCH_TUPLES.inc(nxt.nnz)
+    _TUPLES_VISITED.inc(nxt.nnz)
     return nxt
 
 
@@ -328,7 +328,7 @@ def _backward_step_batch(
         # from the level), so later gathers must see exactly zero there.
         rev = _zero_origin_column(_canonical(rev), ctx.origins)
     rev = _canonical(rev)
-    _BATCH_TUPLES.inc(rev.nnz)
+    _TUPLES_VISITED.inc(rev.nnz)
     return rev
 
 

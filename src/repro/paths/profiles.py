@@ -69,9 +69,12 @@ _ZERO_PAIR = (0.0, 0.0)
 class ProfileBuilder:
     """Computes neighbor profiles for many references over many paths.
 
-    Profiles are cached by ``(path, origin_row)``; the cache belongs to this
-    builder, so building one `ProfileBuilder` per ambiguous name (with that
-    name's exclusions) is the intended usage.
+    :meth:`matrices_for` is what the pipeline runs: all references of a
+    batch at once, as stacked sparse matrices. :meth:`profiles_for` walks
+    one reference at a time and caches the profiles by
+    ``(path, origin_row)``; it is the reference the tests compare the
+    batched matrices against. Both belong to one name's exclusions, so
+    building one `ProfileBuilder` per ambiguous name is the intended usage.
     """
 
     def __init__(
@@ -158,19 +161,6 @@ class ProfileBuilder:
         return batch_profile_matrices(
             self.engine, self.paths, origin_rows, cache=self.transition_cache
         )
-
-    def evict(self, origin_rows) -> int:
-        """Drop cached profiles of the given references (all paths).
-
-        Delta ingest calls this for the references whose walks touch
-        rows a delta changed; clean references keep their profiles,
-        which stay byte-identical by construction.
-        """
-        rows = set(origin_rows)
-        stale = [key for key in self._cache if key[1] in rows]
-        for key in stale:
-            del self._cache[key]
-        return len(stale)
 
     @property
     def memo(self):

@@ -22,7 +22,7 @@ sparse row intersections so no n × n product is formed.
 
 This module is generic over any sparse support matrices (rows =
 references, columns = end-relation tuples) — in the pipeline those are
-the stacked forward profile matrices, from either propagation backend.
+the stacked forward profile matrices of batched propagation.
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ import numpy as np
 from scipy import sparse
 
 from repro.obs import counter
-from repro.perf.chunking import chunk_slices
+from repro.perf.chunking import chunk_slices, pair_slices
 
 _PAIRS_PRUNED = counter("blocking.pairs_pruned")
 _PAIRS_KEPT = counter("blocking.pairs_kept")
-
-#: Pair-mask evaluation processes pairs in slices of this many rows.
-DEFAULT_PAIR_CHUNK = 8192
 
 #: ``candidate_pairs`` joins the inverted index in blocks of this many
 #: reference rows, bounding the working set to (chunk x n) instead of
@@ -57,8 +54,6 @@ def intersecting_pair_mask(
     support_matrices: list[sparse.spmatrix],
     idx_a: np.ndarray,
     idx_b: np.ndarray,
-    *,
-    pair_chunk: int = DEFAULT_PAIR_CHUNK,
 ) -> np.ndarray:
     """True where a pair's supports intersect on at least one path.
 
@@ -72,7 +67,7 @@ def intersecting_pair_mask(
     mask = np.zeros(len(idx_a), dtype=bool)
     for matrix in support_matrices:
         pattern = _pattern(matrix)
-        for sl in chunk_slices(len(idx_a), pair_chunk):
+        for sl in pair_slices(np.diff(pattern.indptr), idx_a, idx_b):
             todo = np.flatnonzero(~mask[sl])
             if not len(todo):
                 continue

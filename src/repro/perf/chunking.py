@@ -1,32 +1,25 @@
-"""Chunk sizing for the vectorized similarity kernels.
+"""Slice sizing for the pair-list kernels.
 
-The vectorized resemblance kernel materializes dense row blocks of the
-sparse profile matrix and broadcasts ``|a - b|`` over block pairs; peak
-memory is ``block_rows**2 * n_columns * 8`` bytes per pair of blocks.
-These helpers turn a byte budget into block sizes so the kernels bound
-memory instead of densifying the full matrix, whatever the profile
-dimensions are.
+The pair kernels (:mod:`repro.similarity.vectorized`) and the blocking
+mask (:mod:`repro.perf.blocking`) gather the rows of a stacked sparse
+matrix for a slice of pairs, ``matrix[idx_a[sl]]`` and
+``matrix[idx_b[sl]]``. One slice therefore holds as many stored entries
+as its pairs' rows have together, and row widths differ by an order of
+magnitude between worlds: a fixed pair count either wastes time on
+narrow rows or blows up peak memory on wide ones. :func:`pair_slices`
+cuts the pair list by stored entries instead, under one fixed byte
+budget.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
-#: Default byte budget for one broadcast block (see ``rows_per_block``).
-DEFAULT_BLOCK_BYTES = 64 * 1024 * 1024
+#: Byte budget of the rows one pair slice gathers (both sides).
+PAIR_SLICE_BYTES = 2 * 1024 * 1024
 
-_FLOAT_BYTES = 8
-
-
-def rows_per_block(
-    n_columns: int, budget_bytes: int = DEFAULT_BLOCK_BYTES
-) -> int:
-    """Rows per block so a ``rows x rows x n_columns`` float64 broadcast
-    stays within ``budget_bytes`` (always at least 1)."""
-    if n_columns <= 0:
-        return 1
-    rows = int(math.sqrt(budget_bytes / (_FLOAT_BYTES * n_columns)))
-    return max(1, rows)
+#: Bytes of one stored CSR entry: a float64 value and an int64 index.
+_ENTRY_BYTES = 16
 
 
 def chunk_slices(n: int, chunk: int) -> list[slice]:
@@ -34,3 +27,30 @@ def chunk_slices(n: int, chunk: int) -> list[slice]:
     if chunk <= 0:
         raise ValueError("chunk must be positive")
     return [slice(start, min(start + chunk, n)) for start in range(0, n, chunk)]
+
+
+def pair_slices(row_nnz: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray) -> list[slice]:
+    """Cover the pair list with consecutive slices under the byte budget.
+
+    ``row_nnz[i]`` is the stored-entry count of matrix row ``i`` (e.g.
+    ``np.diff(matrix.indptr)``); pair ``k`` gathers rows ``idx_a[k]`` and
+    ``idx_b[k]``. Each slice gathers at most :data:`PAIR_SLICE_BYTES`,
+    except that a single pair wider than the budget gets a slice of its
+    own.
+    """
+    n = len(idx_a)
+    if not n:
+        return []
+    # One extra entry per pair keeps all-empty rows from piling up
+    # into one unbounded slice.
+    cost = row_nnz[idx_a] + row_nnz[idx_b] + 1
+    ends = np.cumsum(cost * _ENTRY_BYTES)
+    slices: list[slice] = []
+    start = 0
+    while start < n:
+        spent = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, spent + PAIR_SLICE_BYTES, side="right"))
+        stop = max(stop, start + 1)
+        slices.append(slice(start, stop))
+        start = stop
+    return slices

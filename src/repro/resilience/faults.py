@@ -16,7 +16,7 @@ describing *where* and *when* to fail::
 The default injected exception is :class:`FaultInjected` (an ordinary
 ``Exception``, so policies can skip/collect it); pass ``exc=KeyboardInterrupt()``
 to simulate a hard mid-run crash that no policy swallows, or
-``exc=MemoryError()`` to exercise the degradation ladder.
+``exc=MemoryError()`` to simulate an oversized batch.
 
 Process-level faults (the chaos matrix) go further than exceptions:
 
@@ -42,7 +42,6 @@ site                      where
 ``csv.load``              per relation in :func:`repro.reldb.csvio.load_database`
 ``profile``               per name in :meth:`repro.core.distinct.Distinct.prepare`
 ``features.backend``      per batch in :func:`repro.core.features.compute_pair_features`
-                          (fast routes only — the degradation ladder's trigger)
 ``cluster``               per name in :meth:`repro.core.distinct.Distinct.cluster_prepared`
 ========================  ====================================================
 """

@@ -1,34 +1,25 @@
-"""Vectorized all-pairs similarity kernels over sparse profile matrices.
+"""Pair-list similarity kernels over stacked sparse profile matrices.
 
-The per-pair loops in :mod:`repro.core.features` are fine for the paper's
-name sizes (<= 151 references), but both §2 measures have vectorized forms
-that scale much further. Stacking the forward profiles of all references
-into a sparse matrix ``F`` (rows = references, columns = end-relation
-tuples) and the backward profiles into ``B``:
+Both §2 measures vectorize over an explicit pair list. With the forward
+profiles of a batch of references stacked into a sparse matrix ``F``
+(rows = references, columns = end-relation tuples) and the backward
+profiles into ``B``:
 
-- the directed *walk* matrix is simply ``F @ B.T``, and the symmetric
-  measure is the average of that and its transpose;
-- *set resemblance* (weighted Jaccard) vectorizes through the identity
-  ``min(a, b) = (a + b - |a - b|) / 2``: with row masses
-  ``s_ij = |a|_1 + |b|_1`` and pairwise L1 distances ``d_ij``, the
-  resemblance is ``(s_ij - d_ij) / (s_ij + d_ij)``. The L1 distances come
-  from chunked sparse row differences, so peak memory is bounded by a
-  byte budget and the full ``n x m`` matrix is never densified.
+- the symmetric *walk* probability of pair ``(i, j)`` is
+  ``(F[i] . B[j] + F[j] . B[i]) / 2``;
+- *set resemblance* (weighted Jaccard) is ``m / (|a|_1 + |b|_1 - m)``
+  with ``m`` the row sum of the sparse elementwise ``minimum(a, b)``,
+  since ``max(a, b) = a + b - min(a, b)``. The minimum is stored only
+  on the shared support, so disjoint rows score an exact 0, as the
+  per-pair kernel does.
 
-Both kernels match the scalar implementations
+The kernels gather the pairs' rows slice by slice
+(:func:`repro.perf.chunking.pair_slices`), so peak memory stays within a
+fixed byte budget whatever the row widths, and unneeded pairs are never
+touched. They match the per-pair reference kernels
 (:func:`repro.similarity.resemblance.set_resemblance`,
 :func:`repro.similarity.randomwalk.walk_probability`) to floating-point
-reassociation tolerance — asserted by property tests and by the CI
-benchmark smoke job. The scalar kernels remain the reference; the
-``similarity_backend`` switch in :class:`repro.config.DistinctConfig`
-selects which one the pipeline runs.
-
-Two kernel families are provided: *all-pairs matrices*
-(:func:`pairwise_resemblance_matrix`, :func:`pairwise_walk_matrix`) for
-full n x n grids, and *pair-list kernels*
-(:func:`pair_resemblance_values`, :func:`pair_walk_values`) that evaluate
-an explicit ``(i, j)`` list without materializing the unneeded pairs —
-the shape :func:`repro.core.features.compute_pair_features` needs.
+reassociation tolerance, which the property suite asserts.
 """
 
 from __future__ import annotations
@@ -36,16 +27,14 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.paths.joinpath import JoinPath
+from repro.obs import counter
 from repro.paths.profiles import NeighborProfile
-from repro.perf.chunking import DEFAULT_BLOCK_BYTES, chunk_slices
+from repro.perf.chunking import pair_slices
 
-#: Above this many output entries (``n_refs ** 2``) the walk matrix stays
-#: sparse instead of being densified (see :func:`pairwise_walk_matrix`).
-DEFAULT_DENSE_LIMIT = 4096 * 4096
-
-#: Pair-list kernels process pairs in slices of this many rows.
-DEFAULT_PAIR_CHUNK = 8192
+#: One increment per (pair, path) value computed, as the per-pair
+#: reference kernels count their calls.
+_RESEM_CALLS = counter("similarity.resemblance.calls")
+_WALK_CALLS = counter("similarity.walk.calls")
 
 
 def profile_matrices(
@@ -97,59 +86,10 @@ def _row_masses(forward: sparse.csr_matrix) -> np.ndarray:
     return np.asarray(forward.sum(axis=1)).ravel()
 
 
-def pairwise_resemblance_matrix(
-    profiles: list[NeighborProfile],
-    *,
-    chunk_bytes: int = DEFAULT_BLOCK_BYTES,
-) -> np.ndarray:
-    """Symmetric all-pairs set resemblance for one path.
-
-    Equivalent (to reassociation tolerance) to calling
-    :func:`repro.similarity.resemblance.set_resemblance` on every pair,
-    with the diagonal zeroed to match :func:`pairwise_walk_matrix`
-    (self-similarities are not meaningful for clustering).
-
-    ``chunk_bytes`` bounds the per-chunk working set (worst-case dense
-    accounting of the sparse pair slices), so memory stays bounded
-    however many references or columns the name has.
-    """
-    if not profiles:
-        return np.zeros((0, 0))
-    forward, _ = profile_matrices(profiles)
-    return resemblance_matrix_from_forward(forward, chunk_bytes=chunk_bytes)
-
-
-def resemblance_matrix_from_forward(
-    forward: sparse.csr_matrix,
-    *,
-    chunk_bytes: int = DEFAULT_BLOCK_BYTES,
-) -> np.ndarray:
-    """All-pairs weighted Jaccard from a stacked forward matrix.
-
-    Evaluates the upper triangle with the sparse pair-list kernel in
-    chunks sized by ``chunk_bytes`` (worst-case dense accounting), then
-    mirrors. Profiles reach a small fraction of the end relation, so the
-    sparse row differences beat dense broadcast blocks by the fill-in
-    factor — and the full ``n x m`` matrix is never densified.
-    """
-    n = forward.shape[0]
-    out = np.zeros((n, n))
-    if n < 2:
-        return out
-    iu, ju = np.triu_indices(n, k=1)
-    pair_chunk = max(1, int(chunk_bytes // (16 * max(forward.shape[1], 1))))
-    values = pair_resemblance_values(forward, iu, ju, pair_chunk=pair_chunk)
-    out[iu, ju] = values
-    out[ju, iu] = values
-    return out
-
-
 def pair_resemblance_values(
     forward: sparse.csr_matrix,
     idx_a: np.ndarray,
     idx_b: np.ndarray,
-    *,
-    pair_chunk: int = DEFAULT_PAIR_CHUNK,
 ) -> np.ndarray:
     """Set resemblance for an explicit pair list (rows of ``forward``).
 
@@ -162,14 +102,16 @@ def pair_resemblance_values(
     out = np.zeros(len(idx_a))
     if not len(idx_a):
         return out
+    _RESEM_CALLS.inc(len(idx_a))
     masses = _row_masses(forward)
-    for sl in chunk_slices(len(idx_a), pair_chunk):
-        diff = forward[idx_a[sl]] - forward[idx_b[sl]]
-        l1 = np.asarray(abs(diff).sum(axis=1)).ravel()
-        s = masses[idx_a[sl]] + masses[idx_b[sl]]
-        denom = s + l1
-        values = np.where(denom > 0.0, (s - l1) / np.where(denom > 0.0, denom, 1.0), 0.0)
-        out[sl] = np.maximum(values, 0.0)
+    for sl in pair_slices(np.diff(forward.indptr), idx_a, idx_b):
+        # The elementwise minimum stores entries only on the shared
+        # support, so disjoint rows give an exact 0.
+        min_sum = np.asarray(
+            forward[idx_a[sl]].minimum(forward[idx_b[sl]]).sum(axis=1)
+        ).ravel()
+        max_sum = masses[idx_a[sl]] + masses[idx_b[sl]] - min_sum
+        np.divide(min_sum, max_sum, out=out[sl], where=max_sum > 0.0)
     return out
 
 
@@ -178,8 +120,6 @@ def pair_walk_values(
     backward: sparse.csr_matrix,
     idx_a: np.ndarray,
     idx_b: np.ndarray,
-    *,
-    pair_chunk: int = DEFAULT_PAIR_CHUNK,
 ) -> np.ndarray:
     """Symmetric walk probabilities for an explicit pair list."""
     idx_a = np.asarray(idx_a, dtype=np.int64)
@@ -187,7 +127,8 @@ def pair_walk_values(
     out = np.zeros(len(idx_a))
     if not len(idx_a):
         return out
-    for sl in chunk_slices(len(idx_a), pair_chunk):
+    _WALK_CALLS.inc(len(idx_a))
+    for sl in pair_slices(np.diff(forward.indptr), idx_a, idx_b):
         fwd_a = forward[idx_a[sl]]
         fwd_b = forward[idx_b[sl]]
         back_a = backward[idx_a[sl]]
@@ -196,58 +137,3 @@ def pair_walk_values(
         d_ba = np.asarray(fwd_b.multiply(back_a).sum(axis=1)).ravel()
         out[sl] = 0.5 * (d_ab + d_ba)
     return out
-
-
-def pairwise_walk_matrix(
-    profiles: list[NeighborProfile],
-    *,
-    chunk_bytes: int = DEFAULT_BLOCK_BYTES,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> np.ndarray | sparse.csr_matrix:
-    """Symmetric all-pairs walk probabilities for one path.
-
-    Equivalent to calling
-    :func:`repro.similarity.randomwalk.walk_probability` on every pair,
-    with the diagonal zeroed (self-walks are not meaningful for
-    clustering).
-
-    The ``F @ B.T`` product is computed in row chunks sized by
-    ``chunk_bytes``; when the output would exceed ``dense_limit`` entries
-    (``n_refs ** 2``), the result stays a ``csr_matrix`` instead of being
-    densified, so large names cannot blow up memory.
-    """
-    if not profiles:
-        return np.zeros((0, 0))
-    forward, backward = profile_matrices(profiles)
-    n = forward.shape[0]
-    row_chunk = max(1, int(chunk_bytes // (8 * max(n, 1))))
-
-    if n * n <= dense_limit:
-        directed = np.empty((n, n))
-        for sl in chunk_slices(n, row_chunk):
-            directed[sl] = (forward[sl] @ backward.T).toarray()
-        symmetric = 0.5 * (directed + directed.T)
-        np.fill_diagonal(symmetric, 0.0)
-        return symmetric
-
-    blocks = [forward[sl] @ backward.T for sl in chunk_slices(n, row_chunk)]
-    directed = sparse.vstack(blocks, format="csr")
-    symmetric = (0.5 * (directed + directed.T)).tocsr()
-    symmetric.setdiag(0.0)
-    symmetric.eliminate_zeros()
-    return symmetric
-
-
-def pairwise_walk_matrices(
-    profiles_by_path: dict[JoinPath, list[NeighborProfile]],
-    *,
-    chunk_bytes: int = DEFAULT_BLOCK_BYTES,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> dict[JoinPath, np.ndarray | sparse.csr_matrix]:
-    """Per-path all-pairs walk matrices (convenience wrapper)."""
-    return {
-        path: pairwise_walk_matrix(
-            profiles, chunk_bytes=chunk_bytes, dense_limit=dense_limit
-        )
-        for path, profiles in profiles_by_path.items()
-    }

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from repro import Distinct, DistinctConfig
+from repro.core.distinct import NamePreparation
 from repro.core.variants import FIG4_VARIANTS, variant_by_key
 from repro.errors import NotFittedError
 from repro.eval.metrics import pairwise_scores
+
+from tests.oracle import scalar_pair_features
 
 
 class TestFit:
@@ -37,37 +40,17 @@ class TestFit:
 
 
 class TestBackendEquivalentResolutions:
-    def _variant(self, fitted, small_db, **changes):
-        db, _ = small_db
-        pipeline = Distinct.from_models(
-            db,
-            fitted.resem_model_,
-            fitted.walk_model_,
-            fitted.config.with_options(**changes),
-        )
-        return pipeline
-
-    @pytest.mark.parametrize(
-        "changes",
-        [
-            {"propagation_backend": "batched"},
-            {"pair_pruning": True},
-            {"propagation_backend": "batched", "pair_pruning": True},
-            {
-                "similarity_backend": "vectorized",
-                "propagation_backend": "batched",
-                "pair_pruning": True,
-            },
-        ],
-        ids=["batched", "pruned", "batched-pruned", "vectorized-batched-pruned"],
-    )
-    def test_resolutions_identical_across_backends(
-        self, fitted, small_db, changes
-    ):
+    def test_resolutions_identical_across_backends(self, fitted):
+        """The production route clusters exactly as the scalar reference."""
         for name in ("Wei Wang", "Jim Smith"):
-            reference = fitted.resolve(name)
-            got = self._variant(fitted, small_db, **changes).resolve(name)
-            assert got.clusters == reference.clusters
+            prep = fitted.prepare(name)
+            builder = fitted.profile_builder(name)
+            scalar = NamePreparation(
+                name, prep.rows, scalar_pair_features(builder, prep.features.pairs)
+            )
+            assert fitted.cluster_prepared(prep).clusters == (
+                fitted.cluster_prepared(scalar).clusters
+            )
 
 
 class TestResolve:

@@ -29,6 +29,19 @@ class TestExplainPair:
         assert resem_sum == pytest.approx(explanation.combined_resemblance, abs=1e-9)
         assert walk_sum == pytest.approx(explanation.combined_walk, abs=1e-9)
 
+    def test_combined_values_equal_the_resolution_matrices(self, fitted, ww_rows):
+        truth, rows = ww_rows
+        resolution = fitted.resolve("Wei Wang")
+        for i, j in ((0, 1), (2, 7), (0, len(rows) - 1)):
+            a, b = resolution.rows[i], resolution.rows[j]
+            explanation = explain_pair(fitted, "Wei Wang", a, b)
+            assert explanation.combined_resemblance == pytest.approx(
+                resolution.resem_matrix[i, j], abs=1e-12
+            )
+            assert explanation.combined_walk == pytest.approx(
+                resolution.walk_matrix[i, j], abs=1e-12
+            )
+
     def test_one_contribution_per_path(self, fitted, ww_rows):
         truth, rows = ww_rows
         explanation = explain_pair(fitted, "Wei Wang", rows[0], rows[1])

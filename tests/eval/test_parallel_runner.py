@@ -16,7 +16,7 @@ from repro.core.variants import variant_by_key
 from repro.errors import DeadlineExceeded
 from repro.eval.persistence import experiment_result_to_dict
 from repro.eval.runner import run_resilient
-from repro.ml.calibration import calibrate_min_sim
+from repro.eval.calibration import calibrate_min_sim
 from repro.obs import disable_tracing, enable_tracing
 from repro.perf import SharedPayload, active_segments
 from repro.resilience import Deadline, ErrorCollector, FaultPlan, fault_plan

@@ -31,13 +31,8 @@ def warm(fitted, small_world):
     pool = [e.entity_id for e in small_world.entities if e.name == "Jim Smith"]
     grown = grow_world(small_world, 6, seed=13, author_pool=pool)
     split = split_world(grown, 6)
-    config = replace(
-        fitted.config,
-        similarity_backend="vectorized",
-        propagation_backend="batched",
-    )
     distinct = Distinct.from_models(
-        split.base, fitted.resem_model_, fitted.walk_model_, config
+        split.base, fitted.resem_model_, fitted.walk_model_, fitted.config
     )
     return distinct, split
 

@@ -1,8 +1,6 @@
-"""Unit tests for the greedy assigner and its ``repro.core.incremental`` shim."""
+"""Unit tests for the greedy assigner."""
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -17,13 +15,8 @@ def warm_resolution(fitted, small_world, name, n_delta=4, seed=19):
     pool = [e.entity_id for e in small_world.entities if e.name == name]
     grown = grow_world(small_world, n_delta, seed=seed, author_pool=pool)
     split = split_world(grown, n_delta)
-    config = replace(
-        fitted.config,
-        similarity_backend="vectorized",
-        propagation_backend="batched",
-    )
     warm = Distinct.from_models(
-        split.base, fitted.resem_model_, fitted.walk_model_, config
+        split.base, fitted.resem_model_, fitted.walk_model_, fitted.config
     )
     resolution = warm.cluster_prepared(warm.prepare(name), min_sim=MIN_SIM)
     from repro.reldb.delta import apply_delta
@@ -67,17 +60,3 @@ class TestExtendResolution:
         warm, resolution, _ = warm_resolution(fitted, small_world, "Jim Smith")
         with pytest.raises(ValueError, match="already resolved"):
             extend_resolution(warm, resolution, [resolution.rows[0]])
-
-
-class TestCompatShim:
-    def test_core_incremental_reexports_the_ingest_objects(self):
-        import repro.core.incremental as shim
-        import repro.ingest.greedy as greedy
-
-        assert shim.Assignment is greedy.Assignment
-        assert shim.extend_resolution is greedy.extend_resolution
-
-    def test_shim_all_is_the_public_surface(self):
-        import repro.core.incremental as shim
-
-        assert sorted(shim.__all__) == ["Assignment", "extend_resolution"]

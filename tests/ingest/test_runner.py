@@ -8,8 +8,6 @@ epochs).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.distinct import Distinct
@@ -116,13 +114,8 @@ class TestGreedyMode:
     def test_greedy_run_scores_every_name(self, fitted, small_world):
         grown = grow_world(small_world, 5, seed=17)
         split = split_world(grown, 5)
-        config = replace(
-            fitted.config,
-            similarity_backend="vectorized",
-            propagation_backend="batched",
-        )
         warm = Distinct.from_models(
-            split.base, fitted.resem_model_, fitted.walk_model_, config
+            split.base, fitted.resem_model_, fitted.walk_model_, fitted.config
         )
         outcome = ingest_resilient(
             warm, split.truth, NAMES, split.delta, MIN_SIM, mode="greedy"

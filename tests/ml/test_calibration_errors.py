@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NotFittedError, TrainingError
-from repro.ml.calibration import calibrate_min_sim, make_synthetic_names
+from repro.eval.calibration import calibrate_min_sim, make_synthetic_names
 
 
 class TestCalibrationErrors:

@@ -186,7 +186,8 @@ class TestPipelineCounters:
                 "cluster.runs",
                 "similarity.resemblance.calls",
                 "similarity.walk.calls",
-                "profiles.cache_misses",
+                "propagation.batch.runs",
+                "blocking.pairs_kept",
             )
         }
         fitted.resolve("Wei Wang")

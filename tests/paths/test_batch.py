@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.obs import get_metrics
 from repro.paths import JoinPath, ProfileBuilder, PropagationEngine
 from repro.paths.batch import batch_profile_matrices, merge_batched
 from repro.paths.propagation import make_exclusions
@@ -106,6 +107,20 @@ class TestBatchedProfilesContract:
                     ef, eb = profile.weights[t]
                     assert fwd == pytest.approx(ef, abs=ATOL)
                     assert back == pytest.approx(eb, abs=ATOL)
+
+    def test_tuples_visited_keeps_the_scalar_definition(self, fitted, small_db):
+        """Batched propagation counts the tuples the scalar trie walk
+        materializes, summed over references, on a real name."""
+        db, truth = small_db
+        rows = truth.rows_of_name["Wei Wang"]
+        tuples = get_metrics().counter("propagation.tuples_visited")
+        before = tuples.value
+        fitted.profile_builder("Wei Wang").warm(rows)
+        scalar = tuples.value - before
+        before = tuples.value
+        fitted.profile_builder("Wei Wang").matrices_for(rows)
+        assert scalar > 0
+        assert tuples.value - before == scalar
 
 
 class TestMergeBatched:

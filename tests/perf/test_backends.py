@@ -1,31 +1,25 @@
-"""Scalar vs vectorized feature backends, and memoized propagation.
+"""The production pair-feature route against the scalar reference.
 
 Uses the hand-built mini DBLP database so expectations stay checkable:
-the two backends must agree on every (pair, path) feature, and a
-memo-equipped builder must produce float-identical profiles. The same
-gate covers the batched propagation backend and zero-overlap pruning:
-every (backend, propagation, prune) combination must agree on features,
-and pruning must never change a clustering.
+batched propagation + exact blocking + matrix kernels must agree with
+the scalar oracle on every (pair, path) feature, whatever the pair-slice
+budget or fanout memo, and a memo-equipped builder must produce
+float-identical profiles.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
-import pytest
 
-from repro.core.features import (
-    BACKENDS,
-    PROPAGATION_BACKENDS,
-    all_pairs,
-    compute_pair_features,
-)
+import repro.perf.chunking as chunking
+from repro.core.features import all_pairs, compute_pair_features
+from repro.obs import get_metrics
 from repro.paths import JoinPath, ProfileBuilder
 from repro.paths.propagation import make_exclusions
 from repro.reldb.joins import JoinStep
 
 from tests.minidb import WW_AUTHOR_ROW, WW_REFS, build_minidb
+from tests.oracle import scalar_pair_features
 
 PUB_PAP = JoinStep("Publish", "paper_key", "Publications", "paper_key", "n1")
 PUB_AUTH = JoinStep("Publish", "author_key", "Authors", "author_key", "n1")
@@ -47,55 +41,40 @@ def _builder(memo_size=None):
 class TestBackendEquivalence:
     def test_backends_agree_on_all_pairs(self):
         pairs = all_pairs(WW_REFS)
-        scalar = compute_pair_features(_builder(), pairs, backend="scalar")
-        vector = compute_pair_features(_builder(), pairs, backend="vectorized")
-        assert scalar.pairs == vector.pairs
+        scalar = scalar_pair_features(_builder(), pairs)
+        route = compute_pair_features(_builder(), pairs)
+        assert scalar.pairs == route.pairs
         np.testing.assert_allclose(
-            scalar.resemblance, vector.resemblance, rtol=0, atol=1e-12
+            scalar.resemblance, route.resemblance, rtol=0, atol=1e-12
         )
-        np.testing.assert_allclose(scalar.walk, vector.walk, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scalar.walk, route.walk, rtol=0, atol=1e-12)
 
-    def test_vectorized_handles_tiny_pair_chunk(self):
+    def test_vectorized_handles_tiny_pair_chunk(self, monkeypatch):
         pairs = all_pairs(WW_REFS)
-        whole = compute_pair_features(_builder(), pairs, backend="vectorized")
-        sliced = compute_pair_features(
-            _builder(), pairs, backend="vectorized", pair_chunk=1
-        )
+        whole = compute_pair_features(_builder(), pairs)
+        monkeypatch.setattr(chunking, "PAIR_SLICE_BYTES", 1)  # one pair per slice
+        sliced = compute_pair_features(_builder(), pairs)
         np.testing.assert_array_equal(whole.resemblance, sliced.resemblance)
         np.testing.assert_array_equal(whole.walk, sliced.walk)
 
     def test_empty_pair_list(self):
-        for backend in BACKENDS:
-            features = compute_pair_features(_builder(), [], backend=backend)
-            assert features.n_pairs == 0
-            assert features.resemblance.shape == (0, len(PATHS))
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            compute_pair_features(_builder(), [], backend="gpu")
+        features = compute_pair_features(_builder(), [])
+        assert features.n_pairs == 0
+        assert features.resemblance.shape == (0, len(PATHS))
 
 
 class TestPropagationBackends:
     def test_batched_matches_scalar_features(self):
         pairs = all_pairs(WW_REFS)
-        reference = compute_pair_features(_builder(), pairs, backend="scalar")
-        for backend, prune in itertools.product(BACKENDS, (False, True)):
-            got = compute_pair_features(
-                _builder(), pairs, backend=backend, propagation="batched", prune=prune
-            )
+        reference = scalar_pair_features(_builder(), pairs)
+        # A pair list whose first-seen row order differs from a given batch.
+        builder = _builder()
+        batch = builder.matrices_for(list(reversed(WW_REFS)))
+        for got in (
+            compute_pair_features(_builder(), pairs),
+            compute_pair_features(builder, pairs, batch),
+        ):
             assert got.pairs == reference.pairs
-            np.testing.assert_allclose(
-                got.resemblance, reference.resemblance, rtol=0, atol=1e-12
-            )
-            np.testing.assert_allclose(got.walk, reference.walk, rtol=0, atol=1e-12)
-
-    def test_scalar_propagation_with_pruning(self):
-        pairs = all_pairs(WW_REFS)
-        reference = compute_pair_features(_builder(), pairs, backend="scalar")
-        for backend in BACKENDS:
-            got = compute_pair_features(
-                _builder(), pairs, backend=backend, propagation="scalar", prune=True
-            )
             np.testing.assert_allclose(
                 got.resemblance, reference.resemblance, rtol=0, atol=1e-12
             )
@@ -103,26 +82,18 @@ class TestPropagationBackends:
 
     def test_batched_with_memo_matches(self):
         pairs = all_pairs(WW_REFS)
-        plain = compute_pair_features(_builder(), pairs, propagation="batched")
-        memoized = compute_pair_features(
-            _builder(memo_size=1024), pairs, propagation="batched"
-        )
+        plain = compute_pair_features(_builder(), pairs)
+        memoized = compute_pair_features(_builder(memo_size=1024), pairs)
         np.testing.assert_allclose(
             plain.resemblance, memoized.resemblance, rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(plain.walk, memoized.walk, rtol=0, atol=1e-12)
 
     def test_empty_pairs_batched(self):
-        for prune in (False, True):
-            features = compute_pair_features(
-                _builder(), [], propagation="batched", prune=prune
-            )
-            assert features.n_pairs == 0
-
-    def test_unknown_propagation_rejected(self):
-        assert "batched" in PROPAGATION_BACKENDS
-        with pytest.raises(ValueError, match="propagation"):
-            compute_pair_features(_builder(), [], propagation="quantum")
+        runs = get_metrics().counter("propagation.batch.runs")
+        before = runs.value
+        assert compute_pair_features(_builder(), []).n_pairs == 0
+        assert runs.value == before  # nothing to propagate
 
 
 class TestMemoizedPropagation:

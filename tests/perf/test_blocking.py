@@ -1,10 +1,11 @@
-"""Unit tests for zero-overlap pair pruning (inverted neighbor index)."""
+"""Unit tests for zero-overlap pair blocking (inverted neighbor index)."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
 
+import repro.perf.chunking as chunking
 from repro.obs import get_metrics
 from repro.perf.blocking import candidate_pairs, intersecting_pair_mask
 
@@ -41,12 +42,13 @@ class TestIntersectingPairMask:
         mask = intersecting_pair_mask(mats, idx_a, idx_b)
         np.testing.assert_array_equal(mask, _brute_force_mask(mats, idx_a, idx_b))
 
-    def test_tiny_chunk_same_answer(self):
+    def test_tiny_chunk_same_answer(self, monkeypatch):
         rng = np.random.default_rng(11)
         mats = _random_supports(rng, 12, 25, 2)
         idx_a, idx_b = np.triu_indices(12, k=1)
         whole = intersecting_pair_mask(mats, idx_a, idx_b)
-        sliced = intersecting_pair_mask(mats, idx_a, idx_b, pair_chunk=3)
+        monkeypatch.setattr(chunking, "PAIR_SLICE_BYTES", 200)  # a few pairs a slice
+        sliced = intersecting_pair_mask(mats, idx_a, idx_b)
         np.testing.assert_array_equal(whole, sliced)
 
     def test_explicit_zeros_do_not_count_as_support(self):

@@ -4,10 +4,9 @@ Random grown worlds split into (base, delta): an :class:`IngestEngine`
 that resolved every name pre-delta and then applies the delta must
 produce exactly the rows, clusters, pair matrices, dendrogram merges,
 and merge similarities of a cold ``prepare``/``cluster_prepared`` on
-the post-delta database with the same fitted models — across
-similarity/propagation backends, pair pruning modes, and ``workers=4``
-— plus a crash-mid-ingest + resume chaos case through the resilient
-runner.
+the post-delta database with the same fitted models — serially and
+with ``workers=4`` — plus a crash-mid-ingest + resume chaos case
+through the resilient runner.
 
 The fitted models come from the session-scoped ``fitted`` fixture (the
 full small world); each case re-binds them to a pre-delta base via
@@ -16,8 +15,6 @@ delta ingest models: the models are held fixed, only the database grows.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,14 +27,6 @@ from repro.resilience import ErrorCollector, FaultInjected, FaultPlan, fault_pla
 
 NAMES = ["Wei Wang", "Rakesh Kumar", "Jim Smith"]
 MIN_SIM = 0.4
-
-BACKENDS = [
-    pytest.param("scalar", "scalar", False, id="scalar"),
-    pytest.param("vectorized", "batched", False, id="vectorized"),
-    pytest.param("vectorized", "batched", "exact", id="pruned-exact"),
-    pytest.param("vectorized", "batched", "minhash", id="pruned-minhash"),
-]
-
 
 def snapshot(resolution):
     """Everything byte-identity compares for one resolved name."""
@@ -58,20 +47,19 @@ def snapshot(resolution):
     }
 
 
-def rebind(fitted, db, **config_overrides):
+def rebind(fitted, db):
     """The fitted models bound to another database instance."""
-    config = replace(fitted.config, **config_overrides)
     return Distinct.from_models(
-        db, fitted.resem_model_, fitted.walk_model_, config
+        db, fitted.resem_model_, fitted.walk_model_, fitted.config
     )
 
 
-def ingest_vs_cold(fitted, world, n_delta, seed, workers=1, **config_overrides):
+def ingest_vs_cold(fitted, world, n_delta, seed, workers=1):
     """Run the engine over a grown-world split; assert equality per name."""
     grown = grow_world(world, n_delta, seed=seed)
     split = split_world(grown, n_delta)
 
-    warm = rebind(fitted, split.base, **config_overrides)
+    warm = rebind(fitted, split.base)
     engine = IngestEngine(warm, min_sim=MIN_SIM)
     for name in NAMES:
         engine.resolve(name)
@@ -80,7 +68,7 @@ def ingest_vs_cold(fitted, world, n_delta, seed, workers=1, **config_overrides):
     from repro.data.world import world_to_database
 
     post_db, _ = world_to_database(grown)
-    cold = rebind(fitted, post_db, **config_overrides)
+    cold = rebind(fitted, post_db)
     for name in NAMES:
         expected = cold.cluster_prepared(cold.prepare(name), min_sim=MIN_SIM)
         assert snapshot(report.resolution(name)) == snapshot(expected), (
@@ -104,23 +92,10 @@ class TestByteIdentity:
             small_world,
             n_delta,
             seed,
-            similarity_backend="vectorized",
-            propagation_backend="batched",
         )
 
-    @pytest.mark.parametrize("similarity,propagation,pruning", BACKENDS)
-    def test_every_backend_matches_cold_refit(
-        self, fitted, small_world, similarity, propagation, pruning
-    ):
-        ingest_vs_cold(
-            fitted,
-            small_world,
-            12,
-            seed=5,
-            similarity_backend=similarity,
-            propagation_backend=propagation,
-            pair_pruning=pruning,
-        )
+    def test_fixed_split_matches_cold_refit(self, fitted, small_world):
+        ingest_vs_cold(fitted, small_world, 12, seed=5)
 
     def test_parallel_ingest_matches_cold_refit(self, fitted, small_world):
         report = ingest_vs_cold(
@@ -129,8 +104,6 @@ class TestByteIdentity:
             12,
             seed=5,
             workers=4,
-            similarity_backend="vectorized",
-            propagation_backend="batched",
         )
         assert report.names_refreshed or report.names_clean
 
@@ -142,8 +115,6 @@ class TestByteIdentity:
             warm = rebind(
                 fitted,
                 split_world(grown, 10).base,
-                similarity_backend="vectorized",
-                propagation_backend="batched",
             )
             engine = IngestEngine(warm, min_sim=MIN_SIM)
             for name in NAMES:
@@ -167,8 +138,6 @@ class TestCrashMidIngestResume:
             warm = rebind(
                 fitted,
                 split_world(grown, 8).base,
-                similarity_backend="vectorized",
-                propagation_backend="batched",
             )
             return ingest_resilient(
                 warm,
@@ -209,8 +178,6 @@ class TestCrashMidIngestResume:
         warm = rebind(
             fitted,
             split_world(grown, 8).base,
-            similarity_backend="vectorized",
-            propagation_backend="batched",
         )
         collector = ErrorCollector()
         with fault_plan(FaultPlan().fail_at("ingest.refresh", item=NAMES[1])):

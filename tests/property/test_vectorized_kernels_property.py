@@ -1,17 +1,19 @@
-"""Property tests: the vectorized kernels equal the scalar reference.
+"""Property tests: the pair-list kernels equal the scalar reference.
 
 Random profiles honoring the propagation invariants are pushed through
 both implementations; values must agree to floating-point reassociation
-tolerance on every pair, for every chunking configuration.
+tolerance on every pair, for every pair-slice budget.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
+import repro.perf.chunking as chunking
 from repro.paths import JoinPath
 from repro.paths.profiles import NeighborProfile
 from repro.reldb.joins import JoinStep
@@ -19,8 +21,6 @@ from repro.similarity import set_resemblance, walk_probability
 from repro.similarity.vectorized import (
     pair_resemblance_values,
     pair_walk_values,
-    pairwise_resemblance_matrix,
-    pairwise_walk_matrix,
     profile_matrices,
 )
 
@@ -48,38 +48,37 @@ def profiles(draw):
 profile_lists = st.lists(profiles(), min_size=1, max_size=7)
 
 
+def slice_budget(budget_bytes: int):
+    return mock.patch.object(chunking, "PAIR_SLICE_BYTES", budget_bytes)
+
+
+def full_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    grid = np.arange(n)
+    return np.repeat(grid, n), np.tile(grid, n)
+
+
 class TestAllPairsMatrices:
-    @given(profile_lists, st.integers(min_value=64, max_value=4096))
+    @given(profile_lists, st.integers(min_value=1, max_value=4096))
     @settings(max_examples=60, deadline=None)
-    def test_resemblance_matrix_matches_scalar(self, group, chunk_bytes):
-        matrix = pairwise_resemblance_matrix(group, chunk_bytes=chunk_bytes)
-        n = len(group)
-        assert matrix.shape == (n, n)
-        for i in range(n):
-            assert matrix[i, i] == 0.0
-            for j in range(n):
-                if i != j:
-                    expected = set_resemblance(group[i], group[j])
-                    assert matrix[i, j] == pytest.approx(expected, abs=ATOL)
+    def test_resemblance_matrix_matches_scalar(self, group, budget_bytes):
+        forward, _ = profile_matrices(group)
+        idx_a, idx_b = full_grid(len(group))
+        with slice_budget(budget_bytes):
+            values = pair_resemblance_values(forward, idx_a, idx_b)
+        for a, b, value in zip(idx_a, idx_b, values):
+            expected = set_resemblance(group[a], group[b])
+            assert value == pytest.approx(expected, abs=ATOL)
 
-    @given(profile_lists)
+    @given(profile_lists, st.integers(min_value=1, max_value=4096))
     @settings(max_examples=60, deadline=None)
-    def test_walk_matrix_matches_scalar(self, group):
-        matrix = pairwise_walk_matrix(group)
-        for i in range(len(group)):
-            for j in range(len(group)):
-                expected = (
-                    0.0 if i == j else walk_probability(group[i], group[j])
-                )
-                assert matrix[i, j] == pytest.approx(expected, abs=ATOL)
-
-    @given(profile_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_sparse_walk_branch_equals_dense(self, group):
-        dense = pairwise_walk_matrix(group, dense_limit=10**9)
-        kept_sparse = pairwise_walk_matrix(group, dense_limit=0)
-        assert sparse.issparse(kept_sparse)
-        np.testing.assert_allclose(kept_sparse.toarray(), dense, atol=ATOL)
+    def test_walk_matrix_matches_scalar(self, group, budget_bytes):
+        forward, backward = profile_matrices(group)
+        idx_a, idx_b = full_grid(len(group))
+        with slice_budget(budget_bytes):
+            values = pair_walk_values(forward, backward, idx_a, idx_b)
+        for a, b, value in zip(idx_a, idx_b, values):
+            expected = walk_probability(group[a], group[b])
+            assert value == pytest.approx(expected, abs=ATOL)
 
 
 class TestPairListKernels:
@@ -94,9 +93,9 @@ class TestPairListKernels:
         forward, backward = profile_matrices(group)
         idx_a = np.array([a for a, _ in pairs])
         idx_b = np.array([b for _, b in pairs])
-        pair_chunk = data.draw(st.integers(min_value=1, max_value=len(pairs)))
-        resem = pair_resemblance_values(forward, idx_a, idx_b, pair_chunk=pair_chunk)
-        walk = pair_walk_values(forward, backward, idx_a, idx_b, pair_chunk=pair_chunk)
+        with slice_budget(data.draw(st.integers(min_value=1, max_value=2048))):
+            resem = pair_resemblance_values(forward, idx_a, idx_b)
+            walk = pair_walk_values(forward, backward, idx_a, idx_b)
         for k, (a, b) in enumerate(pairs):
             assert resem[k] == pytest.approx(
                 set_resemblance(group[a], group[b]), abs=ATOL

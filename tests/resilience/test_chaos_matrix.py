@@ -1,4 +1,4 @@
-"""Chaos fault matrix: process kills × file corruption × backend failures.
+"""Chaos fault matrix: process kills × file corruption × pair-feature failures.
 
 Sweeps fault × site × policy and asserts the recovery invariants the
 robustness layer promises:
@@ -10,10 +10,8 @@ robustness layer promises:
   policy, exactly like an in-process failure;
 - corrupted (truncated / bit-flipped) checkpoints are quarantined and the
   run restarts from nothing — never silently resumed;
-- an injected ``MemoryError`` in a fast backend under
-  ``degradation="fallback"`` yields scalar-identical results with the
-  ``resilience.degraded.*`` counters incremented; under ``"strict"`` it
-  propagates;
+- an injected ``MemoryError`` in the pair-feature route propagates: there
+  is no slower route to fall back to;
 - a deadline-expired run leaves a resumable (``complete: false``)
   checkpoint, including after a worker-crash abort.
 
@@ -27,7 +25,6 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.distinct import Distinct
@@ -229,71 +226,15 @@ class TestCheckpointCorruption:
 
 
 class TestBackendMemoryError:
-    """Fault: MemoryError in a fast backend. Site: compute_pair_features."""
-
-    def _vectorized(self, fitted, degradation: str) -> Distinct:
-        config = fitted.config.with_options(
-            similarity_backend="vectorized", degradation=degradation
-        )
-        return Distinct.from_models(
-            fitted.db, fitted.resem_model_, fitted.walk_model_, config
-        )
+    """Fault: MemoryError in pair features. Site: compute_pair_features."""
 
     def test_strict_propagates(self, fitted):
-        strict = self._vectorized(fitted, "strict")
-        with fault_plan(
-            FaultPlan().fail_at("features.backend", exc=MemoryError("oom"))
-        ):
-            with pytest.raises(MemoryError):
-                strict.resolve(NAMES[0])
-
-    def test_fallback_yields_scalar_identical_results_and_counts(self, fitted):
-        scalar = fitted.resolve(NAMES[0])
-        fallback = self._vectorized(fitted, "fallback")
-        degraded0 = _counter("resilience.degraded.features")
-        pairs0 = _counter("resilience.degraded.pairs")
         with fault_plan(
             FaultPlan().fail_at("features.backend", exc=MemoryError("oom"))
         ) as plan:
-            resolution = fallback.resolve(NAMES[0])
-        assert plan.triggered  # the fast route really was attempted
-
-        assert resolution.clusters == scalar.clusters
-        # Scalar-identical, not just tolerance-close: the fallback reran
-        # the reference path, so the arrays match exactly.
-        np.testing.assert_array_equal(
-            resolution.features.resemblance, scalar.features.resemblance
-        )
-        np.testing.assert_array_equal(
-            resolution.features.walk, scalar.features.walk
-        )
-        assert resolution.features.degraded
-        assert not scalar.features.degraded
-        assert _counter("resilience.degraded.features") - degraded0 == 1
-        n_pairs = len(resolution.features.pairs)
-        assert _counter("resilience.degraded.pairs") - pairs0 == n_pairs
-        _report("backend_memoryerror_fallback", {
-            "name": NAMES[0],
-            "scalar_identical": True,
-            "degraded_pairs": n_pairs,
-        })
-
-    def test_fallback_is_policy_invisible_in_the_experiment_loop(
-        self, fitted, small_db, baseline
-    ):
-        """A degraded batch is not an error: even under policy=raise the
-        run completes, and scores match the scalar baseline exactly."""
-        _, truth = small_db
-        _, baseline_json = baseline
-        fallback = self._vectorized(fitted, "fallback")
-        with fault_plan(
-            FaultPlan().fail_at("features.backend", times=-1, exc=MemoryError("oom"))
-        ):
-            outcome = run_resilient(
-                fallback, truth, NAMES, VARIANT, MIN_SIM
-            )
-        assert outcome.complete and not outcome.errors
-        assert _result_json(outcome.result) == baseline_json
+            with pytest.raises(MemoryError):
+                fitted.resolve(NAMES[0])
+        assert plan.triggered
 
 
 class TestSharedMemoryCrash:

@@ -5,11 +5,7 @@ from repro.paths import JoinPath, ProfileBuilder
 from repro.paths.propagation import make_exclusions
 from repro.reldb.joins import JoinStep
 from repro.similarity import walk_probability
-from repro.similarity.vectorized import (
-    pairwise_walk_matrices,
-    pairwise_walk_matrix,
-    profile_matrices,
-)
+from repro.similarity.vectorized import pair_walk_values, profile_matrices
 
 from tests.minidb import WW_AUTHOR_ROW, WW_REFS, build_minidb
 
@@ -17,6 +13,15 @@ PUB_PAP = JoinStep("Publish", "paper_key", "Publications", "paper_key", "n1")
 COAUTHOR = JoinPath(
     [PUB_PAP, PUB_PAP.reverse(), JoinStep("Publish", "author_key", "Authors", "author_key", "n1")]
 )
+
+
+def pairwise_walk_matrix(profiles) -> np.ndarray:
+    """The symmetric walk matrix, one pair-kernel call over the upper triangle."""
+    forward, backward = profile_matrices(profiles)
+    iu, ju = np.triu_indices(len(profiles), k=1)
+    matrix = np.zeros((len(profiles), len(profiles)))
+    matrix[iu, ju] = matrix[ju, iu] = pair_walk_values(forward, backward, iu, ju)
+    return matrix
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +41,9 @@ class TestProfileMatrices:
         for mass, profile in zip(masses, ww_profiles):
             assert mass == pytest.approx(profile.forward_mass())
 
-    def test_empty_input(self):
-        matrix = pairwise_walk_matrix([])
-        assert matrix.shape == (0, 0)
+    def test_empty_input(self, ww_profiles):
+        forward, backward = profile_matrices(ww_profiles)
+        assert pair_walk_values(forward, backward, [], []).shape == (0,)
 
 
 class TestPairwiseWalkMatrix:
@@ -61,11 +66,6 @@ class TestPairwiseWalkMatrix:
         # walk(r0, r6) = (1/8 + 1/6) / 2 from the worked example.
         matrix = pairwise_walk_matrix(ww_profiles)
         assert matrix[0, 2] == pytest.approx((1 / 8 + 1 / 6) / 2)
-
-    def test_per_path_wrapper(self, ww_profiles):
-        result = pairwise_walk_matrices({COAUTHOR: ww_profiles})
-        assert set(result) == {COAUTHOR}
-        assert result[COAUTHOR].shape == (4, 4)
 
 
 class TestVectorizedOnLargerWorld:
