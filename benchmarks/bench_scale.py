@@ -165,10 +165,10 @@ def bench_shm(payload: dict, workers: int, repeats: int) -> dict:
     items = list(range(n_chunks))
 
     def run(handle_cls):
-        handle = handle_cls.wrap(payload)
-        outcomes = list(
-            ordered_process_map(_chunk_mass, handle, items, workers=workers)
-        )
+        with handle_cls.wrap(payload) as handle:
+            outcomes = list(
+                ordered_process_map(_chunk_mass, handle, items, workers=workers)
+            )
         return handle, [o.value for o in outcomes]
 
     shared_s, (shared_handle, shared_values) = timed(

@@ -3,9 +3,10 @@
 The pipeline's cross-cutting guarantees — the layering DAG, the
 byte-identical-parallelism determinism contract, the never-swallow-
 ``DeadlineExceeded`` exception discipline, the obs metric-name registry,
-the ``DistinctConfig``-to-docs/CLI surface, and the picklability of
-process-pool task functions — are enforced mechanically here instead of
-by review-time vigilance. See ``docs/static_analysis.md`` for the rule
+the ``DistinctConfig``-to-docs/CLI surface, the picklability of
+process-pool task functions, seeded RNGs, and atomic renames confined to
+the checkpoint writer — are enforced mechanically here instead of by
+review-time vigilance. See ``docs/static_analysis.md`` for the rule
 catalogue and ``repro lint`` for the CLI entry point.
 
 ::
@@ -16,66 +17,33 @@ catalogue and ``repro lint`` for the CLI entry point.
     assert result.ok, [f.render() for f in result.findings]
 """
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.callgraph import CallGraph, build_call_graph
-from repro.analysis.cfg import CFG, build_cfg, function_cfgs
 from repro.analysis.config import (
     AllowEntry,
     LintConfig,
-    ResourceSpec,
     default_config,
     load_config,
 )
-from repro.analysis.dataflow import (
-    FixpointDiverged,
-    ForwardAnalysis,
-    GenKillAnalysis,
-)
 from repro.analysis.engine import Rule, all_rules, register, rule_catalogue, run_lint
 from repro.analysis.findings import Finding, LintResult, Severity
-from repro.analysis.incremental import changed_files, filter_to_changed
 from repro.analysis.project import ModuleInfo, Project, load_project
 from repro.analysis.report import format_json, format_text
-from repro.analysis.sarif import format_sarif, sarif_document
 
 __all__ = [
     "AllowEntry",
-    "CFG",
-    "CallGraph",
     "Finding",
-    "FixpointDiverged",
-    "ForwardAnalysis",
-    "GenKillAnalysis",
     "LintConfig",
     "LintResult",
     "ModuleInfo",
     "Project",
-    "ResourceSpec",
     "Rule",
     "Severity",
     "all_rules",
-    "apply_baseline",
-    "build_call_graph",
-    "build_cfg",
-    "changed_files",
     "default_config",
-    "filter_to_changed",
-    "fingerprint",
     "format_json",
-    "format_sarif",
     "format_text",
-    "function_cfgs",
-    "load_baseline",
     "load_config",
     "load_project",
     "register",
     "rule_catalogue",
     "run_lint",
-    "sarif_document",
-    "write_baseline",
 ]

@@ -85,122 +85,6 @@ DEFAULT_CONFIG_FLAG_MAP: dict[str, str] = {
     "shard_strategy": "--shard-strategy",
 }
 
-#: Callables that *borrow* a tracked resource without taking ownership:
-#: passing a handle to them is not an escape, the caller must still
-#: release on every path (the exact contract of ``ordered_process_map``,
-#: whose generator ``finally`` is skipped when a deadline expires before
-#: the first ``next()`` — see repro.eval.runner).
-DEFAULT_LIFECYCLE_BORROWERS: tuple[str, ...] = ("ordered_process_map",)
-
-#: Determinism-taint sources: calls whose dotted tail matches one of
-#: these produce nondeterministic values (plus iteration over set-typed
-#: expressions, handled structurally).
-DEFAULT_TAINT_SOURCES: tuple[str, ...] = (
-    "time.time",
-    "os.listdir",
-    "os.urandom",
-    "os.scandir",
-    "uuid.uuid4",
-    "random.random",
-    "random.randint",
-    "random.shuffle",
-    "random.sample",
-    "random.choice",
-)
-
-#: Sanitizer calls: wrapping a tainted value in one of these kills the
-#: taint (``sorted(the_set)`` restores a stable order; aggregations are
-#: order-independent).
-DEFAULT_TAINT_SANITIZERS: tuple[str, ...] = (
-    "sorted",
-    "len",
-    "sum",
-    "min",
-    "max",
-    "frozenset",
-)
-
-#: Sinks that must never receive nondeterministic values: persisted
-#: payloads, integrity checksums, and wire-format dicts. Matched by
-#: dotted call tail.
-DEFAULT_TAINT_SINKS: tuple[str, ...] = (
-    "write_json_atomic",
-    "attach_checksum",
-    "span_to_wire",
-)
-
-#: Worker entrypoints for the fork-boundary family: functions that
-#: execute inside pool worker processes. Anything statically reachable
-#: from these must not mutate module-level state (workers never ship it
-#: back; the parent would silently diverge from the serial run).
-DEFAULT_FORK_ENTRYPOINTS: tuple[str, ...] = (
-    "repro.perf.parallel._run_task",
-    "repro.perf.parallel._run_chunk",
-    "repro.perf.parallel._init_worker",
-)
-
-#: Module-level names bound to these factories are registered
-#: instruments: workers may mutate them because the pool explicitly
-#: snapshots and merges them back (repro.obs counter merging).
-DEFAULT_FORK_INSTRUMENT_FACTORIES: tuple[str, ...] = (
-    "counter",
-    "gauge",
-    "histogram",
-    "get_logger",
-)
-
-#: Packages whose internals are exempt from the fork-boundary rule: the
-#: obs registry is the sanctioned cross-process channel.
-DEFAULT_FORK_EXEMPT_PACKAGES: tuple[str, ...] = ("obs",)
-
-
-@dataclass(frozen=True)
-class ResourceSpec:
-    """One tracked resource kind for lifecycle/leak checking."""
-
-    kind: str
-    #: dotted call tails whose result is an owned live resource
-    acquire: tuple[str, ...]
-    #: method names on the handle that release it
-    release_methods: tuple[str, ...] = ()
-    #: module-level calls that release every live handle of this kind
-    #: (singleton resources like the installed tracer)
-    release_calls: tuple[str, ...] = ()
-    #: keyword args (name -> literal value) the acquire call must carry
-    require_kwargs: tuple[tuple[str, object], ...] = ()
-
-
-#: Resource contracts for the flow-aware lifecycle family: how each
-#: tracked resource is acquired and what counts as releasing it. Acquire
-#: patterns match the dotted tail of the call (``SharedPayload.wrap``
-#: matches ``shm.SharedPayload.wrap(...)``); ``require_kwargs`` gates the
-#: match on literal keyword values (``SharedMemory(create=True)`` is an
-#: acquire, attaching with ``create=False`` is not).
-DEFAULT_LIFECYCLE_RESOURCES: tuple[ResourceSpec, ...] = (
-    ResourceSpec(
-        kind="shared-payload",
-        acquire=("SharedPayload.wrap",),
-        release_methods=("release",),
-    ),
-    ResourceSpec(
-        kind="shm-segment",
-        acquire=("SharedMemory", "shared_memory.SharedMemory"),
-        release_methods=("unlink",),
-        require_kwargs=(("create", True),),
-    ),
-    ResourceSpec(
-        kind="process-pool",
-        acquire=("ProcessPoolExecutor",),
-        release_methods=("shutdown",),
-    ),
-    ResourceSpec(
-        kind="tracer",
-        acquire=("enable_tracing",),
-        release_calls=("disable_tracing",),
-    ),
-)
-
-
 #: DistinctConfig fields deliberately not exposed as CLI flags; each must
 #: still be documented in docs/api.md.
 DEFAULT_CONFIG_PROGRAMMATIC: tuple[str, ...] = (
@@ -277,22 +161,6 @@ class LintConfig:
 
     # picklability/*
     parallel_map_names: tuple[str, ...] = ("ordered_process_map",)
-
-    # lifecycle/*
-    lifecycle_resources: tuple[ResourceSpec, ...] = DEFAULT_LIFECYCLE_RESOURCES
-    lifecycle_borrowers: tuple[str, ...] = DEFAULT_LIFECYCLE_BORROWERS
-
-    # taint/*
-    taint_sources: tuple[str, ...] = DEFAULT_TAINT_SOURCES
-    taint_sanitizers: tuple[str, ...] = DEFAULT_TAINT_SANITIZERS
-    taint_sinks: tuple[str, ...] = DEFAULT_TAINT_SINKS
-
-    # forkstate/*
-    fork_entrypoints: tuple[str, ...] = DEFAULT_FORK_ENTRYPOINTS
-    fork_instrument_factories: tuple[str, ...] = (
-        DEFAULT_FORK_INSTRUMENT_FACTORIES
-    )
-    fork_exempt_packages: tuple[str, ...] = DEFAULT_FORK_EXEMPT_PACKAGES
 
     def severity_for(self, rule: str, default: Severity) -> Severity:
         return self.severity_overrides.get(rule, default)

@@ -9,9 +9,11 @@ visits them identically.
 Inline suppressions
 -------------------
 A finding can be silenced at its site with a justification comment on
-the offending line (or on a comment-only line directly above it)::
+the offending line (or on a comment-only line directly above it), as
+``repro.cluster.linkage`` does for a sort over plain ints::
 
-    from repro.eval.calibration import calibrate_min_sim  # lint: allow[layering/import-dag] compat shim
+    # lint: allow[determinism/unkeyed-sort] cluster ids are plain int
+    for other in sorted((set(stats_a) | set(stats_b)) - {a, b}):
 
 ``allow[*]`` silences every rule on that line. The engine counts
 suppressed findings so they stay visible in the summary.
@@ -25,6 +27,24 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*allow\[([^\]]+)\]")
+
+
+def dotted_name(expr: ast.expr) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: list[str] = []
+    node = expr
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def tail_matches(name: str, pattern: str) -> bool:
+    """True when ``name``'s dotted tail is ``pattern``."""
+    return name == pattern or name.endswith("." + pattern)
 
 
 @dataclass

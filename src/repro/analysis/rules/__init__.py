@@ -11,19 +11,15 @@ the catalogue):
 - :mod:`.metrics`      — the obs metric-name registry, both directions;
 - :mod:`.configsync`   — ``DistinctConfig`` fields vs docs and CLI flags;
 - :mod:`.picklability` — task functions handed to the process pool;
-- :mod:`.lifecycle`    — flow-aware acquire/release checking over CFGs
-  (shm segments, payloads, pools, tracers, fsync-before-rename);
-- :mod:`.taint`        — determinism taint from sources to persisted
-  sinks, plus unseeded-RNG construction;
-- :mod:`.forkstate`    — shared-state mutation reachable from pool
-  worker entrypoints.
+- :mod:`.lifecycle`    — file renames only inside the fsyncing
+  checkpoint writer;
+- :mod:`.taint`        — RNG construction without a pinned seed.
 """
 
 from repro.analysis.rules import (  # noqa: F401  (import-for-side-effect)
     configsync,
     determinism,
     exceptions,
-    forkstate,
     layering,
     lifecycle,
     metrics,

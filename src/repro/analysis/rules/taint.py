@@ -1,21 +1,4 @@
-"""taint/*: nondeterminism propagated to persisted or compared values.
-
-The determinism family (:mod:`repro.analysis.rules.determinism`) flags
-hazardous *expressions* where they appear; this family tracks the
-*values*: a nondeterministic source (wall-clock time, directory listing
-order, unseeded randomness, set iteration) must never flow — through
-assignments, arithmetic, loops, or project-internal calls — into a sink
-that persists or compares it (checkpoint payloads via
-``write_json_atomic``, integrity digests via ``attach_checksum``, wire
-dicts via ``span_to_wire``). Sanitizers kill taint: ``sorted()``
-restores a canonical order, aggregations (``len``/``sum``/``min``/
-``max``) are order-independent.
-
-- ``taint/nondeterministic-sink`` (error) — a tainted value reaches a
-  registered sink call. Intraprocedurally this is a fixpoint over the
-  CFG (loop-carried taint converges); interprocedurally, functions whose
-  return value is tainted are promoted to sources for their callers and
-  iterated over the call graph until stable.
+"""taint/unseeded-rng: randomness must be seeded in reproducible code.
 
 - ``taint/unseeded-rng`` (error) — ``random.Random()`` /
   ``default_rng()`` constructed with no seed, or seeded from a parameter
@@ -32,219 +15,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.callgraph import CallGraph, build_call_graph
-from repro.analysis.cfg import CFG, Node, build_cfg, function_cfgs
 from repro.analysis.config import LintConfig
-from repro.analysis.dataflow import ForwardAnalysis
 from repro.analysis.engine import register
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.project import ModuleInfo, Project
-from repro.analysis.rules.determinism import is_set_expr
-from repro.analysis.rules.lifecycle import _own_exprs, dotted_name, tail_matches
-
-TaintState = frozenset  # of tainted variable names
-
-
-def _scope(config: LintConfig) -> frozenset[str]:
-    return frozenset(config.determinism_scope) | {"eval", "obs"}
-
-
-def _matches_any(name: str, patterns: tuple[str, ...]) -> bool:
-    return any(tail_matches(name, pattern) for pattern in patterns)
-
-
-def _expr_tainted(
-    expr: ast.expr,
-    tainted: frozenset,
-    config: LintConfig,
-    tainted_funcs: frozenset[str],
-) -> bool:
-    """Does evaluating ``expr`` produce a nondeterministic value?"""
-    if isinstance(expr, ast.Call):
-        name = dotted_name(expr.func) or ""
-        if name and _matches_any(name, config.taint_sanitizers):
-            return False
-        if name and _matches_any(name, config.taint_sources):
-            return True
-        if name and (
-            name in tainted_funcs
-            or name.rsplit(".", 1)[-1] in tainted_funcs
-        ):
-            return True
-        return any(
-            _expr_tainted(arg, tainted, config, tainted_funcs)
-            for arg in list(expr.args) + [kw.value for kw in expr.keywords]
-        )
-    if isinstance(expr, ast.Name):
-        return expr.id in tainted
-    for child in ast.iter_child_nodes(expr):
-        if isinstance(child, ast.expr) and _expr_tainted(
-            child, tainted, config, tainted_funcs
-        ):
-            return True
-    return False
-
-
-class _TaintAnalysis(ForwardAnalysis[TaintState]):
-    """Which local names hold nondeterministic values at each point."""
-
-    def __init__(
-        self, config: LintConfig, tainted_funcs: frozenset[str]
-    ) -> None:
-        self.config = config
-        self.tainted_funcs = tainted_funcs
-
-    def initial(self) -> TaintState:
-        return frozenset()
-
-    def bottom(self) -> TaintState:
-        return frozenset()
-
-    def join(self, a: TaintState, b: TaintState) -> TaintState:
-        return a | b
-
-    def transfer(self, node: Node, state: TaintState) -> TaintState:
-        stmt = node.stmt
-        if stmt is None:
-            return state
-        out = set(state)
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            value = stmt.value
-            if value is not None:
-                hot = _expr_tainted(
-                    value, state, self.config, self.tainted_funcs
-                )
-                targets = (
-                    stmt.targets
-                    if isinstance(stmt, ast.Assign)
-                    else [stmt.target]
-                )
-                for target in targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Name):
-                            if hot:
-                                out.add(sub.id)
-                            else:
-                                out.discard(sub.id)  # strong update
-        elif isinstance(stmt, ast.AugAssign):
-            if isinstance(stmt.target, ast.Name) and _expr_tainted(
-                stmt.value, state, self.config, self.tainted_funcs
-            ):
-                out.add(stmt.target.id)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            # Iterating a set (order nondeterminism) or a tainted
-            # iterable taints the loop targets.
-            if is_set_expr(stmt.iter) or _expr_tainted(
-                stmt.iter, state, self.config, self.tainted_funcs
-            ):
-                for sub in ast.walk(stmt.target):
-                    if isinstance(sub, ast.Name):
-                        out.add(sub.id)
-        return frozenset(out)
-
-
-def _function_cfg_index(info: ModuleInfo) -> list[tuple[str, CFG]]:
-    return function_cfgs(info.tree)
-
-
-def _returns_tainted(
-    cfg: CFG, config: LintConfig, tainted_funcs: frozenset[str]
-) -> bool:
-    analysis = _TaintAnalysis(config, tainted_funcs)
-    states = analysis.solve(cfg)
-    for node in cfg.nodes:
-        stmt = node.stmt
-        if (
-            isinstance(stmt, ast.Return)
-            and stmt.value is not None
-            and _expr_tainted(
-                stmt.value, states[node.id], config, tainted_funcs
-            )
-        ):
-            return True
-    return False
-
-
-def _tainted_functions(
-    graph: CallGraph, config: LintConfig, scope: frozenset[str]
-) -> frozenset[str]:
-    """Fixpoint of "returns a tainted value" over the call graph."""
-    tainted: set[str] = set()
-    for _pass in range(5):
-        changed = False
-        frozen = frozenset(tainted)
-        for qualname, fn in graph.functions.items():
-            if qualname in tainted:
-                continue
-            package = fn.module.split(".")[1] if "." in fn.module else ""
-            if package not in scope:
-                continue
-            if _returns_tainted(build_cfg(fn.node), config, frozen):
-                tainted.add(qualname)
-                tainted.add(fn.node.name)
-                changed = True
-        if not changed:
-            break
-    return frozenset(tainted)
-
-
-@register(
-    "taint/nondeterministic-sink",
-    "nondeterministic values (time, fs order, unseeded randomness, set "
-    "iteration) must not reach checkpoint payloads, checksums, or wire "
-    "dicts; sanitize with sorted()/aggregation or pin the seed",
-    Severity.ERROR,
-)
-def check_taint_sinks(
-    project: Project, config: LintConfig
-) -> Iterator[Finding]:
-    scope = _scope(config)
-    graph = build_call_graph(project)
-    tainted_funcs = _tainted_functions(graph, config, scope)
-    for info in project.modules:
-        if info.package not in scope:
-            continue
-        for qualname, cfg in _function_cfg_index(info):
-            analysis = _TaintAnalysis(config, tainted_funcs)
-            states = analysis.solve(cfg)
-            for node in cfg.nodes:
-                if node.stmt is None:
-                    continue
-                state = states[node.id]
-                for expr in _own_exprs(node.stmt):
-                    for sub in ast.walk(expr):
-                        if not isinstance(sub, ast.Call):
-                            continue
-                        name = dotted_name(sub.func) or ""
-                        if not (
-                            name and _matches_any(name, config.taint_sinks)
-                        ):
-                            continue
-                        hot = [
-                            arg
-                            for arg in list(sub.args)
-                            + [kw.value for kw in sub.keywords]
-                            if _expr_tainted(
-                                arg, state, config, tainted_funcs
-                            )
-                        ]
-                        if hot:
-                            yield Finding(
-                                rule="taint/nondeterministic-sink",
-                                severity=Severity.ERROR,
-                                path=info.rel_path,
-                                line=sub.lineno,
-                                message=(
-                                    f"nondeterministic value flows into "
-                                    f"{name.rsplit('.', 1)[-1]}() in "
-                                    f"{qualname}; persisted/compared "
-                                    "output would differ run to run"
-                                ),
-                                hint="sanitize at the source: sorted() "
-                                     "for orderings, a pinned seed for "
-                                     "randomness, logical counters for "
-                                     "time",
-                            )
+from repro.analysis.project import Project, dotted_name, tail_matches
 
 
 def _param_defaults_none(
@@ -291,7 +65,7 @@ _RNG_CONSTRUCTORS = ("Random", "default_rng")
 def check_unseeded_rng(
     project: Project, config: LintConfig
 ) -> Iterator[Finding]:
-    scope = _scope(config)
+    scope = frozenset(config.determinism_scope) | {"eval", "obs"}
     for info in project.modules:
         if info.package not in scope:
             continue
@@ -314,7 +88,9 @@ def check_unseeded_rng(
                 if not isinstance(sub, ast.Call) or id(sub) in seen:
                     continue
                 name = dotted_name(sub.func) or ""
-                if not name or not _matches_any(name, _RNG_CONSTRUCTORS):
+                if not any(
+                    tail_matches(name, ctor) for ctor in _RNG_CONSTRUCTORS
+                ):
                     continue
                 seen.add(id(sub))
                 if not sub.args and not sub.keywords:

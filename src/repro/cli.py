@@ -273,11 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         dest="lint_format",
-        help="findings output format (default: text); sarif renders as "
-             "GitHub code-scanning annotations when uploaded from CI",
+        help="findings output format (default: text)",
     )
     p.add_argument(
         "--rules",
@@ -301,39 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="list the registered rules and exit",
-    )
-    p.add_argument(
-        "--sarif-out",
-        default=None,
-        metavar="PATH",
-        help="also write a SARIF 2.1.0 report here (CI upload artifact)",
-    )
-    p.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="report only findings in files changed vs REF (default "
-             "HEAD) plus untracked files; the analysis still runs "
-             "whole-project",
-    )
-    p.add_argument(
-        "--baseline",
-        nargs="?",
-        const="lint-baseline.json",
-        default=None,
-        metavar="PATH",
-        help="suppress findings fingerprinted in this baseline file "
-             "(default: lint-baseline.json); only new findings fail",
-    )
-    p.add_argument(
-        "--write-baseline",
-        nargs="?",
-        const="lint-baseline.json",
-        default=None,
-        metavar="PATH",
-        help="record the current findings as the baseline and exit 0",
     )
     p.set_defaults(func=cmd_lint)
 
@@ -738,46 +704,8 @@ def cmd_lint(args) -> int:
     except ValueError as exc:  # unknown rule id, bad pyproject overrides
         print(str(exc), file=sys.stderr)
         return 2
-    if args.changed is not None:
-        from repro.analysis.incremental import (
-            ChangedFilesError,
-            changed_files,
-            filter_to_changed,
-        )
-
-        try:
-            result = filter_to_changed(result, changed_files(root, args.changed))
-        except ChangedFilesError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if args.write_baseline is not None:
-        from repro.analysis.baseline import write_baseline
-
-        target = root / args.write_baseline
-        payload = write_baseline(result, target)
-        log.info(
-            "baseline with %d fingerprint(s) written to %s",
-            len(payload["fingerprints"]), target,
-        )
-        return 0
-    if args.baseline is not None:
-        from repro.analysis.baseline import (
-            BaselineError,
-            apply_baseline,
-            load_baseline,
-        )
-
-        try:
-            result = apply_baseline(result, load_baseline(root / args.baseline))
-        except BaselineError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
     min_severity = Severity.coerce(args.min_severity)
-    if args.lint_format == "sarif":
-        from repro.analysis.sarif import format_sarif
-
-        print(format_sarif(result, min_severity))
-    elif args.lint_format == "json":
+    if args.lint_format == "json":
         print(format_json(result, min_severity))
     else:
         print(format_text(result, min_severity))
@@ -785,12 +713,6 @@ def cmd_lint(args) -> int:
         Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         Path(args.output).write_text(format_json(result))
         log.info("lint report written to %s", args.output)
-    if args.sarif_out:
-        from repro.analysis.sarif import format_sarif
-
-        Path(args.sarif_out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.sarif_out).write_text(format_sarif(result))
-        log.info("SARIF report written to %s", args.sarif_out)
     return 0 if result.ok else 1
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,9 +261,8 @@ def calibrate_min_sim(
         n_names=len(synthetic),
         grid_size=len(grid),
         workers=workers,
-    ):
+    ), ExitStack() as owned:
         results_iter = None
-        payload_handle = None
         if workers > 1:
             pending = [
                 syn for syn in synthetic
@@ -271,8 +271,9 @@ def calibrate_min_sim(
             payload = (distinct, grid)
             if distinct.config.shared_memory:
                 # One shared segment instead of per-worker payload copies
-                # (zero-copy numpy views; see repro.perf.shm).
-                payload = payload_handle = SharedPayload.wrap(payload)
+                # (zero-copy numpy views; see repro.perf.shm), unlinked
+                # when this block exits, after results_iter.close().
+                payload = owned.enter_context(SharedPayload.wrap(payload))
             costs = None
             if distinct.config.shard_strategy == "cost":
                 costs = [name_cost(len(syn.rows)) for syn in pending]
@@ -344,11 +345,6 @@ def calibrate_min_sim(
                 # Cancels still-queued tasks when the loop exits early
                 # (deadline, raise policy); no-op after full consumption.
                 results_iter.close()
-            if payload_handle is not None:
-                # close() on a never-started generator skips its finally
-                # (a deadline can expire before the first next()), so the
-                # segment owner releases here too — exactly-once guarded.
-                payload_handle.release()
 
     if not per_name_f1:
         if interrupted:

@@ -27,6 +27,7 @@ identical to a single-worker run.
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.core.distinct import Distinct
@@ -184,16 +185,16 @@ def run_resilient(
         min_sim=min_sim,
         n_names=len(names),
         workers=workers,
-    ) as sp:
+    ) as sp, ExitStack() as owned:
         results_iter = None
-        payload_handle = None
         if workers > 1:
             pending = [n for n in names if n not in done]
             payload = (distinct, truth, variant, min_sim)
             if distinct.config.shared_memory:
                 # One shared segment instead of per-worker payload copies
-                # (zero-copy numpy views; see repro.perf.shm).
-                payload = payload_handle = SharedPayload.wrap(payload)
+                # (zero-copy numpy views; see repro.perf.shm), unlinked
+                # when this block exits, after results_iter.close().
+                payload = owned.enter_context(SharedPayload.wrap(payload))
             costs = None
             if distinct.config.shard_strategy == "cost":
                 costs = [
@@ -273,11 +274,6 @@ def run_resilient(
                 # Cancels still-queued tasks when the loop exits early
                 # (deadline, raise policy); no-op after full consumption.
                 results_iter.close()
-            if payload_handle is not None:
-                # close() on a never-started generator skips its finally
-                # (a deadline can expire before the first next()), so the
-                # segment owner releases here too — exactly-once guarded.
-                payload_handle.release()
         sp.annotate(
             n_completed=outcome.n_completed,
             n_failed=len(collector),

@@ -12,9 +12,10 @@ example with a constant feature (regularized bias; standard for this
 solver and harmless at these scales).
 
 The paper (§3) trains an SVM with linear kernel on 1000 positive + 1000
-negative automatically labeled pairs; this solver converges on such problems
-in milliseconds. The learned weight vector *is* the per-join-path weighting
-``w(P)`` of Eq 1.
+negative automatically labeled pairs; this solver sweeps such a set in
+shuffled epochs of coordinate updates until the projected gradient falls
+below ``tol`` or the ``max_epochs`` budget runs out. The learned weight
+vector *is* the per-join-path weighting ``w(P)`` of Eq 1.
 """
 
 from __future__ import annotations

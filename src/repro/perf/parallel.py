@@ -45,10 +45,10 @@ be a module-level function taking ``(payload, item)``. A payload wrapped
 in a :class:`repro.perf.shm.PayloadHandle` (e.g.
 :class:`~repro.perf.shm.SharedPayload`, whose array buffers live in one
 shared-memory segment mapped read-only by every worker) is attached by
-the initializer and released — segment unlinked exactly once — in the
-map's outer ``finally``, which covers completion, deadline-cancelled
-tails, abandoned iterators, and the pool-respawn path (a respawned pool
-re-attaches the still-linked segment).
+the initializer. The map only borrows the handle: its creator holds it
+in a ``with`` block that outlives the map, so the segment stays linked
+through the pool-respawn path (a respawned pool re-attaches it) and is
+unlinked exactly once when that block exits.
 
 Dispatch order is a *shard plan* (:func:`repro.perf.sharding.plan_shards`).
 The default ``"static"`` strategy reproduces consecutive
@@ -188,8 +188,8 @@ def _init_worker(payload: Any, trace: bool = False) -> None:
     # Designed per-worker divergence: the initializer primes each worker
     # with its own payload exactly so tasks never re-pickle it; nothing
     # here is read back by the parent.
-    _PAYLOAD = payload  # lint: allow[forkstate/worker-global-mutation]
-    _TRACE = trace  # lint: allow[forkstate/worker-global-mutation]
+    _PAYLOAD = payload
+    _TRACE = trace
     # Under ``fork`` the worker inherits the parent's live tracer (and its
     # whole span forest). Spans recorded there would be silently lost —
     # each task instead runs under a fresh tracer and ships its subtree
@@ -307,7 +307,8 @@ def ordered_process_map(
     heaviest-first so idle workers steal the expensive stragglers early.
     Either way outcomes arrive in input order with identical values. A
     ``payload`` wrapped in a :class:`repro.perf.shm.PayloadHandle` is
-    attached per worker and released here when the map winds down.
+    attached per worker and borrowed, never released, here: the caller
+    that wrapped it releases it after closing this iterator.
 
     Counter deltas from each task are merged into this process's registry
     as the task's outcome is yielded, so obs totals match a serial run.
@@ -341,17 +342,8 @@ def ordered_process_map(
 
 def _inline_map(fn, payload, items, deadline) -> Iterator[TaskOutcome]:
     """The no-pool path: same outcomes, counters incremented in-process."""
-    handle = payload if isinstance(payload, PayloadHandle) else None
-    if handle is not None:
-        payload = handle.attach()
-    try:
-        yield from _inline_loop(fn, payload, items, deadline)
-    finally:
-        if handle is not None:
-            handle.release()
-
-
-def _inline_loop(fn, payload, items, deadline) -> Iterator[TaskOutcome]:
+    if isinstance(payload, PayloadHandle):
+        payload = payload.attach()
     interrupted = False
     for item in items:
         if not interrupted and deadline is not None and deadline.expired():
@@ -588,10 +580,6 @@ def _ordered_map(
         # Also reached when the consumer abandons the iterator early:
         # cancel queued tasks so pool teardown doesn't run them all.
         pool.shutdown(wait=True, cancel_futures=True)
-        if isinstance(payload, PayloadHandle):
-            # Exactly-once segment teardown, whatever path got us here
-            # (completion, deadline tail, abandonment, pool respawns).
-            payload.release()
 
 
 def _graft_trace(trace: dict, tracer, worker_ids: dict[int, int]) -> None:

@@ -23,17 +23,18 @@ physical pages, zero copies, and the read-only views turn accidental
 worker-side writes into hard errors instead of silent cross-worker
 corruption.
 
-Lifecycle is creator-owned and idempotent. :meth:`SharedPayload.release`
-closes and unlinks the segment exactly once — ``ordered_process_map``
-calls it in its outer ``finally``, which covers normal completion,
-deadline-cancelled tails, an abandoned result iterator, *and* the
-worker-crash respawn path: a respawned pool simply re-attaches the
-still-linked segment, and the unlink happens only when the map winds
-down. Worker-side mappings are intentionally never closed (the arrays
-alive in the worker are views into them); they die with the worker
-process, and the parent's unlink removes the name. Segment names carry a
-recognizable prefix so test suites can assert nothing leaked
-(:func:`active_segments`).
+Lifecycle is creator-owned and idempotent. A handle is a context
+manager: the code that wraps a payload holds it in a ``with`` block
+around the whole map, and :meth:`SharedPayload.release` — called by
+``__exit__`` — closes and unlinks the segment exactly once, whatever
+ended the block (completion, a deadline, an abandoned result iterator,
+an exception). ``ordered_process_map`` only borrows the handle and never
+releases it, so a worker-crash respawn simply re-attaches the
+still-linked segment. Worker-side mappings are intentionally never
+closed (the arrays alive in the worker are views into them); they die
+with the worker process, and the parent's unlink removes the name.
+Segment names carry a recognizable prefix so test suites can assert
+nothing leaked (:func:`active_segments`).
 
 :class:`PickledPayload` is the honest baseline for benchmarks: the same
 handle interface, but ``wrap`` stores one pickle blob and every
@@ -50,7 +51,7 @@ import os
 import pickle
 import secrets
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any
+from typing import Any, TypeVar
 
 from repro.obs import counter
 
@@ -76,15 +77,24 @@ _ALIGN = 64
 
 _SEGMENT_COUNTER = itertools.count()
 
+_Handle = TypeVar("_Handle", bound="PayloadHandle")
+
 
 class PayloadHandle:
     """Interface of a dispatchable payload wrapper.
 
     ``ordered_process_map`` treats any payload that is an instance of
     this class specially: workers (and the inline path) call
-    :meth:`attach` to materialize the real payload, and the map calls
-    :meth:`release` in its outer ``finally`` when dispatch is over.
+    :meth:`attach` to materialize the real payload. The creator owns
+    :meth:`release`; ``with Handle.wrap(payload) as handle:`` calls it
+    when the block exits.
     """
+
+    def __enter__(self: _Handle) -> _Handle:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.release()
 
     def attach(self) -> Any:
         """Materialize the payload in the calling process."""

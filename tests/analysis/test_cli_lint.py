@@ -1,33 +1,12 @@
 """End-to-end tests of ``repro lint``."""
 
 import json
-import shutil
-import subprocess
 from pathlib import Path
 
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
-
-LAYERING_RULE = "layering/import-dag"
-LAYERING_FILE = "src/repro/paths/uses_cluster.py"
-
-
-def copy_fixture(name, tmp_path):
-    """A writable copy of a fixture repo (for baseline/changed runs)."""
-    dest = tmp_path / name
-    shutil.copytree(FIXTURES / name, dest)
-    return dest
-
-
-def git(repo, *args):
-    subprocess.run(
-        ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-        cwd=repo,
-        check=True,
-        capture_output=True,
-    )
 
 
 def test_repo_lints_clean_text(capsys):
@@ -111,140 +90,6 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     assert "layering/import-dag" in out
     assert "picklability/unpicklable-task" in out
-
-
-def test_sarif_output_on_stdout(capsys):
-    code = main(
-        [
-            "lint",
-            "--root", str(FIXTURES / "layering"),
-            "--rules", LAYERING_RULE,
-            "--format", "sarif",
-        ]
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert payload["version"] == "2.1.0"
-    results = payload["runs"][0]["results"]
-    assert {r["ruleId"] for r in results} == {LAYERING_RULE}
-    uris = {
-        r["locations"][0]["physicalLocation"]["artifactLocation"]["uri"]
-        for r in results
-    }
-    assert LAYERING_FILE in uris
-
-
-def test_sarif_out_writes_file_alongside_text(tmp_path, capsys):
-    report = tmp_path / "ci" / "lint.sarif"
-    code = main(
-        [
-            "lint",
-            "--root", str(FIXTURES / "layering"),
-            "--rules", LAYERING_RULE,
-            "--sarif-out", str(report),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "[layering/import-dag]" in out  # stdout stays human-readable
-    payload = json.loads(report.read_text())
-    assert payload["runs"][0]["results"]
-
-
-def test_write_baseline_then_baseline_suppresses(tmp_path, capsys):
-    root = copy_fixture("layering", tmp_path)
-    assert (
-        main(
-            [
-                "lint",
-                "--root", str(root),
-                "--rules", LAYERING_RULE,
-                "--write-baseline",
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    baseline = json.loads((root / "lint-baseline.json").read_text())
-    assert len(baseline["fingerprints"]) == 2
-    code = main(
-        [
-            "lint",
-            "--root", str(root),
-            "--rules", LAYERING_RULE,
-            "--baseline",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "0 error(s)" in out
-    assert "2 finding(s) suppressed" in out
-
-
-def test_baseline_missing_file_is_usage_error(tmp_path, capsys):
-    root = copy_fixture("layering", tmp_path)
-    code = main(
-        [
-            "lint",
-            "--root", str(root),
-            "--rules", LAYERING_RULE,
-            "--baseline", "no-such-baseline.json",
-        ]
-    )
-    capsys.readouterr()
-    assert code == 2
-
-
-def test_changed_scopes_the_report(tmp_path, capsys):
-    root = copy_fixture("layering", tmp_path)
-    git(root, "init", "-q")
-    git(root, "add", ".")
-    git(root, "commit", "-qm", "seed")
-    # Clean tree: the findings exist but are out of scope.
-    assert (
-        main(
-            [
-                "lint",
-                "--root", str(root),
-                "--rules", LAYERING_RULE,
-                "--changed",
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    # Touch one offending file: its finding comes back into scope.
-    offender = root / LAYERING_FILE
-    offender.write_text(offender.read_text() + "\n# touched\n")
-    code = main(
-        [
-            "lint",
-            "--root", str(root),
-            "--rules", LAYERING_RULE,
-            "--changed",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 1
-    assert LAYERING_FILE in out
-    assert "uses_perf.py" not in out  # the untouched finding stays hidden
-
-
-def test_changed_bad_ref_is_usage_error(tmp_path, capsys):
-    root = copy_fixture("layering", tmp_path)
-    git(root, "init", "-q")
-    git(root, "add", ".")
-    git(root, "commit", "-qm", "seed")
-    code = main(
-        [
-            "lint",
-            "--root", str(root),
-            "--rules", LAYERING_RULE,
-            "--changed", "no-such-ref",
-        ]
-    )
-    capsys.readouterr()
-    assert code == 2
 
 
 def test_unknown_rule_is_usage_error(capsys):

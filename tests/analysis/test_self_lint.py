@@ -43,9 +43,6 @@ def test_rule_catalogue_covers_all_families():
         "config/flag-missing",
         "config/stale-entry",
         "picklability/unpicklable-task",
-        "lifecycle/leak",
         "lifecycle/fsync-before-rename",
-        "taint/nondeterministic-sink",
         "taint/unseeded-rng",
-        "forkstate/worker-global-mutation",
     } <= ids

@@ -117,6 +117,13 @@ class TestLifecycle:
         handle.release()
         assert active_segments() == []
 
+    def test_with_block_releases_when_the_body_raises(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with SharedPayload.wrap(_csr_payload()) as handle:
+                assert handle.segment_name in active_segments()
+                raise RuntimeError("boom")
+        assert active_segments() == []
+
 
 class TestThroughTheMap:
     def test_pool_workers_attach_and_results_match_inline(self):
@@ -128,29 +135,44 @@ class TestThroughTheMap:
                 _scale_task, payload, items, workers=1, inline=True
             )
         ]
-        out = list(
-            ordered_process_map(
-                _scale_task, SharedPayload.wrap(payload), items, workers=3,
-                chunk_size=4,
+        with SharedPayload.wrap(payload) as handle:
+            out = list(
+                ordered_process_map(
+                    _scale_task, handle, items, workers=3, chunk_size=4,
+                )
             )
-        )
         assert [t.value for t in out] == expected
         assert active_segments() == []
 
     def test_worker_side_payload_is_read_only(self):
-        out = list(
-            ordered_process_map(
-                _write_task, SharedPayload.wrap(_csr_payload()), [0], workers=2
-            )
-        )
+        with SharedPayload.wrap(_csr_payload()) as handle:
+            out = list(ordered_process_map(_write_task, handle, [0], workers=2))
         assert out[0].value == "read-only"
         assert active_segments() == []
 
     def test_abandoned_iterator_releases_the_segment(self):
-        handle = SharedPayload.wrap(_csr_payload())
-        it = ordered_process_map(
-            _scale_task, handle, list(range(16)), workers=2, chunk_size=2
-        )
-        next(it)
-        it.close()
+        with SharedPayload.wrap(_csr_payload()) as handle:
+            it = ordered_process_map(
+                _scale_task, handle, list(range(16)), workers=2, chunk_size=2
+            )
+            next(it)
+            it.close()
+        assert active_segments() == []
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["pool", "inline"])
+    @pytest.mark.parametrize("abandon", [False, True], ids=["exhausted", "abandoned"])
+    def test_map_borrows_the_segment_until_the_block_exits(self, abandon, inline):
+        # Only the creator releases: a map that has run dry or been
+        # closed must leave the segment linked for the rest of the block.
+        with SharedPayload.wrap(_csr_payload()) as handle:
+            it = ordered_process_map(
+                _scale_task, handle, list(range(8)), workers=2, chunk_size=2,
+                inline=inline,
+            )
+            if abandon:
+                next(it)
+                it.close()
+            else:
+                assert len(list(it)) == 8
+            assert handle.segment_name in active_segments()
         assert active_segments() == []

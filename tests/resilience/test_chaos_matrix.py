@@ -242,8 +242,9 @@ class TestSharedMemoryCrash:
 
     The respawned pool must re-attach the still-linked segment, results
     must stay byte-identical, and the segment must be unlinked exactly
-    once when the map winds down — the autouse ``_no_leaked_shm_segments``
-    fixture in conftest.py enforces the latter after every scenario here.
+    once when the runner's ``with`` block exits — the autouse
+    ``_no_leaked_shm_segments`` fixture in conftest.py enforces the
+    latter after every scenario here.
     """
 
     def _shared(self, fitted) -> Distinct:
