@@ -81,8 +81,6 @@ DEFAULT_CONFIG_FLAG_MAP: dict[str, str] = {
     "n_negative": "--negative",
     "svm_C": "--svm-c",
     "min_sim": "--min-sim",
-    "shared_memory": "--shared-memory",
-    "shard_strategy": "--shard-strategy",
 }
 
 #: DistinctConfig fields deliberately not exposed as CLI flags; each must

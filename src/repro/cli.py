@@ -153,22 +153,6 @@ def _add_perf_options(p: argparse.ArgumentParser) -> None:
              "in-process; results are identical for any N)",
     )
     group.add_argument(
-        "--shared-memory",
-        action="store_true",
-        default=None,
-        help="dispatch the worker payload through one read-only "
-             "shared-memory segment instead of per-worker copies "
-             "(zero-copy; results are unchanged)",
-    )
-    group.add_argument(
-        "--shard-strategy",
-        choices=("static", "cost"),
-        default=None,
-        help="how the parallel loop orders dispatch (default: the "
-             "config's, static); cost dispatches cost-balanced shards "
-             "heaviest-first so idle workers steal the stragglers",
-    )
-    group.add_argument(
         "--task-retries",
         type=int,
         default=DEFAULT_TASK_RETRIES,
@@ -512,32 +496,16 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _apply_perf_overrides(config: DistinctConfig, args) -> DistinctConfig:
-    """Apply the optional performance flags on top of ``config``.
-
-    Uses ``getattr`` defaults because not every subcommand carries every
-    perf flag (e.g. the pool flags exist only where ``--workers`` does).
-    """
-    if getattr(args, "shared_memory", None):
-        config = config.with_options(shared_memory=True)
-    if getattr(args, "shard_strategy", None):
-        config = config.with_options(shard_strategy=args.shard_strategy)
-    return config
-
-
 def _load_pipeline(
     db_dir: str,
     model_dir: str,
     min_sim: float | None,
-    args=None,
 ) -> Distinct:
     db = _open_database(db_dir)
     models = Path(model_dir)
     config = DistinctConfig()
     if min_sim is not None:
         config = config.with_options(min_sim=min_sim)
-    if args is not None:
-        config = _apply_perf_overrides(config, args)
     return Distinct.from_models(
         db,
         PathWeightModel.load(models / "resem_model.json"),
@@ -547,7 +515,7 @@ def _load_pipeline(
 
 
 def cmd_resolve(args) -> int:
-    distinct = _load_pipeline(args.db, args.models, args.min_sim, args)
+    distinct = _load_pipeline(args.db, args.models, args.min_sim)
     resolution = distinct.resolve(args.name)
     print(
         f"{args.name!r}: {len(resolution.rows)} references -> "
@@ -635,7 +603,7 @@ def cmd_calibrate(args) -> int:
         calibration_checkpoint,
     )
 
-    distinct = _load_pipeline(args.db, args.models, None, args)
+    distinct = _load_pipeline(args.db, args.models, None)
     kwargs, collector = _resilience_kwargs(
         args,
         lambda path: calibration_checkpoint(
@@ -804,7 +772,7 @@ def _ambiguous_names(db_dir: str, names_arg: str | None) -> list[str]:
 
 
 def cmd_experiment(args) -> int:
-    distinct = _load_pipeline(args.db, args.models, args.min_sim, args)
+    distinct = _load_pipeline(args.db, args.models, args.min_sim)
     truth = load_ground_truth(args.truth)
     names = _ambiguous_names(args.db, args.names)
 
@@ -853,7 +821,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    distinct = _load_pipeline(args.db, args.models, args.min_sim, args)
+    distinct = _load_pipeline(args.db, args.models, args.min_sim)
     truth = load_ground_truth(args.truth)
     names = _ambiguous_names(args.db, args.names)
     delta = load_delta(args.delta)

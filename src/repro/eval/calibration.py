@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +31,6 @@ from repro.paths.profiles import ProfileBuilder
 from repro.perf import (
     DEFAULT_TASK_RETRIES,
     RemoteTaskError,
-    SharedPayload,
-    name_cost,
     ordered_process_map,
 )
 from repro.resilience import (
@@ -261,31 +258,20 @@ def calibrate_min_sim(
         n_names=len(synthetic),
         grid_size=len(grid),
         workers=workers,
-    ), ExitStack() as owned:
+    ):
         results_iter = None
         if workers > 1:
             pending = [
                 syn for syn in synthetic
                 if "+".join(syn.member_names) not in done
             ]
-            payload = (distinct, grid)
-            if distinct.config.shared_memory:
-                # One shared segment instead of per-worker payload copies
-                # (zero-copy numpy views; see repro.perf.shm), unlinked
-                # when this block exits, after results_iter.close().
-                payload = owned.enter_context(SharedPayload.wrap(payload))
-            costs = None
-            if distinct.config.shard_strategy == "cost":
-                costs = [name_cost(len(syn.rows)) for syn in pending]
             results_iter = ordered_process_map(
                 _calibrate_name_task,
-                payload,
+                (distinct, grid),
                 pending,
                 workers=workers,
                 deadline=deadline,
                 task_retries=task_retries,
-                costs=costs,
-                shard_strategy=distinct.config.shard_strategy,
             )
         try:
             for syn in synthetic:

@@ -27,11 +27,9 @@ identical to a single-worker run.
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.core.distinct import Distinct
-from repro.core.references import extract_references
 from repro.core.variants import VariantSpec
 from repro.data.world import GroundTruth
 from repro.errors import DeadlineExceeded
@@ -41,8 +39,6 @@ from repro.obs import counter, get_logger, histogram, span
 from repro.perf import (
     DEFAULT_TASK_RETRIES,
     RemoteTaskError,
-    SharedPayload,
-    name_cost,
     ordered_process_map,
 )
 from repro.resilience import (
@@ -185,31 +181,17 @@ def run_resilient(
         min_sim=min_sim,
         n_names=len(names),
         workers=workers,
-    ) as sp, ExitStack() as owned:
+    ) as sp:
         results_iter = None
         if workers > 1:
             pending = [n for n in names if n not in done]
-            payload = (distinct, truth, variant, min_sim)
-            if distinct.config.shared_memory:
-                # One shared segment instead of per-worker payload copies
-                # (zero-copy numpy views; see repro.perf.shm), unlinked
-                # when this block exits, after results_iter.close().
-                payload = owned.enter_context(SharedPayload.wrap(payload))
-            costs = None
-            if distinct.config.shard_strategy == "cost":
-                costs = [
-                    name_cost(len(extract_references(distinct.db, n, distinct.config).rows))
-                    for n in pending
-                ]
             results_iter = ordered_process_map(
                 _score_name_task,
-                payload,
+                (distinct, truth, variant, min_sim),
                 pending,
                 workers=workers,
                 deadline=deadline,
                 task_retries=task_retries,
-                costs=costs,
-                shard_strategy=distinct.config.shard_strategy,
             )
         try:
             for name in names:

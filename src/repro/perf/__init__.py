@@ -12,31 +12,21 @@ machinery that accelerates them without changing results:
   budget, so the pair kernels bound peak memory whatever the row widths;
 - :mod:`repro.perf.parallel` — a ``ProcessPoolExecutor``-backed ordered
   map with deterministic, input-ordered result assembly, per-worker
-  obs-counter merging, chunked dispatch, and an in-process fallback
-  (:func:`~repro.perf.parallel.should_inline`) for workloads a pool
-  cannot win (disambiguation workloads scale with the number of
+  obs-counter merging, input-order chunked dispatch, and an in-process
+  fallback (:func:`~repro.perf.parallel.should_inline`) for workloads a
+  pool cannot win (disambiguation workloads scale with the number of
   ambiguous names, which is embarrassingly parallel);
 - :mod:`repro.perf.transitions` — row-normalized CSR transition matrices
   compiled from exclusion-filtered join fanouts, the building block of
   the batched propagation backend (:mod:`repro.paths.batch`);
 - :mod:`repro.perf.blocking` — the inverted neighbor index: lossless
-  zero-overlap pair blocking over stacked support matrices;
-- :mod:`repro.perf.shm` — zero-copy payload dispatch: protocol-5
-  out-of-band buffers packed into one ``multiprocessing.shared_memory``
-  segment that workers map read-only (:class:`~repro.perf.shm.SharedPayload`),
-  plus the pickled baseline handle benchmarks compare against;
-- :mod:`repro.perf.sharding` — cost-model shard planning (LPT order,
-  cost ≈ refs² per name) that the parallel map's shared queue
-  work-steals from, keeping input-ordered assembly.
+  zero-overlap pair blocking over stacked support matrices.
 
-The pair kernels themselves live in :mod:`repro.similarity.vectorized`;
-the ``shared_memory`` / ``shard_strategy`` switches in
-:class:`repro.config.DistinctConfig` select how the parallel per-name
-loop dispatches. ``benchmarks/bench_perf_kernels.py`` tracks the
+The pair kernels themselves live in :mod:`repro.similarity.vectorized`.
+``benchmarks/bench_perf_kernels.py`` tracks the
 kernel/propagation/parallel trajectory in ``BENCH_perf.json``;
-``benchmarks/bench_scale.py`` tracks the scale-out trajectory
-(shared-memory dispatch, work-stealing shards) in ``BENCH_scale.json``
-(history in ``BENCH_history.jsonl``).
+``benchmarks/bench_scale.py`` tracks serial vs pool wall time across
+world sizes in ``BENCH_scale.json`` (history in ``BENCH_history.jsonl``).
 """
 
 from repro.perf.blocking import (
@@ -50,26 +40,16 @@ from repro.perf.parallel import (
     DEFAULT_TASK_RETRIES,
     RemoteTaskError,
     TaskOutcome,
+    active_segments,
     ordered_process_map,
     should_inline,
-)
-from repro.perf.sharding import SHARD_STRATEGIES, name_cost, plan_shards
-from repro.perf.shm import (
-    PayloadHandle,
-    PickledPayload,
-    SharedPayload,
-    active_segments,
 )
 from repro.perf.transitions import Transition, TransitionCache, build_transition
 
 __all__ = [
     "DEFAULT_TASK_RETRIES",
     "FanoutMemo",
-    "PayloadHandle",
-    "PickledPayload",
     "RemoteTaskError",
-    "SHARD_STRATEGIES",
-    "SharedPayload",
     "TaskOutcome",
     "Transition",
     "TransitionCache",
@@ -78,10 +58,8 @@ __all__ = [
     "candidate_pairs",
     "chunk_slices",
     "intersecting_pair_mask",
-    "name_cost",
     "ordered_process_map",
     "pair_slices",
-    "plan_shards",
     "should_inline",
     "touched_row_mask",
 ]

@@ -41,24 +41,12 @@ naive ``ProcessPoolExecutor.map`` loses, this module keeps:
 Workers are primed once with a picklable ``payload`` via a pool
 initializer (under the default ``fork`` start method the payload is
 inherited, not pickled); each task then ships only its item. ``fn`` must
-be a module-level function taking ``(payload, item)``. A payload wrapped
-in a :class:`repro.perf.shm.PayloadHandle` (e.g.
-:class:`~repro.perf.shm.SharedPayload`, whose array buffers live in one
-shared-memory segment mapped read-only by every worker) is attached by
-the initializer. The map only borrows the handle: its creator holds it
-in a ``with`` block that outlives the map, so the segment stays linked
-through the pool-respawn path (a respawned pool re-attaches it) and is
-unlinked exactly once when that block exits.
-
-Dispatch order is a *shard plan* (:func:`repro.perf.sharding.plan_shards`).
-The default ``"static"`` strategy reproduces consecutive
-``chunk_size`` chunks in input order; ``shard_strategy="cost"`` with
-per-item ``costs`` packs cost-balanced shards dispatched heaviest-first,
-and the pool's shared queue work-steals them: whichever worker goes idle
-pulls the next costliest shard. Completed shards are harvested as they
-finish, whatever the consumer is blocked on (``perf.shard.steals``
-counts the out-of-order harvests), and assembly stays input-ordered, so
-results are byte-identical to a serial run under every strategy.
+be a module-level function taking ``(payload, item)``. Dispatch follows
+input order in consecutive ``chunk_size`` chunks, and the pool never
+forks more workers than there are chunks. Finished chunks are harvested
+as they complete, whatever the consumer is blocked on, so they free
+window slots at once; assembly stays input-ordered, so results are
+byte-identical to a serial run.
 
 Two dispatch knobs trade pool overhead against parallelism without
 touching any of the guarantees above:
@@ -92,9 +80,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.perf.shm import PayloadHandle
-from repro.perf.sharding import SHARD_STRATEGIES, plan_shards
-
 from repro.obs import (
     counter,
     disable_tracing,
@@ -115,7 +100,6 @@ _SPANS_GRAFTED = counter("perf.parallel.spans_grafted")
 _TASK_SECONDS = histogram("perf.parallel.task_seconds")
 _WORKER_DEATHS = counter("perf.parallel.worker_deaths")
 _TASKS_REDISPATCHED = counter("perf.parallel.tasks_redispatched")
-_SHARD_STEALS = counter("perf.shard.steals")
 
 #: Below this estimated per-task cost (seconds), process-pool dispatch
 #: overhead (pickling, IPC, scheduler wakeups) dominates the work itself
@@ -181,10 +165,6 @@ class TaskOutcome:
 
 def _init_worker(payload: Any, trace: bool = False) -> None:
     global _PAYLOAD, _TRACE
-    if isinstance(payload, PayloadHandle):
-        # Zero-copy path: map the shared segment and rebuild the payload
-        # over read-only views into it (never pay the pickle per worker).
-        payload = payload.attach()
     # Designed per-worker divergence: the initializer primes each worker
     # with its own payload exactly so tasks never re-pickle it; nothing
     # here is read back by the parent.
@@ -275,6 +255,20 @@ def should_inline(
     return task_cost_hint is not None and task_cost_hint < min_task_cost
 
 
+def active_segments() -> list[str]:
+    """Live ``/dev/shm`` segments carrying this package's name prefix.
+
+    Nothing in the pipeline creates one; the chaos suite and the
+    benchmark assert the list stays empty. Linux-specific by
+    inspection of ``/dev/shm`` (empty elsewhere).
+    """
+    root = "/dev/shm"
+    if not os.path.isdir(root):
+        return []
+    # lint: allow[determinism/unkeyed-sort] segment names are strings
+    return sorted(e for e in os.listdir(root) if e.startswith("repro_shm_"))
+
+
 def ordered_process_map(
     fn: Callable[[Any, Any], Any],
     payload: Any,
@@ -284,8 +278,6 @@ def ordered_process_map(
     chunk_size: int = 1,
     inline: bool = False,
     task_retries: int = DEFAULT_TASK_RETRIES,
-    costs: Sequence[float] | None = None,
-    shard_strategy: str = "static",
 ) -> Iterator[TaskOutcome]:
     """Run ``fn(payload, item)`` for every item; yield outcomes in input order.
 
@@ -301,15 +293,6 @@ def ordered_process_map(
     items are surfaced as ``WorkerCrashed`` errors (see module
     docstring; 0 disables re-dispatch entirely).
 
-    ``shard_strategy`` + ``costs`` select the dispatch plan
-    (:func:`repro.perf.sharding.plan_shards`): ``"static"`` is the legacy
-    consecutive chunking, ``"cost"`` dispatches cost-balanced shards
-    heaviest-first so idle workers steal the expensive stragglers early.
-    Either way outcomes arrive in input order with identical values. A
-    ``payload`` wrapped in a :class:`repro.perf.shm.PayloadHandle` is
-    attached per worker and borrowed, never released, here: the caller
-    that wrapped it releases it after closing this iterator.
-
     Counter deltas from each task are merged into this process's registry
     as the task's outcome is yielded, so obs totals match a serial run.
     """
@@ -319,31 +302,16 @@ def ordered_process_map(
         raise ValueError("chunk_size must be >= 1")
     if task_retries < 0:
         raise ValueError("task_retries must be >= 0")
-    if shard_strategy not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"shard_strategy must be one of {SHARD_STRATEGIES}, "
-            f"got {shard_strategy!r}"
-        )
     items = list(items)
-    if costs is not None and len(costs) != len(items):
-        raise ValueError(
-            f"costs must have one entry per item: {len(costs)} != {len(items)}"
-        )
     if inline:
         return _inline_map(fn, payload, items, deadline)
-    plan = plan_shards(
-        len(items),
-        chunk_size=chunk_size,
-        strategy=shard_strategy,
-        costs=list(costs) if costs is not None else None,
+    return _ordered_map(
+        fn, payload, items, workers, deadline, task_retries, chunk_size
     )
-    return _ordered_map(fn, payload, items, workers, deadline, task_retries, plan)
 
 
 def _inline_map(fn, payload, items, deadline) -> Iterator[TaskOutcome]:
     """The no-pool path: same outcomes, counters incremented in-process."""
-    if isinstance(payload, PayloadHandle):
-        payload = payload.attach()
     interrupted = False
     for item in items:
         if not interrupted and deadline is not None and deadline.expired():
@@ -390,36 +358,32 @@ def _crash_error(chunk: list, losses: int) -> dict:
 
 
 def _ordered_map(
-    fn, payload, items, workers, deadline, task_retries, plan
+    fn, payload, items, workers, deadline, task_retries, chunk_size
 ) -> Iterator[TaskOutcome]:
-    """The pool path: planned dispatch, ordered assembly, crash recovery.
+    """The pool path: windowed dispatch, ordered assembly, crash recovery.
 
-    ``plan`` maps shard index -> input positions (dispatch order =
-    ``plan`` order, which may differ from input order under the cost
-    strategy). State per shard index: not yet submitted (``idx >=
-    next_submit`` and not lost), in flight (``futures``), harvested
-    (``results``), or surfaced as a crash error (``crashed``). Shards
-    lost to a pool break wait in ``probation`` and re-run one at a time
-    so a poisonous shard is blamed precisely instead of taking innocent
-    neighbors past their retry budget. Completed shards are harvested
-    eagerly — whatever the consumer is blocked on — so out-of-order
-    completions free window slots immediately (the work-stealing half of
-    the cost strategy); the consuming loop still walks input positions
-    one by one.
+    Chunk ``idx`` holds input positions ``idx * chunk_size`` onward and
+    is dispatched in input order. State per chunk index: not yet
+    submitted (``idx >= next_submit`` and not lost), in flight
+    (``futures``), harvested (``results``), or surfaced as a crash error
+    (``crashed``). Chunks lost to a pool break wait in ``probation`` and
+    re-run one at a time so a poisonous chunk is blamed precisely
+    instead of taking innocent neighbors past their retry budget.
+    Completed chunks are harvested eagerly — whatever the consumer is
+    blocked on — so early completions free window slots immediately; the
+    consuming loop still walks input positions one by one.
     """
     registry = get_metrics()
-    chunks = [[items[pos] for pos in shard] for shard in plan]
+    chunks = [items[i:i + chunk_size] for i in range(0, len(items), chunk_size)]
     n = len(chunks)
-    # input position -> (shard index, offset inside the shard)
-    locate: dict[int, tuple[int, int]] = {}
-    for s, shard in enumerate(plan):
-        for offset, pos in enumerate(shard):
-            locate[pos] = (s, offset)
+    # Under ``fork`` the pool starts every worker at the first submit, so
+    # a pool wider than the chunk list would fork idle copies of the parent.
+    pool_size = max(1, min(workers, n))
     window = max(workers * _WINDOW_FACTOR, 1)
     tracer = get_tracer()
     worker_ids: dict[int, int] = {}
 
-    pool = _new_pool(payload, workers)
+    pool = _new_pool(payload, pool_size)
     futures: dict[int, Future] = {}
     results: dict[int, list[tuple]] = {}
     consumed = [0] * n
@@ -438,7 +402,7 @@ def _ordered_map(
     def fill_window() -> None:
         nonlocal next_submit
         if probation:
-            # One suspect at a time: the only shard allowed in flight is
+            # One suspect at a time: the only chunk allowed in flight is
             # the next lost one, so a repeat break has exactly one culprit.
             head = min(probation)
             if head not in futures and not futures:
@@ -448,10 +412,10 @@ def _ordered_map(
             submit(next_submit)
             next_submit += 1
 
-    def harvest(awaiting: int | None = None) -> bool:
+    def harvest() -> bool:
         """Bank every finished future; True when the pool broke under one."""
         broke = False
-        # lint: allow[determinism/unkeyed-sort] shard indices are ints
+        # lint: allow[determinism/unkeyed-sort] chunk indices are ints
         for idx in sorted(futures):
             future = futures[idx]
             if not future.done() or future.cancelled():
@@ -465,15 +429,13 @@ def _ordered_map(
             results[idx] = future.result()
             del futures[idx]
             probation.discard(idx)
-            if awaiting is not None and idx != awaiting:
-                _SHARD_STEALS.inc()
         return broke
 
     def handle_break() -> None:
         nonlocal pool
         _WORKER_DEATHS.inc()
         pool.shutdown(wait=False, cancel_futures=True)
-        # lint: allow[determinism/unkeyed-sort] shard indices are ints
+        # lint: allow[determinism/unkeyed-sort] chunk indices are ints
         for idx in sorted(futures):
             future = futures[idx]
             if future.cancelled():
@@ -492,15 +454,15 @@ def _ordered_map(
             else:
                 probation.add(idx)
         futures.clear()
-        pool = _new_pool(payload, workers)
+        pool = _new_pool(payload, pool_size)
 
     interrupted = False
     try:
         for pos, item in enumerate(items):
-            sidx, offset = locate[pos]
-            # Deadline checks happen at shard entry, matching the legacy
-            # chunk-boundary granularity: a shard whose results are being
-            # consumed finishes yielding before an expiry is noticed.
+            cidx, offset = divmod(pos, chunk_size)
+            # Deadline checks happen at chunk entry: a chunk whose results
+            # are being consumed finishes yielding before an expiry is
+            # noticed.
             if (
                 not interrupted
                 and offset == 0
@@ -510,30 +472,30 @@ def _ordered_map(
                 interrupted = True
             while (
                 not interrupted
-                and sidx not in results
-                and sidx not in crashed
+                and cidx not in results
+                and cidx not in crashed
             ):
                 try:
-                    if harvest(awaiting=sidx):
+                    if harvest():
                         handle_break()
                         continue
                     fill_window()
-                    if sidx in results or sidx in crashed:
+                    if cidx in results or cidx in crashed:
                         break
                     remaining = (
                         deadline.remaining() if deadline is not None else None
                     )
                     timeout = None if remaining is None else max(0.0, remaining)
-                    target = futures.get(sidx)
+                    target = futures.get(cidx)
                     if target is not None:
                         target.result(timeout=timeout)
                     else:
-                        # Needed shard queued behind probation or window:
+                        # Needed chunk queued behind probation or window:
                         # wait for anything in flight, then re-harvest.
                         pending = list(futures.values())
                         if not pending:
                             raise RuntimeError(
-                                f"ordered map stalled: shard {sidx} is "
+                                f"ordered map stalled: chunk {cidx} is "
                                 "neither in flight nor finished"
                             )
                         wait(pending, timeout=timeout,
@@ -551,15 +513,15 @@ def _ordered_map(
                 _TASKS_INTERRUPTED.inc()
                 yield TaskOutcome(item=item, interrupted=True)
                 continue
-            if sidx in crashed:
+            if cidx in crashed:
                 _TASKS_FAILED.inc()
-                yield TaskOutcome(item=item, error=dict(crashed[sidx]))
+                yield TaskOutcome(item=item, error=dict(crashed[cidx]))
                 continue
-            value, error, deltas, seconds, trace = results[sidx][offset]
-            results[sidx][offset] = None  # free task payloads eagerly
-            consumed[sidx] += 1
-            if consumed[sidx] == len(plan[sidx]):
-                del results[sidx]
+            value, error, deltas, seconds, trace = results[cidx][offset]
+            results[cidx][offset] = None  # free task payloads eagerly
+            consumed[cidx] += 1
+            if consumed[cidx] == len(chunks[cidx]):
+                del results[cidx]
             for name, delta in deltas.items():
                 registry.counter(name).inc(delta)
             _TASK_SECONDS.observe(seconds)

@@ -6,6 +6,7 @@ the pool's call queue).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -114,6 +115,16 @@ class TestOrderedProcessMap:
         first = next(results)
         assert first == TaskOutcome(item=0, value=0)
         results.close()  # must not hang or raise
+
+    def test_pool_never_forks_more_workers_than_chunks(self):
+        before = set(multiprocessing.active_children())
+        results = ordered_process_map(_scale, 1, [1, 2], workers=4)
+        try:
+            assert next(results).ok
+            forked = set(multiprocessing.active_children()) - before
+            assert len(forked) == 2
+        finally:
+            results.close()
 
 
 class TestWorkerDeathRecovery:
