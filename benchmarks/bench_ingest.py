@@ -281,8 +281,6 @@ def main(argv=None) -> int:
         "ingest.pairs_recomputed",
         "ingest.pairs_reused",
         "cluster.merges_replayed",
-        "perf.ingest.rows_dirty",
-        "perf.ingest.rows_reused",
     )
     before = {k: counter_value(k) for k in tracked}
     t0 = time.perf_counter()
@@ -312,8 +310,6 @@ def main(argv=None) -> int:
         "pairs_recomputed": int(deltas["ingest.pairs_recomputed"]),
         "pairs_reused": int(deltas["ingest.pairs_reused"]),
         "merges_replayed": int(deltas["cluster.merges_replayed"]),
-        "cache_rows_dirty": int(deltas["perf.ingest.rows_dirty"]),
-        "cache_rows_reused": int(deltas["perf.ingest.rows_reused"]),
     }
     print(
         f"exact: ingest {ingest_s:.2f}s vs cold refit {cold_s:.2f}s "

@@ -103,7 +103,6 @@ DEFAULT_CONFIG_PROGRAMMATIC: tuple[str, ...] = (
     "svm_retries",
     "clamp_negative_weights",
     "normalize_weights",
-    "propagation_memo_size",
     "seed",
 )
 

@@ -99,12 +99,6 @@ class DistinctConfig:
     # clustering
     min_sim: float = 0.006
 
-    # performance (see docs/performance.md). Pair features always take
-    # one route: batched propagation, exact blocking, matrix kernels.
-    # LRU bound on the per-name join-fanout memo used by propagation
-    # (entries; 0 disables the memo).
-    propagation_memo_size: int = 65536
-
     # determinism
     seed: int = 0
 

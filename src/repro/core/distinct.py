@@ -37,6 +37,8 @@ from repro.obs import counter, get_logger, span, timed
 from repro.paths.enumerate import enumerate_paths
 from repro.paths.joinpath import JoinPath
 from repro.paths.profiles import ProfileBuilder
+from repro.paths.propagation import Exclusions
+from repro.perf.transitions import StepMatrices
 from repro.reldb.database import Database
 from repro.resilience.faults import fault_check
 from repro.similarity.combine import PathWeights, uniform_weights
@@ -97,7 +99,12 @@ class FitReport:
 
 
 class Distinct:
-    """The full DISTINCT methodology bound to one configuration."""
+    """The full DISTINCT methodology bound to one configuration.
+
+    ``steps`` holds the join-step matrices of the current database epoch;
+    every profile builder of the pipeline reads them, so each step is
+    built once per epoch whatever the number of names.
+    """
 
     def __init__(self, config: DistinctConfig | None = None) -> None:
         self.config = config or DistinctConfig()
@@ -107,6 +114,7 @@ class Distinct:
         self.walk_model_: PathWeightModel | None = None
         self.training_set_: TrainingSet | None = None
         self.fit_report_: FitReport | None = None
+        self.steps = StepMatrices()
 
     @classmethod
     def from_models(
@@ -211,20 +219,21 @@ class Distinct:
         pairs = [(p.row_a, p.row_b) for p in training_set.pairs]
         return compute_pair_features(router, pairs)
 
-    def profile_builder(self, name: str, transition_cache=None) -> ProfileBuilder:
-        """The profile builder of ``name``: its exclusions, the configured
-        fanout memo, and an optional caller-owned transition cache. Every
-        feature computation for a real name goes through one of these, so
-        resolution, training, explanation and ingest see the same values."""
+    def profile_builder(self, name: str) -> ProfileBuilder:
+        """The profile builder of ``name``: its exclusions over the shared
+        step matrices. Every feature computation for a real name goes
+        through one of these, so resolution, training, explanation and
+        ingest see the same values."""
         if self.db is None or self.paths_ is None:
             raise NotFittedError("call fit(db) before building profiles")
-        return ProfileBuilder(
-            self.db,
-            self.paths_,
-            exclusions_for_name(self.db, name, self.config),
-            memo_size=self.config.propagation_memo_size,
-            transition_cache=transition_cache,
-        )
+        return self._builder(exclusions_for_name(self.db, name, self.config))
+
+    def _builder(self, exclusions: Exclusions) -> ProfileBuilder:
+        """A profile builder under ``exclusions`` that reads ``steps``."""
+        assert self.db is not None and self.paths_ is not None
+        builder = ProfileBuilder(self.db, self.paths_, exclusions)
+        builder.engine.steps = self.steps
+        return builder
 
     def _train_measure(
         self, measure: str, X: np.ndarray, labels: np.ndarray

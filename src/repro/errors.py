@@ -68,27 +68,6 @@ class CheckpointError(PersistenceError):
         self.path = path
 
 
-class StaleCacheError(ReproError):
-    """An epoch-pinned cache was read at a different ``db.epoch`` than it
-    was built (or last advanced) at.
-
-    Raised by the fanout memo and transition cache instead of silently
-    serving rows compiled against a database state that a
-    :func:`repro.reldb.apply_delta` has since extended. Callers must run
-    the cache's ``advance()`` (invalidate rows whose partner lists
-    changed) before reading at the new epoch.
-    """
-
-    def __init__(self, cache: str, cache_epoch: int, db_epoch: int) -> None:
-        super().__init__(
-            f"{cache} pinned at epoch {cache_epoch} read at db epoch "
-            f"{db_epoch}; call advance() after apply_delta"
-        )
-        self.cache = cache
-        self.cache_epoch = cache_epoch
-        self.db_epoch = db_epoch
-
-
 class DeadlineExceeded(ReproError):
     """A run hit its wall-clock deadline before completing.
 

@@ -27,7 +27,6 @@ from repro.errors import DeadlineExceeded, NotFittedError, TrainingError
 from repro.eval.metrics import pairwise_scores
 from repro.ml.trainingset import build_training_set
 from repro.obs import get_logger, span
-from repro.paths.profiles import ProfileBuilder
 from repro.perf import (
     DEFAULT_TASK_RETRIES,
     RemoteTaskError,
@@ -138,12 +137,7 @@ def prepare_synthetic(distinct: Distinct, synthetic: SyntheticName) -> NamePrepa
     for name in synthetic.member_names:
         refs = extract_references(distinct.db, name, config)
         excluded_rows.update(refs.object_rows)
-    builder = ProfileBuilder(
-        distinct.db,
-        distinct.paths_,
-        {config.object_relation: frozenset(excluded_rows)},
-        memo_size=config.propagation_memo_size,
-    )
+    builder = distinct._builder({config.object_relation: frozenset(excluded_rows)})
     features = compute_pair_features(builder, all_pairs(synthetic.rows))
     return NamePreparation(
         name="+".join(synthetic.member_names), rows=synthetic.rows, features=features

@@ -1,4 +1,4 @@
-"""Delta ingest: incremental transitions, dirty pairs, streaming re-resolution.
+"""Delta ingest: dirty references, dirty pairs, streaming re-resolution.
 
 Bibliographic databases grow in batches — a new proceedings, a crawl
 increment — and refitting the world per batch wastes almost all of its
@@ -24,7 +24,7 @@ results at a ≥5x wall-clock win for ≤10% deltas at bench scale
 (``BENCH_ingest.json``).
 """
 
-from repro.ingest.dirty import affected_rows, relation_sizes
+from repro.ingest.dirty import affected_rows
 from repro.ingest.engine import IngestEngine, IngestReport, NameRefresh
 from repro.ingest.greedy import Assignment, extend_resolution
 from repro.ingest.runner import IngestRunOutcome, ingest_checkpoint, ingest_resilient
@@ -39,5 +39,4 @@ __all__ = [
     "extend_resolution",
     "ingest_checkpoint",
     "ingest_resilient",
-    "relation_sizes",
 ]

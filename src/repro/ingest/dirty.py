@@ -11,16 +11,11 @@ directions: forward mass splits use the forward partner lists, and the
 backward DP's denominators count reverse partners
 (:mod:`repro.paths.propagation`).
 
-The output feeds three consumers, all epoch-advance operations:
-
-- :meth:`repro.perf.memo.FanoutMemo.advance` drops exactly the cached
-  fanouts of affected rows;
-- :meth:`repro.perf.transitions.TransitionCache.advance` decompiles
-  exactly the affected rows of each compiled transition;
-- :func:`repro.perf.blocking.touched_row_mask` intersects the affected
-  rows with each reference's visited trace to find the *dirty
-  references* — the ones whose profiles can differ from a cold
-  post-delta recompute.
+:func:`repro.perf.blocking.touched_row_mask` intersects the affected
+rows with each reference's visited trace to find the *dirty references*
+— the ones whose profiles can differ from a cold post-delta recompute.
+(The step matrices themselves need no row-level invalidation: they
+rebuild whole on their first read at the new epoch.)
 
 The probe ignores per-name exclusions, so it is a (tight) superset of
 any one name's truly-changed partner lists — conservative in the safe
@@ -36,14 +31,9 @@ from repro.reldb.database import Database
 from repro.reldb.delta import AppliedDelta
 from repro.reldb.joins import JoinStep
 
-__all__ = ["affected_rows", "relation_sizes"]
+__all__ = ["affected_rows"]
 
 _AFFECTED = counter("ingest.rows_affected")
-
-
-def relation_sizes(db: Database) -> dict[str, int]:
-    """Current row count of every relation (virtual ones included)."""
-    return {name: len(db.table(name).rows) for name in db.schema.relations}
 
 
 def _probe_steps(paths: list[JoinPath]) -> set[JoinStep]:
@@ -63,8 +53,8 @@ def affected_rows(
 
     For each probe step, an *old* source row is affected when one of the
     delta's new destination rows carries its join value. Rows the delta
-    itself appended are excluded — they were never cached, compiled, or
-    walked, so nothing stale exists for them.
+    itself appended are excluded — no reference walked them before the
+    delta, so no trace holds them.
     """
     old_size = {
         relation: len(db.table(relation).rows) - len(applied.new_rows(relation))

@@ -6,8 +6,9 @@ produces *plus* the state needed to invalidate it precisely:
 
 - the reference rows, pair features, combined pair matrices, and the
   :class:`~repro.cluster.agglomerative.ClusteringResult`;
-- a persistent :class:`~repro.paths.profiles.ProfileBuilder` whose
-  fanout memo and transition cache are epoch-pinned;
+- a persistent :class:`~repro.paths.profiles.ProfileBuilder` over the
+  pipeline's shared step matrices, which rebuild on their first read
+  after a delta (:class:`repro.perf.transitions.StepMatrices`);
 - the per-relation *visited traces* (boolean reference × relation-row
   patterns) of every forward propagation level.
 
@@ -15,17 +16,16 @@ Applying a :class:`~repro.reldb.Delta` then walks the invalidation
 ladder instead of recomputing the world:
 
 1. **dirty rows** — :func:`repro.ingest.dirty.affected_rows` finds the
-   existing rows whose partner lists grew; the memo and transition
-   caches :meth:`advance` past them (everything else is reused
-   verbatim);
+   existing rows whose partner lists grew;
 2. **dirty references** — a reference is dirty iff its visited trace
    intersects the affected rows (:func:`repro.perf.blocking
    .touched_row_mask`) or it is new; clean references provably kept
    their exact profiles;
-3. **dirty pairs** — only pairs touching a dirty or new reference are
-   re-evaluated (through the same pair-feature route as a cold run, so
-   the recomputed values are bit-identical); clean pair values are
-   scattered from the previous feature arrays;
+3. **dirty pairs** — the name's references propagate once, as in a
+   cold run, and only pairs touching a dirty or new reference are
+   re-evaluated from that batch (so the recomputed values are
+   bit-identical); clean pair values are scattered from the previous
+   feature arrays;
 4. **dirty merges** — :func:`repro.cluster.recluster_incremental`
    replays the previous dendrogram prefix the dirty pairs cannot have
    influenced and resumes the merge loop from there.
@@ -36,10 +36,10 @@ the property suite asserts full equality across worker counts.
 
 With ``workers > 1`` the per-name refresh fans out over the
 fork-primed process pool (:func:`repro.perf.ordered_process_map`): the
-delta is applied and all caches advanced in the parent first, workers
+delta is applied and the refreshes planned in the parent first, workers
 return compact per-name refreshes, and the parent adopts them in input
-order. Worker-side cache warm-ups are lost to the parent (correctness
-is epoch-guarded, warmth is not), which is the usual fork trade.
+order. Step matrices a worker rebuilds are lost to the parent, which
+rebuilds its own on its next read, the usual fork trade.
 """
 
 from __future__ import annotations
@@ -66,14 +66,13 @@ from repro.paths.profiles import ProfileBuilder
 from repro.perf import (
     DEFAULT_TASK_RETRIES,
     RemoteTaskError,
-    TransitionCache,
     ordered_process_map,
     touched_row_mask,
 )
 from repro.reldb.delta import AppliedDelta, Delta, apply_delta
 from repro.resilience.faults import fault_check
 
-from repro.ingest.dirty import affected_rows, relation_sizes
+from repro.ingest.dirty import affected_rows
 
 __all__ = ["IngestEngine", "IngestReport", "NameRefresh"]
 
@@ -221,22 +220,17 @@ class IngestEngine:
         """Cold-start one name: resolve it and retain the incremental state.
 
         Bit-identical to ``distinct.cluster_prepared(distinct.prepare(name))``
-        — the builder gains a persistent epoch-pinned transition cache and
-        a trace pass, neither of which affects values.
+        — the batch also records the visited traces, which does not affect
+        values.
         """
         state = self._cold_state(name)
         self._states[name] = state
         return state.resolution
 
-    def _builder(self, name: str) -> ProfileBuilder:
-        return self.distinct.profile_builder(
-            name, transition_cache=TransitionCache(epoch=self.db.epoch)
-        )
-
     def _cold_state(self, name: str) -> _NameState:
         distinct = self.distinct
         refs = extract_references(self.db, name, distinct.config)
-        builder = self._builder(name)
+        builder = distinct.profile_builder(name)
         if len(refs.rows) <= 1:
             prep = NamePreparation(name=name, rows=list(refs.rows), features=None)
             resolution = distinct.cluster_prepared(
@@ -250,11 +244,7 @@ class IngestEngine:
         # The traced batch is the one prepare() propagates; its matrices
         # feed the pair kernels directly.
         matrices = batch_profile_matrices(
-            builder.engine,
-            distinct.paths_,
-            refs.rows,
-            cache=builder.transition_cache,
-            trace=traces,
+            builder.engine, distinct.paths_, refs.rows, trace=traces
         )
         features = compute_pair_features(builder, all_pairs(refs.rows), matrices)
         prep = NamePreparation(name=name, rows=list(refs.rows), features=features)
@@ -269,7 +259,7 @@ class IngestEngine:
     # -- delta application -------------------------------------------------
 
     def apply(self, delta: Delta) -> AppliedDelta:
-        """Apply ``delta``, advance every tracked cache, plan the refreshes.
+        """Apply ``delta`` and plan the refreshes.
 
         After this returns, :meth:`pending` names the states whose
         resolutions must be recomputed (call :meth:`refresh` for each, in
@@ -285,9 +275,6 @@ class IngestEngine:
         with span("ingest.apply", n_rows=delta.n_rows(), epoch=db.epoch + 1) as sp:
             applied = apply_delta(db, delta)
             affected = affected_rows(db, self.distinct.paths_, applied)
-            sizes = relation_sizes(db)
-            for state in self._states.values():
-                self._advance_state(state, applied, affected, sizes)
             self._plans = {
                 name: self._plan(state, affected)
                 for name, state in self._states.items()
@@ -298,19 +285,6 @@ class IngestEngine:
             )
         _DELTAS.inc()
         return applied
-
-    def _advance_state(
-        self,
-        state: _NameState,
-        applied: AppliedDelta,
-        affected: dict[str, set[int]],
-        sizes: dict[str, int],
-    ) -> None:
-        builder = state.builder
-        if builder.memo is not None:
-            builder.memo.advance(applied.epoch, affected)
-        if builder.transition_cache is not None:
-            builder.transition_cache.advance(applied.epoch, affected, sizes)
 
     def _plan(self, state: _NameState, affected: dict[str, set[int]]) -> _RefreshPlan:
         refs = extract_references(self.db, state.name, self.distinct.config)
@@ -412,10 +386,8 @@ class IngestEngine:
     def adopt(self, refresh: NameRefresh) -> None:
         """Install a worker-computed refresh into the parent engine.
 
-        The parent's epoch-pinned caches were already advanced by
-        :meth:`apply`, so correctness only needs the results copied over;
-        the worker-side recomputations (transition rows, fanouts) are lost
-        to the parent — a warmth cost, never a value change.
+        The refresh carries everything the name's state needs; step
+        matrices the worker rebuilt stay in the worker.
         """
         state = self._states.get(refresh.name)
         if state is None:
@@ -424,7 +396,7 @@ class IngestEngine:
         if not refresh.refreshed:
             return
         if plan is not None and plan.rebuild:
-            state.builder = self._builder(refresh.name)
+            state.builder = self.distinct.profile_builder(refresh.name)
             state.object_rows = list(
                 extract_references(
                     self.db, refresh.name, self.distinct.config
@@ -471,15 +443,11 @@ class IngestEngine:
 
         builder = state.builder
         dirty_origins = [state.rows[int(i)] for i in plan.dirty_idx] + plan.new_rows
-
-        # Fresh traces (and transition-cache warm-up) for the dirty slice.
-        refreshed_traces: dict[str, sparse.csr_matrix] = {}
-        batch_profile_matrices(
-            builder.engine,
-            distinct.paths_,
-            dirty_origins,
-            cache=builder.transition_cache,
-            trace=refreshed_traces,
+        # Every row pairs with a dirty one, so the recomputed pairs reach
+        # every row: one traced batch over the name feeds them all.
+        traces: dict[str, sparse.csr_matrix] = {}
+        matrices = batch_profile_matrices(
+            builder.engine, distinct.paths_, rows_new, trace=traces
         )
 
         pairs_new = all_pairs(rows_new)
@@ -503,7 +471,9 @@ class IngestEngine:
             walk[k] = state.features.walk[old_k]
             reused += 1
         if recompute:
-            sub = compute_pair_features(builder, [pairs_new[k] for k in recompute])
+            sub = compute_pair_features(
+                builder, [pairs_new[k] for k in recompute], matrices
+            )
             idx = np.asarray(recompute, dtype=np.int64)
             resem[idx] = sub.resemblance
             walk[idx] = sub.walk
@@ -513,9 +483,6 @@ class IngestEngine:
 
         resolution, replayed = self._recluster(
             state, rows_new, features, plan.dirty_idx, n_old
-        )
-        traces = _merge_traces(
-            state.traces, refreshed_traces, state.rows, rows_new, dirty_origins
         )
         return NameRefresh(
             name=state.name,
@@ -532,16 +499,12 @@ class IngestEngine:
         self, state: _NameState, plan: _RefreshPlan, rows_new: list[int]
     ) -> NameRefresh:
         """Cold-equivalent recompute of one name (fresh builder when the
-        exclusions changed — the cached partner lists bake the old ones in)."""
+        exclusions changed — a builder bakes its name's exclusions in)."""
         distinct = self.distinct
-        builder = self._builder(state.name) if plan.rebuild else state.builder
+        builder = distinct.profile_builder(state.name) if plan.rebuild else state.builder
         traces: dict[str, sparse.csr_matrix] = {}
         matrices = batch_profile_matrices(
-            builder.engine,
-            distinct.paths_,
-            rows_new,
-            cache=builder.transition_cache,
-            trace=traces,
+            builder.engine, distinct.paths_, rows_new, trace=traces
         )
         features = compute_pair_features(builder, all_pairs(rows_new), matrices)
         prep = NamePreparation(name=state.name, rows=rows_new, features=features)
@@ -606,50 +569,3 @@ class IngestEngine:
         )
         return resolution, replayed
 
-
-def _merge_traces(
-    old: dict[str, sparse.csr_matrix],
-    refreshed: dict[str, sparse.csr_matrix],
-    rows_old: list[int],
-    rows_new: list[int],
-    refreshed_rows: list[int],
-) -> dict[str, sparse.csr_matrix]:
-    """Stitch post-delta traces: refreshed rows replace, clean rows carry.
-
-    Clean references kept their exact walks, so their old pattern rows are
-    still correct — only the column space (relation row count) grew, which
-    a CSR absorbs as a shape change. Row order follows ``rows_new``
-    (old rows are a prefix; new rows append).
-    """
-    refreshed_pos = {row: i for i, row in enumerate(refreshed_rows)}
-    out: dict[str, sparse.csr_matrix] = {}
-    for relation in dict.fromkeys((*old, *refreshed)):
-        old_p = old.get(relation)
-        new_p = refreshed.get(relation)
-        width = max(
-            old_p.shape[1] if old_p is not None else 0,
-            new_p.shape[1] if new_p is not None else 0,
-        )
-        blocks = []
-        n_old_rows = 0
-        if old_p is not None:
-            blocks.append(_pad_columns(old_p, width))
-            n_old_rows = old_p.shape[0]
-        if new_p is not None:
-            blocks.append(_pad_columns(new_p, width))
-        combined = sparse.vstack(blocks, format="csr") if blocks else None
-        selector = np.empty(len(rows_new), dtype=np.int64)
-        for idx, row in enumerate(rows_new):
-            pos = refreshed_pos.get(row)
-            selector[idx] = n_old_rows + pos if pos is not None else idx
-        out[relation] = combined[selector].tocsr()
-    return out
-
-
-def _pad_columns(pattern: sparse.csr_matrix, width: int) -> sparse.csr_matrix:
-    if pattern.shape[1] == width:
-        return pattern
-    return sparse.csr_matrix(
-        (pattern.data, pattern.indices, pattern.indptr),
-        shape=(pattern.shape[0], width),
-    )

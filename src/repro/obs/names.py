@@ -72,14 +72,6 @@ REGISTERED_METRICS: dict[str, str] = {
     "pairs.scored": "counter",
     # path enumeration (repro.paths.enumerate)
     "paths.enumerated": "counter",
-    # fanout memo (repro.perf.memo)
-    "perf.fanout.evictions": "counter",
-    "perf.fanout.hits": "counter",
-    "perf.fanout.misses": "counter",
-    "perf.fanout.size": "gauge",
-    # epoch-advance invalidation (repro.perf.memo / .transitions)
-    "perf.ingest.rows_dirty": "counter",
-    "perf.ingest.rows_reused": "counter",
     # process-pool map (repro.perf.parallel)
     "perf.parallel.spans_grafted": "counter",
     "perf.parallel.task_seconds": "histogram",
@@ -89,10 +81,8 @@ REGISTERED_METRICS: dict[str, str] = {
     "perf.parallel.tasks_ok": "counter",
     "perf.parallel.tasks_redispatched": "counter",
     "perf.parallel.worker_deaths": "counter",
-    # transition compilation (repro.perf.transitions)
+    # step-matrix builds (repro.perf.transitions)
     "perf.transitions.built": "counter",
-    "perf.transitions.reused": "counter",
-    "perf.transitions.rows": "counter",
     # profile cache (repro.paths.profiles)
     "profiles.cache_hits": "counter",
     "profiles.cache_misses": "counter",

@@ -9,17 +9,21 @@ perturbation). Stacking the references' mass vectors as the rows of a
 sparse matrix ``M`` turns each step into a single SpMM:
 
 - **forward**: ``M_k = M_{k-1} @ T(step_k)`` where ``T`` is the
-  row-normalized CSR transition of :mod:`repro.perf.transitions`,
-  compiled from the same exclusion-filtered partner lists
-  (:meth:`PropagationEngine._partners`) the scalar engine uses;
-- **backward**: ``R_k = R_{k-1} @ T(step_k.reverse()).T``, with the
-  reverse transition compiled only over the rows the forward pass
-  reached (mirroring the scalar DP's per-level restriction).
+  row-normalized CSR transition of :mod:`repro.perf.transitions`;
+- **backward**: ``R_k = R_{k-1} @ T(step_k.reverse()).T``, restricted to
+  the rows the forward pass reached (the scalar DP's per-level domain).
+
+Both matrices of a step are built once per database epoch over the whole
+relations and shared by every name (:attr:`PropagationEngine.steps`). A
+name's global exclusions only drop its own rows from partner lists, so a
+step whose destination (or, for the reverse split, source) relation has
+exclusions gets a masked, renormalized copy that lives for one call.
 
 Per-origin exclusion is applied as sparse corrections on top of the
 origin-free products, once per level whose relation is the start
 relation (``o_r`` is reference ``r``'s origin row, ``d_i`` the filtered
-partner count of row ``i``):
+partner count of row ``i``; partner lists and counts are read off the
+rows of the run's step matrices):
 
 - *forward*: the generic product both routed mass into ``o_r`` and
   counted it in the split denominators. For every source row ``i``
@@ -58,7 +62,7 @@ from repro.obs import counter
 from repro.paths.joinpath import JoinPath
 from repro.paths.propagation import PropagationEngine, _EMPTY_SET
 from repro.paths.trie import _TrieNode, _build_trie
-from repro.perf.transitions import Transition, TransitionCache
+from repro.perf.transitions import without_columns, without_rows
 
 __all__ = ["BatchedProfiles", "batch_profile_matrices", "merge_batched"]
 
@@ -104,60 +108,55 @@ class BatchedProfiles:
 
 
 class _BatchContext:
-    """Per-run state: engine access, origin bookkeeping, compiled steps.
+    """Per-run state: engine access, origin bookkeeping, the run's steps.
 
-    ``cache`` may be a caller-owned :class:`TransitionCache` that outlives
-    the run (delta ingest reuses compiled transitions across epochs); a
-    fresh per-run cache is pinned to the database epoch so a mid-run
-    ``apply_delta`` raises instead of mixing row spaces.
+    Step matrices come from the engine's shared store; the masked copies
+    a step needs under this run's exclusions are kept here, so they never
+    outlive the run.
     """
 
-    def __init__(
-        self,
-        engine: PropagationEngine,
-        origin_rows: list[int],
-        cache: TransitionCache | None = None,
-    ) -> None:
+    def __init__(self, engine: PropagationEngine, origin_rows: list[int]) -> None:
         self.engine = engine
         self.db = engine.db
         self.origins = np.asarray(list(origin_rows), dtype=np.int64)
         self.n_refs = len(origin_rows)
-        if cache is None:
-            cache = TransitionCache(epoch=getattr(self.db, "epoch", None))
-        elif cache.epoch is not None:
-            cache.check_epoch(self.db.epoch)
-        self.cache = cache
-        self._fanouts: dict = {}
+        self._forward: dict = {}
+        self._backward: dict = {}
 
     def n_rows(self, relation: str) -> int:
         return len(self.db.table(relation).rows)
 
-    def fanout_for(self, step):
-        """Partner-list closure for one step, shared with the scalar engine.
+    def forward(self, step) -> sparse.csr_matrix:
+        """``T(step)``: each row split over its exclusion-filtered partners."""
+        matrix = self._forward.get(step)
+        if matrix is None:
+            matrix = self.engine.steps.get(self.db, step).forward
+            excluded = self.engine.exclusions.get(step.dst_relation)
+            if excluded:
+                matrix = without_columns(matrix, excluded)
+            self._forward[step] = matrix
+        return matrix
 
-        Routing through :meth:`PropagationEngine._partners` keeps the
-        exclusion filtering and the :class:`~repro.perf.memo.FanoutMemo`
-        identical to the scalar reference.
-        """
-        fanout = self._fanouts.get(step)
-        if fanout is None:
-            engine = self.engine
-            src_table = self.db.table(step.src_relation)
-            src_pos = src_table.schema.position(step.src_attribute)
-            dst_index = self.db.index(step.dst_relation, step.dst_attribute)
-            excluded = engine.exclusions.get(step.dst_relation, _EMPTY_SET)
+    def backward(self, step) -> sparse.csr_matrix:
+        """``T(step.reverse()).T`` under the run's exclusions."""
+        matrix = self._backward.get(step)
+        if matrix is None:
+            matrix = self.engine.steps.get(self.db, step).backward
+            excluded = self.engine.exclusions.get(step.src_relation)
+            if excluded:
+                matrix = without_rows(matrix, excluded)
+            self._backward[step] = matrix
+        return matrix
 
-            def fanout(row_id: int, _ctx=(engine, src_table, src_pos, dst_index, excluded)):
-                eng, table, pos, index, excl = _ctx
-                return eng._partners(step, table, pos, index, excl, row_id)
 
-            self._fanouts[step] = fanout
-        return fanout
+def _partners(matrix: sparse.csr_matrix, row: int) -> np.ndarray:
+    """Column ids of one row's entries: its filtered partner list."""
+    return matrix.indices[matrix.indptr[row]:matrix.indptr[row + 1]]
 
-    def transition(self, step, src_rows: np.ndarray, shape) -> Transition:
-        if self.cache.epoch is not None:
-            self.cache.check_epoch(self.db.epoch)
-        return self.cache.get(step, src_rows, shape, self.fanout_for(step))
+
+def _degree(matrix: sparse.csr_matrix, row: int) -> float:
+    """One row's filtered partner count."""
+    return float(matrix.indptr[row + 1] - matrix.indptr[row])
 
 
 def _support_rows(matrix: sparse.csr_matrix) -> np.ndarray:
@@ -227,9 +226,8 @@ def _forward_step_batch(
 ) -> sparse.csr_matrix:
     """Batched :meth:`PropagationEngine._forward_step`: one SpMM plus the
     per-origin correction when the step lands on the start relation."""
-    shape = (current.shape[1], ctx.n_rows(step.dst_relation))
-    transition = ctx.transition(step, _support_rows(current), shape)
-    nxt = (current @ transition.matrix).tocsr()
+    transition = ctx.forward(step)
+    nxt = (current @ transition).tocsr()
     _BATCH_SPMM.inc()
     if ctx.engine.exclude_origin and step.dst_relation == start_relation:
         nxt = _forward_origin_fix(ctx, step, current, nxt, transition)
@@ -243,7 +241,7 @@ def _forward_origin_fix(
     step,
     current: sparse.csr_matrix,
     nxt: sparse.csr_matrix,
-    transition: Transition,
+    transition: sparse.csr_matrix,
 ) -> sparse.csr_matrix:
     """Redistribute the mass the generic product routed via each origin.
 
@@ -252,8 +250,7 @@ def _forward_origin_fix(
     dropped the origin from every partner list.
     """
     excluded_dst = ctx.engine.exclusions.get(step.dst_relation, _EMPTY_SET)
-    rev_fanout = ctx.fanout_for(step.reverse())
-    degrees = transition.degrees
+    reverse = ctx.forward(step.reverse())
     current = _canonical(current)
     indptr, indices, data = current.indptr, current.indices, current.data
     u_rows: list[int] = []
@@ -268,19 +265,20 @@ def _forward_origin_fix(
             continue
         row_cols = indices[lo:hi]
         row_vals = data[lo:hi]
-        for i in rev_fanout(origin):
+        for i in _partners(reverse, origin).tolist():
             pos = np.searchsorted(row_cols, i)
             if pos >= len(row_cols) or row_cols[pos] != i:
                 continue
-            if degrees[i] >= 2.0:
+            degree = _degree(transition, i)
+            if degree >= 2.0:
                 u_rows.append(r)
-                u_cols.append(int(i))
-                u_vals.append(float(row_vals[pos]) / (degrees[i] - 1.0))
+                u_cols.append(i)
+                u_vals.append(float(row_vals[pos]) / (degree - 1.0))
     if u_vals:
         update = sparse.csr_matrix(
             (u_vals, (u_rows, u_cols)), shape=current.shape
         )
-        nxt = (nxt + update @ transition.matrix).tocsr()
+        nxt = (nxt + update @ transition).tocsr()
         _BATCH_SPMM.inc()
         _BATCH_CORRECTIONS.inc(len(u_vals))
     return _zero_origin_column(_canonical(nxt), ctx.origins)
@@ -296,32 +294,20 @@ def _backward_step_batch(
 ) -> sparse.csr_matrix:
     """Batched :meth:`PropagationEngine._backward_step`.
 
-    The reverse transition is compiled over the union forward support of
-    this level — the batched analogue of the scalar DP computing rev
-    values only for forward-reached tuples. (A cached superset may cover
-    extra rows; their rev values are exact zeros by the reachability
-    argument in :mod:`repro.paths.propagation`, and the final forward-
-    pattern mask removes the explicit entries.)
+    The product covers every destination row adjacent to the previous
+    level; it is restricted to this level's union forward support, the
+    scalar DP's domain (rev values exist only for forward-reached
+    tuples).
     """
-    back = step.reverse()
-    shape = (ctx.n_rows(back.src_relation), ctx.n_rows(back.dst_relation))
-    support = _support_rows(level)
-    transition = ctx.transition(back, support, shape)
-    rev = (prev_rev @ transition.matrix.T).tocsr()
+    rev = (prev_rev @ ctx.backward(step)).tocsr()
     _BATCH_SPMM.inc()
-    # Restrict to the level's union forward support — the scalar DP's
-    # domain. A cached transition may cover extra rows (compiled for
-    # another trie branch); their values are exact zeros for this level's
-    # references, but masking keeps the invariant structural.
-    mask = np.zeros(shape[0], dtype=np.float64)
-    mask[support] = 1.0
-    rev = sparse.csr_matrix(rev.multiply(mask))
+    rev.data[~np.isin(rev.indices, _support_rows(level))] = 0.0
     if (
         ctx.engine.exclude_origin
         and not gather_into_origin_level
-        and back.dst_relation == start_relation
+        and step.src_relation == start_relation
     ):
-        rev = _backward_origin_fix(ctx, step, rev, transition)
+        rev = _backward_origin_fix(ctx, step, rev)
     if ctx.engine.exclude_origin and step.dst_relation == start_relation:
         # The scalar DP never computes a rev value for the origin at an
         # intermediate start-relation level (the forward pass dropped it
@@ -333,7 +319,7 @@ def _backward_step_batch(
 
 
 def _backward_origin_fix(
-    ctx: _BatchContext, step, rev: sparse.csr_matrix, transition: Transition
+    ctx: _BatchContext, step, rev: sparse.csr_matrix
 ) -> sparse.csr_matrix:
     """Fix the gather denominators where the origin was a reverse partner.
 
@@ -344,8 +330,8 @@ def _backward_origin_fix(
     origin was the sole partner and the generic value is already zero).
     """
     excluded_prev = ctx.engine.exclusions.get(step.src_relation, _EMPTY_SET)
-    fwd_fanout = ctx.fanout_for(step)
-    degrees = transition.degrees
+    forward = ctx.forward(step)
+    reverse = ctx.forward(step.reverse())
     rev = _canonical(rev)
     indptr, indices, data = rev.indptr, rev.indices, rev.data
     u_rows: list[int] = []
@@ -360,14 +346,15 @@ def _backward_origin_fix(
             continue
         row_cols = indices[lo:hi]
         row_vals = data[lo:hi]
-        for t in fwd_fanout(origin):
+        for t in _partners(forward, origin).tolist():
             pos = np.searchsorted(row_cols, t)
             if pos >= len(row_cols) or row_cols[pos] != t:
                 continue
-            if degrees[t] >= 2.0:
-                scale = degrees[t] / (degrees[t] - 1.0)
+            degree = _degree(reverse, t)
+            if degree >= 2.0:
+                scale = degree / (degree - 1.0)
                 u_rows.append(r)
-                u_cols.append(int(t))
+                u_cols.append(t)
                 u_vals.append(float(row_vals[pos]) * (scale - 1.0))
     if not u_vals:
         return rev
@@ -418,7 +405,6 @@ def batch_profile_matrices(
     engine: PropagationEngine,
     paths: list[JoinPath],
     origin_rows: list[int],
-    cache: TransitionCache | None = None,
     trace: dict[str, sparse.csr_matrix] | None = None,
 ) -> dict[JoinPath, BatchedProfiles]:
     """Stacked (forward, backward) profile matrices for every path.
@@ -429,8 +415,7 @@ def batch_profile_matrices(
     Prefix work is shared across paths through the step trie, and level
     work is shared across references through the SpMM formulation.
 
-    ``cache`` lets a caller keep the compiled transitions across runs
-    (delta ingest); ``trace``, when given a dict, is filled with the
+    ``trace``, when given a dict, is filled with the
     per-relation visited patterns of every forward level (including the
     origin level) — the raw material of dirty-reference detection.
     """
@@ -441,7 +426,7 @@ def batch_profile_matrices(
         # lint: allow[determinism/unkeyed-sort] relation names are plain str
         raise ValueError(f"paths start at different relations: {sorted(starts)}")
     _BATCH_RUNS.inc()
-    ctx = _BatchContext(engine, origin_rows, cache=cache)
+    ctx = _BatchContext(engine, origin_rows)
     start_relation = paths[0].start_relation
     n_start = ctx.n_rows(start_relation)
     ones = np.ones(ctx.n_refs, dtype=np.float64)

@@ -21,12 +21,11 @@ Two kinds of tuples are treated specially (DESIGN.md §6):
   forward pass, and as a gathering partner into intermediate levels of the
   backward pass) but is of course the allowed endpoint of the backward walk.
 
-An optional :class:`repro.perf.FanoutMemo` caches the exclusion-filtered
-partner list of each ``(step, tuple)`` — the origin-independent part of a
-mass split — so the references of one name share per-tuple fanout work on
-top of the per-reference prefix sharing of :mod:`repro.paths.trie`.
-Origin exclusion is applied *after* the memo lookup, so memoized and
-unmemoized propagation produce identical results.
+This engine walks one reference at a time over Python dicts; it is the
+test oracle. The runtime route is :mod:`repro.paths.batch`, which pushes
+all references of a name through the same splits as sparse matrix
+products over the per-epoch step matrices of :attr:`PropagationEngine
+.steps`.
 """
 
 from __future__ import annotations
@@ -36,11 +35,8 @@ from dataclasses import dataclass, field
 
 from repro.obs import counter
 from repro.paths.joinpath import JoinPath
-from repro.perf.memo import FanoutMemo
+from repro.perf.transitions import StepMatrices
 from repro.reldb.database import Database
-
-# Re-exported for callers catching stale-cache reads around propagation.
-from repro.errors import StaleCacheError  # noqa: F401
 
 Exclusions = Mapping[str, frozenset[int]]
 
@@ -92,11 +88,12 @@ class PropagationEngine:
     exclude_origin:
         If True (default), the origin tuple cannot be used as an
         intermediate stop on the walk (see module docstring).
-    memo:
-        Optional :class:`~repro.perf.FanoutMemo` caching per-tuple join
-        fanouts across propagations of this engine. Exclusions are baked
-        into cached entries, so a memo must never be shared between
-        engines with different exclusions (one memo per name).
+
+    ``steps`` is the store of exclusion-free step matrices that batched
+    propagation reads. A fresh engine owns an empty one; a pipeline
+    points all its engines at one store
+    (:meth:`repro.core.distinct.Distinct.profile_builder`), so every name
+    shares each step's matrices.
     """
 
     def __init__(
@@ -104,12 +101,11 @@ class PropagationEngine:
         db: Database,
         exclusions: Exclusions | None = None,
         exclude_origin: bool = True,
-        memo: FanoutMemo | None = None,
     ) -> None:
         self.db = db
         self.exclusions = {k: frozenset(v) for k, v in (exclusions or {}).items()}
         self.exclude_origin = exclude_origin
-        self.memo = memo
+        self.steps = StepMatrices()
 
     # -- public API ---------------------------------------------------------
 
@@ -232,39 +228,15 @@ class PropagationEngine:
     def _partners(
         self, step, src_table, src_pos, dst_index, excluded, row_id
     ) -> tuple[int, ...] | list[int]:
-        """Exclusion-filtered join partners of one tuple across one step.
-
-        Origin-independent (the origin filter is the caller's), so cacheable
-        per ``(step, row_id)`` when the engine has a memo.
-
-        An epoch-pinned memo raises :class:`~repro.errors.StaleCacheError`
-        here when the database has moved on (``apply_delta`` bumped
-        ``db.epoch``) without the memo being advanced — serving a partner
-        list compiled against the old row set would silently corrupt the
-        propagation.
-        """
-        memo = self.memo
-        if memo is not None:
-            if memo.epoch is not None:
-                memo.check_epoch(self.db.epoch)
-            key = (step, row_id)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
+        """Exclusion-filtered join partners of one tuple across one step
+        (origin-independent; the origin filter is the caller's)."""
         value = src_table.row(row_id)[src_pos]
         if value is None:
-            partners: tuple[int, ...] | list[int] = ()
-        else:
-            found = dst_index.lookup(value)
-            if excluded:
-                partners = tuple(p for p in found if p not in excluded)
-            elif memo is not None:
-                partners = tuple(found)
-            else:
-                partners = found  # never mutated by callers; avoid the copy
-        if memo is not None:
-            memo.put(key, partners)
-        return partners
+            return ()
+        found = dst_index.lookup(value)
+        if excluded:
+            return tuple(p for p in found if p not in excluded)
+        return found  # never mutated by callers; avoid the copy
 
 
 def make_exclusions(**relation_rows: set[int] | frozenset[int]) -> dict[str, frozenset[int]]:

@@ -1,13 +1,10 @@
-"""Performance layer: memoization, chunking, and parallel execution.
+"""Performance layer: step matrices, chunking, and parallel execution.
 
 The DISTINCT pipeline's cost is dominated by three hot loops — probability
 propagation along join paths (§2.2), all-pairs similarity (§2.3–2.4), and
 the agglomerative merge loop (§4.1). This package holds the shared
 machinery that accelerates them without changing results:
 
-- :mod:`repro.perf.memo` — the LRU-bounded join-fanout memo that lets
-  prefix-shared propagation reuse per-tuple mass splits across the
-  references of one name;
 - :mod:`repro.perf.chunking` — pair-slice sizing under a fixed byte
   budget, so the pair kernels bound peak memory whatever the row widths;
 - :mod:`repro.perf.parallel` — a ``ProcessPoolExecutor``-backed ordered
@@ -16,9 +13,10 @@ machinery that accelerates them without changing results:
   fallback (:func:`~repro.perf.parallel.should_inline`) for workloads a
   pool cannot win (disambiguation workloads scale with the number of
   ambiguous names, which is embarrassingly parallel);
-- :mod:`repro.perf.transitions` — row-normalized CSR transition matrices
-  compiled from exclusion-filtered join fanouts, the building block of
-  the batched propagation backend (:mod:`repro.paths.batch`);
+- :mod:`repro.perf.transitions` — the row-normalized CSR matrices of
+  every join step, built once per database epoch and shared by every
+  name, the building block of batched propagation
+  (:mod:`repro.paths.batch`);
 - :mod:`repro.perf.blocking` — the inverted neighbor index: lossless
   zero-overlap pair blocking over stacked support matrices.
 
@@ -35,7 +33,6 @@ from repro.perf.blocking import (
     touched_row_mask,
 )
 from repro.perf.chunking import chunk_slices, pair_slices
-from repro.perf.memo import FanoutMemo
 from repro.perf.parallel import (
     DEFAULT_TASK_RETRIES,
     RemoteTaskError,
@@ -44,17 +41,16 @@ from repro.perf.parallel import (
     ordered_process_map,
     should_inline,
 )
-from repro.perf.transitions import Transition, TransitionCache, build_transition
+from repro.perf.transitions import StepMatrices, StepPair, build_step
 
 __all__ = [
     "DEFAULT_TASK_RETRIES",
-    "FanoutMemo",
     "RemoteTaskError",
     "TaskOutcome",
-    "Transition",
-    "TransitionCache",
+    "StepMatrices",
+    "StepPair",
     "active_segments",
-    "build_transition",
+    "build_step",
     "candidate_pairs",
     "chunk_slices",
     "intersecting_pair_mask",

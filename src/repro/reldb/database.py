@@ -19,9 +19,10 @@ class Database:
 
     ``epoch`` is a monotonically increasing batch counter: it starts at 0
     and is bumped once per :func:`repro.reldb.delta.apply_delta` batch.
-    Caches that compile against the row set (fanout memo, transition
-    cache) pin the epoch they were built at and refuse stale reads, so a
-    delta can never be silently ignored.
+    Caches that compile against the row set (the join-step matrices of
+    :class:`repro.perf.transitions.StepMatrices`) record the epoch they
+    were built at and rebuild on a read at any other, so a delta can
+    never be silently ignored.
     """
 
     def __init__(self, schema: Schema) -> None:

@@ -14,10 +14,12 @@ from dataclasses import replace
 import pytest
 
 from repro.core.distinct import Distinct
+from repro.core.references import exclusions_for_name, extract_references
 from repro.data.deltas import grow_world, split_world
 from repro.errors import ReproError
 from repro.ingest import IngestEngine
-from repro.reldb.delta import Delta
+from repro.paths.profiles import ProfileBuilder
+from repro.reldb.delta import Delta, apply_delta
 
 NAMES = ["Wei Wang", "Rakesh Kumar", "Jim Smith"]
 MIN_SIM = 0.4
@@ -57,6 +59,29 @@ class TestColdResolve:
         engine = IngestEngine(distinct, min_sim=MIN_SIM)
         with pytest.raises(ReproError, match="not tracked"):
             engine.resolution("Jim Smith")
+
+
+class TestStepMatricesAcrossDeltas:
+    def test_builder_from_before_a_delta_matches_a_fresh_build(self, warm):
+        distinct, split = warm
+        db = distinct.db
+        builder = distinct.profile_builder("Jim Smith")
+        builder.matrices_for(extract_references(db, "Jim Smith").rows)
+        apply_delta(db, split.delta)
+        rows = extract_references(db, "Jim Smith").rows
+        got = builder.matrices_for(rows)
+        fresh = ProfileBuilder(
+            db, distinct.paths_, exclusions_for_name(db, "Jim Smith")
+        ).matrices_for(rows)
+        for path in distinct.paths_:
+            for old, new in (
+                (got[path].forward, fresh[path].forward),
+                (got[path].backward, fresh[path].backward),
+            ):
+                assert old.shape == new.shape
+                assert old.indptr.tobytes() == new.indptr.tobytes()
+                assert old.indices.tobytes() == new.indices.tobytes()
+                assert old.data.tobytes() == new.data.tobytes()
 
 
 class TestEpochSequencing:

@@ -10,14 +10,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.config import DistinctConfig
+from repro.core.references import exclusions_for_name
+from repro.data.dblp_schema import prepare_dblp_database
 from repro.obs import get_metrics
 from repro.paths import JoinPath, ProfileBuilder, PropagationEngine
-from repro.paths.batch import batch_profile_matrices, merge_batched
+from repro.paths.batch import _BatchContext, batch_profile_matrices, merge_batched
+from repro.paths.enumerate import enumerate_paths
 from repro.paths.propagation import make_exclusions
-from repro.perf.memo import FanoutMemo
+from repro.reldb.csvio import load_database
 from repro.reldb.joins import JoinStep
 
 from tests.minidb import WW_AUTHOR_ROW, WW_REFS, build_minidb
+from tests.oracle import assert_rows_are_partner_splits
 
 PUB_PAP = JoinStep("Publish", "paper_key", "Publications", "paper_key", "n1")
 PUB_AUTH = JoinStep("Publish", "author_key", "Authors", "author_key", "n1")
@@ -61,12 +67,6 @@ class TestBatchMatchesScalar:
         assert_matches_scalar(
             PropagationEngine(build_minidb(), EXCLUSIONS, exclude_origin=False)
         )
-
-    def test_with_fanout_memo(self):
-        engine = PropagationEngine(
-            build_minidb(), EXCLUSIONS, memo=FanoutMemo(max_entries=1024)
-        )
-        assert_matches_scalar(engine)
 
     def test_single_reference_batch(self):
         assert_matches_scalar(
@@ -144,4 +144,35 @@ class TestMergeBatched:
                 whole[path].backward.toarray(),
                 rtol=0,
                 atol=ATOL,
+            )
+
+
+class TestStepMatricesOnCliWorld:
+    def test_every_row_equals_partners_under_exclusions(self, tmp_path):
+        """Both matrices of every step, in both directions, against the
+        scalar partner lists: a name's exclusions plus ids outside the
+        relation, and any NULL join values the world holds."""
+        out = tmp_path / "db"
+        assert main(["generate", "--out", str(out), "--scale", "0.3", "--seed", "5"]) == 0
+        db = prepare_dblp_database(load_database(out))
+        # The generator writes no NULLs; give each join column one (and
+        # the author key a NULL on both sides of its join).
+        db.insert("Authors", (None, "nobody"))
+        db.insert("Publish", (10**6, None))
+        db.insert("Publications", (10**6, "untitled", None))
+        db.insert("Proceedings", (10**6, None, None, None))
+        db.insert("Conferences", (10**6, "unnamed", None))
+        config = DistinctConfig()
+        paths = enumerate_paths(db.schema, config.reference_relation, config.path_config)
+        exclusions = {
+            relation: rows | {-1, 10**9}
+            for relation, rows in exclusions_for_name(db, "Wei Wang", config).items()
+        }
+        engine = PropagationEngine(db, exclusions)
+        ctx = _BatchContext(engine, [])
+        steps = {s for path in paths for step in path for s in (step, step.reverse())}
+        for step in steps:
+            assert_rows_are_partner_splits(ctx.forward(step), engine, step)
+            assert_rows_are_partner_splits(
+                ctx.backward(step).T.tocsr(), engine, step.reverse()
             )
