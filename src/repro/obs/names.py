@@ -72,6 +72,13 @@ REGISTERED_METRICS: dict[str, str] = {
     "pairs.scored": "counter",
     # path enumeration (repro.paths.enumerate)
     "paths.enumerated": "counter",
+    # retired with the fanout memo; declared at zero in repro.perf.transitions
+    # while the benchmark's per-layer ledger still reads them
+    "perf.fanout.evictions": "counter",
+    "perf.fanout.hits": "counter",
+    "perf.fanout.misses": "counter",
+    "perf.ingest.rows_dirty": "counter",
+    "perf.ingest.rows_reused": "counter",
     # process-pool map (repro.perf.parallel)
     "perf.parallel.spans_grafted": "counter",
     "perf.parallel.task_seconds": "histogram",

@@ -43,6 +43,15 @@ __all__ = ["StepMatrices", "StepPair", "build_step", "without_columns", "without
 
 _BUILT = counter("perf.transitions.built")
 
+# Counters of the deleted fanout memo and its epoch-advance invalidation.
+# Nothing increments them; they exist, at zero, so that readers of the
+# old counter names (the benchmark's per-layer ledger) still find them.
+counter("perf.fanout.evictions")
+counter("perf.fanout.hits")
+counter("perf.fanout.misses")
+counter("perf.ingest.rows_dirty")
+counter("perf.ingest.rows_reused")
+
 
 @dataclass(frozen=True)
 class StepPair:
