@@ -15,7 +15,7 @@ reference the tests use, on a synthetic ambiguous name:
    against the scalar :class:`~repro.paths.profiles.ProfileBuilder`
    walk, on a community-structured synthetic DBLP database;
 3. **pipeline route** — :func:`repro.core.features.compute_pair_features`
-   (batched propagation, exact blocking, matrix kernels) against the
+   (batched propagation, matrix kernels) against the
    scalar propagation and per-pair kernels, including the
    clustering-unchanged check;
 4. **parallel** — the per-name map of :mod:`repro.perf.parallel`, with
@@ -33,9 +33,9 @@ for trend tracking, not gated in CI (they are hardware-dependent).
 Kernel-stage profiles are synthesized with a seeded RNG to the paper's
 scale (§5: the largest evaluated name has 151 references); the
 propagation stages run on a generated DBLP-style database whose papers
-split into disjoint coauthor/conference communities (the structure that
-makes exact blocking bite), so the bench needs no world generation
-or SVM fit and runs in seconds.
+split into disjoint coauthor/conference communities (so most pairs
+score an exact 0), so the bench needs no world generation or SVM fit
+and runs in seconds.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from repro.cluster.agglomerative import AgglomerativeClusterer
 from repro.cluster.composite import CompositeMeasure
 from repro.core.features import compute_pair_features, pair_matrix
 from repro.data.dblp_schema import new_dblp_database
-from repro.obs import enable_tracing, get_metrics, span, write_trace
+from repro.obs import enable_tracing, span, write_trace
 from repro.paths.joinpath import JoinPath
 from repro.paths.profiles import NeighborProfile, ProfileBuilder
 from repro.paths.propagation import make_exclusions
@@ -122,8 +122,8 @@ def synth_community_db(n_refs: int, n_communities: int, seed: int):
     One ambiguous author (row 0) appears on ``n_refs`` papers; papers are
     assigned round-robin to ``n_communities`` communities with disjoint
     coauthor pools and disjoint conferences, so references of different
-    communities share no neighbor tuples on any of ``PROP_PATHS`` — the
-    structure exact blocking exploits. Returns the database and the
+    communities share no neighbor tuples on any of ``PROP_PATHS`` and
+    score an exact 0 on both sides. Returns the database and the
     Publish row ids of the ambiguous references.
     """
     rng = np.random.default_rng(seed)
@@ -293,16 +293,12 @@ def bench_propagation(db, ref_rows, repeats: int) -> dict:
     }
 
 
-def _counter(name: str) -> float:
-    return float(get_metrics().snapshot()["counters"].get(name, 0.0))
-
-
 def bench_pipeline_route(db, ref_rows, repeats: int) -> dict:
     """The production pair-feature route against the scalar reference.
 
     Both sides start from a fresh builder, so each pays its own
-    propagation. Blocked pairs are *exact* zeros on both sides; features
-    are compared at ``ATOL``, and the downstream agglomerative
+    propagation. Pairs with disjoint supports are *exact* zeros on both
+    sides; features are compared at ``ATOL``, and the downstream agglomerative
     clustering must produce identical clusters.
     """
     pairs = [
@@ -323,11 +319,9 @@ def bench_pipeline_route(db, ref_rows, repeats: int) -> dict:
         return resem, walk
 
     scalar_s, (resem, walk) = timed(run_scalar, repeats)
-    blocked_before = _counter("blocking.pairs_pruned")
     route_s, route = timed(
         lambda: compute_pair_features(_fresh_builder(db), pairs), repeats
     )
-    blocked = int((_counter("blocking.pairs_pruned") - blocked_before) / repeats)
     features_max_diff = max(
         float(np.abs(resem - route.resemblance).max()),
         float(np.abs(walk - route.walk).max()),
@@ -350,7 +344,6 @@ def bench_pipeline_route(db, ref_rows, repeats: int) -> dict:
         "route_seconds": route_s,
         "speedup": scalar_s / route_s,
         "pairs_total": len(pairs),
-        "pairs_blocked": blocked,
         "max_abs_diff": features_max_diff,
         "clusterings_identical": clusterings_identical,
     }
@@ -516,7 +509,6 @@ def main(argv=None) -> int:
             "parallel_map": report["parallel_map"]["speedup"],
         },
         "parallel_mode": report["parallel_map"]["mode"],
-        "pairs_blocked": route["pairs_blocked"],
         "equivalent": equivalent,
     }
     with args.history.open("a") as fh:
@@ -536,7 +528,7 @@ def main(argv=None) -> int:
     print(
         f"  route        : scalar {route['scalar_seconds']:.3f}s  route "
         f"{route['route_seconds']:.3f}s  ({route['speedup']:.2f}x, "
-        f"{route['pairs_blocked']}/{route['pairs_total']} pairs blocked)"
+        f"{route['pairs_total']} pairs)"
     )
     print(
         f"  parallel map : serial {serial_p:.3f}s  workers={args.workers} "

@@ -14,9 +14,7 @@ in tiers and measures the process pool on the largest tier:
 2. **end_to_end** — the full resilient experiment over every ambiguous
    name, serial and at ``--workers`` (default 4); both must produce
    byte-identical per-name results. Every run takes the one
-   pair-feature route (batched propagation, exact blocking, matrix
-   kernels); ``pairs_blocked`` reports how many pairs exact blocking
-   skipped.
+   pair-feature route (batched propagation, matrix kernels).
 
 Results land in ``BENCH_scale.json``; one summary line per run is
 appended to ``BENCH_history.jsonl`` with ``"bench": "scale"`` so the
@@ -47,7 +45,6 @@ from repro.data.ambiguity import AmbiguousNameSpec
 from repro.data.world import world_to_database
 from repro.eval.persistence import name_result_to_dict
 from repro.eval.runner import run_resilient
-from repro.obs import get_metrics
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 DEFAULT_HISTORY = Path(__file__).resolve().parent.parent / "BENCH_history.jsonl"
@@ -84,10 +81,6 @@ def git_sha() -> str:
     return sha if proc.returncode == 0 and sha else "unknown"
 
 
-def counter_value(name: str) -> float:
-    return float(get_metrics().snapshot()["counters"].get(name, 0.0))
-
-
 def world_config(scale: float, seed: int) -> GeneratorConfig:
     """A tier's generator config.
 
@@ -110,10 +103,8 @@ def base_config() -> DistinctConfig:
 
 def run_experiment(
     distinct: Distinct, truth, names: list[str], workers: int
-) -> tuple[float, list[dict], dict]:
-    """One resilient run; returns wall, per-name result dicts, counter deltas."""
-    tracked = ("blocking.pairs_kept", "blocking.pairs_pruned")
-    before = {k: counter_value(k) for k in tracked}
+) -> tuple[float, list[dict]]:
+    """One resilient run; returns wall and the per-name result dicts."""
     t0 = time.perf_counter()
     outcome = run_resilient(
         distinct,
@@ -124,10 +115,9 @@ def run_experiment(
         workers=workers,
     )
     wall = time.perf_counter() - t0
-    deltas = {k: counter_value(k) - v for k, v in before.items()}
     if not outcome.complete:
         raise RuntimeError("experiment run did not complete")
-    return wall, [name_result_to_dict(r) for r in outcome.result.names], deltas
+    return wall, [name_result_to_dict(r) for r in outcome.result.names]
 
 
 def main(argv=None) -> int:
@@ -195,10 +185,8 @@ def main(argv=None) -> int:
     top = tiers[-1]
 
     # -- end to end: serial vs the pool -------------------------------------
-    serial_s, serial_results, serial_counters = run_experiment(
-        distinct, truth, names, workers=1
-    )
-    parallel_s, parallel_results, _ = run_experiment(
+    serial_s, serial_results = run_experiment(distinct, truth, names, workers=1)
+    parallel_s, parallel_results = run_experiment(
         distinct, truth, names, workers=args.workers
     )
     end_to_end = {
@@ -210,8 +198,6 @@ def main(argv=None) -> int:
         "parallel_seconds": parallel_s,
         "parallel_speedup": serial_s / parallel_s,
         "parallel_identical": parallel_results == serial_results,
-        "pairs_kept": int(serial_counters["blocking.pairs_kept"]),
-        "pairs_blocked": int(serial_counters["blocking.pairs_pruned"]),
         "mean_f1": float(np.mean([r["f1"] for r in serial_results])),
     }
     print(

@@ -63,15 +63,14 @@ def main() -> None:
         distinct.walk_model_.save(walk_path)
         print(f"\nmodels saved to {tmp}/")
 
-        # A fresh pipeline can reuse the models without retraining: bind the
-        # database and paths, then load the weights.
-        fresh = Distinct(config)
-        fresh.db = db
-        from repro.paths.enumerate import enumerate_paths
-
-        fresh.paths_ = enumerate_paths(db.schema, "Publish", config.path_config)
-        fresh.resem_model_ = PathWeightModel.load(resem_path)
-        fresh.walk_model_ = PathWeightModel.load(walk_path)
+        # A fresh pipeline can reuse the models without retraining: it
+        # re-enumerates the paths from the schema and aligns the weights.
+        fresh = Distinct.from_models(
+            db,
+            PathWeightModel.load(resem_path),
+            PathWeightModel.load(walk_path),
+            config,
+        )
         resolution = fresh.resolve("Wei Wang")
         print(
             f"reloaded pipeline resolves 'Wei Wang' into "

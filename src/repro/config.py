@@ -17,7 +17,9 @@ from repro.paths.enumerate import PathEnumerationConfig
 def default_path_config() -> PathEnumerationConfig:
     """Default path budget: up to 5 hops, which covers the coauthor,
     author's-other-papers, proceedings/conference/year/location/publisher and
-    conference-sibling paths (27 paths on DBLP). The 7-hop budget including
+    conference-sibling paths (27 enumerated on DBLP, 17 once
+    :func:`repro.core.references.live_paths` drops the ten that enter the
+    reference's own, excluded author row). The 7-hop budget including
     coauthors-of-coauthors is available via :func:`deep_path_config` and is
     studied in the path ablation bench."""
     return PathEnumerationConfig(
@@ -26,7 +28,8 @@ def default_path_config() -> PathEnumerationConfig:
 
 
 def deep_path_config() -> PathEnumerationConfig:
-    """7-hop budget reaching the coauthor-of-coauthor path (47 paths on DBLP)."""
+    """7-hop budget reaching the coauthor-of-coauthor path (47 paths on DBLP,
+    28 live)."""
     return PathEnumerationConfig(
         max_hops=7, max_sibling_expansions=3, max_start_revisits=3
     )

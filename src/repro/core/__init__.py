@@ -10,6 +10,7 @@ from repro.core.references import (
     NameReferences,
     exclusions_for_name,
     extract_references,
+    live_paths,
     reference_counts_by_name,
 )
 from repro.core.features import PairFeatures, compute_pair_features
@@ -20,6 +21,7 @@ __all__ = [
     "NameReferences",
     "extract_references",
     "exclusions_for_name",
+    "live_paths",
     "reference_counts_by_name",
     "PairFeatures",
     "compute_pair_features",

@@ -27,7 +27,11 @@ from repro.core.features import (
     compute_pair_features,
     pair_matrix,
 )
-from repro.core.references import exclusions_for_name, extract_references
+from repro.core.references import (
+    exclusions_for_name,
+    extract_references,
+    live_paths,
+)
 from repro.errors import NotFittedError
 from repro.ml.model import PathWeightModel
 from repro.ml.validation import cross_validate
@@ -41,7 +45,7 @@ from repro.paths.propagation import Exclusions
 from repro.perf.transitions import StepMatrices
 from repro.reldb.database import Database
 from repro.resilience.faults import fault_check
-from repro.similarity.combine import PathWeights, uniform_weights
+from repro.similarity.combine import PathWeights
 
 MEASURES = ("combined", "resemblance", "walk")
 
@@ -104,12 +108,17 @@ class Distinct:
     ``steps`` holds the join-step matrices of the current database epoch;
     every profile builder of the pipeline reads them, so each step is
     built once per epoch whatever the number of names.
+
+    ``paths_`` holds the enumerated join paths the exclusion rule leaves
+    alive (:func:`~repro.core.references.live_paths`);
+    ``n_enumerated_paths_`` counts them all.
     """
 
     def __init__(self, config: DistinctConfig | None = None) -> None:
         self.config = config or DistinctConfig()
         self.db: Database | None = None
         self.paths_: list[JoinPath] | None = None
+        self.n_enumerated_paths_: int | None = None
         self.resem_model_: PathWeightModel | None = None
         self.walk_model_: PathWeightModel | None = None
         self.training_set_: TrainingSet | None = None
@@ -132,9 +141,7 @@ class Distinct:
         """
         distinct = cls(config)
         distinct.db = db
-        distinct.paths_ = enumerate_paths(
-            db.schema, distinct.config.reference_relation, distinct.config.path_config
-        )
+        distinct._enumerate_paths()
         distinct.resem_model_ = resem_model.align_to(distinct.paths_)
         distinct.walk_model_ = walk_model.align_to(distinct.paths_)
         return distinct
@@ -146,9 +153,7 @@ class Distinct:
         config = self.config
         self.db = db
         with span("fit", reference_relation=config.reference_relation) as fit_span:
-            self.paths_ = enumerate_paths(
-                db.schema, config.reference_relation, config.path_config
-            )
+            self._enumerate_paths()
 
             with timed("fit.training_set") as sp_training:
                 training_set = build_training_set(
@@ -201,6 +206,15 @@ class Distinct:
             self.fit_report_.seconds_total,
         )
         return self
+
+    def _enumerate_paths(self) -> None:
+        """Enumerate the schema's join paths; keep the live ones."""
+        assert self.db is not None
+        enumerated = enumerate_paths(
+            self.db.schema, self.config.reference_relation, self.config.path_config
+        )
+        self.paths_ = live_paths(enumerated, self.config)
+        self.n_enumerated_paths_ = len(enumerated)
 
     def _training_features(self, training_set: TrainingSet) -> PairFeatures:
         """Features for training pairs, routing each reference through the
@@ -311,7 +325,7 @@ class Distinct:
         DISTINCT composite), ``"resemblance"`` (Average-Link set resemblance
         only), or ``"walk"`` (collective walk probability only) — the Fig-4
         variants. ``supervised=False`` replaces the learned weights with
-        uniform weights over max-normalized per-path features.
+        uniform weights over the raw per-path features.
         """
         return self.cluster_prepared(
             self.prepare(name), min_sim=min_sim, measure=measure, supervised=supervised
@@ -408,7 +422,13 @@ class Distinct:
         # This mirrors the unweighted prior work ([1], [9]) the paper
         # compares against, which sums raw resemblances / walk probabilities
         # over all linkage types without learning per-path pertinence.
-        uniform = uniform_weights(len(features.paths))
+        # Each path weighs 1 / (enumerated paths), not 1 / (live paths): the
+        # paths live_paths drops only add zeros, and the variants' min-sim
+        # grid is read on this scale.
+        assert self.n_enumerated_paths_ is not None
+        uniform = PathWeights(
+            [1.0 / self.n_enumerated_paths_] * len(features.paths), clamp_negative=False
+        )
         return features.combined(uniform, uniform)
 
     @staticmethod

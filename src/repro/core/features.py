@@ -11,12 +11,13 @@ aggregates. Everything here is vectorized over pairs: ``resemblance`` and
 1. **batched propagation** — every reference of the batch propagates at
    once as sparse matrix products (:mod:`repro.paths.batch`), giving one
    stacked (forward, backward) matrix pair per path;
-2. **exact blocking** — pairs whose forward supports are disjoint on
-   every path are dropped (:func:`intersecting_pair_mask`). Both measures
-   are *exactly* zero there, so their rows stay zero and the clustering
-   is unchanged;
-3. **matrix kernels** — the surviving pairs are evaluated per path by
-   the pair-list kernels of :mod:`repro.similarity.vectorized`.
+2. **matrix kernels** — every pair is evaluated per path by the
+   pair-list kernels of :mod:`repro.similarity.vectorized`, which return
+   an exact 0 where the two supports are disjoint.
+
+The paths are the pipeline's live ones
+(:func:`repro.core.references.live_paths`), so no column is zero by
+construction.
 
 The scalar per-reference propagation (:meth:`ProfileBuilder.profiles_for`)
 and the per-pair kernels (:func:`repro.similarity.resemblance
@@ -31,13 +32,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs import counter
 from repro.paths.batch import BatchedProfiles
 from repro.paths.joinpath import JoinPath
 from repro.paths.profiles import ProfileBuilder
-from repro.perf.blocking import intersecting_pair_mask
 from repro.resilience import fault_check
-from repro.similarity.combine import PathWeights, normalize_feature_rows
+from repro.similarity.combine import PathWeights
 from repro.similarity.vectorized import pair_resemblance_values, pair_walk_values
+
+# The benchmark's per-layer ledger wraps ``intersecting_pair_mask`` and
+# reads these two counters, which measured exact pair blocking; the route
+# has none, since the kernels score disjoint supports as an exact 0. All
+# three stay, uncalled and at zero, until ROADMAP's "One benchmark"
+# ([benchmark]) item deletes them.
+counter("blocking.pairs_kept")
+counter("blocking.pairs_pruned")
+
+
+def intersecting_pair_mask() -> None:
+    """Uncalled; kept for the benchmark's ledger (see the comment above)."""
 
 
 @dataclass
@@ -68,15 +81,6 @@ class PairFeatures:
             raise ValueError("weight vectors must have one entry per path")
         return self.resemblance @ rw, self.walk @ ww
 
-    def normalized(self) -> "PairFeatures":
-        """Per-path max-normalized copy (used by unsupervised variants)."""
-        return PairFeatures(
-            paths=self.paths,
-            pairs=self.pairs,
-            resemblance=np.asarray(normalize_feature_rows(self.resemblance.tolist())),
-            walk=np.asarray(normalize_feature_rows(self.walk.tolist())),
-        )
-
 
 def compute_pair_features(
     builder: ProfileBuilder,
@@ -101,15 +105,10 @@ def compute_pair_features(
     index = {row: k for k, row in enumerate(matrices[paths[0]].rows)}
     idx_a = np.fromiter((index[a] for a, _ in pairs), dtype=np.int64, count=len(pairs))
     idx_b = np.fromiter((index[b] for _, b in pairs), dtype=np.int64, count=len(pairs))
-
-    kept = np.flatnonzero(
-        intersecting_pair_mask([matrices[path].forward for path in paths], idx_a, idx_b)
-    )
-    kept_a, kept_b = idx_a[kept], idx_b[kept]
     for p, path in enumerate(paths):
         stacked = matrices[path]
-        resem[kept, p] = pair_resemblance_values(stacked.forward, kept_a, kept_b)
-        walk[kept, p] = pair_walk_values(stacked.forward, stacked.backward, kept_a, kept_b)
+        resem[:, p] = pair_resemblance_values(stacked.forward, idx_a, idx_b)
+        walk[:, p] = pair_walk_values(stacked.forward, stacked.backward, idx_a, idx_b)
     return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
 
 

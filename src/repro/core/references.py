@@ -5,7 +5,8 @@ one name share the single ``Authors`` row holding that name, so extraction
 is one index lookup on ``Authors.name`` followed by one on
 ``Publish.author_key``. The shared ``Authors`` row is also what must be
 excluded from propagation (DESIGN.md §6), which
-:func:`exclusions_for_name` packages up.
+:func:`exclusions_for_name` packages up; :func:`live_paths` drops the
+join paths that exclusion empties.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 from repro.config import DistinctConfig
 from repro.errors import ReproError
+from repro.paths.joinpath import JoinPath
 from repro.reldb.database import Database
 
 
@@ -59,6 +61,35 @@ def exclusions_for_name(
     config = config or DistinctConfig()
     refs = extract_references(db, name, config)
     return {config.object_relation: frozenset(refs.object_rows)}
+
+
+def live_paths(
+    paths: list[JoinPath], config: DistinctConfig | None = None
+) -> list[JoinPath]:
+    """``paths`` without those the exclusion rule empties at the first hop.
+
+    A path whose first step joins the reference relation to the object
+    relation on ``object_key`` reaches only the reference's own object.
+    Every profile builder excludes the object rows of the references it
+    profiles (:func:`exclusions_for_name`, and their union for pooled
+    names), so such a path carries no mass: both of its features are 0
+    for every pair, by construction rather than by data.
+    """
+    config = config or DistinctConfig()
+    own_object = (
+        config.reference_relation,
+        config.object_key,
+        config.object_relation,
+        config.object_key,
+    )
+    live = []
+    for path in paths:
+        first = path.steps[0]
+        join = (first.src_relation, first.src_attribute, first.dst_relation,
+                first.dst_attribute)
+        if join != own_object:
+            live.append(path)
+    return live
 
 
 def reference_counts_by_name(

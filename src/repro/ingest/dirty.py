@@ -11,9 +11,9 @@ directions: forward mass splits use the forward partner lists, and the
 backward DP's denominators count reverse partners
 (:mod:`repro.paths.propagation`).
 
-:func:`repro.perf.blocking.touched_row_mask` intersects the affected
-rows with each reference's visited trace to find the *dirty references*
-— the ones whose profiles can differ from a cold post-delta recompute.
+:func:`touched_row_mask` intersects the affected rows with each
+reference's visited trace to find the *dirty references* — the ones
+whose profiles can differ from a cold post-delta recompute.
 (The step matrices themselves need no row-level invalidation: they
 rebuild whole on their first read at the new epoch.)
 
@@ -25,13 +25,16 @@ bytes; a clean reference provably kept its exact walk.
 
 from __future__ import annotations
 
+import numpy as np
+from scipy import sparse
+
 from repro.obs import counter
 from repro.paths.joinpath import JoinPath
 from repro.reldb.database import Database
 from repro.reldb.delta import AppliedDelta
 from repro.reldb.joins import JoinStep
 
-__all__ = ["affected_rows"]
+__all__ = ["affected_rows", "touched_row_mask"]
 
 _AFFECTED = counter("ingest.rows_affected")
 
@@ -80,3 +83,27 @@ def affected_rows(
     affected = {rel: rows for rel, rows in affected.items() if rows}
     _AFFECTED.inc(sum(len(rows) for rows in affected.values()))
     return affected
+
+
+def touched_row_mask(
+    pattern: sparse.spmatrix, columns: np.ndarray
+) -> np.ndarray:
+    """True per reference row whose support hits any of ``columns``.
+
+    ``pattern`` is a (references × relation rows) visited pattern (see
+    :func:`repro.paths.batch.batch_profile_matrices`'s ``trace``), and
+    ``columns`` the rows of that relation a delta changed. A False
+    entry certifies the reference's walk never crossed a changed tuple,
+    so its profiles — and every pair feature built from them — are
+    unchanged. Column ids beyond the pattern's width (rows appended by
+    the delta itself) are ignored: they cannot appear in a pre-delta
+    walk.
+    """
+    columns = np.asarray(columns, dtype=np.int64)
+    columns = columns[columns < pattern.shape[1]]
+    if not len(columns) or pattern.nnz == 0:
+        return np.zeros(pattern.shape[0], dtype=bool)
+    hit_cols = np.zeros(pattern.shape[1], dtype=np.float64)
+    hit_cols[columns] = 1.0
+    csr = sparse.csr_matrix(pattern).astype(np.float64)
+    return np.asarray(csr @ hit_cols).ravel() > 0.0

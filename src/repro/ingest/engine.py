@@ -18,7 +18,7 @@ ladder instead of recomputing the world:
 1. **dirty rows** — :func:`repro.ingest.dirty.affected_rows` finds the
    existing rows whose partner lists grew;
 2. **dirty references** — a reference is dirty iff its visited trace
-   intersects the affected rows (:func:`repro.perf.blocking
+   intersects the affected rows (:func:`repro.ingest.dirty
    .touched_row_mask`) or it is new; clean references provably kept
    their exact profiles;
 3. **dirty pairs** — the name's references propagate once, as in a
@@ -63,16 +63,11 @@ from repro.errors import NotFittedError, ReproError
 from repro.obs import counter, get_logger, span
 from repro.paths.batch import batch_profile_matrices
 from repro.paths.profiles import ProfileBuilder
-from repro.perf import (
-    DEFAULT_TASK_RETRIES,
-    RemoteTaskError,
-    ordered_process_map,
-    touched_row_mask,
-)
+from repro.perf import DEFAULT_TASK_RETRIES, RemoteTaskError, ordered_process_map
 from repro.reldb.delta import AppliedDelta, Delta, apply_delta
 from repro.resilience.faults import fault_check
 
-from repro.ingest.dirty import affected_rows
+from repro.ingest.dirty import affected_rows, touched_row_mask
 
 __all__ = ["IngestEngine", "IngestReport", "NameRefresh"]
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 __all__ = ["REGISTERED_METRICS"]
 
 REGISTERED_METRICS: dict[str, str] = {
-    # zero-overlap pair pruning (repro.perf.blocking)
+    # retired with exact pair blocking; declared at zero in
+    # repro.core.features while the benchmark's per-layer ledger reads them
     "blocking.pairs_kept": "counter",
     "blocking.pairs_pruned": "counter",
     # checkpointing (repro.resilience.checkpoint)

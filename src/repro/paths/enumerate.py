@@ -51,8 +51,6 @@ class PathEnumerationConfig:
     max_hops: int = 7
     max_sibling_expansions: int = 3
     max_start_revisits: int = 2
-    virtual_terminal: bool = True
-    max_paths: int | None = 64
 
     def __post_init__(self) -> None:
         if self.max_hops < 1:
@@ -69,8 +67,7 @@ def enumerate_paths(
     """All admissible join paths from ``start_relation``, shortest first.
 
     Ties in length are broken by signature so the output order (and thus
-    feature order downstream) is deterministic. If ``config.max_paths`` is
-    set, the shortest paths win.
+    feature order downstream) is deterministic.
     """
     config = config or PathEnumerationConfig()
     schema.relation(start_relation)  # raises if unknown
@@ -87,7 +84,7 @@ def enumerate_paths(
                 results.append(path)
                 if path.length >= config.max_hops:
                     continue
-                if config.virtual_terminal and is_virtual_relation(path.end_relation):
+                if is_virtual_relation(path.end_relation):
                     continue
                 last = path.steps[-1]
                 for step in steps_from(schema, path.end_relation):
@@ -97,8 +94,6 @@ def enumerate_paths(
             frontier = next_frontier
 
         results.sort(key=lambda p: (p.length, p.signature()))
-        if config.max_paths is not None:
-            results = results[: config.max_paths]
         sp.annotate(n_paths=len(results), max_hops=config.max_hops)
     _PATHS_ENUMERATED.inc(len(results))
     log.debug("enumerated %d paths from %s", len(results), start_relation)

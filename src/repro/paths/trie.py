@@ -1,8 +1,8 @@
 """Prefix-shared propagation over many join paths at once.
 
-The enumerated path set is heavily prefix-redundant: all 27 default DBLP
-paths start with ``Publish -> Publications`` or ``Publish -> Authors``, and
-deeper paths extend shorter ones. Propagating each path independently
+The path set is heavily prefix-redundant: all 17 live default DBLP paths
+start with ``Publish -> Publications``, and deeper paths extend shorter
+ones. Propagating each path independently
 recomputes the shared prefixes' forward levels over and over.
 
 :func:`propagate_trie` arranges the paths in a step trie and runs the

@@ -16,9 +16,7 @@ machinery that accelerates them without changing results:
 - :mod:`repro.perf.transitions` — the row-normalized CSR matrices of
   every join step, built once per database epoch and shared by every
   name, the building block of batched propagation
-  (:mod:`repro.paths.batch`);
-- :mod:`repro.perf.blocking` — the inverted neighbor index: lossless
-  zero-overlap pair blocking over stacked support matrices.
+  (:mod:`repro.paths.batch`).
 
 The pair kernels themselves live in :mod:`repro.similarity.vectorized`.
 ``benchmarks/bench_perf_kernels.py`` tracks the
@@ -27,12 +25,7 @@ kernel/propagation/parallel trajectory in ``BENCH_perf.json``;
 world sizes in ``BENCH_scale.json`` (history in ``BENCH_history.jsonl``).
 """
 
-from repro.perf.blocking import (
-    candidate_pairs,
-    intersecting_pair_mask,
-    touched_row_mask,
-)
-from repro.perf.chunking import chunk_slices, pair_slices
+from repro.perf.chunking import pair_slices
 from repro.perf.parallel import (
     DEFAULT_TASK_RETRIES,
     RemoteTaskError,
@@ -51,11 +44,7 @@ __all__ = [
     "StepPair",
     "active_segments",
     "build_step",
-    "candidate_pairs",
-    "chunk_slices",
-    "intersecting_pair_mask",
     "ordered_process_map",
     "pair_slices",
     "should_inline",
-    "touched_row_mask",
 ]

@@ -1,8 +1,7 @@
 """Slice sizing for the pair-list kernels.
 
-The pair kernels (:mod:`repro.similarity.vectorized`) and the blocking
-mask (:mod:`repro.perf.blocking`) gather the rows of a stacked sparse
-matrix for a slice of pairs, ``matrix[idx_a[sl]]`` and
+The pair kernels (:mod:`repro.similarity.vectorized`) gather the rows
+of a stacked sparse matrix for a slice of pairs, ``matrix[idx_a[sl]]`` and
 ``matrix[idx_b[sl]]``. One slice therefore holds as many stored entries
 as its pairs' rows have together, and row widths differ by an order of
 magnitude between worlds: a fixed pair count either wastes time on
@@ -20,13 +19,6 @@ PAIR_SLICE_BYTES = 2 * 1024 * 1024
 
 #: Bytes of one stored CSR entry: a float64 value and an int64 index.
 _ENTRY_BYTES = 16
-
-
-def chunk_slices(n: int, chunk: int) -> list[slice]:
-    """Cover ``range(n)`` with consecutive slices of at most ``chunk``."""
-    if chunk <= 0:
-        raise ValueError("chunk must be positive")
-    return [slice(start, min(start + chunk, n)) for start in range(0, n, chunk)]
 
 
 def pair_slices(row_nnz: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray) -> list[slice]:

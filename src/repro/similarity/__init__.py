@@ -19,7 +19,6 @@ from repro.similarity.combine import (
     PathWeights,
     combine,
     geometric_mean,
-    normalize_feature_rows,
     uniform_weights,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "PathWeights",
     "combine",
     "geometric_mean",
-    "normalize_feature_rows",
     "uniform_weights",
 ]

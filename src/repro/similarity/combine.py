@@ -10,9 +10,7 @@ composition and the min-sim threshold semantics); the signed weights stay
 available on the model for inspection.
 
 Unsupervised combination (the baselines of Fig 4) uses uniform weights over
-paths, after per-path max-normalization across the candidate pair set so
-that paths with tiny absolute scales (long walk probabilities) are not
-drowned out — the paper is silent on this detail; see DESIGN.md §6.
+the raw per-path similarities, as the unweighted prior work sums them.
 
 The clustering stage composes the two measures with a geometric mean
 (§4.1)::
@@ -62,7 +60,7 @@ class PathWeights:
 
 
 def uniform_weights(n_paths: int) -> PathWeights:
-    """The unsupervised combiner: every path counts equally."""
+    """Equal weights ``1 / n_paths``: every path counts the same."""
     if n_paths <= 0:
         raise ValueError("need at least one path")
     return PathWeights([1.0 / n_paths] * n_paths, clamp_negative=False)
@@ -79,27 +77,3 @@ def geometric_mean(resemblance: float, walk_probability: float) -> float:
         return 0.0
     return math.sqrt(resemblance * walk_probability)
 
-
-def normalize_feature_rows(rows: list[list[float]]) -> list[list[float]]:
-    """Per-column max-normalization over a set of feature rows.
-
-    Each column is divided by its maximum absolute value across the rows
-    (columns that are all zero stay zero). Used by the unsupervised variants
-    so that uniform weights do not simply select the path with the largest
-    raw scale.
-    """
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    if any(len(row) != n_cols for row in rows):
-        raise ValueError("rows have inconsistent lengths")
-    maxima = [0.0] * n_cols
-    for row in rows:
-        for j, value in enumerate(row):
-            magnitude = abs(value)
-            if magnitude > maxima[j]:
-                maxima[j] = magnitude
-    return [
-        [value / maxima[j] if maxima[j] > 0.0 else 0.0 for j, value in enumerate(row)]
-        for row in rows
-    ]

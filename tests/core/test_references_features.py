@@ -86,11 +86,6 @@ class TestPairFeatures:
         with pytest.raises(ValueError):
             features.combined(PathWeights([1.0, 2.0]), PathWeights([1.0]))
 
-    def test_normalized_unit_max(self):
-        features, _ = self.make_features()
-        normalized = features.normalized()
-        assert normalized.resemblance.max() == pytest.approx(1.0)
-
     def test_pair_matrix_symmetric(self):
         features, pairs = self.make_features()
         matrix = pair_matrix(WW_REFS, pairs, features.resemblance[:, 0])

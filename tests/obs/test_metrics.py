@@ -187,7 +187,6 @@ class TestPipelineCounters:
                 "similarity.resemblance.calls",
                 "similarity.walk.calls",
                 "propagation.batch.runs",
-                "blocking.pairs_kept",
             )
         }
         fitted.resolve("Wei Wang")

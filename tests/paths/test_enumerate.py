@@ -74,16 +74,6 @@ class TestEnumerationOnBareSchema:
         target = "Publish~Publications~Publish~Authors~Publish~Publications~Publish~Authors"
         assert target in descriptions(paths)
 
-    def test_max_paths_keeps_shortest(self):
-        all_paths = enumerate_paths(dblp_schema(), "Publish", PathEnumerationConfig(max_hops=4))
-        capped = enumerate_paths(
-            dblp_schema(), "Publish", PathEnumerationConfig(max_hops=4, max_paths=3)
-        )
-        assert len(capped) == 3
-        assert [p.signature() for p in capped] == [
-            p.signature() for p in all_paths[:3]
-        ]
-
     def test_deterministic_order(self):
         a = enumerate_paths(dblp_schema(), "Publish", PathEnumerationConfig(max_hops=4))
         b = enumerate_paths(dblp_schema(), "Publish", PathEnumerationConfig(max_hops=4))

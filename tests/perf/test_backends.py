@@ -1,7 +1,7 @@
 """The production pair-feature route against the scalar reference.
 
 Uses the hand-built mini DBLP database so expectations stay checkable:
-batched propagation + exact blocking + matrix kernels must agree with
+batched propagation + matrix kernels must agree with
 the scalar oracle on every (pair, path) feature, whatever the pair-slice
 budget.
 """

@@ -3,7 +3,7 @@
 Random chain databases (references -> mid -> top, with sibling and
 back-and-forth paths) go through what the pipeline runs —
 :meth:`ProfileBuilder.matrices_for` (batched propagation) and
-:func:`compute_pair_features` (exact blocking + matrix kernels) — and
+:func:`compute_pair_features` (the matrix kernels) — and
 every invariant is checked against the scalar oracle as well:
 
 - per-path forward probability mass is at most 1, and exactly 1 when no
@@ -11,7 +11,8 @@ every invariant is checked against the scalar oracle as well:
 - set resemblance lies in [0, 1] and is symmetric (§2.3);
 - the symmetrized walk probability is symmetric (§2.4);
 - both measures are exactly 0 when two forward supports are disjoint,
-  which is what exact blocking relies on.
+  which is why the route needs no pair blocking: the kernels already
+  score such a pair 0.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from repro.similarity import (
     set_resemblance,
     walk_probability,
 )
-from repro.similarity.combine import PathWeights, normalize_feature_rows
+from repro.similarity.combine import PathWeights
 
 PATH = JoinPath([JoinStep("A", "x", "B", "y", "n1")])
 
@@ -111,16 +111,3 @@ class TestCombineProperties:
         value = geometric_mean(a, b)
         assert 0.0 <= value <= max(a, b) + 1e-12
 
-    @given(
-        st.lists(
-            st.lists(st.floats(0, 10, allow_nan=False), min_size=3, max_size=3),
-            min_size=1,
-            max_size=10,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_normalize_feature_rows_unit_columns(self, rows):
-        normalized = normalize_feature_rows(rows)
-        for j in range(3):
-            column = [abs(row[j]) for row in normalized]
-            assert max(column) <= 1.0 + 1e-12

@@ -6,7 +6,6 @@ from repro.similarity import (
     PathWeights,
     combine,
     geometric_mean,
-    normalize_feature_rows,
     uniform_weights,
 )
 
@@ -62,24 +61,3 @@ class TestGeometricMean:
 
     def test_symmetry(self):
         assert geometric_mean(0.3, 0.7) == geometric_mean(0.7, 0.3)
-
-
-class TestNormalizeFeatureRows:
-    def test_columns_scaled_to_unit_max(self):
-        rows = normalize_feature_rows([[2.0, 0.1], [1.0, 0.05]])
-        assert rows == [[1.0, 1.0], [0.5, 0.5]]
-
-    def test_zero_column_stays_zero(self):
-        rows = normalize_feature_rows([[0.0, 1.0], [0.0, 0.5]])
-        assert rows == [[0.0, 1.0], [0.0, 0.5]]
-
-    def test_empty_input(self):
-        assert normalize_feature_rows([]) == []
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_feature_rows([[1.0], [1.0, 2.0]])
-
-    def test_negative_values_normalized_by_magnitude(self):
-        rows = normalize_feature_rows([[-2.0], [1.0]])
-        assert rows == [[-1.0], [0.5]]
