@@ -57,10 +57,7 @@ def test_svm_training_kernel(benchmark, distinct):
     cost = distinct.resem_model_.metadata["C"]
 
     def kernel():
-        svm = LinearSVM(
-            C=cost, loss="squared_hinge", tol=1e-3, max_epochs=600, strict=False
-        )
-        return svm.fit(features.resemblance, labels)
+        return LinearSVM(C=cost).fit(features.resemblance, labels)
 
     svm = benchmark.pedantic(kernel, rounds=1, iterations=1)
     assert svm.accuracy(features.resemblance, labels) > 0.7

@@ -96,11 +96,7 @@ DEFAULT_CONFIG_PROGRAMMATIC: tuple[str, ...] = (
     "max_refs",
     "svm_C_grid",
     "svm_cv_folds",
-    "svm_loss",
     "svm_class_weight",
-    "svm_tol",
-    "svm_max_epochs",
-    "svm_retries",
     "clamp_negative_weights",
     "normalize_weights",
     "seed",

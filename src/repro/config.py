@@ -76,20 +76,15 @@ class DistinctConfig:
     max_refs: int = 30
 
     # SVM. ``svm_C=None`` selects C per measure by cross-validated accuracy
-    # over ``svm_C_grid`` (the two measures live on very different raw
-    # scales, so one fixed C underfits one of them).
+    # over ``svm_C_grid`` (one-standard-error rule). The two measures live on
+    # very different raw scales, so one fixed C underfits one of them: walk
+    # features are ~1e-3, and their CV accuracy levels off only near 1e6.
     svm_C: float | None = None
-    svm_C_grid: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0, 1000.0)
+    svm_C_grid: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
     svm_cv_folds: int = 3
-    svm_loss: str = "squared_hinge"
     # None, "balanced", or a {label: factor} dict; "balanced" is useful when
     # n_positive != n_negative.
     svm_class_weight: str | None = None
-    svm_tol: float = 1e-3
-    svm_max_epochs: int = 600
-    # Extra strict-fit attempts with a doubled epoch budget before a
-    # ConvergenceError propagates (0 keeps best-so-far, non-strict fits).
-    svm_retries: int = 0
     clamp_negative_weights: bool = True
     # Rescale each measure's clamped weights to sum to 1 before combining.
     # A positive global rescale of one measure rescales every composite

@@ -13,6 +13,7 @@ best similarity falls below ``min_sim``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,33 +283,28 @@ class Distinct:
         return model, accuracy
 
     def _make_svm(self, cost: float) -> LinearSVM:
-        return LinearSVM(
-            C=cost,
-            loss=self.config.svm_loss,
-            tol=self.config.svm_tol,
-            max_epochs=self.config.svm_max_epochs,
-            seed=self.config.seed,
-            strict=self.config.svm_retries > 0,
-            class_weight=self.config.svm_class_weight,
-            retries=self.config.svm_retries,
-        )
+        return LinearSVM(C=cost, class_weight=self.config.svm_class_weight)
 
     def _select_cost(self, X: np.ndarray, labels: np.ndarray) -> float:
-        """Pick C by k-fold cross-validated accuracy over the config grid."""
-        best_cost = self.config.svm_C_grid[0]
-        best_score = -1.0
-        for cost in self.config.svm_C_grid:
-            result = cross_validate(
-                lambda: self._make_svm(cost),
-                X,
-                labels,
-                k=self.config.svm_cv_folds,
-                seed=self.config.seed,
+        """Pick C by k-fold cross-validation over the config grid: the
+        smallest C whose mean accuracy is within one standard error of the
+        best mean (the one-standard-error rule).
+
+        Pair accuracy keeps creeping up with C until a fit is effectively
+        unregularized, so the plain argmax lands near the top of whatever
+        grid is given; the smallest C the folds cannot tell from the best
+        does not move when the grid grows past the plateau.
+        """
+        k = self.config.svm_cv_folds
+        scores = {
+            cost: cross_validate(
+                lambda: self._make_svm(cost), X, labels, k=k, seed=self.config.seed
             )
-            if result["accuracy_mean"] > best_score:
-                best_score = result["accuracy_mean"]
-                best_cost = cost
-        return best_cost
+            for cost in self.config.svm_C_grid
+        }
+        best = max(scores.values(), key=lambda result: result["accuracy_mean"])
+        bar = best["accuracy_mean"] - best["accuracy_std"] / math.sqrt(k)
+        return min(c for c, result in scores.items() if result["accuracy_mean"] >= bar)
 
     # -- resolution (§2 + §4) --------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Supervised learning with an automatically constructed training set (§3).
 
 No external ML library is used: :mod:`repro.ml.svm` implements a
-linear-kernel SVM from scratch (dual coordinate descent), which is the model
+linear-kernel SVM from scratch (exact primal Newton), which is the model
 class the paper trains over per-path similarity features. The training set
 comes for free from the data itself (:mod:`repro.ml.trainingset`): names
 whose first and last tokens are both rare are assumed unique, pairs of their

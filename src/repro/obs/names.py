@@ -109,7 +109,6 @@ REGISTERED_METRICS: dict[str, str] = {
     "similarity.resemblance.calls": "counter",
     "similarity.walk.calls": "counter",
     # SVM training (repro.ml.svm)
-    "svm.convergence_retries": "counter",
     "svm.fits": "counter",
     "svm.iterations": "counter",
     # training-set construction (repro.ml.trainingset)

@@ -1,8 +1,8 @@
 """Bounded retries with jittered exponential backoff, and wall-clock deadlines.
 
 :func:`retry` turns a transiently failing callable into a bounded, reported
-condition: the iterative solvers use it to widen their budget on each
-attempt (``fn`` receives the attempt index), and every re-attempt is
+condition: k-medoids uses it to widen its swap budget on each attempt
+(``fn`` receives the attempt index), and every re-attempt is
 counted in the ``obs`` registry (``resilience.retry_attempts``) so retries
 show up in traces. When the budget is exhausted the *last* exception
 propagates unchanged — a :class:`~repro.errors.ConvergenceError` stays a
@@ -86,10 +86,9 @@ def retry(
     """Call ``fn(attempt)`` up to ``budget`` times with jittered backoff.
 
     ``fn`` receives the zero-based attempt index so callers can scale their
-    effort per attempt (the SVM doubles its epoch budget, k-medoids its
-    swap budget). Only exceptions matching ``retry_on`` are retried;
-    anything else — and the last failure once the budget is exhausted —
-    propagates unchanged.
+    effort per attempt (k-medoids doubles its swap budget). Only exceptions
+    matching ``retry_on`` are retried; anything else — and the last failure
+    once the budget is exhausted — propagates unchanged.
 
     The delay before attempt ``k`` (k >= 1) is
     ``min(backoff * 2**(k-1), max_backoff)`` scaled by a random factor in

@@ -36,6 +36,25 @@ class TestSelectCost:
         X, y = self.make_data(scale=1e-3)
         assert distinct._select_cost(X, y) == 1000.0
 
+    def test_smallest_C_within_one_standard_error_of_the_best(self, monkeypatch):
+        # Scripted fold results: C=100 has the best mean, and C=10 sits
+        # within one standard error (0.06 / sqrt(3) ~ 0.035) of it.
+        scripted = {
+            0.1: (0.70, 0.02), 1.0: (0.80, 0.02), 10.0: (0.87, 0.05),
+            100.0: (0.90, 0.06), 1000.0: (0.89, 0.01),
+        }
+
+        def fake_cross_validate(factory, X, y, k, seed):
+            mean, std = scripted[factory().C]
+            return {"accuracy_mean": mean, "accuracy_std": std}
+
+        monkeypatch.setattr(
+            "repro.core.distinct.cross_validate", fake_cross_validate
+        )
+        config = DistinctConfig(svm_C_grid=tuple(scripted), svm_cv_folds=3)
+        X, y = self.make_data()
+        assert make_unfit(config)._select_cost(X, y) == 10.0
+
     def test_fixed_C_skips_selection(self, small_db):
         db, _ = small_db
         config = DistinctConfig(n_positive=100, n_negative=100, svm_C=10.0)

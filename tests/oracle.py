@@ -10,6 +10,9 @@ floating-point reassociation tolerance.
 
 :func:`assert_rows_are_partner_splits` holds a step matrix to the scalar
 engine's partner lists (:meth:`PropagationEngine._partners`) row by row.
+
+:func:`optimality` measures how far a fitted
+:class:`~repro.ml.svm.LinearSVM` is from the squared-hinge optimum.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.features import PairFeatures
+from repro.ml.svm import GRADIENT_TOL
 from repro.similarity.randomwalk import walk_probability
 from repro.similarity.resemblance import set_resemblance
 
@@ -50,3 +54,22 @@ def assert_rows_are_partner_splits(matrix, engine, step) -> None:
         assert matrix.indices[lo:hi].tolist() == partners
         if partners:
             assert (matrix.data[lo:hi] == 1.0 / len(partners)).all()
+
+
+def optimality(svm, X, y):
+    """(gradient norm, solver tolerance, KKT duality gap) at the fitted model.
+
+    The dual point is the one the primal optimum implies for the squared
+    hinge, ``alpha_i = 2 C_i max(0, 1 - y_i f_i)``; its gap to the primal
+    objective is zero exactly at the optimum.
+    """
+    Xa = np.hstack([X, np.ones((len(y), 1))])
+    w = np.append(svm.weights_, svm.bias_)
+    costs = svm._per_example_cost(y)
+    alpha = 2.0 * costs * np.maximum(1.0 - y * (Xa @ w), 0.0)
+    v = (alpha * y) @ Xa
+    grad = w - v
+    g0 = -2.0 * (costs * y) @ Xa
+    dual = np.sum(alpha) - 0.5 * v @ v - np.sum(alpha**2 / (4.0 * costs))
+    tol = GRADIENT_TOL * max(1.0, float(np.linalg.norm(g0)))
+    return float(np.linalg.norm(grad)), tol, svm.primal_objective(X, y) - dual

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.eval.metrics import bcubed_scores, pairwise_scores
 from repro.ml.svm import LinearSVM
+from tests.oracle import optimality
 
 
 @st.composite
@@ -106,29 +107,25 @@ def labeled_data(draw):
 
 
 class TestSVMProperties:
-    @given(labeled_data())
-    @settings(max_examples=30, deadline=None)
-    def test_dual_variables_feasible(self, data):
+    @given(
+        labeled_data(),
+        st.sampled_from([0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weak_duality(self, data, C):
+        # At the exact optimum weak duality is tight: the gradient vanishes
+        # to the solver's tolerance and the KKT dual point closes the gap.
         X, y = data
-        svm = LinearSVM(C=1.0, loss="hinge", max_epochs=400, strict=False).fit(X, y)
-        assert np.all(svm.dual_coef_ >= -1e-12)
-        assert np.all(svm.dual_coef_ <= 1.0 + 1e-12)
-
-    @given(labeled_data())
-    @settings(max_examples=30, deadline=None)
-    def test_weak_duality(self, data):
-        X, y = data
-        svm = LinearSVM(C=1.0, loss="hinge", max_epochs=400, strict=False).fit(X, y)
-        Xa = np.hstack([X, np.ones((len(y), 1))])
-        w = (svm.dual_coef_ * y) @ Xa
-        dual = np.sum(svm.dual_coef_) - 0.5 * w @ w
-        primal = svm.primal_objective(X, y)
-        assert primal >= dual - 1e-6
+        svm = LinearSVM(C=C).fit(X, y)
+        grad_norm, tol, gap = optimality(svm, X, y)
+        assert grad_norm <= tol
+        scale = max(1.0, svm.primal_objective(X, y))
+        assert gap == pytest.approx(0.0, abs=1e-9 * scale)
 
     @given(labeled_data())
     @settings(max_examples=20, deadline=None)
     def test_predictions_deterministic(self, data):
         X, y = data
-        a = LinearSVM(C=1.0, seed=1, max_epochs=300, strict=False).fit(X, y)
-        b = LinearSVM(C=1.0, seed=1, max_epochs=300, strict=False).fit(X, y)
+        a = LinearSVM(C=1.0).fit(X, y)
+        b = LinearSVM(C=1.0).fit(X, y)
         assert np.array_equal(a.predict(X), b.predict(X))

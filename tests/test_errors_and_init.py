@@ -85,16 +85,6 @@ class TestDocumentedRaises:
         with pytest.raises(TrainingError):
             build_training_set(db, n_positive=5, n_negative=5)
 
-    def test_svm_raises_convergence_error_after_bounded_retries(self):
-        from repro.ml.svm import LinearSVM
-
-        X = np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0], [-0.9, -0.1]])
-        y = np.array([1.0, 1.0, -1.0, -1.0])
-        svm = LinearSVM(C=1e6, tol=1e-12, max_epochs=1, retries=1)
-        with pytest.raises(ConvergenceError):
-            svm.fit(X, y)
-        assert svm.n_fit_attempts_ == 2  # bounded: initial fit + 1 retry
-
     def test_unfitted_svm_raises_not_fitted_error(self):
         from repro.ml.svm import LinearSVM
 
