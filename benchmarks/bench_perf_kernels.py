@@ -7,7 +7,7 @@ Standalone script (not a pytest bench — CI runs it directly)::
 It times each stage of the pair-feature route against the scalar
 reference the tests use, on a synthetic ambiguous name:
 
-1. **pair kernels** — the pair-list kernels of
+1. **pair kernels** — the pair kernel of
    :mod:`repro.similarity.vectorized` against the per-pair loops
    (:func:`repro.similarity.resemblance.set_resemblance`,
    :func:`repro.similarity.randomwalk.walk_probability`);
@@ -15,7 +15,7 @@ reference the tests use, on a synthetic ambiguous name:
    against the scalar :class:`~repro.paths.profiles.ProfileBuilder`
    walk, on a community-structured synthetic DBLP database;
 3. **pipeline route** — :func:`repro.core.features.compute_pair_features`
-   (batched propagation, matrix kernels) against the
+   (batched propagation, the pair kernel) against the
    scalar propagation and per-pair kernels, including the
    clustering-unchanged check;
 4. **parallel** — the per-name map of :mod:`repro.perf.parallel`, with
@@ -65,11 +65,7 @@ from repro.reldb.joins import JoinStep
 from repro.similarity.combine import uniform_weights
 from repro.similarity.randomwalk import walk_probability
 from repro.similarity.resemblance import set_resemblance
-from repro.similarity.vectorized import (
-    pair_resemblance_values,
-    pair_walk_values,
-    profile_matrices,
-)
+from repro.similarity.vectorized import pair_similarities, profile_matrices
 
 #: Kernel-equivalence tolerance (floating-point reassociation only).
 ATOL = 1e-9
@@ -236,8 +232,7 @@ def vectorized_features(profiles_by_path, pairs):
     walk = np.zeros_like(resem)
     for p, profiles in enumerate(profiles_by_path):
         forward, backward = profile_matrices(profiles)
-        resem[:, p] = pair_resemblance_values(forward, idx_a, idx_b)
-        walk[:, p] = pair_walk_values(forward, backward, idx_a, idx_b)
+        resem[:, p], walk[:, p] = pair_similarities(forward, backward, idx_a, idx_b)
     return resem, walk
 
 
@@ -396,7 +391,7 @@ def main(argv=None) -> int:
     ]
     pairs = all_pairs(n_refs)
 
-    # -- pair-list kernels (the shape compute_pair_features runs) ------------
+    # -- the pair kernel (the shape compute_pair_features runs) --------------
     with span("bench.pair_kernels", n_pairs=len(pairs)):
         scalar_s, (resem_s, walk_s) = timed(
             lambda: scalar_features(profiles_by_path, pairs), repeats

@@ -11,9 +11,11 @@ aggregates. Everything here is vectorized over pairs: ``resemblance`` and
 1. **batched propagation** — every reference of the batch propagates at
    once as sparse matrix products (:mod:`repro.paths.batch`), giving one
    stacked (forward, backward) matrix pair per path;
-2. **matrix kernels** — every pair is evaluated per path by the
-   pair-list kernels of :mod:`repro.similarity.vectorized`, which return
-   an exact 0 where the two supports are disjoint.
+2. **the pair kernel** — every pair is evaluated per path by
+   :func:`repro.similarity.vectorized.pair_similarities`, from one
+   enumeration of the columns its two rows share (an exact 0 where the
+   supports are disjoint). A pair's values depend only on its two rows,
+   so any subset of the pairs scores bit for bit as in the whole list.
 
 The paths are the pipeline's live ones
 (:func:`repro.core.references.live_paths`), so no column is zero by
@@ -38,7 +40,7 @@ from repro.paths.joinpath import JoinPath
 from repro.paths.profiles import ProfileBuilder
 from repro.resilience import fault_check
 from repro.similarity.combine import PathWeights
-from repro.similarity.vectorized import pair_resemblance_values, pair_walk_values
+from repro.similarity.vectorized import pair_similarities
 
 # The benchmark's per-layer ledger wraps ``intersecting_pair_mask`` and
 # reads these two counters, which measured exact pair blocking; the route
@@ -107,27 +109,28 @@ def compute_pair_features(
     idx_b = np.fromiter((index[b] for _, b in pairs), dtype=np.int64, count=len(pairs))
     for p, path in enumerate(paths):
         stacked = matrices[path]
-        resem[:, p] = pair_resemblance_values(stacked.forward, idx_a, idx_b)
-        walk[:, p] = pair_walk_values(stacked.forward, stacked.backward, idx_a, idx_b)
+        resem[:, p], walk[:, p] = pair_similarities(
+            stacked.forward, stacked.backward, idx_a, idx_b
+        )
     return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
 
 
 def all_pairs(rows: list[int]) -> list[tuple[int, int]]:
     """All unordered pairs of ``rows``, in (i < j) index order."""
-    return [
-        (rows[i], rows[j])
-        for i in range(len(rows))
-        for j in range(i + 1, len(rows))
-    ]
+    pos_a, pos_b = np.triu_indices(len(rows), k=1)
+    ids = np.asarray(rows, dtype=np.int64)
+    return list(zip(ids[pos_a].tolist(), ids[pos_b].tolist()))
 
 
 def pair_matrix(
     rows: list[int], pairs: list[tuple[int, int]], values: np.ndarray
 ) -> np.ndarray:
     """Expand condensed per-pair values into a symmetric n x n matrix."""
-    index = {row: i for i, row in enumerate(rows)}
+    ids = np.asarray(rows, dtype=np.int64)
+    order = np.argsort(ids)
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pos = order[np.searchsorted(ids[order], ends)]
     matrix = np.zeros((len(rows), len(rows)))
-    for (row_a, row_b), value in zip(pairs, values):
-        i, j = index[row_a], index[row_b]
-        matrix[i, j] = matrix[j, i] = value
+    matrix[pos[:, 0], pos[:, 1]] = values
+    matrix[pos[:, 1], pos[:, 0]] = values
     return matrix

@@ -437,7 +437,6 @@ class IngestEngine:
             return self._full_refresh(state, plan, rows_new)
 
         builder = state.builder
-        dirty_origins = [state.rows[int(i)] for i in plan.dirty_idx] + plan.new_rows
         # Every row pairs with a dirty one, so the recomputed pairs reach
         # every row: one traced batch over the name feeds them all.
         traces: dict[str, sparse.csr_matrix] = {}
@@ -445,33 +444,32 @@ class IngestEngine:
             builder.engine, distinct.paths_, rows_new, trace=traces
         )
 
+        # The old rows are a prefix of the new ones and both pair lists
+        # are ``all_pairs`` order, so a clean pair (i, j) of old positions
+        # sits at the condensed index i*(2n_old - i - 1)/2 + j - i - 1.
         pairs_new = all_pairs(rows_new)
-        old_position = {pair: k for k, pair in enumerate(state.features.pairs)}
-        dirty_rows_set = set(dirty_origins)
-        recompute = [
-            k for k, (a, b) in enumerate(pairs_new)
-            if a in dirty_rows_set or b in dirty_rows_set
-        ]
-        recompute_set = set(recompute)
+        pos_a, pos_b = np.triu_indices(len(rows_new), k=1)
+        dirty = np.zeros(len(rows_new), dtype=bool)
+        dirty[plan.dirty_idx] = True
+        dirty[n_old:] = True
+        recompute_mask = dirty[pos_a] | dirty[pos_b]
+        recompute = np.flatnonzero(recompute_mask)
+        keep = np.flatnonzero(~recompute_mask)
+        keep_a, keep_b = pos_a[keep], pos_b[keep]
+        old_k = keep_a * (2 * n_old - keep_a - 1) // 2 + keep_b - keep_a - 1
 
         n_paths = len(distinct.paths_)
         resem = np.zeros((len(pairs_new), n_paths))
         walk = np.zeros((len(pairs_new), n_paths))
-        reused = 0
-        for k, pair in enumerate(pairs_new):
-            if k in recompute_set:
-                continue
-            old_k = old_position[pair]
-            resem[k] = state.features.resemblance[old_k]
-            walk[k] = state.features.walk[old_k]
-            reused += 1
-        if recompute:
+        resem[keep] = state.features.resemblance[old_k]
+        walk[keep] = state.features.walk[old_k]
+        reused = len(keep)
+        if len(recompute):
             sub = compute_pair_features(
                 builder, [pairs_new[k] for k in recompute], matrices
             )
-            idx = np.asarray(recompute, dtype=np.int64)
-            resem[idx] = sub.resemblance
-            walk[idx] = sub.walk
+            resem[recompute] = sub.resemblance
+            walk[recompute] = sub.walk
         features = PairFeatures(
             paths=distinct.paths_, pairs=pairs_new, resemblance=resem, walk=walk
         )

@@ -460,7 +460,13 @@ def batch_profile_matrices(
             )
             visit(child, nxt, nxt_rev, depth + 1)
 
-    visit(root, initial, initial.copy(), 0)
+    try:
+        visit(root, initial, initial.copy(), 0)
+    finally:
+        # ``visit`` refers to itself through its closure cell. Clearing
+        # the cell breaks that cycle, so the batch's matrices are freed
+        # now rather than whenever the cyclic collector next runs.
+        del visit
     return results
 
 

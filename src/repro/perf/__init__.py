@@ -5,8 +5,9 @@ propagation along join paths (§2.2), all-pairs similarity (§2.3–2.4), and
 the agglomerative merge loop (§4.1). This package holds the shared
 machinery that accelerates them without changing results:
 
-- :mod:`repro.perf.chunking` — pair-slice sizing under a fixed byte
-  budget, so the pair kernels bound peak memory whatever the row widths;
+- :mod:`repro.perf.chunking` — chunk sizing under a fixed byte budget,
+  so the pair kernel bounds peak memory whatever the terms per column
+  or per pair;
 - :mod:`repro.perf.parallel` — a ``ProcessPoolExecutor``-backed ordered
   map with deterministic, input-ordered result assembly, per-worker
   obs-counter merging, input-order chunked dispatch, and an in-process
@@ -18,14 +19,14 @@ machinery that accelerates them without changing results:
   name, the building block of batched propagation
   (:mod:`repro.paths.batch`).
 
-The pair kernels themselves live in :mod:`repro.similarity.vectorized`.
+The pair kernel itself lives in :mod:`repro.similarity.vectorized`.
 ``benchmarks/bench_perf_kernels.py`` tracks the
 kernel/propagation/parallel trajectory in ``BENCH_perf.json``;
 ``benchmarks/bench_scale.py`` tracks serial vs pool wall time across
 world sizes in ``BENCH_scale.json`` (history in ``BENCH_history.jsonl``).
 """
 
-from repro.perf.chunking import pair_slices
+from repro.perf.chunking import budget_slices
 from repro.perf.parallel import (
     DEFAULT_TASK_RETRIES,
     RemoteTaskError,
@@ -43,8 +44,8 @@ __all__ = [
     "StepMatrices",
     "StepPair",
     "active_segments",
+    "budget_slices",
     "build_step",
     "ordered_process_map",
-    "pair_slices",
     "should_inline",
 ]

@@ -1,47 +1,44 @@
-"""Slice sizing for the pair-list kernels.
+"""Chunk sizing for the pair kernel.
 
-The pair kernels (:mod:`repro.similarity.vectorized`) gather the rows
-of a stacked sparse matrix for a slice of pairs, ``matrix[idx_a[sl]]`` and
-``matrix[idx_b[sl]]``. One slice therefore holds as many stored entries
-as its pairs' rows have together, and row widths differ by an order of
-magnitude between worlds: a fixed pair count either wastes time on
-narrow rows or blows up peak memory on wide ones. :func:`pair_slices`
-cuts the pair list by stored entries instead, under one fixed byte
-budget.
+The pair kernel (:mod:`repro.similarity.vectorized`) enumerates the
+*terms* of a pair list: one term per stored column two rows share. It
+works through the terms in consecutive chunks, each holding a few
+index and value arrays of one entry per term. How many terms a column
+or a pair yields differs by orders of magnitude between worlds, so a
+fixed count of columns or pairs either wastes time on small chunks or
+blows up peak memory on large ones. :func:`budget_slices` cuts a run of
+items by the terms they yield instead, under one fixed byte budget.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Byte budget of the rows one pair slice gathers (both sides).
-PAIR_SLICE_BYTES = 2 * 1024 * 1024
+#: Byte budget of the term arrays one kernel chunk holds.
+TERM_CHUNK_BYTES = 4 * 1024 * 1024
 
-#: Bytes of one stored CSR entry: a float64 value and an int64 index.
-_ENTRY_BYTES = 16
+#: Bytes the kernel holds per term: index arrays and gathered values.
+_TERM_BYTES = 128
 
 
-def pair_slices(row_nnz: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray) -> list[slice]:
-    """Cover the pair list with consecutive slices under the byte budget.
+def budget_slices(costs: np.ndarray) -> list[slice]:
+    """Cover items with consecutive slices under the byte budget.
 
-    ``row_nnz[i]`` is the stored-entry count of matrix row ``i`` (e.g.
-    ``np.diff(matrix.indptr)``); pair ``k`` gathers rows ``idx_a[k]`` and
-    ``idx_b[k]``. Each slice gathers at most :data:`PAIR_SLICE_BYTES`,
-    except that a single pair wider than the budget gets a slice of its
-    own.
+    ``costs[k]`` is the number of terms item ``k`` yields. Each slice
+    holds at most :data:`TERM_CHUNK_BYTES` of terms, except that a
+    single item over the budget gets a slice of its own.
     """
-    n = len(idx_a)
+    n = len(costs)
     if not n:
         return []
-    # One extra entry per pair keeps all-empty rows from piling up
-    # into one unbounded slice.
-    cost = row_nnz[idx_a] + row_nnz[idx_b] + 1
-    ends = np.cumsum(cost * _ENTRY_BYTES)
+    # One extra term per item keeps items that yield nothing from
+    # piling up into one unbounded slice.
+    ends = np.cumsum((np.asarray(costs, dtype=np.int64) + 1) * _TERM_BYTES)
     slices: list[slice] = []
     start = 0
     while start < n:
         spent = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, spent + PAIR_SLICE_BYTES, side="right"))
+        stop = int(np.searchsorted(ends, spent + TERM_CHUNK_BYTES, side="right"))
         stop = max(stop, start + 1)
         slices.append(slice(start, stop))
         start = stop

@@ -61,7 +61,9 @@ class TestPairFeatures:
 
     def test_all_pairs(self):
         assert all_pairs([1, 2, 3]) == [(1, 2), (1, 3), (2, 3)]
+        assert all_pairs([9, 4, 7]) == [(9, 4), (9, 7), (4, 7)]
         assert all_pairs([7]) == []
+        assert all_pairs([]) == []
 
     def test_shapes(self):
         features, pairs = self.make_features()
@@ -93,3 +95,8 @@ class TestPairFeatures:
         assert np.allclose(matrix, matrix.T)
         assert matrix[0, 2] == pytest.approx(1 / 3)  # rows 0 and 6
         assert np.all(np.diag(matrix) == 0.0)
+
+    def test_pair_matrix_unsorted_rows_and_pairs(self):
+        matrix = pair_matrix([30, 10, 20], [(20, 30), (10, 30)], np.array([1.0, 2.0]))
+        expected = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(matrix, expected)

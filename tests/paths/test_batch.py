@@ -7,6 +7,8 @@ same origin handling, same supports — at reassociation tolerance.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,19 @@ class TestBatchedProfilesContract:
         fitted.profile_builder("Wei Wang").matrices_for(rows)
         assert scalar > 0
         assert tuples.value - before == scalar
+
+
+    def test_batch_leaves_no_reference_cycle(self):
+        engine = PropagationEngine(build_minidb(), EXCLUSIONS)
+        gc.collect()
+        gc.disable()
+        try:
+            batch_profile_matrices(engine, PATHS, list(WW_REFS))
+            # A cycle would keep the batch's matrices until the cyclic
+            # collector happened to run.
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMergeBatched:

@@ -1,8 +1,8 @@
 """The production pair-feature route against the scalar reference.
 
 Uses the hand-built mini DBLP database so expectations stay checkable:
-batched propagation + matrix kernels must agree with
-the scalar oracle on every (pair, path) feature, whatever the pair-slice
+batched propagation + the pair kernel must agree with
+the scalar oracle on every (pair, path) feature, whatever the chunk
 budget.
 """
 
@@ -48,7 +48,7 @@ class TestBackendEquivalence:
     def test_vectorized_handles_tiny_pair_chunk(self, monkeypatch):
         pairs = all_pairs(WW_REFS)
         whole = compute_pair_features(_builder(), pairs)
-        monkeypatch.setattr(chunking, "PAIR_SLICE_BYTES", 1)  # one pair per slice
+        monkeypatch.setattr(chunking, "TERM_CHUNK_BYTES", 1)  # one item per chunk
         sliced = compute_pair_features(_builder(), pairs)
         np.testing.assert_array_equal(whole.resemblance, sliced.resemblance)
         np.testing.assert_array_equal(whole.walk, sliced.walk)

@@ -5,7 +5,7 @@ from repro.paths import JoinPath, ProfileBuilder
 from repro.paths.propagation import make_exclusions
 from repro.reldb.joins import JoinStep
 from repro.similarity import walk_probability
-from repro.similarity.vectorized import pair_walk_values, profile_matrices
+from repro.similarity.vectorized import pair_similarities, profile_matrices
 
 from tests.minidb import WW_AUTHOR_ROW, WW_REFS, build_minidb
 
@@ -20,7 +20,8 @@ def pairwise_walk_matrix(profiles) -> np.ndarray:
     forward, backward = profile_matrices(profiles)
     iu, ju = np.triu_indices(len(profiles), k=1)
     matrix = np.zeros((len(profiles), len(profiles)))
-    matrix[iu, ju] = matrix[ju, iu] = pair_walk_values(forward, backward, iu, ju)
+    _, walk = pair_similarities(forward, backward, iu, ju)
+    matrix[iu, ju] = matrix[ju, iu] = walk
     return matrix
 
 
@@ -43,7 +44,8 @@ class TestProfileMatrices:
 
     def test_empty_input(self, ww_profiles):
         forward, backward = profile_matrices(ww_profiles)
-        assert pair_walk_values(forward, backward, [], []).shape == (0,)
+        resem, walk = pair_similarities(forward, backward, [], [])
+        assert resem.shape == walk.shape == (0,)
 
 
 class TestPairwiseWalkMatrix:
