@@ -106,9 +106,10 @@ class FitReport:
 class Distinct:
     """The full DISTINCT methodology bound to one configuration.
 
-    ``steps`` holds the join-step matrices of the current database epoch;
-    every profile builder of the pipeline reads them, so each step is
-    built once per epoch whatever the number of names.
+    ``steps`` holds the join-step matrices of the database; every profile
+    builder of the pipeline reads them, so each step is built once
+    whatever the number of names, and extended by the appended rows when
+    its relations grow.
 
     ``paths_`` holds the enumerated join paths the exclusion rule leaves
     alive (:func:`~repro.core.references.live_paths`);

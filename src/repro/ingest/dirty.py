@@ -5,17 +5,17 @@ changes the *filtered partner list* of an existing row ``i`` across a
 join step iff some new row of the step's destination relation joins to
 ``i`` — partner lists only ever grow (indexes are append-only), so the
 affected set is found by looking each new row's join value up in the
-*source* relation's index. Running that probe over every step of the
-configured paths **and every step's reverse** covers both propagation
-directions: forward mass splits use the forward partner lists, and the
-backward DP's denominators count reverse partners
+*source* relation's index (:func:`repro.perf.transitions
+.grown_partner_rows`, the same probe that tells a step matrix which old
+rows to re-list when it extends). Running that probe over every step of
+the configured paths **and every step's reverse** covers both
+propagation directions: forward mass splits use the forward partner
+lists, and the backward DP's denominators count reverse partners
 (:mod:`repro.paths.propagation`).
 
 :func:`touched_row_mask` intersects the affected rows with each
 reference's visited trace to find the *dirty references* — the ones
 whose profiles can differ from a cold post-delta recompute.
-(The step matrices themselves need no row-level invalidation: they
-rebuild whole on their first read at the new epoch.)
 
 The probe ignores per-name exclusions, so it is a (tight) superset of
 any one name's truly-changed partner lists — conservative in the safe
@@ -30,6 +30,7 @@ from scipy import sparse
 
 from repro.obs import counter
 from repro.paths.joinpath import JoinPath
+from repro.perf.transitions import grown_partner_rows
 from repro.reldb.database import Database
 from repro.reldb.delta import AppliedDelta
 from repro.reldb.joins import JoinStep
@@ -55,31 +56,22 @@ def affected_rows(
     """Pre-delta rows whose filtered partner lists changed, per relation.
 
     For each probe step, an *old* source row is affected when one of the
-    delta's new destination rows carries its join value. Rows the delta
-    itself appended are excluded — no reference walked them before the
-    delta, so no trace holds them.
+    delta's new destination rows carries its (non-NULL) join value. Rows
+    the delta itself appended are excluded — no reference walked them
+    before the delta, so no trace holds them.
     """
-    old_size = {
-        relation: len(db.table(relation).rows) - len(applied.new_rows(relation))
-        for relation in applied.row_ids
-    }
+
+    def old_size(relation: str) -> int:
+        return len(db.table(relation)) - len(applied.new_rows(relation))
+
     affected: dict[str, set[int]] = {}
     for step in _probe_steps(paths):
-        new_dst = applied.new_rows(step.dst_relation)
-        if not new_dst:
+        if not applied.new_rows(step.dst_relation):
             continue
-        dst_table = db.table(step.dst_relation)
-        dst_pos = dst_table.schema.position(step.dst_attribute)
-        src_index = db.index(step.src_relation, step.src_attribute)
-        src_old = old_size.get(
-            step.src_relation, len(db.table(step.src_relation).rows)
+        grown = grown_partner_rows(
+            db, step, old_size(step.src_relation), old_size(step.dst_relation)
         )
-        bucket = affected.setdefault(step.src_relation, set())
-        for row_id in new_dst:
-            value = dst_table.row(row_id)[dst_pos]
-            for src_row in src_index.lookup(value):
-                if src_row < src_old:
-                    bucket.add(src_row)
+        affected.setdefault(step.src_relation, set()).update(grown.tolist())
     affected = {rel: rows for rel, rows in affected.items() if rows}
     _AFFECTED.inc(sum(len(rows) for rows in affected.values()))
     return affected

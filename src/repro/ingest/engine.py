@@ -7,8 +7,9 @@ produces *plus* the state needed to invalidate it precisely:
 - the reference rows, pair features, combined pair matrices, and the
   :class:`~repro.cluster.agglomerative.ClusteringResult`;
 - a persistent :class:`~repro.paths.profiles.ProfileBuilder` over the
-  pipeline's shared step matrices, which rebuild on their first read
-  after a delta (:class:`repro.perf.transitions.StepMatrices`);
+  pipeline's shared step matrices, which extend by the delta's rows on
+  their first read after it (:class:`repro.perf.transitions
+  .StepMatrices`);
 - the per-relation *visited traces* (boolean reference × relation-row
   patterns) of every forward propagation level.
 
@@ -38,8 +39,8 @@ With ``workers > 1`` the per-name refresh fans out over the
 fork-primed process pool (:func:`repro.perf.ordered_process_map`): the
 delta is applied and the refreshes planned in the parent first, workers
 return compact per-name refreshes, and the parent adopts them in input
-order. Step matrices a worker rebuilds are lost to the parent, which
-rebuilds its own on its next read, the usual fork trade.
+order. Step matrices a worker extends are lost to the parent, which
+extends its own on its next read, the usual fork trade.
 """
 
 from __future__ import annotations

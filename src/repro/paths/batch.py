@@ -13,8 +13,9 @@ sparse matrix ``M`` turns each step into a single SpMM:
 - **backward**: ``R_k = R_{k-1} @ T(step_k.reverse()).T``, restricted to
   the rows the forward pass reached (the scalar DP's per-level domain).
 
-Both matrices of a step are built once per database epoch over the whole
-relations and shared by every name (:attr:`PropagationEngine.steps`). A
+Both matrices of a step are built once over the whole relations, extended
+when a relation grows, and shared by every name
+(:attr:`PropagationEngine.steps`). A
 name's global exclusions only drop its own rows from partner lists, so a
 step whose destination (or, for the reverse split, source) relation has
 exclusions gets a masked, renormalized copy that lives for one call.
@@ -42,7 +43,14 @@ rows of the run's step matrices):
 Both corrections touch O(origin fanout) entries per reference — no
 cancellation-prone subtractions — so batched results match the scalar
 engine to floating-point reassociation tolerance (the property suite
-asserts <= 1e-12; the bench gates at 1e-9).
+asserts <= 1e-12; the bench gates at 1e-9). They run for all references
+at once: every origin's partner list is gathered from the step matrix's
+CSR arrays, and one ``searchsorted`` over the level's ``row * width +
+column`` keys finds which of those entries the level holds.
+
+Every operation acts on each reference's row alone, so a reference's
+forward, backward and trace rows are the same bytes whatever batch it
+propagates in (property-tested).
 
 The walk shares prefixes across paths through the same step trie as
 :func:`repro.paths.trie.propagate_trie`. Final per-path backward
@@ -62,7 +70,7 @@ from repro.obs import counter
 from repro.paths.joinpath import JoinPath
 from repro.paths.propagation import PropagationEngine, _EMPTY_SET
 from repro.paths.trie import _TrieNode, _build_trie
-from repro.perf.transitions import without_columns, without_rows
+from repro.perf.transitions import _keep, without_columns, without_rows
 
 __all__ = ["BatchedProfiles", "batch_profile_matrices", "merge_batched"]
 
@@ -149,53 +157,27 @@ class _BatchContext:
         return matrix
 
 
-def _partners(matrix: sparse.csr_matrix, row: int) -> np.ndarray:
-    """Column ids of one row's entries: its filtered partner list."""
-    return matrix.indices[matrix.indptr[row]:matrix.indptr[row + 1]]
+def _entry_rows(matrix: sparse.csr_matrix) -> np.ndarray:
+    """The row of every stored entry, in storage order."""
+    return np.repeat(np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr))
 
 
-def _degree(matrix: sparse.csr_matrix, row: int) -> float:
-    """One row's filtered partner count."""
-    return float(matrix.indptr[row + 1] - matrix.indptr[row])
+def _positions(
+    matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Where entry ``(rows[k], cols[k])`` sits in ``matrix.data``, or -1
+    where it is not stored (indices must be sorted).
 
-
-def _support_rows(matrix: sparse.csr_matrix) -> np.ndarray:
-    """Distinct nonzero column ids (the union support across references)."""
-    if matrix.nnz == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(matrix.indices).astype(np.int64)
-
-
-def _entries_at(matrix: sparse.csr_matrix, cols: np.ndarray) -> np.ndarray:
-    """``matrix[r, cols[r]]`` for every row ``r`` (indices must be sorted)."""
-    out = np.zeros(matrix.shape[0])
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    for r in range(matrix.shape[0]):
-        lo, hi = indptr[r], indptr[r + 1]
-        pos = lo + np.searchsorted(indices[lo:hi], cols[r])
-        if pos < hi and indices[pos] == cols[r]:
-            out[r] = data[pos]
-    return out
-
-
-def _add_entries(
-    matrix: sparse.csr_matrix,
-    rows: list[int],
-    cols: list[int],
-    values: list[float],
-) -> sparse.csr_matrix:
-    """``matrix`` plus a sparse update, canonicalized (sorted, no zeros)."""
-    update = sparse.csr_matrix(
-        (
-            np.asarray(values, dtype=np.float64),
-            (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)),
-        ),
-        shape=matrix.shape,
-    )
-    out = (matrix + update).tocsr()
-    out.sort_indices()
-    out.eliminate_zeros()
-    return out
+    With sorted indices, ``row * width + col`` ascends through the
+    storage, so one ``searchsorted`` finds every entry.
+    """
+    width = matrix.shape[1]
+    stored = _entry_rows(matrix) * width + matrix.indices
+    wanted = rows * width + cols
+    pos = np.searchsorted(stored, wanted)
+    found = pos < len(stored)
+    found[found] = stored[pos[found]] == wanted[found]
+    return np.where(found, pos, -1)
 
 
 def _canonical(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -205,20 +187,50 @@ def _canonical(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
     return matrix
 
 
+def _restricted(matrix: sparse.csr_matrix, keep: np.ndarray) -> sparse.csr_matrix:
+    """``matrix`` with only the entries where ``keep`` holds."""
+    indptr, indices = _keep(matrix, keep)
+    out = sparse.csr_matrix((matrix.data[keep], indices, indptr), shape=matrix.shape)
+    out.has_sorted_indices = matrix.has_sorted_indices
+    return out
+
+
 def _zero_origin_column(
     matrix: sparse.csr_matrix, origins: np.ndarray
 ) -> sparse.csr_matrix:
-    """Exactly zero entry ``(r, origins[r])`` for every reference row."""
-    current = _entries_at(matrix, origins)
-    hot = np.flatnonzero(current)
-    if not len(hot):
+    """``matrix`` without entry ``(r, origins[r])`` of any reference row."""
+    pos = _positions(matrix, np.arange(len(origins), dtype=np.int64), origins)
+    pos = pos[pos >= 0]
+    if not len(pos):
         return matrix
-    return _add_entries(
-        matrix,
-        hot.tolist(),
-        origins[hot].tolist(),
-        (-current[hot]).tolist(),
-    )
+    keep = np.ones(matrix.nnz, dtype=bool)
+    keep[pos] = False
+    return _restricted(matrix, keep)
+
+
+def _origin_partner_entries(
+    ctx: _BatchContext,
+    matrix: sparse.csr_matrix,
+    partners: sparse.csr_matrix,
+    excluded: frozenset[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stored entry ``(r, c)`` of ``matrix`` whose column ``c`` is a
+    partner of reference ``r``'s origin (a column of row ``o_r`` of
+    ``partners``), skipping references whose origin is in ``excluded``.
+
+    Returns the entries' rows, columns and positions in ``matrix.data``,
+    in row order and, within a row, column order.
+    """
+    lengths = np.diff(partners.indptr)[ctx.origins]
+    if excluded:
+        lengths[np.isin(ctx.origins, list(excluded))] = 0
+    rows = np.repeat(np.arange(ctx.n_refs, dtype=np.int64), lengths)
+    firsts = np.cumsum(lengths) - lengths
+    offsets = np.arange(len(rows)) - np.repeat(firsts, lengths)
+    cols = partners.indices[np.repeat(partners.indptr[ctx.origins], lengths) + offsets]
+    pos = _positions(matrix, rows, cols.astype(np.int64))
+    found = pos >= 0
+    return rows[found], cols[found], pos[found]
 
 
 def _forward_step_batch(
@@ -249,38 +261,23 @@ def _forward_origin_fix(
     globally excluded need no fix: the generic transition already
     dropped the origin from every partner list.
     """
-    excluded_dst = ctx.engine.exclusions.get(step.dst_relation, _EMPTY_SET)
-    reverse = ctx.forward(step.reverse())
     current = _canonical(current)
-    indptr, indices, data = current.indptr, current.indices, current.data
-    u_rows: list[int] = []
-    u_cols: list[int] = []
-    u_vals: list[float] = []
-    for r in range(ctx.n_refs):
-        origin = int(ctx.origins[r])
-        if origin in excluded_dst:
-            continue
-        lo, hi = indptr[r], indptr[r + 1]
-        if lo == hi:
-            continue
-        row_cols = indices[lo:hi]
-        row_vals = data[lo:hi]
-        for i in _partners(reverse, origin).tolist():
-            pos = np.searchsorted(row_cols, i)
-            if pos >= len(row_cols) or row_cols[pos] != i:
-                continue
-            degree = _degree(transition, i)
-            if degree >= 2.0:
-                u_rows.append(r)
-                u_cols.append(i)
-                u_vals.append(float(row_vals[pos]) / (degree - 1.0))
-    if u_vals:
+    rows, cols, pos = _origin_partner_entries(
+        ctx,
+        current,
+        ctx.forward(step.reverse()),
+        ctx.engine.exclusions.get(step.dst_relation, _EMPTY_SET),
+    )
+    degree = np.diff(transition.indptr)[cols].astype(np.float64)
+    split = degree >= 2.0
+    if split.any():
+        values = current.data[pos[split]] / (degree[split] - 1.0)
         update = sparse.csr_matrix(
-            (u_vals, (u_rows, u_cols)), shape=current.shape
+            (values, (rows[split], cols[split])), shape=current.shape
         )
         nxt = (nxt + update @ transition).tocsr()
         _BATCH_SPMM.inc()
-        _BATCH_CORRECTIONS.inc(len(u_vals))
+        _BATCH_CORRECTIONS.inc(len(values))
     return _zero_origin_column(_canonical(nxt), ctx.origins)
 
 
@@ -301,7 +298,9 @@ def _backward_step_batch(
     """
     rev = (prev_rev @ ctx.backward(step)).tocsr()
     _BATCH_SPMM.inc()
-    rev.data[~np.isin(rev.indices, _support_rows(level))] = 0.0
+    support = np.zeros(rev.shape[1], dtype=bool)
+    support[level.indices] = True
+    rev.data[~support[rev.indices]] = 0.0
     if (
         ctx.engine.exclude_origin
         and not gather_into_origin_level
@@ -329,37 +328,23 @@ def _backward_origin_fix(
     ``t`` joining to ``o_r`` with ``d_t >= 2`` (``d_t == 1`` means the
     origin was the sole partner and the generic value is already zero).
     """
-    excluded_prev = ctx.engine.exclusions.get(step.src_relation, _EMPTY_SET)
-    forward = ctx.forward(step)
-    reverse = ctx.forward(step.reverse())
     rev = _canonical(rev)
-    indptr, indices, data = rev.indptr, rev.indices, rev.data
-    u_rows: list[int] = []
-    u_cols: list[int] = []
-    u_vals: list[float] = []
-    for r in range(ctx.n_refs):
-        origin = int(ctx.origins[r])
-        if origin in excluded_prev:
-            continue
-        lo, hi = indptr[r], indptr[r + 1]
-        if lo == hi:
-            continue
-        row_cols = indices[lo:hi]
-        row_vals = data[lo:hi]
-        for t in _partners(forward, origin).tolist():
-            pos = np.searchsorted(row_cols, t)
-            if pos >= len(row_cols) or row_cols[pos] != t:
-                continue
-            degree = _degree(reverse, t)
-            if degree >= 2.0:
-                scale = degree / (degree - 1.0)
-                u_rows.append(r)
-                u_cols.append(t)
-                u_vals.append(float(row_vals[pos]) * (scale - 1.0))
-    if not u_vals:
+    _, cols, pos = _origin_partner_entries(
+        ctx,
+        rev,
+        ctx.forward(step),
+        ctx.engine.exclusions.get(step.src_relation, _EMPTY_SET),
+    )
+    degree = np.diff(ctx.forward(step.reverse()).indptr)[cols].astype(np.float64)
+    split = degree >= 2.0
+    if not split.any():
         return rev
-    _BATCH_CORRECTIONS.inc(len(u_vals))
-    return _add_entries(rev, u_rows, u_cols, u_vals)
+    pos, degree = pos[split], degree[split]
+    scale = degree / (degree - 1.0)
+    values = rev.data[pos]
+    rev.data[pos] = values + values * (scale - 1.0)
+    _BATCH_CORRECTIONS.inc(len(pos))
+    return rev
 
 
 def _finalize(
@@ -368,37 +353,48 @@ def _finalize(
     forward: sparse.csr_matrix,
     rev: sparse.csr_matrix,
 ) -> BatchedProfiles:
-    """Per-path output: backward masked to the forward support pattern."""
-    pattern = forward.copy()
-    pattern.data = np.ones_like(pattern.data)
-    backward = _canonical(rev.multiply(pattern))
+    """Per-path output: backward masked to the forward support pattern.
+
+    The backward pattern usually equals the forward one already, and is
+    then kept as it is.
+    """
+    if np.array_equal(rev.indptr, forward.indptr) and np.array_equal(
+        rev.indices, forward.indices
+    ):
+        backward = rev
+    else:
+        in_forward = _positions(forward, _entry_rows(rev), rev.indices) >= 0
+        backward = _restricted(rev, in_forward)
     return BatchedProfiles(
         path=path, rows=list(origin_rows), forward=forward, backward=backward
     )
 
 
-def _trace_add(
-    trace: dict[str, sparse.csr_matrix], relation: str, matrix: sparse.csr_matrix
-) -> None:
-    """OR ``matrix``'s nonzero pattern into the relation's visited pattern.
+def _visited_pattern(
+    levels: list[sparse.csr_matrix], shape: tuple[int, int]
+) -> sparse.csr_matrix:
+    """The union of ``levels``' nonzero patterns, as boolean CSR.
 
-    Patterns are boolean ``(n_refs, n_relation_rows)`` CSR matrices; a set
-    bit means the reference's walk put nonzero mass on that tuple at some
-    forward level. Delta ingest intersects these with the rows a delta
-    touched to find exactly the references whose profiles can change.
+    Patterns are ``(n_refs, n_relation_rows)``; a set bit means the
+    reference's walk put nonzero mass on that tuple at some forward
+    level. Delta ingest intersects these with the rows a delta touched to
+    find exactly the references whose profiles can change.
     """
-    pattern = sparse.csr_matrix(
-        (
-            np.ones(matrix.nnz, dtype=bool),
-            matrix.indices.copy(),
-            matrix.indptr.copy(),
-        ),
-        shape=matrix.shape,
+    width = shape[1]
+    keys = np.sort(
+        np.concatenate([_entry_rows(level) * width + level.indices for level in levels])
     )
-    prev = trace.get(relation)
-    if prev is not None:
-        pattern = prev.maximum(pattern).tocsr()
-    trace[relation] = pattern
+    # A sorted scan, not ``np.unique``, which hashes and is far slower here.
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // width, minlength=shape[0]), out=indptr[1:])
+    pattern = sparse.csr_matrix(
+        (np.ones(len(keys), dtype=bool), keys % width, indptr), shape=shape
+    )
+    pattern.has_sorted_indices = True
+    return pattern
 
 
 def batch_profile_matrices(
@@ -417,7 +413,9 @@ def batch_profile_matrices(
 
     ``trace``, when given a dict, is filled with the
     per-relation visited patterns of every forward level (including the
-    origin level) — the raw material of dirty-reference detection.
+    origin level) — the raw material of dirty-reference detection. Each
+    relation's pattern is one union taken after the walk, over its
+    levels and any pattern the dict already held for it.
     """
     if not paths:
         return {}
@@ -435,8 +433,7 @@ def batch_profile_matrices(
         (ones, (ref_ids, ctx.origins)), shape=(ctx.n_refs, n_start)
     )
     initial.sort_indices()
-    if trace is not None:
-        _trace_add(trace, start_relation, initial)
+    visited: dict[str, list[sparse.csr_matrix]] = {start_relation: [initial]}
 
     results: dict[JoinPath, BatchedProfiles] = {}
     root = _build_trie(paths)
@@ -449,7 +446,7 @@ def batch_profile_matrices(
         for child in node.children.values():
             nxt = _forward_step_batch(ctx, child.step, forward, start_relation)
             if trace is not None:
-                _trace_add(trace, child.step.dst_relation, nxt)
+                visited.setdefault(child.step.dst_relation, []).append(nxt)
             nxt_rev = _backward_step_batch(
                 ctx,
                 child.step,
@@ -467,6 +464,11 @@ def batch_profile_matrices(
         # the cell breaks that cycle, so the batch's matrices are freed
         # now rather than whenever the cyclic collector next runs.
         del visit
+    if trace is not None:
+        for relation, levels in visited.items():
+            if relation in trace:
+                levels.append(trace[relation])
+            trace[relation] = _visited_pattern(levels, levels[0].shape)
     return results
 
 

@@ -24,7 +24,7 @@ Two kinds of tuples are treated specially (DESIGN.md §6):
 This engine walks one reference at a time over Python dicts; it is the
 test oracle. The runtime route is :mod:`repro.paths.batch`, which pushes
 all references of a name through the same splits as sparse matrix
-products over the per-epoch step matrices of :attr:`PropagationEngine
+products over the shared step matrices of :attr:`PropagationEngine
 .steps`.
 """
 

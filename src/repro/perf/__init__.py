@@ -15,8 +15,8 @@ machinery that accelerates them without changing results:
   pool cannot win (disambiguation workloads scale with the number of
   ambiguous names, which is embarrassingly parallel);
 - :mod:`repro.perf.transitions` — the row-normalized CSR matrices of
-  every join step, built once per database epoch and shared by every
-  name, the building block of batched propagation
+  every join step, built once, extended by appended rows and shared by
+  every name, the building block of batched propagation
   (:mod:`repro.paths.batch`).
 
 The pair kernel itself lives in :mod:`repro.similarity.vectorized`.

@@ -1,4 +1,4 @@
-"""Row-normalized sparse transition matrices: one per join step per epoch.
+"""Row-normalized sparse transition matrices: one per join step.
 
 One forward propagation step (:meth:`repro.paths.propagation
 .PropagationEngine._forward_step`) splits each tuple's probability mass
@@ -8,15 +8,23 @@ that split is one fixed linear map. Let ``A[i, j] = 1`` when source row
 Then the step's transition is ``T = D_src^-1 A`` (row-normalized), and
 the backward dynamic program multiplies by the reverse step's
 transition transposed, ``T_rev.T = A D_dst^-1`` (column-normalized).
-Both share ``A``'s sparsity pattern, so :func:`build_step` builds them
-in one pass over the source relation, on shared index arrays, and no
-caller ever transposes or converts one.
+Both share ``A``'s sparsity pattern, so :func:`extend_step` builds them
+in one pass, on shared index arrays, and no caller ever transposes or
+converts one.
 
-:class:`StepMatrices` holds these pairs for one database object at one
-``db.epoch``. A read at another database or epoch (an
-:func:`repro.reldb.apply_delta` bumped it) drops every pair, and each
-step rebuilds on its first read after that. ``perf.transitions.built``
-counts the builds.
+Tables are append-only, so a pair built over the first ``s`` source and
+``d`` destination rows stays right for those rows except where a
+destination row appended since joins an old source row
+(:func:`grown_partner_rows`, the probe delta ingest shares). Extending a
+pair re-lists those rows and the appended source rows from the hash
+index, copies every other row's partner span, and renormalizes. A fresh
+build (:func:`build_step`) is the extension of the empty pair.
+
+:class:`StepMatrices` holds these pairs for one database object. A read
+that finds either relation of a step grown (by
+:func:`repro.reldb.apply_delta` or a direct insert) extends the pair;
+a read at another database drops every pair. ``perf.transitions.built``
+counts the builds and extensions.
 
 A name's exclusions (its own object rows,
 :func:`repro.core.references.exclusions_for_name`) drop tuples from
@@ -39,7 +47,15 @@ from scipy import sparse
 
 from repro.obs import counter
 
-__all__ = ["StepMatrices", "StepPair", "build_step", "without_columns", "without_rows"]
+__all__ = [
+    "StepMatrices",
+    "StepPair",
+    "build_step",
+    "extend_step",
+    "grown_partner_rows",
+    "without_columns",
+    "without_rows",
+]
 
 _BUILT = counter("perf.transitions.built")
 
@@ -66,6 +82,11 @@ class StepPair:
     forward: sparse.csr_matrix
     backward: sparse.csr_matrix
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The source and destination row counts the pair covers."""
+        return self.forward.shape
+
 
 def _csr(
     data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]
@@ -90,32 +111,93 @@ def _column_normalized(
     return _csr(1.0 / counts[indices], indices, indptr, shape)
 
 
-def build_step(db: Any, step: Any) -> StepPair:
-    """Both matrices of ``step`` (a :class:`repro.reldb.joins.JoinStep`)
-    over the full relations of ``db`` (a :class:`repro.reldb.Database`).
+_NO_ROWS = _csr(
+    np.empty(0), np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0)
+)
 
-    Partner lists come from the destination's hash index, so each row's
-    columns are ascending, as :meth:`PropagationEngine._partners` sees
-    them.
+#: The pair over no rows: every build extends it.
+_EMPTY_PAIR = StepPair(forward=_NO_ROWS, backward=_NO_ROWS)
+
+
+def grown_partner_rows(db: Any, step: Any, n_src: int, n_dst: int) -> np.ndarray:
+    """Source rows below ``n_src`` that a destination row at or past
+    ``n_dst`` joins, ascending: the old rows whose partner lists across
+    ``step`` grew when the destination relation grew past ``n_dst`` rows.
+
+    Each appended destination row's join value is looked up in the
+    source relation's hash index; a NULL value joins nothing.
     """
+    if n_src == 0:
+        return np.empty(0, dtype=np.int64)
+    destination = db.table(step.dst_relation)
+    position = destination.schema.position(step.dst_attribute)
+    src_index = db.index(step.src_relation, step.src_attribute)
+    grown: set[int] = set()
+    for row in destination.rows[n_dst:]:
+        value = row[position]
+        if value is not None:
+            grown.update(i for i in src_index.lookup(value) if i < n_src)
+    rows = np.fromiter(grown, dtype=np.int64, count=len(grown))
+    rows.sort()
+    return rows
+
+
+def extend_step(db: Any, step: Any, pair: StepPair) -> StepPair:
+    """``pair`` grown to the current relations of ``db``.
+
+    ``pair`` covers the first ``pair.shape`` source and destination rows.
+    The source rows it does not cover, and the old rows a new destination
+    row joins, are re-listed from the destination's hash index (each
+    row's columns ascending, as :meth:`PropagationEngine._partners` sees
+    them); every other row's partner span is copied. Both matrices are
+    then renormalized over the whole pattern, so the result is byte-equal
+    to a fresh :func:`build_step`.
+    """
+    n_src_old, n_dst_old = pair.shape
     source = db.table(step.src_relation)
+    shape = (len(source.rows), len(db.table(step.dst_relation).rows))
+    grown = grown_partner_rows(db, step, n_src_old, n_dst_old)
+    relisted = np.concatenate([grown, np.arange(n_src_old, shape[0], dtype=np.int64)])
     index = db.index(step.dst_relation, step.dst_attribute)
+    position = source.schema.position(step.src_attribute)
     partners = [
-        () if value is None else index.lookup(value)
-        for value in source.column(step.src_attribute)
+        () if (value := source.rows[i][position]) is None else index.lookup(value)
+        for i in relisted.tolist()
     ]
-    shape = (len(partners), len(db.table(step.dst_relation).rows))
-    counts = np.fromiter(map(len, partners), dtype=np.int64, count=len(partners))
+    listed = np.fromiter(map(len, partners), dtype=np.int64, count=len(partners))
+    old_indptr, old_indices = pair.forward.indptr, pair.forward.indices
+    old_counts = np.diff(old_indptr)
+    counts = np.zeros(shape[0], dtype=np.int64)
+    counts[:n_src_old] = old_counts
+    counts[relisted] = listed
     nnz = int(counts.sum())
     dtype = np.int32 if max(nnz, *shape) < np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(len(partners) + 1, dtype=dtype)
+    indptr = np.zeros(shape[0] + 1, dtype=dtype)
     np.cumsum(counts, out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(partners), dtype=dtype, count=nnz)
+    indices = np.empty(nnz, dtype=dtype)
+    # A copied span keeps its order and moves by its row's start shift.
+    copied = np.ones(n_src_old, dtype=bool)
+    copied[grown] = False
+    copied = np.repeat(copied, old_counts)
+    shift = np.repeat(indptr[:n_src_old] - old_indptr[:-1].astype(np.int64), old_counts)
+    indices[(np.arange(len(old_indices)) + shift)[copied]] = old_indices[copied]
+    n_listed = int(listed.sum())
+    shift = np.repeat(indptr[relisted] - (np.cumsum(listed) - listed), listed)
+    indices[np.arange(n_listed) + shift] = np.fromiter(
+        chain.from_iterable(partners), dtype=dtype, count=n_listed
+    )
     _BUILT.inc()
     return StepPair(
         forward=_row_normalized(indptr, indices, shape),
         backward=_column_normalized(indptr, indices, shape),
     )
+
+
+def build_step(db: Any, step: Any) -> StepPair:
+    """Both matrices of ``step`` (a :class:`repro.reldb.joins.JoinStep`)
+    over the full relations of ``db`` (a :class:`repro.reldb.Database`):
+    the extension of the empty pair."""
+    return extend_step(db, step, _EMPTY_PAIR)
 
 
 def _in_range(ids: Collection[int], n: int) -> np.ndarray:
@@ -163,19 +245,20 @@ def without_rows(
 
 class StepMatrices:
     """The :class:`StepPair` of every step read so far, for one database
-    object at one epoch; a read at any other rebuilds from scratch."""
+    object; a read that finds a step's relations grown extends its pair,
+    and a read at another database starts over."""
 
     def __init__(self) -> None:
         self._db: Any = None
-        self._epoch: int | None = None
         self._pairs: dict[Any, StepPair] = {}
 
     def get(self, db: Any, step: Any) -> StepPair:
-        if db is not self._db or db.epoch != self._epoch:
-            self._db, self._epoch, self._pairs = db, db.epoch, {}
-        pair = self._pairs.get(step)
-        if pair is None:
-            pair = self._pairs[step] = build_step(db, step)
+        if db is not self._db:
+            self._db, self._pairs = db, {}
+        pair = self._pairs.get(step, _EMPTY_PAIR)
+        rows = (len(db.table(step.src_relation)), len(db.table(step.dst_relation)))
+        if pair.shape != rows:
+            pair = self._pairs[step] = extend_step(db, step, pair)
         return pair
 
     def __len__(self) -> int:

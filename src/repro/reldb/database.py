@@ -18,11 +18,14 @@ class Database:
     machinery asks for them. The schema is validated on construction.
 
     ``epoch`` is a monotonically increasing batch counter: it starts at 0
-    and is bumped once per :func:`repro.reldb.delta.apply_delta` batch.
-    Caches that compile against the row set (the join-step matrices of
-    :class:`repro.perf.transitions.StepMatrices`) record the epoch they
-    were built at and rebuild on a read at any other, so a delta can
-    never be silently ignored.
+    and is bumped once per :func:`repro.reldb.delta.apply_delta` batch;
+    ingest reports and checkpoints name the batch by it. Caches that
+    compile against the row set do not key on it: tables are
+    append-only, so the join-step matrices of
+    :class:`repro.perf.transitions.StepMatrices` record the row counts
+    they cover and extend by the appended rows on a read that finds a
+    relation grown, whether the rows came from a delta or from
+    :meth:`insert`.
     """
 
     def __init__(self, schema: Schema) -> None:

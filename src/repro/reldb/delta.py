@@ -11,8 +11,8 @@ base relation, applied in one shot by :func:`apply_delta`, which
   :func:`~repro.reldb.virtual.virtualize_attribute` build would produce,
 - verifies referential integrity of the new rows only (old rows cannot
   become dangling — nothing is ever deleted), and
-- bumps ``db.epoch`` so epoch-pinned caches refuse stale reads until
-  they are advanced.
+- bumps ``db.epoch``, the batch number ingest reports and checkpoints
+  carry (caches key on row counts, not on the epoch).
 
 The order guarantee is what makes delta ingest byte-identical to a cold
 rebuild: applying ``base`` then ``delta`` yields exactly the same row ids

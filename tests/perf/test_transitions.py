@@ -1,24 +1,29 @@
-"""Unit tests for the per-epoch join-step matrices behind batched propagation."""
+"""Unit tests for the join-step matrices behind batched propagation."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from scipy import sparse
 
 from repro.config import DistinctConfig
 from repro.core.distinct import Distinct
+from repro.data.world import world_to_database
 from repro.obs import get_metrics
 from repro.paths.propagation import PropagationEngine
 from repro.perf.transitions import (
     StepMatrices,
+    StepPair,
     build_step,
+    grown_partner_rows,
     without_columns,
     without_rows,
 )
 from repro.reldb import Attribute, Database, ForeignKey, RelationSchema, Schema
 from repro.reldb.delta import Delta, apply_delta
-from repro.reldb.joins import steps_for_foreign_key
+from repro.reldb.joins import JoinStep, steps_for_foreign_key
 
+from tests.minidb import build_minidb
 from tests.oracle import assert_rows_are_partner_splits
 
 FK = ForeignKey("Src", "dst", "Dst", "k")
@@ -146,6 +151,149 @@ class TestStepMatrices:
         store = StepMatrices()
         first = store.get(toy_db(), TO_SRC)
         assert store.get(toy_db(), TO_SRC) is not first
+
+    def test_another_database_of_the_same_size_builds_anew(self):
+        store = StepMatrices()
+        store.get(toy_db(), TO_SRC)
+        other = toy_db(src_rows=((0, "c"), (1, "b"), (2, None), (3, "c"), (4, "b")))
+        before = _built()
+        assert_same_bytes(store.get(other, TO_SRC), build_step(other, TO_SRC))
+        assert _built() - before == 2
+
+    def test_direct_insert_extends_without_an_epoch(self):
+        db = toy_db()
+        store = StepMatrices()
+        store.get(db, TO_SRC)
+        db.insert("Src", (5, "b"))  # no delta, so no epoch bump
+        assert db.epoch == 0
+        assert_same_bytes(store.get(db, TO_SRC), build_step(db, TO_SRC))
+
+
+def assert_same_bytes(got: StepPair, want: StepPair) -> None:
+    for a, b in ((got.forward, want.forward), (got.backward, want.backward)):
+        assert a.shape == b.shape
+        assert a.has_sorted_indices and b.has_sorted_indices
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def minidb_steps(db) -> list[JoinStep]:
+    return [s for fk in db.schema.foreign_keys for s in steps_for_foreign_key(fk)]
+
+
+#: Deltas for the mini DBLP database (Publish, Publications, Proceedings
+#: and their virtual value relations). Between them they add NULL join
+#: values on both sides of a join, first-seen virtual values (a year and
+#: locations), rows that join old rows (papers in old proceedings, new
+#: coauthors of old papers) and rows that join only new ones.
+STREAM = [
+    Delta({
+        "Proceedings": [(3, 1, 2005, "Tokyo"), (4, 0, None, "Athens")],
+        "Publications": [(4, "Top-k joins", 3), (5, "Untitled", None), (6, "Cubes", 0)],
+        "Publish": [(4, 0), (4, 2), (5, 4), (2, None), (6, 3)],
+    }),
+    Delta({
+        "Authors": [(5, "Jian Pei"), (None, "nobody")],
+        "Conferences": [(2, "KDD", "ACM"), (3, "PODS", None)],
+        "Proceedings": [(5, 2, 2005, None), (6, None, 1997, "Paris")],
+        "Publications": [(7, "Mining", 5)],
+        "Publish": [(7, 5), (7, 1), (0, 5), (None, 2)],
+    }),
+    Delta({"Publish": [(3, 2), (1, 1)]}),
+]
+
+
+class TestExtension:
+    def test_extension_equals_a_fresh_build_across_a_stream(self):
+        db = build_minidb()
+        steps = minidb_steps(db)
+        store = StepMatrices()
+        for step in steps:
+            store.get(db, step)
+        grew_virtual = False
+        for delta in STREAM:
+            applied = apply_delta(db, delta)
+            grew_virtual |= any(rel.startswith("_v_") for rel in applied.row_ids)
+            for step in steps:
+                assert_same_bytes(store.get(db, step), build_step(db, step))
+        assert grew_virtual
+
+    def test_step_whose_relations_did_not_grow_keeps_its_pair(self):
+        db = build_minidb()
+        steps = minidb_steps(db)
+        store = StepMatrices()
+        pairs = {step: store.get(db, step) for step in steps}
+        applied = apply_delta(db, STREAM[2])  # Publish rows only
+        before = _built()
+        grew = set(applied.row_ids)
+        grown = [s for s in steps if {s.src_relation, s.dst_relation} & grew]
+        for step in steps:
+            pair = store.get(db, step)
+            assert (pair is pairs[step]) == (step not in grown)
+        assert 0 < len(grown) < len(steps)
+        assert _built() - before == len(grown)
+
+    def test_grown_partner_rows_are_the_old_rows_a_new_row_joins(self):
+        db = build_minidb()
+        n_publish, n_papers = len(db.table("Publish")), len(db.table("Publications"))
+        apply_delta(db, STREAM[0])
+        to_papers = JoinStep("Publish", "paper_key", "Publications", "paper_key", "n1")
+        # Papers 4-6 are new: no old authorship joins them.
+        assert grown_partner_rows(db, to_papers, n_publish, n_papers).tolist() == []
+        # Paper 2 gains a NULL-author row (joins no author) and paper 6
+        # sits in old proceedings 0.
+        to_authorships = to_papers.reverse()
+        grown = grown_partner_rows(db, to_authorships, n_papers, n_publish)
+        assert grown.tolist() == [2]
+        to_proc = JoinStep("Proceedings", "proc_key", "Publications", "proc_key", "1n")
+        assert grown_partner_rows(db, to_proc, 3, n_papers).tolist() == [0]
+        assert grown_partner_rows(db, to_proc, 0, n_papers).tolist() == []
+
+
+class TestDirectInsert:
+    """A direct :meth:`Database.insert` bumps no epoch; the step matrices
+    must still follow the rows."""
+
+    @pytest.fixture()
+    def pipeline(self, fitted, small_world):
+        db, truth = world_to_database(small_world)
+        distinct = Distinct.from_models(
+            db, fitted.resem_model_, fitted.walk_model_, fitted.config
+        )
+        return distinct, truth
+
+    @staticmethod
+    def fresh_features(distinct, name):
+        distinct.steps = StepMatrices()
+        return distinct.prepare(name).features
+
+    def assert_prepares_like_a_fresh_store(self, distinct, name):
+        got = distinct.prepare(name).features
+        want = self.fresh_features(distinct, name)
+        assert got.resemblance.tobytes() == want.resemblance.tobytes()
+        assert got.walk.tobytes() == want.walk.tobytes()
+        return got
+
+    def test_start_relation_grows(self, pipeline):
+        distinct, truth = pipeline
+        db = distinct.db
+        before = distinct.prepare("Wei Wang").features
+        paper, author = db.table("Publish").row(truth.rows_of_name["Wei Wang"][0])
+        other_author = db.table("Publish").row(0)[1]
+        db.insert("Publish", (paper, other_author if other_author != author else None))
+        after = self.assert_prepares_like_a_fresh_store(distinct, "Wei Wang")
+        assert after.walk.tobytes() != before.walk.tobytes()
+
+    def test_start_relation_does_not_grow(self, pipeline):
+        distinct, truth = pipeline
+        db = distinct.db
+        before = distinct.prepare("Wei Wang").features
+        paper = db.table("Publish").row(truth.rows_of_name["Wei Wang"][0])[0]
+        papers = db.table("Publications")
+        proc = papers.value(papers.row_by_key(paper), "proc_key")
+        db.insert("Publications", (10**6, "A new paper in an old proceedings", proc))
+        after = self.assert_prepares_like_a_fresh_store(distinct, "Wei Wang")
+        assert after.walk.tobytes() != before.walk.tobytes()
 
 
 class TestSharedAcrossNames:

@@ -1,12 +1,18 @@
-"""Property test: batched SpMM propagation == scalar engine on random DBs.
+"""Property tests of batched SpMM propagation on random DBs.
 
 Random three-level chain databases (the same generator family as the trie
-equivalence suite) and random global exclusions — the batched backend
-must reproduce every scalar profile to 1e-12.
+equivalence suite) and random global exclusions:
+
+- the batched backend must reproduce every scalar profile to 1e-12;
+- a reference's rows (forward, backward and visited trace) must not
+  depend on which other references share its batch, or in what order:
+  they are byte-equal whether it propagates alone, in the full batch,
+  in a sub-batch or in a shuffled batch.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,3 +97,64 @@ class TestBatchedPropagationProperty:
     @settings(max_examples=30, deadline=None)
     def test_exclude_origin_false(self, db):
         assert_equivalent(PropagationEngine(db, exclude_origin=False), db)
+
+
+def row_bytes(matrix, k: int) -> tuple[bytes, bytes]:
+    lo, hi = matrix.indptr[k], matrix.indptr[k + 1]
+    indices = matrix.indices[lo:hi].astype(np.int64)
+    return indices.tobytes(), matrix.data[lo:hi].tobytes()
+
+
+def rows_by_reference(engine, paths, refs) -> dict:
+    """Per reference of one batch: its forward and backward row of every
+    path and its visited-trace row of every relation, as bytes."""
+    trace: dict = {}
+    batched = batch_profile_matrices(engine, paths, refs, trace=trace)
+    return {
+        ref: (
+            [row_bytes(batched[p].forward, k) + row_bytes(batched[p].backward, k)
+             for p in paths],
+            {relation: row_bytes(pattern, k) for relation, pattern in trace.items()},
+        )
+        for k, ref in enumerate(refs)
+    }
+
+
+def assert_batch_independent(engine, db, rnd) -> None:
+    refs = list(range(len(db.table("Refs"))))
+    paths = chain_paths(db)
+    whole = rows_by_reference(engine, paths, refs)
+    shuffled = refs[:]
+    rnd.shuffle(shuffled)
+    sub = sorted(rnd.sample(refs, rnd.randint(1, len(refs))))
+    for batch in (shuffled, sub, *([ref] for ref in refs)):
+        for ref, rows in rows_by_reference(engine, paths, batch).items():
+            assert rows == whole[ref], (ref, batch)
+
+
+class TestBatchIndependence:
+    @given(chain_database(), st.integers(min_value=0, max_value=7), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_with_global_exclusions(self, db, excl_seed, rnd):
+        mid = excl_seed % len(db.table("Mid"))
+        excl = {"Mid": frozenset({mid}), "Refs": frozenset({0})}
+        assert_batch_independent(PropagationEngine(db, excl), db, rnd)
+
+    @given(chain_database(), st.booleans(), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_without_global_exclusions(self, db, exclude_origin, rnd):
+        engine = PropagationEngine(db, exclude_origin=exclude_origin)
+        assert_batch_independent(engine, db, rnd)
+
+    def test_on_a_fitted_world(self, fitted, small_db):
+        """Every name of the small world, full batch against one reference
+        at a time and against the name's reversed batch."""
+        _, truth = small_db
+        for name in ("Wei Wang", "Rakesh Kumar", "Jim Smith"):
+            refs = list(truth.rows_of_name[name])
+            engine = fitted.profile_builder(name).engine
+            whole = rows_by_reference(engine, fitted.paths_, refs)
+            for batch in (refs[::-1], *([ref] for ref in refs)):
+                got = rows_by_reference(engine, fitted.paths_, batch)
+                for ref, rows in got.items():
+                    assert rows == whole[ref], (name, ref)
