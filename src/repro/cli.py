@@ -14,10 +14,9 @@ Commands mirror the library workflow:
                  ambiguous names incrementally (byte-identical to a cold
                  refit in ``--mode exact``; approximate single-reference
                  assignment in ``--mode greedy``);
-- ``report``     summarize a saved trace (hot spans, phase timeline),
+- ``report``     summarize a saved trace (hot spans, phase timeline) and
                  export it to standard formats (OpenMetrics text, Chrome
-                 trace-event JSON), and/or run the perf-regression
-                 observatory over ``BENCH_history.jsonl``.
+                 trace-event JSON).
 
 Example session::
 
@@ -289,12 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
-        help="summarize/export a saved trace and run the perf-regression "
-             "observatory",
+        help="summarize/export a saved trace",
     )
     p.add_argument(
         "--trace",
-        default=None,
+        required=True,
         metavar="PATH",
         help="trace JSON written by --trace-out: print the hot-span table "
              "and phase timeline",
@@ -317,46 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also write the trace's metrics snapshot as OpenMetrics text",
-    )
-    group = p.add_argument_group("perf-regression observatory")
-    group.add_argument(
-        "--regress",
-        action="store_true",
-        help="compare the newest bench-history run against its trailing "
-             "baseline",
-    )
-    group.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        metavar="PATH",
-        help="bench history file (default: BENCH_history.jsonl)",
-    )
-    group.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        help="prior comparable runs folded into the baseline median "
-             "(default 5)",
-    )
-    group.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed fractional speedup drop before a section is flagged "
-             "(default 0.35)",
-    )
-    group.add_argument(
-        "--threshold",
-        action="append",
-        default=None,
-        metavar="SECTION=FRAC",
-        help="per-section tolerance override (repeatable), e.g. "
-             "--threshold pair_kernels=0.5",
-    )
-    group.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero on a regression (default: report-only)",
     )
     p.set_defaults(func=cmd_report)
 
@@ -684,17 +642,6 @@ def cmd_lint(args) -> int:
     return 0 if result.ok else 1
 
 
-def _parse_thresholds(pairs: list[str] | None) -> dict[str, float]:
-    """``--threshold SECTION=FRAC`` pairs as a dict (raises on bad input)."""
-    out: dict[str, float] = {}
-    for pair in pairs or ():
-        section, sep, value = pair.partition("=")
-        if not sep or not section.strip():
-            raise ValueError(f"--threshold wants SECTION=FRAC, got {pair!r}")
-        out[section.strip()] = float(value)
-    return out
-
-
 def cmd_report(args) -> int:
     from repro.obs import (
         load_trace,
@@ -703,62 +650,25 @@ def cmd_report(args) -> int:
         render_openmetrics,
         write_chrome_trace,
     )
-    from repro.obs.regress import (
-        DEFAULT_TOLERANCE,
-        DEFAULT_WINDOW,
-        compare_latest,
-        load_history,
-    )
 
-    if not args.trace and not args.regress:
-        print("nothing to report: pass --trace PATH and/or --regress",
-              file=sys.stderr)
+    try:
+        payload = load_trace(args.trace)
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        print(f"cannot read trace {args.trace}: {exc}", file=sys.stderr)
         return 2
-
-    if args.trace:
-        try:
-            payload = load_trace(args.trace)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"cannot read trace {args.trace}: {exc}", file=sys.stderr)
-            return 2
-        print(render_hot_spans(payload, top=args.top))
-        print()
-        print(render_phase_timeline(payload))
-        if args.chrome_out:
-            path = write_chrome_trace(args.chrome_out, payload)
-            print(f"\nchrome trace written to {path}")
-        if args.openmetrics_out:
-            path = Path(args.openmetrics_out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                render_openmetrics(snapshot=payload.get("metrics") or {})
-            )
-            print(f"openmetrics exposition written to {path}")
-
-    if args.regress:
-        try:
-            thresholds = _parse_thresholds(args.threshold)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        try:
-            history = load_history(args.history)
-            report = compare_latest(
-                history,
-                window=args.window if args.window is not None else DEFAULT_WINDOW,
-                tolerance=(args.tolerance if args.tolerance is not None
-                           else DEFAULT_TOLERANCE),
-                thresholds=thresholds,
-            )
-        except (OSError, ValueError) as exc:
-            print(f"cannot compare bench history {args.history}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if args.trace:
-            print()
-        print(report.render())
-        if not report.ok and args.strict:
-            return 1
+    print(render_hot_spans(payload, top=args.top))
+    print()
+    print(render_phase_timeline(payload))
+    if args.chrome_out:
+        path = write_chrome_trace(args.chrome_out, payload)
+        print(f"\nchrome trace written to {path}")
+    if args.openmetrics_out:
+        path = Path(args.openmetrics_out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            render_openmetrics(snapshot=payload.get("metrics") or {})
+        )
+        print(f"openmetrics exposition written to {path}")
     return 0
 
 

@@ -21,11 +21,9 @@ The paths are the pipeline's live ones
 (:func:`repro.core.references.live_paths`), so no column is zero by
 construction.
 
-The scalar per-reference propagation (:meth:`ProfileBuilder.profiles_for`)
-and the per-pair kernels (:func:`repro.similarity.resemblance
-.set_resemblance`, :func:`repro.similarity.randomwalk.walk_probability`)
-are the reference the equivalence tests compare this route against; no
-runtime code calls them.
+The equivalence tests compare this route against the paper's
+definitions read one reference and one pair at a time (the scalar
+oracle in ``tests/oracle.py``).
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ builds the database for the remaining prefix, such that
 
 byte-for-byte: same row ids per relation, same virtual-relation rows in
 the same first-seen order. This is the substrate both the delta-ingest
-property tests and ``benchmarks/bench_ingest.py`` stand on — the cold
-refit and the incremental path literally see the same database.
+property tests and ``pipebench``'s ``ingest-stream`` workload stand on —
+the cold refit and the incremental path literally see the same database.
 
 The guarantee holds because :func:`~repro.data.world.world_to_database`
 inserts Authors and Conferences from the entity/conference lists (not the

@@ -9,7 +9,7 @@ four-rung invalidation ladder (dirty rows → dirty references → dirty
 pairs → dirty merges; see :mod:`repro.ingest.engine`) whose every rung
 preserves bytes: the refreshed resolutions equal a cold
 ``prepare``/``cluster_prepared`` on the post-delta database exactly,
-for any worker count.
+serial or on a process pool.
 
 - :mod:`repro.ingest.dirty` — which existing rows a delta touched;
 - :mod:`repro.ingest.engine` — :class:`IngestEngine`, the per-name
@@ -19,9 +19,8 @@ for any worker count.
 - :mod:`repro.ingest.runner` — the resilient ``repro ingest`` loop:
   checkpoints, ``--resume``, policies, workers.
 
-``benchmarks/bench_ingest.py`` gates the headline claim: byte-equal
-results at a ≥5x wall-clock win for ≤10% deltas at bench scale
-(``BENCH_ingest.json``).
+``pipebench``'s ``ingest-stream`` workload measures the ladder on a
+stream of crawl increments.
 """
 
 from repro.ingest.dirty import affected_rows

@@ -33,14 +33,13 @@ ladder instead of recomputing the world:
 
 Every rung preserves bytes, so ``ingest()`` produces resolutions equal
 to a cold ``prepare``/``cluster_prepared`` on the post-delta database —
-the property suite asserts full equality across worker counts.
+the property suite asserts full equality.
 
-With ``workers > 1`` the per-name refresh fans out over the
-fork-primed process pool (:func:`repro.perf.ordered_process_map`): the
-delta is applied and the refreshes planned in the parent first, workers
-return compact per-name refreshes, and the parent adopts them in input
-order. Step matrices a worker extends are lost to the parent, which
-extends its own on its next read, the usual fork trade.
+:meth:`IngestEngine.refresh` is one name's work and
+:meth:`IngestEngine.adopt` installs a refresh computed elsewhere, which
+is how :func:`repro.ingest.runner.ingest_resilient` fans the refreshes
+out over a process pool. Step matrices a worker extends stay in the
+worker; the parent extends its own on its next read.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from repro.errors import NotFittedError, ReproError
 from repro.obs import counter, get_logger, span
 from repro.paths.batch import batch_profile_matrices
 from repro.paths.profiles import ProfileBuilder
-from repro.perf import DEFAULT_TASK_RETRIES, RemoteTaskError, ordered_process_map
 from repro.reldb.delta import AppliedDelta, Delta, apply_delta
 from repro.resilience.faults import fault_check
 
@@ -159,12 +157,6 @@ class _RefreshPlan:
     @property
     def needed(self) -> bool:
         return self.rebuild or bool(self.new_rows) or len(self.dirty_idx) > 0
-
-
-def _refresh_task(payload, name: str) -> NameRefresh:
-    """Worker body for parallel ingest: refresh one name on the forked state."""
-    (engine,) = payload
-    return engine.refresh(name)
 
 
 class IngestEngine:
@@ -346,32 +338,9 @@ class IngestEngine:
         _PAIRS_REUSED.inc(refresh.n_pairs_reused)
         return refresh
 
-    def refresh_all(self, workers: int = 1,
-                    task_retries: int = DEFAULT_TASK_RETRIES) -> list[NameRefresh]:
+    def refresh_all(self) -> list[NameRefresh]:
         """Refresh every pending name; clean names report through too."""
-        order = [name for name in self._states if name in self._plans]
-        if workers <= 1 or len(self.pending()) <= 1:
-            return [self.refresh(name) for name in order]
-        pending = set(self.pending())
-        results: dict[str, NameRefresh] = {
-            name: self.refresh(name) for name in order if name not in pending
-        }
-        # Counters for the worker-side refreshes arrive through the
-        # pool's per-worker registry merge — no parent-side double count.
-        outcome_iter = ordered_process_map(
-            _refresh_task,
-            (self,),
-            [name for name in order if name in pending],
-            workers=workers,
-            task_retries=task_retries,
-        )
-        for task in outcome_iter:
-            if task.error is not None:
-                raise RemoteTaskError(task.error)
-            refresh = task.value
-            self.adopt(refresh)
-            results[refresh.name] = refresh
-        return [results[name] for name in order]
+        return [self.refresh(name) for name in self._states if name in self._plans]
 
     def _install(self, state: _NameState, refresh: NameRefresh) -> None:
         state.rows = list(refresh.resolution.rows)
@@ -400,11 +369,11 @@ class IngestEngine:
             )
         self._install(state, refresh)
 
-    def ingest(self, delta: Delta, workers: int = 1) -> IngestReport:
+    def ingest(self, delta: Delta) -> IngestReport:
         """Apply ``delta`` and refresh every tracked name."""
         n_rows = delta.n_rows()
         applied = self.apply(delta)
-        refreshes = self.refresh_all(workers=workers)
+        refreshes = self.refresh_all()
         return IngestReport(
             epoch=applied.epoch, n_rows_added=n_rows, refreshes=refreshes
         )

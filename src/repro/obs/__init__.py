@@ -19,9 +19,7 @@ merging); this package makes that work visible without slowing it down:
   attribution;
 - :mod:`repro.obs.openmetrics` / :mod:`repro.obs.chrometrace` —
   standard exporters: OpenMetrics text exposition of the metrics
-  registry and Perfetto-loadable Chrome trace-event JSON;
-- :mod:`repro.obs.regress` — the perf-regression observatory comparing
-  the newest ``BENCH_history.jsonl`` run against a trailing baseline.
+  registry and Perfetto-loadable Chrome trace-event JSON.
 
 Typical instrumentation::
 
@@ -32,7 +30,7 @@ Typical instrumentation::
 
     with span("resolve.profiles", name=name) as sp:
         ...
-        sp.annotate(cache_size=builder.cache_size)
+        sp.annotate(n_pairs=len(pairs))
     _PAIRS.inc(len(pairs))
 
 Tracing is off by default: ``span(...)`` then returns a shared no-op
@@ -65,12 +63,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.names import REGISTERED_METRICS
 from repro.obs.openmetrics import parse_openmetrics, render_openmetrics
-from repro.obs.regress import (
-    RegressionReport,
-    SectionVerdict,
-    compare_latest,
-    load_history,
-)
 from repro.obs.sampler import ResourceSampler
 from repro.obs.trace import (
     NOOP_SPAN,
@@ -94,13 +86,10 @@ __all__ = [
     "MetricsRegistry",
     "NOOP_SPAN",
     "REGISTERED_METRICS",
-    "RegressionReport",
     "ResourceSampler",
-    "SectionVerdict",
     "Span",
     "Tracer",
     "chrome_trace_events",
-    "compare_latest",
     "counter",
     "current_span",
     "disable_tracing",
@@ -111,7 +100,6 @@ __all__ = [
     "get_tracer",
     "histogram",
     "hot_spans",
-    "load_history",
     "load_trace",
     "parse_openmetrics",
     "render_hot_spans",

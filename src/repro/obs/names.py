@@ -84,22 +84,16 @@ REGISTERED_METRICS: dict[str, str] = {
     "perf.parallel.spans_grafted": "counter",
     "perf.parallel.task_seconds": "histogram",
     "perf.parallel.tasks_failed": "counter",
-    "perf.parallel.tasks_inlined": "counter",
     "perf.parallel.tasks_interrupted": "counter",
     "perf.parallel.tasks_ok": "counter",
     "perf.parallel.tasks_redispatched": "counter",
     "perf.parallel.worker_deaths": "counter",
     # step-matrix builds (repro.perf.transitions)
     "perf.transitions.built": "counter",
-    # profile cache (repro.paths.profiles)
-    "profiles.cache_hits": "counter",
-    "profiles.cache_misses": "counter",
-    # propagation engines (repro.paths.propagation / .batch)
+    # batched propagation (repro.paths.batch)
     "propagation.batch.origin_corrections": "counter",
     "propagation.batch.runs": "counter",
     "propagation.batch.spmm": "counter",
-    "propagation.runs": "counter",
-    "propagation.steps": "counter",
     "propagation.tuples_visited": "counter",
     # error policies and retries (repro.resilience.policy / .retry)
     "resilience.errors_collected": "counter",

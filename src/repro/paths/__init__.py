@@ -2,23 +2,22 @@
 
 A join path is a chain of equi-join hops starting at the relation that holds
 the references to be distinguished. The enumerator walks the schema graph to
-produce all semantically meaningful paths up to a length bound; the
-propagation engine pushes probability mass along one path (Fig 3 of the
-paper), producing for each reachable neighbor tuple ``t`` both
-``Prob_P(r -> t)`` and ``Prob_P(t -> r)``.
+produce all semantically meaningful paths up to a length bound;
+propagation pushes probability mass along every path (Fig 3 of the
+paper), for all references of a name at once, producing for each
+reachable neighbor tuple ``t`` both ``Prob_P(r -> t)`` and
+``Prob_P(t -> r)``.
 """
 
 from repro.paths.joinpath import JoinPath
 from repro.paths.enumerate import PathEnumerationConfig, enumerate_paths
-from repro.paths.propagation import PropagationEngine, PropagationResult
-from repro.paths.profiles import NeighborProfile, ProfileBuilder
+from repro.paths.propagation import PropagationEngine
+from repro.paths.profiles import ProfileBuilder
 
 __all__ = [
     "JoinPath",
     "PathEnumerationConfig",
     "enumerate_paths",
     "PropagationEngine",
-    "PropagationResult",
-    "NeighborProfile",
     "ProfileBuilder",
 ]

@@ -1,8 +1,8 @@
 """Batched sparse propagation: all references of one name at once.
 
-:class:`~repro.paths.propagation.PropagationEngine` walks one reference
-at a time over Python dicts, so its cost grows with references times
-tuples visited. But one forward step is a linear map of the
+Walking one reference at a time over Python dicts (the paper's reading,
+kept as the test suite's scalar oracle) costs references times tuples
+visited. But one forward step is a linear map of the
 mass vector, identical for every reference of a name (the *per-origin*
 part — the origin tuple is not an intermediate stop — is a rank-limited
 perturbation). Stacking the references' mass vectors as the rows of a
@@ -11,7 +11,7 @@ sparse matrix ``M`` turns each step into a single SpMM:
 - **forward**: ``M_k = M_{k-1} @ T(step_k)`` where ``T`` is the
   row-normalized CSR transition of :mod:`repro.perf.transitions`;
 - **backward**: ``R_k = R_{k-1} @ T(step_k.reverse()).T``, restricted to
-  the rows the forward pass reached (the scalar DP's per-level domain).
+  the rows the forward pass reached (the backward DP's per-level domain).
 
 Both matrices of a step are built once over the whole relations, extended
 when a relation grows, and shared by every name
@@ -32,9 +32,9 @@ rows of the run's step matrices):
   ``M[r, i] / (d_i (d_i - 1))`` — added as one extra SpMM
   ``U @ T`` with ``U[r, i] = M[r, i] / (d_i - 1)`` — and the ``(r, o_r)``
   entry is then zeroed exactly (rows with ``d_i == 1`` lose their mass,
-  as in the scalar engine).
+  as in the scalar definition).
 - *backward*: entries ``R_k[r, o_r]`` at intermediate start-relation
-  levels are zeroed (the scalar DP never computes a rev value for the
+  levels are zeroed (the backward DP never computes a rev value for the
   origin there), so by the time a later level gathers *from* the origin
   its contribution is already zero and only the denominator needs
   fixing: for every row ``t`` whose reverse partners include ``o_r``
@@ -42,8 +42,8 @@ rows of the run's step matrices):
 
 Both corrections touch O(origin fanout) entries per reference — no
 cancellation-prone subtractions — so batched results match the scalar
-engine to floating-point reassociation tolerance (the property suite
-asserts <= 1e-12; the bench gates at 1e-9). They run for all references
+oracle to floating-point reassociation tolerance (the property suite
+asserts <= 1e-12). They run for all references
 at once: every origin's partner list is gathered from the step matrix's
 CSR arrays, and one ``searchsorted`` over the level's ``row * width +
 column`` keys finds which of those entries the level holds.
@@ -52,11 +52,10 @@ Every operation acts on each reference's row alone, so a reference's
 forward, backward and trace rows are the same bytes whatever batch it
 propagates in (property-tested).
 
-The walk shares prefixes across paths through the same step trie as
-:func:`repro.paths.trie.propagate_trie`. Final per-path backward
-matrices are masked to the forward support pattern, reproducing
-:class:`~repro.paths.profiles.NeighborProfile` semantics (backward
-weights exist only for forward-reached neighbors).
+The walk shares prefixes across paths through the step trie of
+:mod:`repro.paths.trie`. Final per-path backward matrices are masked to
+the forward support pattern (backward weights exist only for
+forward-reached neighbors).
 """
 
 from __future__ import annotations
@@ -74,10 +73,10 @@ from repro.perf.transitions import _keep, without_columns, without_rows
 
 __all__ = ["BatchedProfiles", "batch_profile_matrices", "merge_batched"]
 
-#: Work accounting. ``propagation.tuples_visited`` keeps the scalar
-#: engine's definition: the nonzeros of each forward and backward level,
-#: summed over references (one reference's row holds exactly the tuples
-#: the scalar walk materializes at that level). ``spmm`` counts sparse
+#: Work accounting. ``propagation.tuples_visited`` counts the nonzeros
+#: of each forward and backward level, summed over references (one
+#: reference's row holds exactly the tuples a one-reference walk
+#: materializes at that level). ``spmm`` counts sparse
 #: matrix products; ``origin_corrections`` counts corrected entries.
 _BATCH_RUNS = counter("propagation.batch.runs")
 _BATCH_SPMM = counter("propagation.batch.spmm")
@@ -92,27 +91,13 @@ class BatchedProfiles:
     ``forward[k, t]`` is ``Prob_P(r_k -> t)`` and ``backward[k, t]`` is
     ``Prob_P(t -> r_k)`` for ``rows[k]``'s reference; columns span the
     *full* end relation (row id == column id), and the backward pattern
-    is a subset of the forward pattern — the same contract as stacking
-    :class:`~repro.paths.profiles.NeighborProfile` objects through
-    :func:`repro.similarity.vectorized.profile_matrices`, up to the
-    wider (but value-identical) column space, which the pair kernels
-    never depend on.
+    is a subset of the forward pattern.
     """
 
     path: JoinPath
     rows: list[int]
     forward: sparse.csr_matrix
     backward: sparse.csr_matrix
-
-    def weights_for(self, k: int) -> dict[int, tuple[float, float]]:
-        """Reference ``rows[k]``'s profile as a NeighborProfile-style dict."""
-        fwd = self.forward.getrow(k).tocoo()
-        back_row = self.backward.getrow(k)
-        back = dict(zip(back_row.indices.tolist(), back_row.data.tolist()))
-        return {
-            int(t): (float(v), float(back.get(int(t), 0.0)))
-            for t, v in zip(fwd.col, fwd.data)
-        }
 
 
 class _BatchContext:
@@ -236,12 +221,12 @@ def _origin_partner_entries(
 def _forward_step_batch(
     ctx: _BatchContext, step, current: sparse.csr_matrix, start_relation: str
 ) -> sparse.csr_matrix:
-    """Batched :meth:`PropagationEngine._forward_step`: one SpMM plus the
+    """One forward step for every reference: one SpMM plus the
     per-origin correction when the step lands on the start relation."""
     transition = ctx.forward(step)
     nxt = (current @ transition).tocsr()
     _BATCH_SPMM.inc()
-    if ctx.engine.exclude_origin and step.dst_relation == start_relation:
+    if step.dst_relation == start_relation:
         nxt = _forward_origin_fix(ctx, step, current, nxt, transition)
     nxt = _canonical(nxt)
     _TUPLES_VISITED.inc(nxt.nnz)
@@ -289,26 +274,21 @@ def _backward_step_batch(
     start_relation: str,
     gather_into_origin_level: bool,
 ) -> sparse.csr_matrix:
-    """Batched :meth:`PropagationEngine._backward_step`.
+    """One backward-DP step for every reference.
 
     The product covers every destination row adjacent to the previous
     level; it is restricted to this level's union forward support, the
-    scalar DP's domain (rev values exist only for forward-reached
-    tuples).
+    DP's domain (rev values exist only for forward-reached tuples).
     """
     rev = (prev_rev @ ctx.backward(step)).tocsr()
     _BATCH_SPMM.inc()
     support = np.zeros(rev.shape[1], dtype=bool)
     support[level.indices] = True
     rev.data[~support[rev.indices]] = 0.0
-    if (
-        ctx.engine.exclude_origin
-        and not gather_into_origin_level
-        and step.src_relation == start_relation
-    ):
+    if not gather_into_origin_level and step.src_relation == start_relation:
         rev = _backward_origin_fix(ctx, step, rev)
-    if ctx.engine.exclude_origin and step.dst_relation == start_relation:
-        # The scalar DP never computes a rev value for the origin at an
+    if step.dst_relation == start_relation:
+        # The DP never computes a rev value for the origin at an
         # intermediate start-relation level (the forward pass dropped it
         # from the level), so later gathers must see exactly zero there.
         rev = _zero_origin_column(_canonical(rev), ctx.origins)
@@ -405,9 +385,9 @@ def batch_profile_matrices(
 ) -> dict[JoinPath, BatchedProfiles]:
     """Stacked (forward, backward) profile matrices for every path.
 
-    Row ``k`` of each matrix equals the profile
-    ``engine.propagate(path, origin_rows[k])`` would produce (to
-    reassociation tolerance), with columns over the full end relation.
+    Row ``k`` of each matrix is reference ``origin_rows[k]``'s profile
+    along the path, propagated alone as §2.2 defines it (to reassociation
+    tolerance), with columns over the full end relation.
     Prefix work is shared across paths through the step trie, and level
     work is shared across references through the SpMM formulation.
 

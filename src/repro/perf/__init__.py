@@ -10,20 +10,16 @@ machinery that accelerates them without changing results:
   or per pair;
 - :mod:`repro.perf.parallel` — a ``ProcessPoolExecutor``-backed ordered
   map with deterministic, input-ordered result assembly, per-worker
-  obs-counter merging, input-order chunked dispatch, and an in-process
-  fallback (:func:`~repro.perf.parallel.should_inline`) for workloads a
-  pool cannot win (disambiguation workloads scale with the number of
-  ambiguous names, which is embarrassingly parallel);
+  obs-counter merging and worker-death recovery (disambiguation
+  workloads scale with the number of ambiguous names, which is
+  embarrassingly parallel);
 - :mod:`repro.perf.transitions` — the row-normalized CSR matrices of
   every join step, built once, extended by appended rows and shared by
   every name, the building block of batched propagation
   (:mod:`repro.paths.batch`).
 
 The pair kernel itself lives in :mod:`repro.similarity.vectorized`.
-``benchmarks/bench_perf_kernels.py`` tracks the
-kernel/propagation/parallel trajectory in ``BENCH_perf.json``;
-``benchmarks/bench_scale.py`` tracks serial vs pool wall time across
-world sizes in ``BENCH_scale.json`` (history in ``BENCH_history.jsonl``).
+``pipebench/`` measures all of it end to end and per layer.
 """
 
 from repro.perf.chunking import budget_slices
@@ -33,7 +29,6 @@ from repro.perf.parallel import (
     TaskOutcome,
     active_segments,
     ordered_process_map,
-    should_inline,
 )
 from repro.perf.transitions import StepMatrices, StepPair, build_step
 
@@ -47,5 +42,4 @@ __all__ = [
     "budget_slices",
     "build_step",
     "ordered_process_map",
-    "should_inline",
 ]

@@ -25,12 +25,12 @@ naive ``ProcessPoolExecutor.map`` loses, this module keeps:
 - **Worker-death recovery.** A worker killed mid-task (OOM killer,
   SIGKILL, segfault) breaks the whole ``ProcessPoolExecutor``; instead of
   propagating ``BrokenProcessPool``, the map respawns the pool and
-  re-dispatches the lost chunks, so one transient kill costs only the
-  lost work. Lost chunks re-run one at a time ("probation") before
-  normal dispatch resumes, which pins the blame precisely: a chunk that
-  breaks the pool while running *alone* is the killer. Each chunk may be
+  re-dispatches the lost tasks, so one transient kill costs only the
+  lost work. Lost tasks re-run one at a time ("probation") before
+  normal dispatch resumes, which pins the blame precisely: a task that
+  breaks the pool while running *alone* is the killer. Each task may be
   re-dispatched at most ``task_retries`` times; past that budget its
-  items are surfaced as ordinary ``TaskOutcome`` errors (``type:
+  item is surfaced as an ordinary ``TaskOutcome`` error (``type:
   "WorkerCrashed"``) so the caller's error policy decides, and the run
   never hangs. Pool deaths and re-dispatches are counted
   (``perf.parallel.worker_deaths`` / ``.tasks_redispatched``).
@@ -41,26 +41,12 @@ naive ``ProcessPoolExecutor.map`` loses, this module keeps:
 Workers are primed once with a picklable ``payload`` via a pool
 initializer (under the default ``fork`` start method the payload is
 inherited, not pickled); each task then ships only its item. ``fn`` must
-be a module-level function taking ``(payload, item)``. Dispatch follows
-input order in consecutive ``chunk_size`` chunks, and the pool never
-forks more workers than there are chunks. Finished chunks are harvested
-as they complete, whatever the consumer is blocked on, so they free
-window slots at once; assembly stays input-ordered, so results are
+be a module-level function taking ``(payload, item)``. Each item is one
+future, dispatched in input order, and the pool never forks more
+workers than there are items. Finished tasks are harvested as they
+complete, whatever the consumer is blocked on, so they free window
+slots at once; assembly stays input-ordered, so results are
 byte-identical to a serial run.
-
-Two dispatch knobs trade pool overhead against parallelism without
-touching any of the guarantees above:
-
-- ``chunk_size`` batches that many items per worker dispatch (one future
-  per chunk instead of per item), amortizing submit/pickle/wakeup costs
-  when individual tasks are cheap. Outcomes are still per item, in input
-  order, with per-item counter deltas; the default of 1 keeps the
-  historical one-future-per-item behavior exactly.
-- ``inline=True`` skips the pool entirely and runs the same task wrapper
-  in-process — the escape hatch for workloads where a pool cannot win
-  (single-core hosts, tiny per-task cost). :func:`should_inline` is the
-  shared policy for that call: pools lose below ``min_task_cost``
-  seconds per task or without a second CPU to run on.
 """
 
 from __future__ import annotations
@@ -95,26 +81,20 @@ from repro.obs import (
 _TASKS_OK = counter("perf.parallel.tasks_ok")
 _TASKS_FAILED = counter("perf.parallel.tasks_failed")
 _TASKS_INTERRUPTED = counter("perf.parallel.tasks_interrupted")
-_TASKS_INLINED = counter("perf.parallel.tasks_inlined")
 _SPANS_GRAFTED = counter("perf.parallel.spans_grafted")
 _TASK_SECONDS = histogram("perf.parallel.task_seconds")
 _WORKER_DEATHS = counter("perf.parallel.worker_deaths")
 _TASKS_REDISPATCHED = counter("perf.parallel.tasks_redispatched")
 
-#: Below this estimated per-task cost (seconds), process-pool dispatch
-#: overhead (pickling, IPC, scheduler wakeups) dominates the work itself
-#: and :func:`should_inline` recommends the in-process path.
-DEFAULT_MIN_TASK_COST = 0.05
-
-#: How many times one chunk may be re-dispatched after a pool break
-#: before its items are surfaced as ``WorkerCrashed`` errors. The default
+#: How many times one task may be re-dispatched after a pool break
+#: before its item is surfaced as a ``WorkerCrashed`` error. The default
 #: survives any single worker death and surfaces a task that kills its
 #: worker twice.
 DEFAULT_TASK_RETRIES = 1
 
 #: In-flight dispatch window, in multiples of the pool size. Bounding the
-#: window keeps workers saturated while limiting how many chunks a single
-#: pool break can take down (every in-flight chunk is lost with the pool).
+#: window keeps workers saturated while limiting how many tasks a single
+#: pool break can take down (every in-flight task is lost with the pool).
 _WINDOW_FACTOR = 2
 
 #: Worker-side payload installed by the pool initializer.
@@ -142,7 +122,7 @@ class TaskOutcome:
 
     ``seconds`` and ``worker_pid`` are telemetry, not results: they are
     excluded from equality so outcome lists stay comparable across
-    pool/chunked/inline runs whose timings necessarily differ.
+    runs whose timings necessarily differ.
     """
 
     item: Any
@@ -215,44 +195,11 @@ def _run_task(fn: Callable[[Any, Any], Any], item: Any) -> tuple:
     return value, error, deltas, seconds, trace
 
 
-def _run_chunk(fn: Callable[[Any, Any], Any], chunk: list) -> list[tuple]:
-    """Worker-side wrapper for one dispatch of several items.
-
-    Each item still runs through :func:`_run_task`, so error capture and
-    counter-delta granularity are per item — batching only changes how
-    many items one future carries.
-    """
-    return [_run_task(fn, item) for item in chunk]
-
-
 def _pool_context() -> multiprocessing.context.BaseContext:
     """Prefer ``fork`` (payload inherited, not pickled) where available."""
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-def should_inline(
-    n_items: int,
-    workers: int,
-    task_cost_hint: float | None = None,
-    min_task_cost: float = DEFAULT_MIN_TASK_COST,
-) -> bool:
-    """Whether a process pool can pay for itself on this workload.
-
-    The shared policy behind ``ordered_process_map(..., inline=True)``:
-    inline when there is nothing to parallelize (``workers`` or
-    ``n_items`` <= 1), when the host has no second CPU to run a worker
-    on, or when the caller's estimated per-task cost is below
-    ``min_task_cost`` seconds (dispatch overhead would dominate). Callers
-    without a cost estimate pass ``task_cost_hint=None`` and only the
-    structural checks apply.
-    """
-    if workers <= 1 or n_items <= 1:
-        return True
-    if (os.cpu_count() or 1) < 2:
-        return True
-    return task_cost_hint is not None and task_cost_hint < min_task_cost
 
 
 def active_segments() -> list[str]:
@@ -275,66 +222,27 @@ def ordered_process_map(
     items: Sequence[Any],
     workers: int,
     deadline=None,
-    chunk_size: int = 1,
-    inline: bool = False,
     task_retries: int = DEFAULT_TASK_RETRIES,
 ) -> Iterator[TaskOutcome]:
     """Run ``fn(payload, item)`` for every item; yield outcomes in input order.
 
-    ``workers`` is the pool size (must be >= 1; 1 still uses a pool, which
-    keeps the code path identical — callers that want a plain loop should
-    pass ``inline=True``, typically via :func:`should_inline`).
-    ``deadline`` is an optional :class:`repro.resilience.Deadline`; once
-    expired, pending tasks are cancelled and yielded as ``interrupted``
-    outcomes. ``chunk_size`` batches that many items per worker dispatch
-    (outcomes stay per item); ``inline=True`` runs everything in-process
-    with identical outcome semantics. ``task_retries`` bounds how many
-    times one chunk is re-dispatched after a worker death before its
-    items are surfaced as ``WorkerCrashed`` errors (see module
-    docstring; 0 disables re-dispatch entirely).
+    ``workers`` is the pool size (must be >= 1; 1 still uses a pool, so
+    the code path is the same at every size). ``deadline`` is an
+    optional :class:`repro.resilience.Deadline`; once expired, pending
+    tasks are cancelled and yielded as ``interrupted`` outcomes.
+    ``task_retries`` bounds how many times one task is re-dispatched
+    after a worker death before its item is surfaced as a
+    ``WorkerCrashed`` error (see module docstring; 0 disables
+    re-dispatch entirely).
 
     Counter deltas from each task are merged into this process's registry
     as the task's outcome is yielded, so obs totals match a serial run.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     if task_retries < 0:
         raise ValueError("task_retries must be >= 0")
-    items = list(items)
-    if inline:
-        return _inline_map(fn, payload, items, deadline)
-    return _ordered_map(
-        fn, payload, items, workers, deadline, task_retries, chunk_size
-    )
-
-
-def _inline_map(fn, payload, items, deadline) -> Iterator[TaskOutcome]:
-    """The no-pool path: same outcomes, counters incremented in-process."""
-    interrupted = False
-    for item in items:
-        if not interrupted and deadline is not None and deadline.expired():
-            interrupted = True
-        if interrupted:
-            _TASKS_INTERRUPTED.inc()
-            yield TaskOutcome(item=item, interrupted=True)
-            continue
-        value = None
-        error = None
-        start = time.perf_counter()
-        try:
-            value = fn(payload, item)
-        except Exception as exc:  # mirror the worker boundary: error as data
-            error = {"type": type(exc).__name__, "message": str(exc)}
-        seconds = time.perf_counter() - start
-        _TASK_SECONDS.observe(seconds)
-        _TASKS_INLINED.inc()
-        if error is not None:
-            _TASKS_FAILED.inc()
-        else:
-            _TASKS_OK.inc()
-        yield TaskOutcome(item=item, value=value, error=error, seconds=seconds)
+    return _ordered_map(fn, payload, list(items), workers, deadline, task_retries)
 
 
 def _new_pool(payload, workers) -> ProcessPoolExecutor:
@@ -346,38 +254,36 @@ def _new_pool(payload, workers) -> ProcessPoolExecutor:
     )
 
 
-def _crash_error(chunk: list, losses: int) -> dict:
-    items = ", ".join(repr(item) for item in chunk)
+def _crash_error(item: Any, losses: int) -> dict:
     return {
         "type": "WorkerCrashed",
         "message": (
             f"worker process died {losses} time(s) while this task was "
-            f"in flight; re-dispatch budget exhausted (items: {items})"
+            f"in flight; re-dispatch budget exhausted (item: {item!r})"
         ),
     }
 
 
 def _ordered_map(
-    fn, payload, items, workers, deadline, task_retries, chunk_size
+    fn, payload, items, workers, deadline, task_retries
 ) -> Iterator[TaskOutcome]:
     """The pool path: windowed dispatch, ordered assembly, crash recovery.
 
-    Chunk ``idx`` holds input positions ``idx * chunk_size`` onward and
-    is dispatched in input order. State per chunk index: not yet
-    submitted (``idx >= next_submit`` and not lost), in flight
-    (``futures``), harvested (``results``), or surfaced as a crash error
-    (``crashed``). Chunks lost to a pool break wait in ``probation`` and
-    re-run one at a time so a poisonous chunk is blamed precisely
-    instead of taking innocent neighbors past their retry budget.
-    Completed chunks are harvested eagerly — whatever the consumer is
-    blocked on — so early completions free window slots immediately; the
-    consuming loop still walks input positions one by one.
+    Task ``idx`` runs ``items[idx]`` and is dispatched in input order.
+    State per task index: not yet submitted (``idx >= next_submit`` and
+    not lost), in flight (``futures``), harvested (``results``), or
+    surfaced as a crash error (``crashed``). Tasks lost to a pool break
+    wait in ``probation`` and re-run one at a time so a poisonous task
+    is blamed precisely instead of taking innocent neighbors past their
+    retry budget. Completed tasks are harvested eagerly — whatever the
+    consumer is blocked on — so early completions free window slots
+    immediately; the consuming loop still walks input positions one by
+    one.
     """
     registry = get_metrics()
-    chunks = [items[i:i + chunk_size] for i in range(0, len(items), chunk_size)]
-    n = len(chunks)
+    n = len(items)
     # Under ``fork`` the pool starts every worker at the first submit, so
-    # a pool wider than the chunk list would fork idle copies of the parent.
+    # a pool wider than the item list would fork idle copies of the parent.
     pool_size = max(1, min(workers, n))
     window = max(workers * _WINDOW_FACTOR, 1)
     tracer = get_tracer()
@@ -385,8 +291,7 @@ def _ordered_map(
 
     pool = _new_pool(payload, pool_size)
     futures: dict[int, Future] = {}
-    results: dict[int, list[tuple]] = {}
-    consumed = [0] * n
+    results: dict[int, tuple] = {}
     crashed: dict[int, dict] = {}
     losses = [0] * n
     probation: set[int] = set()
@@ -395,14 +300,14 @@ def _ordered_map(
 
     def submit(idx: int) -> None:
         if idx in dispatched:
-            _TASKS_REDISPATCHED.inc(len(chunks[idx]))
+            _TASKS_REDISPATCHED.inc()
         dispatched.add(idx)
-        futures[idx] = pool.submit(_run_chunk, fn, chunks[idx])
+        futures[idx] = pool.submit(_run_task, fn, items[idx])
 
     def fill_window() -> None:
         nonlocal next_submit
         if probation:
-            # One suspect at a time: the only chunk allowed in flight is
+            # One suspect at a time: the only task allowed in flight is
             # the next lost one, so a repeat break has exactly one culprit.
             head = min(probation)
             if head not in futures and not futures:
@@ -415,7 +320,7 @@ def _ordered_map(
     def harvest() -> bool:
         """Bank every finished future; True when the pool broke under one."""
         broke = False
-        # lint: allow[determinism/unkeyed-sort] chunk indices are ints
+        # lint: allow[determinism/unkeyed-sort] task indices are ints
         for idx in sorted(futures):
             future = futures[idx]
             if not future.done() or future.cancelled():
@@ -435,7 +340,7 @@ def _ordered_map(
         nonlocal pool
         _WORKER_DEATHS.inc()
         pool.shutdown(wait=False, cancel_futures=True)
-        # lint: allow[determinism/unkeyed-sort] chunk indices are ints
+        # lint: allow[determinism/unkeyed-sort] task indices are ints
         for idx in sorted(futures):
             future = futures[idx]
             if future.cancelled():
@@ -449,7 +354,7 @@ def _ordered_map(
                 continue
             losses[idx] += 1
             if losses[idx] > task_retries:
-                crashed[idx] = _crash_error(chunks[idx], losses[idx])
+                crashed[idx] = _crash_error(items[idx], losses[idx])
                 probation.discard(idx)
             else:
                 probation.add(idx)
@@ -458,44 +363,39 @@ def _ordered_map(
 
     interrupted = False
     try:
-        for pos, item in enumerate(items):
-            cidx, offset = divmod(pos, chunk_size)
-            # Deadline checks happen at chunk entry: a chunk whose results
-            # are being consumed finishes yielding before an expiry is
-            # noticed.
+        for idx, item in enumerate(items):
             if (
                 not interrupted
-                and offset == 0
                 and deadline is not None
                 and deadline.expired()
             ):
                 interrupted = True
             while (
                 not interrupted
-                and cidx not in results
-                and cidx not in crashed
+                and idx not in results
+                and idx not in crashed
             ):
                 try:
                     if harvest():
                         handle_break()
                         continue
                     fill_window()
-                    if cidx in results or cidx in crashed:
+                    if idx in results or idx in crashed:
                         break
                     remaining = (
                         deadline.remaining() if deadline is not None else None
                     )
                     timeout = None if remaining is None else max(0.0, remaining)
-                    target = futures.get(cidx)
+                    target = futures.get(idx)
                     if target is not None:
                         target.result(timeout=timeout)
                     else:
-                        # Needed chunk queued behind probation or window:
+                        # Needed task queued behind probation or window:
                         # wait for anything in flight, then re-harvest.
                         pending = list(futures.values())
                         if not pending:
                             raise RuntimeError(
-                                f"ordered map stalled: chunk {cidx} is "
+                                f"ordered map stalled: task {idx} is "
                                 "neither in flight nor finished"
                             )
                         wait(pending, timeout=timeout,
@@ -513,15 +413,12 @@ def _ordered_map(
                 _TASKS_INTERRUPTED.inc()
                 yield TaskOutcome(item=item, interrupted=True)
                 continue
-            if cidx in crashed:
+            if idx in crashed:
                 _TASKS_FAILED.inc()
-                yield TaskOutcome(item=item, error=dict(crashed[cidx]))
+                yield TaskOutcome(item=item, error=dict(crashed[idx]))
                 continue
-            value, error, deltas, seconds, trace = results[cidx][offset]
-            results[cidx][offset] = None  # free task payloads eagerly
-            consumed[cidx] += 1
-            if consumed[cidx] == len(chunks[cidx]):
-                del results[cidx]
+            # Popped, so the task's payload is freed as soon as it is used.
+            value, error, deltas, seconds, trace = results.pop(idx)
             for name, delta in deltas.items():
                 registry.counter(name).inc(delta)
             _TASK_SECONDS.observe(seconds)

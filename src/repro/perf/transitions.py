@@ -1,8 +1,7 @@
 """Row-normalized sparse transition matrices: one per join step.
 
-One forward propagation step (:meth:`repro.paths.propagation
-.PropagationEngine._forward_step`) splits each tuple's probability mass
-uniformly over its join partners (§2.2). Over a whole source relation
+One forward propagation step (§2.2) splits each tuple's probability mass
+uniformly over its join partners. Over a whole source relation
 that split is one fixed linear map. Let ``A[i, j] = 1`` when source row
 ``i`` joins destination row ``j`` (a NULL join value joins nothing).
 Then the step's transition is ``T = D_src^-1 A`` (row-normalized), and
@@ -148,8 +147,8 @@ def extend_step(db: Any, step: Any, pair: StepPair) -> StepPair:
     ``pair`` covers the first ``pair.shape`` source and destination rows.
     The source rows it does not cover, and the old rows a new destination
     row joins, are re-listed from the destination's hash index (each
-    row's columns ascending, as :meth:`PropagationEngine._partners` sees
-    them); every other row's partner span is copied. Both matrices are
+    row's columns ascending, as the hash index lists them); every other
+    row's partner span is copied. Both matrices are
     then renormalized over the whole pattern, so the result is byte-equal
     to a fresh :func:`build_step`.
     """

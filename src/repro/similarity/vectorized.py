@@ -28,8 +28,7 @@ therefore depend only on its two rows: not on the enumeration, the
 other pairs of the list, their order or the chunk budget
 (:func:`repro.perf.chunking.budget_slices`). Delta ingest relies on it
 to reuse old pairs byte for byte. The kernel matches the per-pair
-reference kernels (:func:`repro.similarity.resemblance.set_resemblance`,
-:func:`repro.similarity.randomwalk.walk_probability`) to floating-point
+measures of the test suite's scalar oracle to floating-point
 reassociation tolerance, which the property suite asserts.
 """
 
@@ -42,60 +41,11 @@ import numpy as np
 from scipy import sparse
 
 from repro.obs import counter
-from repro.paths.profiles import NeighborProfile
 from repro.perf.chunking import budget_slices
 
-#: One increment per (pair, path) value computed, as the per-pair
-#: reference kernels count their calls.
+#: One increment per (pair, path) value computed.
 _RESEM_CALLS = counter("similarity.resemblance.calls")
 _WALK_CALLS = counter("similarity.walk.calls")
-
-
-def profile_matrices(
-    profiles: list[NeighborProfile],
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Stack profiles into (forward, backward) CSR matrices.
-
-    Rows follow the input order; columns are the union of the supports,
-    indexed densely in sorted row-id order. The column index is built once
-    via ``np.unique`` over the concatenated supports and shared by the
-    forward and backward matrices (identical ``indices``/``indptr``), so
-    construction is O(total support x log) with no per-tuple Python-dict
-    probing.
-    """
-    n = len(profiles)
-    counts = np.array([len(p.weights) for p in profiles], dtype=np.int64)
-    total = int(counts.sum())
-
-    all_ids = np.empty(total, dtype=np.int64)
-    fwd_vals = np.empty(total, dtype=np.float64)
-    back_vals = np.empty(total, dtype=np.float64)
-    pos = 0
-    for profile, k in zip(profiles, counts):
-        if k:
-            all_ids[pos : pos + k] = np.fromiter(
-                profile.weights.keys(), dtype=np.int64, count=k
-            )
-            vals = np.array(list(profile.weights.values()), dtype=np.float64)
-            fwd_vals[pos : pos + k] = vals[:, 0]
-            back_vals[pos : pos + k] = vals[:, 1]
-        pos += k
-
-    columns, inverse = np.unique(all_ids, return_inverse=True)
-    # Canonical CSR wants ascending column indices within each row; one
-    # lexsort (row-major, then column) orders both value arrays alike.
-    rows_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
-    order = np.lexsort((inverse, rows_idx))
-    indices = inverse[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-
-    shape = (n, len(columns))
-    forward = sparse.csr_matrix((fwd_vals[order], indices, indptr), shape=shape)
-    backward = sparse.csr_matrix((back_vals[order], indices.copy(), indptr.copy()), shape=shape)
-    return forward, backward
-
-
 
 
 @dataclass(frozen=True)
@@ -259,8 +209,7 @@ def pair_similarities(
 
     Returns ``(resemblance, walk)``, aligned with the pairs (rows of
     ``forward``/``backward``). ``backward``'s pattern must be a subset of
-    ``forward``'s, as :func:`profile_matrices` and batched propagation
-    build them. A pair's values depend only on its two rows.
+    ``forward``'s, as batched propagation builds them. A pair's values depend only on its two rows.
     """
     idx_a = np.asarray(idx_a, dtype=np.int64)
     idx_b = np.asarray(idx_b, dtype=np.int64)

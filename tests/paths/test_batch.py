@@ -1,8 +1,9 @@
-"""Batched sparse propagation vs the scalar engine on the mini DBLP DB.
+"""Batched sparse propagation vs the scalar oracle on the mini DBLP DB.
 
 Every test compares :func:`repro.paths.batch.batch_profile_matrices`
-row-by-row against :meth:`PropagationEngine.propagate` — same exclusions,
-same origin handling, same supports — at reassociation tolerance.
+row-by-row against the oracle's :meth:`ScalarPropagation.propagate` —
+same exclusions, same origin handling, same supports — at reassociation
+tolerance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.config import DistinctConfig
 from repro.core.references import exclusions_for_name
 from repro.data.dblp_schema import prepare_dblp_database
 from repro.obs import get_metrics
-from repro.paths import JoinPath, ProfileBuilder, PropagationEngine
+from repro.paths import JoinPath, PropagationEngine
 from repro.paths.batch import _BatchContext, batch_profile_matrices, merge_batched
 from repro.paths.enumerate import enumerate_paths
 from repro.paths.propagation import make_exclusions
@@ -25,7 +26,12 @@ from repro.reldb.csvio import load_database
 from repro.reldb.joins import JoinStep
 
 from tests.minidb import WW_AUTHOR_ROW, WW_REFS, build_minidb
-from tests.oracle import assert_rows_are_partner_splits
+from tests.oracle import (
+    ScalarProfileBuilder,
+    ScalarPropagation,
+    assert_rows_are_partner_splits,
+    weights_for,
+)
 
 PUB_PAP = JoinStep("Publish", "paper_key", "Publications", "paper_key", "n1")
 PUB_AUTH = JoinStep("Publish", "author_key", "Authors", "author_key", "n1")
@@ -42,14 +48,14 @@ EXCLUSIONS = make_exclusions(Authors={WW_AUTHOR_ROW})
 ATOL = 1e-12
 
 
-def assert_matches_scalar(engine: PropagationEngine, paths=PATHS, refs=WW_REFS):
+def assert_matches_scalar(engine: ScalarPropagation, paths=PATHS, refs=WW_REFS):
     batched = batch_profile_matrices(engine, paths, list(refs))
     for path in paths:
         stacked = batched[path]
         assert stacked.rows == list(refs)
         for k, row in enumerate(refs):
             scalar = engine.propagate(path, row)
-            got = stacked.weights_for(k)
+            got = weights_for(stacked, k)
             assert set(got) == set(scalar.forward)  # identical supports
             for t, fwd in scalar.forward.items():
                 gf, gb = got[t]
@@ -59,20 +65,15 @@ def assert_matches_scalar(engine: PropagationEngine, paths=PATHS, refs=WW_REFS):
 
 class TestBatchMatchesScalar:
     def test_with_exclusions_and_origin_drop(self):
-        assert_matches_scalar(PropagationEngine(build_minidb(), EXCLUSIONS))
+        assert_matches_scalar(ScalarPropagation(build_minidb(), EXCLUSIONS))
 
     def test_without_global_exclusions(self):
         # origin exclusion still active: the shared author row is reachable
-        assert_matches_scalar(PropagationEngine(build_minidb()))
-
-    def test_exclude_origin_false(self):
-        assert_matches_scalar(
-            PropagationEngine(build_minidb(), EXCLUSIONS, exclude_origin=False)
-        )
+        assert_matches_scalar(ScalarPropagation(build_minidb()))
 
     def test_single_reference_batch(self):
         assert_matches_scalar(
-            PropagationEngine(build_minidb(), EXCLUSIONS), refs=[WW_REFS[0]]
+            ScalarPropagation(build_minidb(), EXCLUSIONS), refs=[WW_REFS[0]]
         )
 
     def test_mixed_start_relations_rejected(self):
@@ -98,12 +99,12 @@ class TestBatchedProfilesContract:
                 assert b_cols <= f_cols
 
     def test_builder_matrices_for_equals_profiles(self):
-        builder = ProfileBuilder(build_minidb(), PATHS, EXCLUSIONS)
+        builder = ScalarProfileBuilder(build_minidb(), PATHS, EXCLUSIONS)
         batched = builder.matrices_for(WW_REFS)
         for path in PATHS:
             for k, row in enumerate(WW_REFS):
                 profile = builder.profile(path, row)
-                got = batched[path].weights_for(k)
+                got = weights_for(batched[path], k)
                 assert set(got) == profile.support
                 for t, (fwd, back) in got.items():
                     ef, eb = profile.weights[t]
@@ -115,15 +116,14 @@ class TestBatchedProfilesContract:
         materializes, summed over references, on a real name."""
         db, truth = small_db
         rows = truth.rows_of_name["Wei Wang"]
+        oracle = ScalarProfileBuilder.like(fitted.profile_builder("Wei Wang"))
+        oracle.warm(rows)
+        scalar = oracle.engine.tuples_visited
         tuples = get_metrics().counter("propagation.tuples_visited")
-        before = tuples.value
-        fitted.profile_builder("Wei Wang").warm(rows)
-        scalar = tuples.value - before
         before = tuples.value
         fitted.profile_builder("Wei Wang").matrices_for(rows)
         assert scalar > 0
         assert tuples.value - before == scalar
-
 
     def test_batch_leaves_no_reference_cycle(self):
         engine = PropagationEngine(build_minidb(), EXCLUSIONS)

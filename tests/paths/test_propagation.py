@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from repro.paths import JoinPath, PropagationEngine
+from repro.paths import JoinPath
 from repro.paths.propagation import make_exclusions
-from repro.paths.profiles import NeighborProfile, ProfileBuilder
 from repro.reldb.joins import JoinStep
 
 from tests.minidb import WW_AUTHOR_ROW, WW_REFS, build_minidb
+from tests.oracle import NeighborProfile, ScalarProfileBuilder, ScalarPropagation
 
 PUB_PAP = JoinStep("Publish", "paper_key", "Publications", "paper_key", "n1")
 PAP_PUB = PUB_PAP.reverse()
@@ -24,7 +24,7 @@ def db():
 
 @pytest.fixture(scope="module")
 def engine(db):
-    return PropagationEngine(db, make_exclusions(Authors={WW_AUTHOR_ROW}))
+    return ScalarPropagation(db, make_exclusions(Authors={WW_AUTHOR_ROW}))
 
 
 class TestForward:
@@ -50,22 +50,16 @@ class TestForward:
     def test_without_exclusions_mass_is_conserved(self, db):
         # No global exclusions, origin still excluded: mass splits over the
         # coauthor rows only, which all reach Authors -> total mass 1.
-        engine = PropagationEngine(db)
+        engine = ScalarPropagation(db)
         result = engine.propagate(COAUTHOR, 0)
         assert result.forward_mass() == pytest.approx(1.0)
 
     def test_origin_not_in_own_neighborhood(self, db):
-        engine = PropagationEngine(db)
+        engine = ScalarPropagation(db)
         pub_sibling = JoinPath([PUB_PAP, PAP_PUB])
         result = engine.propagate(pub_sibling, 0)
         assert 0 not in result.forward
         assert set(result.forward) == {1, 2}
-
-    def test_exclude_origin_false_keeps_origin(self, db):
-        engine = PropagationEngine(db, exclude_origin=False)
-        pub_sibling = JoinPath([PUB_PAP, PAP_PUB])
-        result = engine.propagate(pub_sibling, 0)
-        assert result.forward == pytest.approx({0: 1 / 3, 1: 1 / 3, 2: 1 / 3})
 
     def test_level_sizes_recorded(self, engine):
         result = engine.propagate(COAUTHOR, 0)
@@ -126,7 +120,7 @@ class TestProfiles:
         assert profile.forward_mass() == pytest.approx(1.0)
 
     def test_builder_caches(self, db):
-        builder = ProfileBuilder(
+        builder = ScalarProfileBuilder(
             db, [COAUTHOR, PAPER], make_exclusions(Authors={WW_AUTHOR_ROW})
         )
         first = builder.profile(COAUTHOR, 0)
@@ -135,7 +129,7 @@ class TestProfiles:
         assert builder.cache_size == 1
 
     def test_builder_profiles_for_and_warm(self, db):
-        builder = ProfileBuilder(
+        builder = ScalarProfileBuilder(
             db, [COAUTHOR, PAPER], make_exclusions(Authors={WW_AUTHOR_ROW})
         )
         profiles = builder.profiles_for(0)
@@ -148,7 +142,7 @@ class TestProfiles:
         db2 = build_minidb()
         db2.insert("Publications", (4, "Solo paper", 0))
         row = db2.insert("Publish", (4, 0))
-        builder = ProfileBuilder(
+        builder = ScalarProfileBuilder(
             db2, [COAUTHOR], make_exclusions(Authors={WW_AUTHOR_ROW})
         )
         assert builder.profile(COAUTHOR, row).is_empty()

@@ -4,8 +4,15 @@ degenerate schemas."""
 import pytest
 
 from repro.data.dblp_schema import new_dblp_database, prepare_dblp_database
-from repro.paths import JoinPath, PropagationEngine
+from repro.paths import JoinPath
 from repro.reldb.joins import JoinStep
+
+from tests.oracle import (
+    NeighborProfile,
+    ScalarPropagation,
+    set_resemblance,
+    walk_probability,
+)
 
 PUB_PAP = JoinStep("Publish", "paper_key", "Publications", "paper_key", "n1")
 PAP_PROC = JoinStep("Publications", "proc_key", "Proceedings", "proc_key", "n1")
@@ -27,7 +34,7 @@ def db_with_null_proc():
 class TestNullForeignKeys:
     def test_null_fk_loses_mass_silently(self):
         db = db_with_null_proc()
-        engine = PropagationEngine(db)
+        engine = ScalarPropagation(db)
         venue_path = JoinPath([PUB_PAP, PAP_PROC])
         # Ref row 2 = (paper 1, Wei Wang): its paper has no proceedings.
         result = engine.propagate(venue_path, 2)
@@ -36,17 +43,14 @@ class TestNullForeignKeys:
 
     def test_partial_mass_through_mixed_levels(self):
         db = db_with_null_proc()
-        engine = PropagationEngine(db)
+        engine = ScalarPropagation(db)
         # From ref 0 (paper 0) the venue path works fine.
         result = engine.propagate(JoinPath([PUB_PAP, PAP_PROC, PROC_CONF]), 0)
         assert result.forward == pytest.approx({0: 1.0})
 
     def test_empty_profile_similarities_are_zero(self):
-        from repro.paths.profiles import NeighborProfile
-        from repro.similarity import set_resemblance, walk_probability
-
         db = db_with_null_proc()
-        engine = PropagationEngine(db)
+        engine = ScalarPropagation(db)
         venue_path = JoinPath([PUB_PAP, PAP_PROC])
         empty = NeighborProfile.from_result(engine.propagate(venue_path, 2))
         full = NeighborProfile.from_result(engine.propagate(venue_path, 0))
@@ -62,7 +66,7 @@ class TestDegenerateDatabases:
         db.insert("Proceedings", (0, 0, 2000, "L"))
         db.insert("Publications", (0, "t", 0))
         db.insert("Publish", (0, 0))
-        engine = PropagationEngine(db)
+        engine = ScalarPropagation(db)
         result = engine.propagate(JoinPath([PUB_PAP]), 0)
         assert result.forward == {0: 1.0}
         assert result.backward == {0: 1.0}
@@ -74,7 +78,7 @@ class TestDegenerateDatabases:
         db.insert("Proceedings", (0, 0, 2000, "L"))
         db.insert("Publications", (0, "t", 0))
         db.insert("Publish", (0, 0))
-        engine = PropagationEngine(db)
+        engine = ScalarPropagation(db)
         sibling = JoinPath([PUB_PAP, PUB_PAP.reverse()])
         result = engine.propagate(sibling, 0)
         assert result.forward == {}
@@ -86,6 +90,6 @@ class TestDegenerateDatabases:
             "Proceedings", "year", "_v_Proceedings_year", "value", "n1"
         )
         path = JoinPath([PUB_PAP, PAP_PROC, year_step])
-        result = PropagationEngine(db).propagate(path, 0)
+        result = ScalarPropagation(db).propagate(path, 0)
         assert len(result.forward) == 1
         assert result.forward_mass() == pytest.approx(1.0)

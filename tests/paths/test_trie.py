@@ -3,17 +3,12 @@ import time
 import pytest
 
 from repro.data.dblp_schema import dblp_schema
-from repro.paths import (
-    JoinPath,
-    PathEnumerationConfig,
-    PropagationEngine,
-    enumerate_paths,
-)
+from repro.paths import JoinPath, PathEnumerationConfig, enumerate_paths
 from repro.paths.propagation import make_exclusions
-from repro.paths.trie import propagate_trie
 from repro.reldb.joins import JoinStep
 
 from tests.minidb import WW_AUTHOR_ROW, WW_REFS, build_minidb
+from tests.oracle import ScalarProfileBuilder, ScalarPropagation, propagate_trie
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +18,7 @@ def db():
 
 @pytest.fixture(scope="module")
 def engine(db):
-    return PropagationEngine(db, make_exclusions(Authors={WW_AUTHOR_ROW}))
+    return ScalarPropagation(db, make_exclusions(Authors={WW_AUTHOR_ROW}))
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +68,8 @@ class TestTrieEquivalence:
 
 class TestBuilderUsesTrie:
     def test_profiles_for_matches_individual_profiles(self, db, paths):
-        from repro.paths.profiles import ProfileBuilder
-
-        shared = ProfileBuilder(db, paths, make_exclusions(Authors={WW_AUTHOR_ROW}))
-        individual = ProfileBuilder(
+        shared = ScalarProfileBuilder(db, paths, make_exclusions(Authors={WW_AUTHOR_ROW}))
+        individual = ScalarProfileBuilder(
             db, paths, make_exclusions(Authors={WW_AUTHOR_ROW})
         )
         batch = shared.profiles_for(0)
@@ -92,6 +85,6 @@ class TestBuilderUsesTrie:
             "Publish",
             PathEnumerationConfig(max_hops=7, max_sibling_expansions=3, max_start_revisits=3),
         )
-        engine = PropagationEngine(db, make_exclusions(Authors={WW_AUTHOR_ROW}))
+        engine = ScalarPropagation(db, make_exclusions(Authors={WW_AUTHOR_ROW}))
         results = propagate_trie(engine, deep, 0)
         assert len(results) == len(deep)

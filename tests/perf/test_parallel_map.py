@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.obs import counter, disable_tracing, enable_tracing, get_metrics, span
-from repro.perf import RemoteTaskError, TaskOutcome, ordered_process_map, should_inline
+from repro.perf import RemoteTaskError, TaskOutcome, ordered_process_map
 from repro.resilience import Deadline
 
 
@@ -116,7 +116,7 @@ class TestOrderedProcessMap:
         assert first == TaskOutcome(item=0, value=0)
         results.close()  # must not hang or raise
 
-    def test_pool_never_forks_more_workers_than_chunks(self):
+    def test_pool_never_forks_more_workers_than_items(self):
         before = set(multiprocessing.active_children())
         results = ordered_process_map(_scale, 1, [1, 2], workers=4)
         try:
@@ -136,9 +136,6 @@ class TestWorkerDeathRecovery:
 
     def test_single_death_recovers_with_identical_results(self, tmp_path):
         items = list(range(8))
-        serial = list(
-            ordered_process_map(_scale, 10, items, workers=2, inline=True)
-        )
         deaths0 = self._deaths()
         latch = tmp_path / "latch"
         outcomes = list(
@@ -147,7 +144,7 @@ class TestWorkerDeathRecovery:
         assert self._deaths() - deaths0 == 1
         assert all(o.ok for o in outcomes)
         assert [o.item for o in outcomes] == items
-        assert [o.value for o in outcomes] == [o.value for o in serial]
+        assert [o.value for o in outcomes] == [i * 10 for i in items]
 
     def test_redispatch_counted(self, tmp_path):
         redisp0 = self._redispatched()
@@ -186,103 +183,40 @@ class TestWorkerDeathRecovery:
         assert outcomes[0].error["type"] == "WorkerCrashed"
         assert "died 1 time(s)" in outcomes[0].error["message"]
 
-    def test_chunked_dispatch_survives_death(self, tmp_path):
-        items = list(range(8))
-        latch = tmp_path / "latch"
+    def test_death_loses_only_in_flight_tasks(self, tmp_path):
+        items = list(range(12))
+        redisp0 = self._redispatched()
         outcomes = list(
             ordered_process_map(
-                _kill_worker_once, str(latch), items, workers=2, chunk_size=3
+                _kill_worker_once, str(tmp_path / "latch"), items, workers=2
             )
         )
         assert all(o.ok for o in outcomes)
         assert [o.value for o in outcomes] == [i * 10 for i in items]
+        # Only the dispatch window (2 x workers) can be in flight when
+        # the pool breaks, so at most that many tasks run again.
+        assert 1 <= self._redispatched() - redisp0 <= 4
 
-    def test_chunked_repeat_killer_blames_whole_chunk(self):
+    def test_repeat_killer_blames_only_itself(self):
+        items = list(range(1, 9))
+        deaths0 = self._deaths()
         outcomes = list(
             ordered_process_map(
-                _kill_worker_always, None, [1, 2, 3, 4], workers=2,
-                chunk_size=2, task_retries=1,
+                _kill_worker_always, None, items, workers=2, task_retries=1
             )
         )
-        by_item = {o.item: o for o in outcomes}
-        # The killer's chunk-mate shares its fate (they die together);
-        # the other chunk completes.
-        assert by_item[1].ok and by_item[2].ok
-        assert by_item[3].error["type"] == "WorkerCrashed"
-        assert by_item[4].error["type"] == "WorkerCrashed"
+        # The killer's in-flight neighbours die with it once, then re-run
+        # and complete; only the killer exhausts its retry budget.
+        assert [o.item for o in outcomes if not o.ok] == [3]
+        assert outcomes[2].error["type"] == "WorkerCrashed"
+        assert [o.value for o in outcomes if o.ok] == [
+            i * 10 for i in items if i != 3
+        ]
+        assert self._deaths() - deaths0 == 2
 
     def test_rejects_negative_task_retries(self):
         with pytest.raises(ValueError):
             ordered_process_map(_scale, 1, [1], workers=1, task_retries=-1)
-
-
-class TestChunkedDispatch:
-    @pytest.mark.parametrize("chunk_size", [2, 3, 100])
-    def test_chunked_outcomes_identical_to_unchunked(self, chunk_size):
-        items = [5, 1, 4, 2, 3]
-        plain = list(ordered_process_map(_scale, 10, items, workers=2))
-        chunked = list(
-            ordered_process_map(_scale, 10, items, workers=2, chunk_size=chunk_size)
-        )
-        assert chunked == plain
-
-    def test_chunked_errors_stay_per_item(self):
-        outcomes = list(
-            ordered_process_map(
-                _fail_on_three, None, [1, 3, 2], workers=2, chunk_size=3
-            )
-        )
-        assert [o.ok for o in outcomes] == [True, False, True]
-        assert outcomes[1].error["type"] == "RuntimeError"
-
-    def test_chunked_counter_deltas_merge(self):
-        before = get_metrics().counter("perf.test.bumps").value
-        list(
-            ordered_process_map(_bump_counter, None, [2, 3, 5], workers=2, chunk_size=2)
-        )
-        after = get_metrics().counter("perf.test.bumps").value
-        assert after - before == pytest.approx(10)
-
-    def test_rejects_nonpositive_chunk_size(self):
-        with pytest.raises(ValueError):
-            ordered_process_map(_scale, 1, [1], workers=1, chunk_size=0)
-
-
-class TestInlineDispatch:
-    def test_inline_outcomes_identical_to_pool(self):
-        items = [5, 1, 4, 2, 3]
-        pooled = list(ordered_process_map(_scale, 10, items, workers=2))
-        inlined = list(
-            ordered_process_map(_scale, 10, items, workers=2, inline=True)
-        )
-        assert inlined == pooled
-
-    def test_inline_error_as_data(self):
-        outcomes = list(
-            ordered_process_map(_fail_on_three, None, [1, 3, 2], workers=1, inline=True)
-        )
-        assert [o.ok for o in outcomes] == [True, False, True]
-        with pytest.raises(RemoteTaskError, match="poisoned item"):
-            outcomes[1].unwrap()
-
-    def test_inline_counters_count_in_process(self):
-        metrics = get_metrics()
-        bumps0 = metrics.counter("perf.test.bumps").value
-        inlined0 = metrics.counter("perf.parallel.tasks_inlined").value
-        list(ordered_process_map(_bump_counter, None, [2, 3, 5], workers=1, inline=True))
-        assert metrics.counter("perf.test.bumps").value - bumps0 == pytest.approx(10)
-        assert metrics.counter("perf.parallel.tasks_inlined").value - inlined0 == 3
-
-    def test_inline_deadline_interrupts(self):
-        deadline = Deadline.after(0.05)
-        outcomes = list(
-            ordered_process_map(
-                _sleepy, None, [0.1, 0.0, 0.0], workers=1, inline=True,
-                deadline=deadline,
-            )
-        )
-        assert outcomes[0].ok
-        assert outcomes[1].interrupted and outcomes[2].interrupted
 
 
 class TestTraceGrafting:
@@ -331,34 +265,3 @@ class TestTraceGrafting:
         outcomes = list(ordered_process_map(_traced_work, None, [1], workers=1))
         assert outcomes[0].seconds > 0.0
         assert outcomes[0].worker_pid is not None
-
-    def test_inline_map_keeps_spans_local(self):
-        tracer = enable_tracing()
-        with span("driver") as parent:
-            list(
-                ordered_process_map(
-                    _traced_work, None, [1, 2], workers=2, inline=True
-                )
-            )
-        names = [c.name for c in parent.children]
-        assert names == ["worker.item", "worker.item"]
-        # Inline spans are recorded directly, not round-tripped over the wire.
-        assert all("worker" not in c.attrs for c in parent.children)
-        assert tracer.roots == [parent]
-
-
-class TestShouldInline:
-    def test_structural_cases(self):
-        assert should_inline(10, workers=1)  # nothing to parallelize
-        assert should_inline(1, workers=4)
-        assert should_inline(0, workers=4)
-
-    def test_cost_threshold(self, monkeypatch):
-        monkeypatch.setattr("repro.perf.parallel.os.cpu_count", lambda: 8)
-        assert should_inline(10, workers=4, task_cost_hint=0.001)
-        assert not should_inline(10, workers=4, task_cost_hint=1.0)
-        assert not should_inline(10, workers=4, task_cost_hint=None)
-
-    def test_single_core_host_inlines(self, monkeypatch):
-        monkeypatch.setattr("repro.perf.parallel.os.cpu_count", lambda: 1)
-        assert should_inline(10, workers=4, task_cost_hint=10.0)

@@ -21,6 +21,8 @@ from repro.paths.batch import batch_profile_matrices
 from repro.reldb import Attribute, Database, ForeignKey, RelationSchema, Schema
 from repro.reldb.joins import steps_for_foreign_key
 
+from tests.oracle import ScalarPropagation, weights_for
+
 ATOL = 1e-12
 
 
@@ -64,7 +66,7 @@ def chain_paths(db) -> list[JoinPath]:
     ]
 
 
-def assert_equivalent(engine: PropagationEngine, db) -> None:
+def assert_equivalent(engine: ScalarPropagation, db) -> None:
     refs = list(range(len(db.table("Refs"))))
     paths = chain_paths(db)
     batched = batch_profile_matrices(engine, paths, refs)
@@ -72,7 +74,7 @@ def assert_equivalent(engine: PropagationEngine, db) -> None:
         stacked = batched[path]
         for k, row in enumerate(refs):
             scalar = engine.propagate(path, row)
-            got = stacked.weights_for(k)
+            got = weights_for(stacked, k)
             assert set(got) == set(scalar.forward)
             for t, fwd in scalar.forward.items():
                 gf, gb = got[t]
@@ -84,19 +86,14 @@ class TestBatchedPropagationProperty:
     @given(chain_database())
     @settings(max_examples=50, deadline=None)
     def test_plain_engine(self, db):
-        assert_equivalent(PropagationEngine(db), db)
+        assert_equivalent(ScalarPropagation(db), db)
 
     @given(chain_database(), st.integers(min_value=0, max_value=7))
     @settings(max_examples=40, deadline=None)
     def test_with_global_exclusions(self, db, excl_seed):
         mid = excl_seed % len(db.table("Mid"))
         excl = {"Mid": frozenset({mid}), "Refs": frozenset({0})}
-        assert_equivalent(PropagationEngine(db, excl), db)
-
-    @given(chain_database())
-    @settings(max_examples=30, deadline=None)
-    def test_exclude_origin_false(self, db):
-        assert_equivalent(PropagationEngine(db, exclude_origin=False), db)
+        assert_equivalent(ScalarPropagation(db, excl), db)
 
 
 def row_bytes(matrix, k: int) -> tuple[bytes, bytes]:
@@ -140,11 +137,10 @@ class TestBatchIndependence:
         excl = {"Mid": frozenset({mid}), "Refs": frozenset({0})}
         assert_batch_independent(PropagationEngine(db, excl), db, rnd)
 
-    @given(chain_database(), st.booleans(), st.randoms())
+    @given(chain_database(), st.randoms())
     @settings(max_examples=40, deadline=None)
-    def test_without_global_exclusions(self, db, exclude_origin, rnd):
-        engine = PropagationEngine(db, exclude_origin=exclude_origin)
-        assert_batch_independent(engine, db, rnd)
+    def test_without_global_exclusions(self, db, rnd):
+        assert_batch_independent(PropagationEngine(db), db, rnd)
 
     def test_on_a_fitted_world(self, fitted, small_db):
         """Every name of the small world, full batch against one reference

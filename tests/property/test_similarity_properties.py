@@ -1,4 +1,5 @@
-"""Property-based tests for the similarity measures."""
+"""Property-based tests for the similarity measures, as the scalar oracle
+defines them, and for their geometric-mean composition."""
 
 from __future__ import annotations
 
@@ -6,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.paths import JoinPath
-from repro.paths.profiles import NeighborProfile
 from repro.reldb.joins import JoinStep
-from repro.similarity import (
+from repro.similarity import geometric_mean
+from repro.similarity.combine import PathWeights
+
+from tests.oracle import (
+    NeighborProfile,
     directed_walk_probability,
-    geometric_mean,
     set_resemblance,
     walk_probability,
 )
-from repro.similarity.combine import PathWeights
 
 PATH = JoinPath([JoinStep("A", "x", "B", "y", "n1")])
 

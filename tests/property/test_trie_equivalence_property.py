@@ -1,14 +1,16 @@
-"""Property test: trie propagation == per-path propagation on random DBs."""
+"""Property test: the scalar oracle's trie walk == its per-path
+propagation on random DBs."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.paths import JoinPath, PropagationEngine
-from repro.paths.trie import propagate_trie
+from repro.paths import JoinPath
 from repro.reldb import Attribute, Database, ForeignKey, RelationSchema, Schema
 from repro.reldb.joins import steps_for_foreign_key
+
+from tests.oracle import ScalarPropagation, propagate_trie
 
 
 @st.composite
@@ -56,7 +58,7 @@ class TestTrieEquivalenceProperty:
     @settings(max_examples=60, deadline=None)
     def test_results_identical(self, db, origin_seed):
         origin = origin_seed % len(db.table("Refs"))
-        engine = PropagationEngine(db)
+        engine = ScalarPropagation(db)
         paths = chain_paths(db)
         shared = propagate_trie(engine, paths, origin)
         for path in paths:
@@ -69,7 +71,7 @@ class TestTrieEquivalenceProperty:
     @settings(max_examples=40, deadline=None)
     def test_trie_respects_global_exclusions(self, db):
         excl = {"Mid": frozenset({0})}
-        engine = PropagationEngine(db, excl)
+        engine = ScalarPropagation(db, excl)
         paths = chain_paths(db)
         shared = propagate_trie(engine, paths, 0)
         for path in paths:

@@ -18,10 +18,15 @@ from hypothesis import given, settings, strategies as st
 import repro.perf.chunking as chunking
 import repro.similarity.vectorized as vectorized
 from repro.paths import JoinPath
-from repro.paths.profiles import NeighborProfile
 from repro.reldb.joins import JoinStep
-from repro.similarity import set_resemblance, walk_probability
-from repro.similarity.vectorized import pair_similarities, profile_matrices
+from repro.similarity.vectorized import pair_similarities
+
+from tests.oracle import (
+    NeighborProfile,
+    profile_matrices,
+    set_resemblance,
+    walk_probability,
+)
 
 PATH = JoinPath([JoinStep("A", "x", "B", "y", "n1")])
 

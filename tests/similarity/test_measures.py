@@ -3,18 +3,17 @@ import math
 import pytest
 
 from repro.paths import JoinPath
-from repro.paths.profiles import NeighborProfile
-from repro.paths.propagation import PropagationEngine, make_exclusions
+from repro.paths.propagation import make_exclusions
 from repro.reldb.joins import JoinStep
-from repro.similarity import (
+
+from tests.minidb import WW_AUTHOR_ROW, build_minidb
+from tests.oracle import (
+    NeighborProfile,
+    ScalarPropagation,
     directed_walk_probability,
     set_resemblance,
     walk_probability,
 )
-from repro.similarity.randomwalk import walk_vector
-from repro.similarity.resemblance import resemblance_vector
-
-from tests.minidb import WW_AUTHOR_ROW, build_minidb
 
 PUB_PAP = JoinStep("Publish", "paper_key", "Publications", "paper_key", "n1")
 COAUTHOR = JoinPath([PUB_PAP, PUB_PAP.reverse(),
@@ -54,7 +53,7 @@ class TestSetResemblance:
 
     def test_on_minidb_references(self):
         db = build_minidb()
-        engine = PropagationEngine(db, make_exclusions(Authors={WW_AUTHOR_ROW}))
+        engine = ScalarPropagation(db, make_exclusions(Authors={WW_AUTHOR_ROW}))
         p0 = NeighborProfile.from_result(engine.propagate(COAUTHOR, 0))
         p6 = NeighborProfile.from_result(engine.propagate(COAUTHOR, 6))
         p3 = NeighborProfile.from_result(engine.propagate(COAUTHOR, 3))
@@ -65,7 +64,7 @@ class TestSetResemblance:
 class TestWalkProbability:
     def test_directed_walk_hand_computed(self):
         db = build_minidb()
-        engine = PropagationEngine(db, make_exclusions(Authors={WW_AUTHOR_ROW}))
+        engine = ScalarPropagation(db, make_exclusions(Authors={WW_AUTHOR_ROW}))
         p0 = NeighborProfile.from_result(engine.propagate(COAUTHOR, 0))
         p6 = NeighborProfile.from_result(engine.propagate(COAUTHOR, 6))
         # fwd_0(a1)=0.5, rev_6(a1)=1/4 ; fwd_6(a1)=1.0, rev_0(a1)=1/6
@@ -92,23 +91,3 @@ class TestWalkProbability:
         a = profile({1: (1.0, 1.0)})
         b = profile({1: (1.0, 1.0)})
         assert walk_probability(a, b) == pytest.approx(1.0)
-
-
-class TestVectors:
-    def test_vectors_align_on_path_keys(self):
-        db = build_minidb()
-        engine = PropagationEngine(db, make_exclusions(Authors={WW_AUTHOR_ROW}))
-        paper_path = JoinPath([PUB_PAP])
-        profs0 = {
-            COAUTHOR: NeighborProfile.from_result(engine.propagate(COAUTHOR, 0)),
-            paper_path: NeighborProfile.from_result(engine.propagate(paper_path, 0)),
-        }
-        profs6 = {
-            COAUTHOR: NeighborProfile.from_result(engine.propagate(COAUTHOR, 6)),
-            paper_path: NeighborProfile.from_result(engine.propagate(paper_path, 6)),
-        }
-        resem = resemblance_vector(profs0, profs6)
-        walk = walk_vector(profs0, profs6)
-        assert len(resem) == len(walk) == 2
-        assert resem[0] == pytest.approx(1 / 3)
-        assert resem[1] == 0.0  # different papers

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from repro.paths import JoinPath, ProfileBuilder
+from repro.paths import JoinPath
 from repro.paths.propagation import make_exclusions
 from repro.reldb.joins import JoinStep
-from repro.similarity import walk_probability
-from repro.similarity.vectorized import pair_similarities, profile_matrices
+from repro.similarity.vectorized import pair_similarities
 
 from tests.minidb import WW_AUTHOR_ROW, WW_REFS, build_minidb
+from tests.oracle import ScalarProfileBuilder, profile_matrices, walk_probability
 
 PUB_PAP = JoinStep("Publish", "paper_key", "Publications", "paper_key", "n1")
 COAUTHOR = JoinPath(
@@ -28,7 +28,7 @@ def pairwise_walk_matrix(profiles) -> np.ndarray:
 @pytest.fixture(scope="module")
 def ww_profiles():
     db = build_minidb()
-    builder = ProfileBuilder(db, [COAUTHOR], make_exclusions(Authors={WW_AUTHOR_ROW}))
+    builder = ScalarProfileBuilder(db, [COAUTHOR], make_exclusions(Authors={WW_AUTHOR_ROW}))
     return [builder.profile(COAUTHOR, row) for row in WW_REFS]
 
 
@@ -76,7 +76,7 @@ class TestVectorizedOnLargerWorld:
         rows = truth.rows_of_name["Wei Wang"]
         from repro.core.references import exclusions_for_name
 
-        builder = ProfileBuilder(
+        builder = ScalarProfileBuilder(
             db, fitted.paths_, exclusions_for_name(db, "Wei Wang", fitted.config)
         )
         path = fitted.paths_[5]
