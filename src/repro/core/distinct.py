@@ -3,7 +3,8 @@
 ``fit(db)`` implements §3: enumerate join paths, construct the training set
 automatically from rare names, compute per-pair per-path similarity
 features, and train two linear SVMs (one per measure) whose raw-space
-weights become the Eq-1 combiners.
+weights become the Eq-1 combiners. The training references of every rare
+name propagate in one batch, each under its own name's exclusions.
 
 ``resolve(name)`` implements §2 + §4: profile the name's references along
 every path, combine per-path similarities with the learned weights, and
@@ -219,27 +220,28 @@ class Distinct:
         self.n_enumerated_paths_ = len(enumerated)
 
     def _training_features(self, training_set: TrainingSet) -> PairFeatures:
-        """Features for training pairs, routing each reference through the
-        profile builder of its own name (same exclusions as at resolve time)."""
-        builders: dict[str, ProfileBuilder] = {}
-
-        def builder_for(name: str) -> ProfileBuilder:
-            if name not in builders:
-                builders[name] = self.profile_builder(name)
-            return builders[name]
-
-        router = _RoutedProfiles(self.paths_, {})
+        """Features for training pairs from one batch over every training
+        reference, each under its own name's exclusions (the same as at
+        resolve time)."""
+        assert self.db is not None
+        by_name: dict[str, Exclusions] = {}
+        by_row: dict[int, Exclusions] = {}
         for pair in training_set.pairs:
-            router.route[pair.row_a] = builder_for(pair.name_a)
-            router.route[pair.row_b] = builder_for(pair.name_b)
+            for row, name in ((pair.row_a, pair.name_a), (pair.row_b, pair.name_b)):
+                if name not in by_name:
+                    by_name[name] = exclusions_for_name(self.db, name, self.config)
+                by_row.setdefault(row, by_name[name])
+        builder = self._builder({})
+        rows = list(by_row)
+        matrices = builder.matrices_for(rows, [by_row[row] for row in rows])
         pairs = [(p.row_a, p.row_b) for p in training_set.pairs]
-        return compute_pair_features(router, pairs)
+        return compute_pair_features(builder, pairs, matrices)
 
     def profile_builder(self, name: str) -> ProfileBuilder:
         """The profile builder of ``name``: its exclusions over the shared
-        step matrices. Every feature computation for a real name goes
-        through one of these, so resolution, training, explanation and
-        ingest see the same values."""
+        step matrices. Every feature computation for a real name
+        propagates under these exclusions, so resolution, training,
+        explanation and ingest see the same values."""
         if self.db is None or self.paths_ is None:
             raise NotFittedError("call fit(db) before building profiles")
         return self._builder(exclusions_for_name(self.db, name, self.config))
@@ -449,29 +451,3 @@ class NamePreparation:
     name: str
     rows: list[int]
     features: PairFeatures | None
-
-
-class _RoutedProfiles:
-    """ProfileBuilder-compatible view routing each row to its name's builder."""
-
-    def __init__(self, paths: list[JoinPath], route: dict[int, ProfileBuilder]) -> None:
-        self.paths = paths
-        self.route = route
-
-    def matrices_for(self, rows: list[int]):
-        """Batched matrices across builders: one batch per builder, merged.
-
-        Each name's references propagate under that name's exclusions, so
-        the batch splits along the route; all builders share one database,
-        so the per-path matrices have identical column spaces and stack.
-        """
-        from repro.paths.batch import merge_batched
-
-        groups: dict[ProfileBuilder, list[int]] = {}
-        for row in rows:
-            groups.setdefault(self.route[row], []).append(row)
-        batched = [
-            builder.matrices_for(group_rows)
-            for builder, group_rows in groups.items()
-        ]
-        return merge_batched(list(rows), batched)

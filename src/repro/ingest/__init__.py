@@ -23,7 +23,7 @@ serial or on a process pool.
 stream of crawl increments.
 """
 
-from repro.ingest.dirty import affected_rows
+from repro.ingest.dirty import affected_rows, grown_steps
 from repro.ingest.engine import IngestEngine, IngestReport, NameRefresh
 from repro.ingest.greedy import Assignment, extend_resolution
 from repro.ingest.runner import IngestRunOutcome, ingest_checkpoint, ingest_resilient
@@ -36,6 +36,7 @@ __all__ = [
     "NameRefresh",
     "affected_rows",
     "extend_resolution",
+    "grown_steps",
     "ingest_checkpoint",
     "ingest_resilient",
 ]

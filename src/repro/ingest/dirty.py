@@ -6,12 +6,14 @@ join step iff some new row of the step's destination relation joins to
 ``i`` — partner lists only ever grow (indexes are append-only), so the
 affected set is found by looking each new row's join value up in the
 *source* relation's index (:func:`repro.perf.transitions
-.grown_partner_rows`, the same probe that tells a step matrix which old
-rows to re-list when it extends). Running that probe over every step of
-the configured paths **and every step's reverse** covers both
-propagation directions: forward mass splits use the forward partner
-lists, and the backward DP's denominators count reverse partners
-(:mod:`repro.paths.propagation`).
+.grown_partner_rows`). :func:`grown_steps` runs that probe once per
+delta over every step of the configured paths **and every step's
+reverse**, which covers both propagation directions: forward mass
+splits use the forward partner lists, and the backward DP's
+denominators count reverse partners (:mod:`repro.paths.propagation`).
+The same probes tell the step matrices which old rows to re-list
+(:meth:`repro.perf.transitions.StepMatrices.extend`), and
+:func:`affected_rows` unions them per relation.
 
 :func:`touched_row_mask` intersects the affected rows with each
 reference's visited trace to find the *dirty references* — the ones
@@ -30,12 +32,12 @@ from scipy import sparse
 
 from repro.obs import counter
 from repro.paths.joinpath import JoinPath
-from repro.perf.transitions import grown_partner_rows
+from repro.perf.transitions import GrownRows, grown_partner_rows
 from repro.reldb.database import Database
 from repro.reldb.delta import AppliedDelta
 from repro.reldb.joins import JoinStep
 
-__all__ = ["affected_rows", "touched_row_mask"]
+__all__ = ["affected_rows", "grown_steps", "touched_row_mask"]
 
 _AFFECTED = counter("ingest.rows_affected")
 
@@ -50,28 +52,35 @@ def _probe_steps(paths: list[JoinPath]) -> set[JoinStep]:
     return steps
 
 
-def affected_rows(
+def grown_steps(
     db: Database, paths: list[JoinPath], applied: AppliedDelta
-) -> dict[str, set[int]]:
-    """Pre-delta rows whose filtered partner lists changed, per relation.
+) -> dict[JoinStep, GrownRows]:
+    """The probe of every step whose destination relation the delta grew.
 
-    For each probe step, an *old* source row is affected when one of the
-    delta's new destination rows carries its (non-NULL) join value. Rows
-    the delta itself appended are excluded — no reference walked them
-    before the delta, so no trace holds them.
+    For each probe step, an *old* source row grew when one of the
+    delta's new destination rows carries its (non-NULL) join value.
+    Rows the delta itself appended are not listed — no reference walked
+    them before the delta, so no trace holds them.
     """
 
     def old_size(relation: str) -> int:
         return len(db.table(relation)) - len(applied.new_rows(relation))
 
-    affected: dict[str, set[int]] = {}
+    probes: dict[JoinStep, GrownRows] = {}
     for step in _probe_steps(paths):
         if not applied.new_rows(step.dst_relation):
             continue
-        grown = grown_partner_rows(
-            db, step, old_size(step.src_relation), old_size(step.dst_relation)
-        )
-        affected.setdefault(step.src_relation, set()).update(grown.tolist())
+        shape = (old_size(step.src_relation), old_size(step.dst_relation))
+        probes[step] = GrownRows(shape, grown_partner_rows(db, step, *shape))
+    return probes
+
+
+def affected_rows(probes: dict[JoinStep, GrownRows]) -> dict[str, set[int]]:
+    """Pre-delta rows whose filtered partner lists changed, per relation:
+    the union of :func:`grown_steps`' probes over each source relation."""
+    affected: dict[str, set[int]] = {}
+    for step, probe in probes.items():
+        affected.setdefault(step.src_relation, set()).update(probe.rows.tolist())
     affected = {rel: rows for rel, rows in affected.items() if rows}
     _AFFECTED.inc(sum(len(rows) for rows in affected.values()))
     return affected

@@ -6,9 +6,9 @@ produces *plus* the state needed to invalidate it precisely:
 
 - the reference rows, pair features, combined pair matrices, and the
   :class:`~repro.cluster.agglomerative.ClusteringResult`;
-- a persistent :class:`~repro.paths.profiles.ProfileBuilder` over the
-  pipeline's shared step matrices, which extend by the delta's rows on
-  their first read after it (:class:`repro.perf.transitions
+- a persistent :class:`~repro.paths.profiles.ProfileBuilder` carrying
+  the name's exclusions over the pipeline's shared step matrices, which
+  extend by the delta's rows (:class:`repro.perf.transitions
   .StepMatrices`);
 - the per-relation *visited traces* (boolean reference × relation-row
   patterns) of every forward propagation level.
@@ -16,17 +16,21 @@ produces *plus* the state needed to invalidate it precisely:
 Applying a :class:`~repro.reldb.Delta` then walks the invalidation
 ladder instead of recomputing the world:
 
-1. **dirty rows** — :func:`repro.ingest.dirty.affected_rows` finds the
-   existing rows whose partner lists grew;
+1. **dirty rows** — :func:`repro.ingest.dirty.grown_steps` probes each
+   grown step once, and :func:`repro.ingest.dirty.affected_rows` finds
+   from the probes the existing rows whose partner lists grew (the same
+   probes extend the step matrices);
 2. **dirty references** — a reference is dirty iff its visited trace
    intersects the affected rows (:func:`repro.ingest.dirty
    .touched_row_mask`) or it is new; clean references provably kept
    their exact profiles;
-3. **dirty pairs** — the name's references propagate once, as in a
-   cold run, and only pairs touching a dirty or new reference are
-   re-evaluated from that batch (so the recomputed values are
-   bit-identical); clean pair values are scattered from the previous
-   feature arrays;
+3. **dirty pairs** — the post-delta references of every pending name
+   propagate in one traced batch per delta, each under its own name's
+   exclusions, and each name takes its own rows of it (the same bytes
+   as its batch in a cold run). Only pairs touching a dirty or new
+   reference are re-evaluated from those rows (so the recomputed values
+   are bit-identical); clean pair values are scattered from the
+   previous feature arrays;
 4. **dirty merges** — :func:`repro.cluster.recluster_incremental`
    replays the previous dendrogram prefix the dirty pairs cannot have
    influenced and resumes the merge loop from there.
@@ -35,7 +39,8 @@ Every rung preserves bytes, so ``ingest()`` produces resolutions equal
 to a cold ``prepare``/``cluster_prepared`` on the post-delta database —
 the property suite asserts full equality.
 
-:meth:`IngestEngine.refresh` is one name's work and
+:meth:`IngestEngine.refresh` is one name's work; called without
+:meth:`IngestEngine.refresh_all`, it propagates its name alone.
 :meth:`IngestEngine.adopt` installs a refresh computed elsewhere, which
 is how :func:`repro.ingest.runner.ingest_resilient` fans the refreshes
 out over a process pool. Step matrices a worker extends stay in the
@@ -58,15 +63,16 @@ from repro.core.features import (
     compute_pair_features,
     pair_matrix,
 )
-from repro.core.references import extract_references
+from repro.core.references import NameReferences, extract_references
 from repro.errors import NotFittedError, ReproError
 from repro.obs import counter, get_logger, span
-from repro.paths.batch import batch_profile_matrices
+from repro.paths.batch import BatchedProfiles, batch_profile_matrices
+from repro.paths.joinpath import JoinPath
 from repro.paths.profiles import ProfileBuilder
 from repro.reldb.delta import AppliedDelta, Delta, apply_delta
 from repro.resilience.faults import fault_check
 
-from repro.ingest.dirty import affected_rows, touched_row_mask
+from repro.ingest.dirty import affected_rows, grown_steps, touched_row_mask
 
 __all__ = ["IngestEngine", "IngestReport", "NameRefresh"]
 
@@ -148,15 +154,32 @@ class _NameState:
 
 @dataclass
 class _RefreshPlan:
-    """Per-name work order computed when a delta is applied."""
+    """Per-name work order computed when a delta is applied.
 
+    ``builder`` carries the name's post-delta exclusions: the state's
+    own, or a fresh one when the name gained an object row.
+    ``propagated`` is a traced batch holding the name's references, and
+    the batch rows that are its own, once one ran.
+    """
+
+    refs: NameReferences  # the name's post-delta references
+    builder: ProfileBuilder
     new_rows: list[int]
     dirty_idx: np.ndarray  # positions (== leaf indices) of dirty old refs
     rebuild: bool = False  # exclusions changed: refresh from scratch
+    propagated: (
+        tuple[dict[JoinPath, BatchedProfiles], dict[str, sparse.csr_matrix], slice]
+        | None
+    ) = None
 
     @property
     def needed(self) -> bool:
         return self.rebuild or bool(self.new_rows) or len(self.dirty_idx) > 0
+
+    @property
+    def propagates(self) -> bool:
+        """Whether the refresh needs a batch: it has pairs to score."""
+        return self.needed and len(self.refs.rows) > 1
 
 
 class IngestEngine:
@@ -232,7 +255,8 @@ class IngestEngine:
         # The traced batch is the one prepare() propagates; its matrices
         # feed the pair kernels directly.
         matrices = batch_profile_matrices(
-            builder.engine, distinct.paths_, refs.rows, trace=traces
+            builder.engine, distinct.paths_, refs.rows,
+            [builder.exclusions] * len(refs.rows), trace=traces,
         )
         features = compute_pair_features(builder, all_pairs(refs.rows), matrices)
         prep = NamePreparation(name=name, rows=list(refs.rows), features=features)
@@ -262,7 +286,9 @@ class IngestEngine:
         db = self.db
         with span("ingest.apply", n_rows=delta.n_rows(), epoch=db.epoch + 1) as sp:
             applied = apply_delta(db, delta)
-            affected = affected_rows(db, self.distinct.paths_, applied)
+            probes = grown_steps(db, self.distinct.paths_, applied)
+            self.distinct.steps.extend(db, probes)
+            affected = affected_rows(probes)
             self._plans = {
                 name: self._plan(state, affected)
                 for name, state in self._states.items()
@@ -279,8 +305,10 @@ class IngestEngine:
         if list(refs.object_rows) != state.object_rows:
             # The name gained an object row: exclusions change for every
             # reference, so nothing survives — refresh from scratch.
-            return _RefreshPlan(new_rows=[], dirty_idx=np.empty(0, np.int64),
-                                rebuild=True)
+            return _RefreshPlan(
+                refs=refs, builder=self.distinct.profile_builder(state.name),
+                new_rows=[], dirty_idx=np.empty(0, np.int64), rebuild=True,
+            )
         old = set(state.rows)
         new_rows = [row for row in refs.rows if row not in old]
         dirty_mask = np.zeros(len(state.rows), dtype=bool)
@@ -290,7 +318,8 @@ class IngestEngine:
                 # lint: allow[determinism/unkeyed-sort] row ids are plain int
                 dirty_mask |= touched_row_mask(pattern, np.asarray(sorted(columns)))
         return _RefreshPlan(
-            new_rows=new_rows, dirty_idx=np.flatnonzero(dirty_mask)
+            refs=refs, builder=state.builder,
+            new_rows=new_rows, dirty_idx=np.flatnonzero(dirty_mask),
         )
 
     def pending(self) -> list[str]:
@@ -303,7 +332,8 @@ class IngestEngine:
         """Re-resolve one name along the invalidation ladder.
 
         Requires a preceding :meth:`apply`. Clean names return their
-        unchanged resolution with ``refreshed=False``.
+        unchanged resolution with ``refreshed=False``. A name whose rows
+        :meth:`refresh_all` has not propagated propagates alone.
         """
         state = self._state(name)
         plan = self._plans.get(name)
@@ -325,6 +355,8 @@ class IngestEngine:
             n_dirty=len(plan.dirty_idx),
             n_new=len(plan.new_rows),
         ) as sp:
+            if plan.propagates and plan.propagated is None:
+                self._propagate([plan])
             refresh = self._refresh_state(state, plan)
             sp.annotate(
                 pairs_recomputed=refresh.n_pairs_recomputed,
@@ -339,8 +371,32 @@ class IngestEngine:
         return refresh
 
     def refresh_all(self) -> list[NameRefresh]:
-        """Refresh every pending name; clean names report through too."""
+        """Refresh every pending name; clean names report through too.
+
+        The post-delta references of every pending name propagate in one
+        traced batch first, each under its own name's exclusions.
+        """
+        self._propagate([plan for plan in self._plans.values() if plan.propagates])
         return [self.refresh(name) for name in self._states if name in self._plans]
+
+    def _propagate(self, plans: list[_RefreshPlan]) -> None:
+        """One traced batch over the references of ``plans``, each plan's
+        rows in one block; a reference's rows are the same bytes as in a
+        batch of its name alone."""
+        if not plans:
+            return
+        rows = [row for plan in plans for row in plan.refs.rows]
+        exclusions = [plan.builder.exclusions for plan in plans for _ in plan.refs.rows]
+        traces: dict[str, sparse.csr_matrix] = {}
+        with span("ingest.propagate", n_names=len(plans), n_refs=len(rows)):
+            matrices = batch_profile_matrices(
+                plans[0].builder.engine, self.distinct.paths_, rows, exclusions,
+                trace=traces,
+            )
+        stop = 0
+        for plan in plans:
+            start, stop = stop, stop + len(plan.refs.rows)
+            plan.propagated = (matrices, traces, slice(start, stop))
 
     def _install(self, state: _NameState, refresh: NameRefresh) -> None:
         state.rows = list(refresh.resolution.rows)
@@ -361,12 +417,8 @@ class IngestEngine:
         if not refresh.refreshed:
             return
         if plan is not None and plan.rebuild:
-            state.builder = self.distinct.profile_builder(refresh.name)
-            state.object_rows = list(
-                extract_references(
-                    self.db, refresh.name, self.distinct.config
-                ).object_rows
-            )
+            state.builder = plan.builder
+            state.object_rows = list(plan.refs.object_rows)
         self._install(state, refresh)
 
     def ingest(self, delta: Delta) -> IngestReport:
@@ -382,8 +434,7 @@ class IngestEngine:
 
     def _refresh_state(self, state: _NameState, plan: _RefreshPlan) -> NameRefresh:
         distinct = self.distinct
-        refs = extract_references(self.db, state.name, distinct.config)
-        rows_new = list(refs.rows)
+        rows_new = list(plan.refs.rows)
         n_old = len(state.rows)
 
         full = (
@@ -403,16 +454,15 @@ class IngestEngine:
                 n_refs_dirty=len(plan.dirty_idx), n_refs_new=len(plan.new_rows),
                 n_pairs_recomputed=0, n_pairs_reused=0, n_merges_replayed=0,
             )
-        if full:
-            return self._full_refresh(state, plan, rows_new)
-
-        builder = state.builder
         # Every row pairs with a dirty one, so the recomputed pairs reach
-        # every row: one traced batch over the name feeds them all.
-        traces: dict[str, sparse.csr_matrix] = {}
-        matrices = batch_profile_matrices(
-            builder.engine, distinct.paths_, rows_new, trace=traces
-        )
+        # every row: the name's traced batch feeds them all.
+        assert plan.propagated is not None
+        matrices, traces, own = plan.propagated
+        # The pair kernel reads only the pairs' rows of the batch; the
+        # traces are kept, so they keep only the name's own.
+        traces = {relation: pattern[own] for relation, pattern in traces.items()}
+        if full:
+            return self._full_refresh(state, plan, rows_new, matrices, traces)
 
         # The old rows are a prefix of the new ones and both pair lists
         # are ``all_pairs`` order, so a clean pair (i, j) of old positions
@@ -436,7 +486,7 @@ class IngestEngine:
         reused = len(keep)
         if len(recompute):
             sub = compute_pair_features(
-                builder, [pairs_new[k] for k in recompute], matrices
+                plan.builder, [pairs_new[k] for k in recompute], matrices
             )
             resem[recompute] = sub.resemblance
             walk[recompute] = sub.walk
@@ -459,25 +509,23 @@ class IngestEngine:
         )
 
     def _full_refresh(
-        self, state: _NameState, plan: _RefreshPlan, rows_new: list[int]
+        self,
+        state: _NameState,
+        plan: _RefreshPlan,
+        rows_new: list[int],
+        matrices: dict[JoinPath, BatchedProfiles],
+        traces: dict[str, sparse.csr_matrix],
     ) -> NameRefresh:
-        """Cold-equivalent recompute of one name (fresh builder when the
-        exclusions changed — a builder bakes its name's exclusions in)."""
+        """Cold-equivalent recompute of one name (under the plan's fresh
+        builder when the exclusions changed)."""
         distinct = self.distinct
-        builder = distinct.profile_builder(state.name) if plan.rebuild else state.builder
-        traces: dict[str, sparse.csr_matrix] = {}
-        matrices = batch_profile_matrices(
-            builder.engine, distinct.paths_, rows_new, trace=traces
-        )
-        features = compute_pair_features(builder, all_pairs(rows_new), matrices)
+        features = compute_pair_features(plan.builder, all_pairs(rows_new), matrices)
         prep = NamePreparation(name=state.name, rows=rows_new, features=features)
         resolution = distinct.cluster_prepared(
             prep, self.min_sim, self.measure, self.supervised
         )
-        state.builder = builder
-        state.object_rows = list(
-            extract_references(self.db, state.name, distinct.config).object_rows
-        )
+        state.builder = plan.builder
+        state.object_rows = list(plan.refs.object_rows)
         return NameRefresh(
             name=state.name,
             resolution=resolution,

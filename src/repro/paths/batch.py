@@ -1,56 +1,65 @@
-"""Batched sparse propagation: all references of one name at once.
+"""Batched sparse propagation: any set of references at once.
 
 Walking one reference at a time over Python dicts (the paper's reading,
 kept as the test suite's scalar oracle) costs references times tuples
-visited. But one forward step is a linear map of the
-mass vector, identical for every reference of a name (the *per-origin*
-part — the origin tuple is not an intermediate stop — is a rank-limited
-perturbation). Stacking the references' mass vectors as the rows of a
-sparse matrix ``M`` turns each step into a single SpMM:
+visited. But one forward step is a linear map of the mass vector,
+identical for every reference; what differs per reference is only which
+tuples it may not stop on. Stacking the references' mass vectors as the
+rows of a sparse matrix ``M`` turns each step into a single SpMM:
 
 - **forward**: ``M_k = M_{k-1} @ T(step_k)`` where ``T`` is the
   row-normalized CSR transition of :mod:`repro.perf.transitions`;
 - **backward**: ``R_k = R_{k-1} @ T(step_k.reverse()).T``, restricted to
   the rows the forward pass reached (the backward DP's per-level domain).
 
-Both matrices of a step are built once over the whole relations, extended
-when a relation grows, and shared by every name
-(:attr:`PropagationEngine.steps`). A
-name's global exclusions only drop its own rows from partner lists, so a
-step whose destination (or, for the reverse split, source) relation has
-exclusions gets a masked, renormalized copy that lives for one call.
+Both matrices of a step are built once over the whole relations,
+extended when a relation grows, and shared by every name
+(:attr:`PropagationEngine.steps`). The products never see an exclusion.
 
-Per-origin exclusion is applied as sparse corrections on top of the
-origin-free products, once per level whose relation is the start
-relation (``o_r`` is reference ``r``'s origin row, ``d_i`` the filtered
-partner count of row ``i``; partner lists and counts are read off the
-rows of the run's step matrices):
+Each reference carries its own *excluded rows*: its name's object rows
+(:func:`repro.core.references.exclusions_for_name`, or a pooled group's
+union in calibration), and, on the start relation, its origin tuple,
+which is no intermediate stop. References with equal exclusions share a
+group, so a name's exclusions are held once however many of its
+references the batch holds. A relation's excluded rows of reference
+``r`` are dropped from every partner list, numerator and denominator
+alike, by corrections on top of the exclusion-free products. Write ``d``
+for a tuple's partner count across a step and ``k`` for how many of
+those partners ``r`` excludes:
 
-- *forward*: the generic product both routed mass into ``o_r`` and
-  counted it in the split denominators. For every source row ``i``
-  joining to ``o_r`` with ``d_i >= 2``, the remaining partners each gain
-  ``M[r, i] / (d_i (d_i - 1))`` — added as one extra SpMM
-  ``U @ T`` with ``U[r, i] = M[r, i] / (d_i - 1)`` — and the ``(r, o_r)``
-  entry is then zeroed exactly (rows with ``d_i == 1`` lose their mass,
+- *forward, at a level that lands on a relation with exclusions*: the
+  generic product routed mass into the excluded rows and counted them
+  in the split denominators. For every source row ``i`` with
+  ``d_i > k``, the remaining partners each gain
+  ``M[r, i] k / (d_i (d_i - k))``, added as one extra SpMM ``U @ T``
+  with ``U[r, i] = M[r, i] k / (d_i - k)``; the excluded entries
+  ``(r, e)`` are then dropped (rows with ``d_i == k`` lose their mass,
   as in the scalar definition).
-- *backward*: entries ``R_k[r, o_r]`` at intermediate start-relation
-  levels are zeroed (the backward DP never computes a rev value for the
-  origin there), so by the time a later level gathers *from* the origin
-  its contribution is already zero and only the denominator needs
-  fixing: for every row ``t`` whose reverse partners include ``o_r``
-  with ``d_t >= 2``, scale ``R_k[r, t]`` by ``d_t / (d_t - 1)``.
+- *backward, at a level that lands on a relation with exclusions*: the
+  entries ``(r, e)`` are dropped. The backward DP never computes a rev
+  value for an excluded tuple, and in a mixed batch the union support
+  can hold a row another reference excludes.
+- *backward, at a step leaving a relation with exclusions*: the
+  excluded rows' rev entries are already zero (dropped at the level
+  that landed on them), so dropping them from a partner list only
+  rescales: ``R_k[r, t] *= d_t / (d_t - k)``, or ``0`` when
+  ``d_t == k``. The origin counts here only past the first level: the
+  first backward step gathers *into* the origin.
 
-Both corrections touch O(origin fanout) entries per reference — no
-cancellation-prone subtractions — so batched results match the scalar
-oracle to floating-point reassociation tolerance (the property suite
-asserts <= 1e-12). They run for all references
-at once: every origin's partner list is gathered from the step matrix's
-CSR arrays, and one ``searchsorted`` over the level's ``row * width +
-column`` keys finds which of those entries the level holds.
+Where a reference's origin and name exclusions meet on one relation,
+the union of the two is dropped. The corrections touch only entries
+whose source row has an excluded partner, with no cancellation-prone
+subtractions, so batched results match the scalar oracle to
+floating-point reassociation tolerance (the property suite asserts
+<= 1e-12). They run for all references at once: the excluded rows'
+partner lists are gathered from the step matrix's CSR arrays, and one
+``searchsorted`` over ``owner * width + column`` keys finds the entries
+of a level they touch.
 
 Every operation acts on each reference's row alone, so a reference's
 forward, backward and trace rows are the same bytes whatever batch it
-propagates in (property-tested).
+propagates in, alone, with its own name or with other names
+(property-tested).
 
 The walk shares prefixes across paths through the step trie of
 :mod:`repro.paths.trie`. Final per-path backward matrices are masked to
@@ -60,6 +69,7 @@ forward-reached neighbors).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,17 +77,18 @@ from scipy import sparse
 
 from repro.obs import counter
 from repro.paths.joinpath import JoinPath
-from repro.paths.propagation import PropagationEngine, _EMPTY_SET
+from repro.paths.propagation import Exclusions, PropagationEngine
 from repro.paths.trie import _TrieNode, _build_trie
-from repro.perf.transitions import _keep, without_columns, without_rows
+from repro.perf.transitions import StepPair
 
-__all__ = ["BatchedProfiles", "batch_profile_matrices", "merge_batched"]
+__all__ = ["BatchedProfiles", "batch_profile_matrices"]
 
 #: Work accounting. ``propagation.tuples_visited`` counts the nonzeros
 #: of each forward and backward level, summed over references (one
 #: reference's row holds exactly the tuples a one-reference walk
 #: materializes at that level). ``spmm`` counts sparse
-#: matrix products; ``origin_corrections`` counts corrected entries.
+#: matrix products; ``origin_corrections`` counts the entries the
+#: exclusion corrections moved or rescaled.
 _BATCH_RUNS = counter("propagation.batch.runs")
 _BATCH_SPMM = counter("propagation.batch.spmm")
 _TUPLES_VISITED = counter("propagation.tuples_visited")
@@ -100,46 +111,70 @@ class BatchedProfiles:
     backward: sparse.csr_matrix
 
 
-class _BatchContext:
-    """Per-run state: engine access, origin bookkeeping, the run's steps.
+def _member(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of ``values`` occur in the sorted array ``keys``."""
+    pos = np.searchsorted(keys, values)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == values[found]
+    return found
 
-    Step matrices come from the engine's shared store; the masked copies
-    a step needs under this run's exclusions are kept here, so they never
-    outlive the run.
+
+class _BatchContext:
+    """Per-run state: engine access, each reference's origin and exclusions.
+
+    ``group[k]`` numbers reference ``k``'s exclusions (equal mappings
+    share a number). ``excluded[relation]`` holds the sorted keys
+    ``group * n_rows(relation) + row`` of the in-range excluded rows of
+    every group; ids outside the relation are ignored.
     """
 
-    def __init__(self, engine: PropagationEngine, origin_rows: list[int]) -> None:
+    def __init__(
+        self,
+        engine: PropagationEngine,
+        start_relation: str,
+        origin_rows: list[int],
+        exclusions: Sequence[Exclusions] | None,
+    ) -> None:
         self.engine = engine
         self.db = engine.db
+        self.start = start_relation
         self.origins = np.asarray(list(origin_rows), dtype=np.int64)
-        self.n_refs = len(origin_rows)
-        self._forward: dict = {}
-        self._backward: dict = {}
+        self.n_refs = len(self.origins)
+        if exclusions is not None and len(exclusions) != self.n_refs:
+            raise ValueError(
+                f"{len(exclusions)} exclusion sets for {self.n_refs} references"
+            )
+        self.group = np.zeros(self.n_refs, dtype=np.int64)
+        groups: dict[frozenset, int] = {}
+        for k, excluded in enumerate(exclusions or ()):
+            key = frozenset(
+                (relation, frozenset(rows)) for relation, rows in excluded.items()
+            )
+            self.group[k] = groups.setdefault(key, len(groups))
+        parts: dict[str, list[np.ndarray]] = {}
+        for key, group in groups.items():
+            for relation, rows in key:
+                n = self.n_rows(relation)
+                ids = np.fromiter((i for i in rows if 0 <= i < n), dtype=np.int64)
+                if len(ids):
+                    parts.setdefault(relation, []).append(group * n + ids)
+        self.excluded = {
+            relation: np.unique(np.concatenate(keys)) for relation, keys in parts.items()
+        }
+        # References whose origin is one of their own excluded rows.
+        self.origin_excluded = np.zeros(self.n_refs, dtype=bool)
+        if start_relation in self.excluded:
+            self.origin_excluded = _member(
+                self.group * self.n_rows(start_relation) + self.origins,
+                self.excluded[start_relation],
+            )
 
     def n_rows(self, relation: str) -> int:
-        return len(self.db.table(relation).rows)
+        return len(self.db.table(relation))
 
-    def forward(self, step) -> sparse.csr_matrix:
-        """``T(step)``: each row split over its exclusion-filtered partners."""
-        matrix = self._forward.get(step)
-        if matrix is None:
-            matrix = self.engine.steps.get(self.db, step).forward
-            excluded = self.engine.exclusions.get(step.dst_relation)
-            if excluded:
-                matrix = without_columns(matrix, excluded)
-            self._forward[step] = matrix
-        return matrix
-
-    def backward(self, step) -> sparse.csr_matrix:
-        """``T(step.reverse()).T`` under the run's exclusions."""
-        matrix = self._backward.get(step)
-        if matrix is None:
-            matrix = self.engine.steps.get(self.db, step).backward
-            excluded = self.engine.exclusions.get(step.src_relation)
-            if excluded:
-                matrix = without_rows(matrix, excluded)
-            self._backward[step] = matrix
-        return matrix
+    def step(self, step) -> StepPair:
+        """The shared, exclusion-free matrices of ``step``."""
+        return self.engine.steps.get(self.db, step)
 
 
 def _entry_rows(matrix: sparse.csr_matrix) -> np.ndarray:
@@ -147,22 +182,17 @@ def _entry_rows(matrix: sparse.csr_matrix) -> np.ndarray:
     return np.repeat(np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr))
 
 
-def _positions(
-    matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Where entry ``(rows[k], cols[k])`` sits in ``matrix.data``, or -1
-    where it is not stored (indices must be sorted).
+def _entry_keys(matrix: sparse.csr_matrix) -> np.ndarray:
+    """``row * width + column`` of every stored entry; ascending when the
+    indices are sorted."""
+    return _entry_rows(matrix) * matrix.shape[1] + matrix.indices
 
-    With sorted indices, ``row * width + col`` ascends through the
-    storage, so one ``searchsorted`` finds every entry.
-    """
-    width = matrix.shape[1]
-    stored = _entry_rows(matrix) * width + matrix.indices
-    wanted = rows * width + cols
-    pos = np.searchsorted(stored, wanted)
-    found = pos < len(stored)
-    found[found] = stored[pos[found]] == wanted[found]
-    return np.where(found, pos, -1)
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in the sorted array ``keys``."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(first)
 
 
 def _canonical(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -174,96 +204,142 @@ def _canonical(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
 
 def _restricted(matrix: sparse.csr_matrix, keep: np.ndarray) -> sparse.csr_matrix:
     """``matrix`` with only the entries where ``keep`` holds."""
-    indptr, indices = _keep(matrix, keep)
-    out = sparse.csr_matrix((matrix.data[keep], indices, indptr), shape=matrix.shape)
+    before = np.zeros(len(keep) + 1, dtype=matrix.indptr.dtype)
+    np.cumsum(keep, out=before[1:])
+    out = sparse.csr_matrix(
+        (matrix.data[keep], matrix.indices[keep], before[matrix.indptr]),
+        shape=matrix.shape,
+    )
     out.has_sorted_indices = matrix.has_sorted_indices
     return out
 
 
-def _zero_origin_column(
-    matrix: sparse.csr_matrix, origins: np.ndarray
-) -> sparse.csr_matrix:
-    """``matrix`` without entry ``(r, origins[r])`` of any reference row."""
-    pos = _positions(matrix, np.arange(len(origins), dtype=np.int64), origins)
-    pos = pos[pos >= 0]
-    if not len(pos):
-        return matrix
-    keep = np.ones(matrix.nnz, dtype=bool)
-    keep[pos] = False
-    return _restricted(matrix, keep)
-
-
-def _origin_partner_entries(
-    ctx: _BatchContext,
-    matrix: sparse.csr_matrix,
-    partners: sparse.csr_matrix,
-    excluded: frozenset[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every stored entry ``(r, c)`` of ``matrix`` whose column ``c`` is a
-    partner of reference ``r``'s origin (a column of row ``o_r`` of
-    ``partners``), skipping references whose origin is in ``excluded``.
-
-    Returns the entries' rows, columns and positions in ``matrix.data``,
-    in row order and, within a row, column order.
-    """
-    lengths = np.diff(partners.indptr)[ctx.origins]
-    if excluded:
-        lengths[np.isin(ctx.origins, list(excluded))] = 0
-    rows = np.repeat(np.arange(ctx.n_refs, dtype=np.int64), lengths)
+def _partner_keys(
+    partners: sparse.csr_matrix, owners: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """``owners[k] * width + p`` for every partner ``p`` of ``rows[k]``
+    (a column of that row of ``partners``), in input and partner order."""
+    lengths = np.diff(partners.indptr)[rows]
     firsts = np.cumsum(lengths) - lengths
-    offsets = np.arange(len(rows)) - np.repeat(firsts, lengths)
-    cols = partners.indices[np.repeat(partners.indptr[ctx.origins], lengths) + offsets]
-    pos = _positions(matrix, rows, cols.astype(np.int64))
-    found = pos >= 0
-    return rows[found], cols[found], pos[found]
+    offsets = np.arange(int(lengths.sum())) - np.repeat(firsts, lengths)
+    columns = partners.indices[np.repeat(partners.indptr[rows], lengths) + offsets]
+    return np.repeat(owners, lengths) * partners.shape[1] + columns
+
+
+def _excluded_partner_counts(
+    ctx: _BatchContext,
+    relation: str,
+    partners: sparse.csr_matrix,
+    rows: np.ndarray,
+    columns: np.ndarray,
+    origin: bool,
+) -> np.ndarray:
+    """For every entry ``(rows[k], columns[k])``: how many rows of
+    ``relation`` that reference ``rows[k]`` excludes are partners of
+    tuple ``columns[k]``.
+
+    ``partners`` lists each row of ``relation``'s partners (the step from
+    ``relation`` to the entries' relation), so the counts come from the
+    excluded rows' own partner lists. With ``origin``, each reference's
+    origin counts too, unless it is already one of its excluded rows.
+    """
+    width = partners.shape[1]
+    counts = np.zeros(len(rows))
+    keys = ctx.excluded.get(relation)
+    if keys is not None:
+        n = ctx.n_rows(relation)
+        touched = np.sort(_partner_keys(partners, keys // n, keys % n))
+        starts = _run_starts(touched)
+        multiplicity = np.diff(np.append(starts, len(touched)))
+        touched = touched[starts]
+        wanted = ctx.group[rows] * width + columns
+        hit = _member(wanted, touched)
+        counts[hit] += multiplicity[np.searchsorted(touched, wanted[hit])]
+    if origin:
+        live = np.flatnonzero(~ctx.origin_excluded)
+        # Owners ascend and partner lists are sorted: the keys ascend.
+        touched = _partner_keys(partners, live, ctx.origins[live])
+        counts += _member(rows * width + columns, touched)
+    return counts
+
+
+def _without_excluded(
+    ctx: _BatchContext, level: sparse.csr_matrix, relation: str, origin: bool
+) -> sparse.csr_matrix:
+    """``level`` (over ``relation``) without any entry ``(r, e)`` of a row
+    ``e`` reference ``r`` excludes; with ``origin``, without ``(r, o_r)``."""
+    rows = _entry_rows(level)
+    if origin:
+        drop = level.indices == ctx.origins[rows]
+    else:
+        drop = np.zeros(level.nnz, dtype=bool)
+    keys = ctx.excluded.get(relation)
+    if keys is not None:
+        drop |= _member(ctx.group[rows] * level.shape[1] + level.indices, keys)
+    if not drop.any():
+        return level
+    return _restricted(level, ~drop)
 
 
 def _forward_step_batch(
-    ctx: _BatchContext, step, current: sparse.csr_matrix, start_relation: str
+    ctx: _BatchContext, step, current: sparse.csr_matrix
 ) -> sparse.csr_matrix:
-    """One forward step for every reference: one SpMM plus the
-    per-origin correction when the step lands on the start relation."""
-    transition = ctx.forward(step)
+    """One forward step for every reference: one SpMM plus the exclusion
+    correction when the step lands on a relation with exclusions."""
+    transition = ctx.step(step).forward
     nxt = (current @ transition).tocsr()
     _BATCH_SPMM.inc()
-    if step.dst_relation == start_relation:
-        nxt = _forward_origin_fix(ctx, step, current, nxt, transition)
+    origin = step.dst_relation == ctx.start
+    if origin or step.dst_relation in ctx.excluded:
+        nxt = _forward_exclusion_fix(ctx, step, current, nxt, transition, origin)
     nxt = _canonical(nxt)
     _TUPLES_VISITED.inc(nxt.nnz)
     return nxt
 
 
-def _forward_origin_fix(
+def _forward_exclusion_fix(
     ctx: _BatchContext,
     step,
     current: sparse.csr_matrix,
     nxt: sparse.csr_matrix,
     transition: sparse.csr_matrix,
+    origin: bool,
 ) -> sparse.csr_matrix:
-    """Redistribute the mass the generic product routed via each origin.
+    """Redistribute the mass the generic product routed into excluded rows.
 
-    See the module docstring for the algebra. References whose origin is
-    globally excluded need no fix: the generic transition already
-    dropped the origin from every partner list.
+    See the module docstring for the algebra. ``current`` is canonical.
+    A source row with one partner either keeps it or loses its mass, so
+    only rows with two or more partners can need ``U``.
     """
-    current = _canonical(current)
-    rows, cols, pos = _origin_partner_entries(
-        ctx,
-        current,
-        ctx.forward(step.reverse()),
-        ctx.engine.exclusions.get(step.dst_relation, _EMPTY_SET),
-    )
-    degree = np.diff(transition.indptr)[cols].astype(np.float64)
-    split = degree >= 2.0
-    if split.any():
-        values = current.data[pos[split]] / (degree[split] - 1.0)
-        update = sparse.csr_matrix(
-            (values, (rows[split], cols[split])), shape=current.shape
+    degree = np.diff(transition.indptr)[current.indices].astype(np.float64)
+    multi = np.flatnonzero(degree >= 2.0)
+    if len(multi):
+        rows = _entry_rows(current)[multi]
+        columns = current.indices[multi]
+        k = _excluded_partner_counts(
+            ctx,
+            step.dst_relation,
+            ctx.step(step.reverse()).forward,
+            rows,
+            columns,
+            origin,
         )
-        nxt = (nxt + update @ transition).tocsr()
-        _BATCH_SPMM.inc()
-        _BATCH_CORRECTIONS.inc(len(values))
-    return _zero_origin_column(_canonical(nxt), ctx.origins)
+        split = (k > 0.0) & (k < degree[multi])
+        if split.any():
+            pick = multi[split]
+            k = k[split]
+            values = current.data[pick] * k / (degree[pick] - k)
+            # Fresh index arrays: ``current`` may be a level a sibling
+            # trie branch still reads.
+            indptr = np.zeros(current.shape[0] + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows[split], minlength=current.shape[0]), out=indptr[1:])
+            update = sparse.csr_matrix(
+                (values, columns[split], indptr), shape=current.shape
+            )
+            nxt = (nxt + update @ transition).tocsr()
+            _BATCH_SPMM.inc()
+            _BATCH_CORRECTIONS.inc(len(values))
+    return _without_excluded(ctx, _canonical(nxt), step.dst_relation, origin)
 
 
 def _backward_step_batch(
@@ -271,7 +347,6 @@ def _backward_step_batch(
     step,
     level: sparse.csr_matrix,
     prev_rev: sparse.csr_matrix,
-    start_relation: str,
     gather_into_origin_level: bool,
 ) -> sparse.csr_matrix:
     """One backward-DP step for every reference.
@@ -280,47 +355,55 @@ def _backward_step_batch(
     level; it is restricted to this level's union forward support, the
     DP's domain (rev values exist only for forward-reached tuples).
     """
-    rev = (prev_rev @ ctx.backward(step)).tocsr()
+    rev = (prev_rev @ ctx.step(step).backward).tocsr()
     _BATCH_SPMM.inc()
     support = np.zeros(rev.shape[1], dtype=bool)
     support[level.indices] = True
     rev.data[~support[rev.indices]] = 0.0
-    if not gather_into_origin_level and step.src_relation == start_relation:
-        rev = _backward_origin_fix(ctx, step, rev)
-    if step.dst_relation == start_relation:
-        # The DP never computes a rev value for the origin at an
-        # intermediate start-relation level (the forward pass dropped it
-        # from the level), so later gathers must see exactly zero there.
-        rev = _zero_origin_column(_canonical(rev), ctx.origins)
+    origin = not gather_into_origin_level and step.src_relation == ctx.start
+    if origin or step.src_relation in ctx.excluded:
+        rev = _backward_exclusion_fix(ctx, step, rev, origin)
+    lands_on_start = step.dst_relation == ctx.start
+    if lands_on_start or step.dst_relation in ctx.excluded:
+        rev = _without_excluded(ctx, _canonical(rev), step.dst_relation, lands_on_start)
     rev = _canonical(rev)
     _TUPLES_VISITED.inc(rev.nnz)
     return rev
 
 
-def _backward_origin_fix(
-    ctx: _BatchContext, step, rev: sparse.csr_matrix
+def _backward_exclusion_fix(
+    ctx: _BatchContext, step, rev: sparse.csr_matrix, origin: bool
 ) -> sparse.csr_matrix:
-    """Fix the gather denominators where the origin was a reverse partner.
+    """Fix the gather denominators where an excluded row was a reverse
+    partner: ``rev[r, t] *= d_t / (d_t - k)``, or ``0`` when ``d_t == k``.
 
-    The origin's *numerator* contribution is already zero (its rev entry
-    was zeroed at the previous level), so dropping it from the partner
-    list only rescales: ``rev[r, t] *= d_t / (d_t - 1)`` for every row
-    ``t`` joining to ``o_r`` with ``d_t >= 2`` (``d_t == 1`` means the
-    origin was the sole partner and the generic value is already zero).
+    The excluded rows' *numerator* contributions are already zero (their
+    rev entries were dropped at the previous level). A row with one
+    reverse partner needs nothing: either it keeps the partner, or its
+    sole partner is excluded and its value is already zero.
     """
     rev = _canonical(rev)
-    _, cols, pos = _origin_partner_entries(
-        ctx,
-        rev,
-        ctx.forward(step),
-        ctx.engine.exclusions.get(step.src_relation, _EMPTY_SET),
-    )
-    degree = np.diff(ctx.forward(step.reverse()).indptr)[cols].astype(np.float64)
-    split = degree >= 2.0
-    if not split.any():
+    degree = np.diff(ctx.step(step.reverse()).forward.indptr)[rev.indices]
+    multi = np.flatnonzero(degree >= 2)
+    if not len(multi):
         return rev
-    pos, degree = pos[split], degree[split]
-    scale = degree / (degree - 1.0)
+    k = _excluded_partner_counts(
+        ctx,
+        step.src_relation,
+        ctx.step(step).forward,
+        _entry_rows(rev)[multi],
+        rev.indices[multi],
+        origin,
+    )
+    hit = k > 0.0
+    if not hit.any():
+        return rev
+    pos, k = multi[hit], k[hit]
+    degree = degree[pos].astype(np.float64)
+    lost = degree == k
+    rev.data[pos[lost]] = 0.0
+    pos, degree, k = pos[~lost], degree[~lost], k[~lost]
+    scale = degree / (degree - k)
     values = rev.data[pos]
     rev.data[pos] = values + values * (scale - 1.0)
     _BATCH_CORRECTIONS.inc(len(pos))
@@ -343,8 +426,7 @@ def _finalize(
     ):
         backward = rev
     else:
-        in_forward = _positions(forward, _entry_rows(rev), rev.indices) >= 0
-        backward = _restricted(rev, in_forward)
+        backward = _restricted(rev, _member(_entry_keys(rev), _entry_keys(forward)))
     return BatchedProfiles(
         path=path, rows=list(origin_rows), forward=forward, backward=backward
     )
@@ -361,13 +443,9 @@ def _visited_pattern(
     find exactly the references whose profiles can change.
     """
     width = shape[1]
-    keys = np.sort(
-        np.concatenate([_entry_rows(level) * width + level.indices for level in levels])
-    )
+    keys = np.sort(np.concatenate([_entry_keys(level) for level in levels]))
     # A sorted scan, not ``np.unique``, which hashes and is far slower here.
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
+    keys = keys[_run_starts(keys)]
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // width, minlength=shape[0]), out=indptr[1:])
     pattern = sparse.csr_matrix(
@@ -381,15 +459,19 @@ def batch_profile_matrices(
     engine: PropagationEngine,
     paths: list[JoinPath],
     origin_rows: list[int],
+    exclusions: Sequence[Exclusions] | None = None,
     trace: dict[str, sparse.csr_matrix] | None = None,
 ) -> dict[JoinPath, BatchedProfiles]:
     """Stacked (forward, backward) profile matrices for every path.
 
     Row ``k`` of each matrix is reference ``origin_rows[k]``'s profile
-    along the path, propagated alone as §2.2 defines it (to reassociation
-    tolerance), with columns over the full end relation.
-    Prefix work is shared across paths through the step trie, and level
-    work is shared across references through the SpMM formulation.
+    along the path, propagated alone under ``exclusions[k]`` (relation
+    -> row ids treated as absent; no exclusions when ``exclusions`` is
+    None) as §2.2 defines it, to reassociation tolerance, with columns
+    over the full end relation. References of any number of names mix
+    in one batch. Prefix work is shared across paths through the step
+    trie, and level work is shared across references through the SpMM
+    formulation.
 
     ``trace``, when given a dict, is filled with the
     per-relation visited patterns of every forward level (including the
@@ -404,16 +486,18 @@ def batch_profile_matrices(
         # lint: allow[determinism/unkeyed-sort] relation names are plain str
         raise ValueError(f"paths start at different relations: {sorted(starts)}")
     _BATCH_RUNS.inc()
-    ctx = _BatchContext(engine, origin_rows)
     start_relation = paths[0].start_relation
-    n_start = ctx.n_rows(start_relation)
+    ctx = _BatchContext(engine, start_relation, origin_rows, exclusions)
     ones = np.ones(ctx.n_refs, dtype=np.float64)
     ref_ids = np.arange(ctx.n_refs, dtype=np.int64)
     initial = sparse.csr_matrix(
-        (ones, (ref_ids, ctx.origins)), shape=(ctx.n_refs, n_start)
+        (ones, (ref_ids, ctx.origins)), shape=(ctx.n_refs, ctx.n_rows(start_relation))
     )
     initial.sort_indices()
     visited: dict[str, list[sparse.csr_matrix]] = {start_relation: [initial]}
+    # The first backward step gathers from the origins, less those a
+    # reference excludes itself.
+    initial_rev = _restricted(initial, ~ctx.origin_excluded)
 
     results: dict[JoinPath, BatchedProfiles] = {}
     root = _build_trie(paths)
@@ -424,21 +508,16 @@ def batch_profile_matrices(
         for path in node.paths:
             results[path] = _finalize(path, origin_rows, forward, rev)
         for child in node.children.values():
-            nxt = _forward_step_batch(ctx, child.step, forward, start_relation)
+            nxt = _forward_step_batch(ctx, child.step, forward)
             if trace is not None:
                 visited.setdefault(child.step.dst_relation, []).append(nxt)
             nxt_rev = _backward_step_batch(
-                ctx,
-                child.step,
-                nxt,
-                rev,
-                start_relation,
-                gather_into_origin_level=(depth == 0),
+                ctx, child.step, nxt, rev, gather_into_origin_level=(depth == 0)
             )
             visit(child, nxt, nxt_rev, depth + 1)
 
     try:
-        visit(root, initial, initial.copy(), 0)
+        visit(root, initial, initial_rev, 0)
     finally:
         # ``visit`` refers to itself through its closure cell. Clearing
         # the cell breaks that cycle, so the batch's matrices are freed
@@ -450,34 +529,3 @@ def batch_profile_matrices(
                 levels.append(trace[relation])
             trace[relation] = _visited_pattern(levels, levels[0].shape)
     return results
-
-
-def merge_batched(
-    rows: list[int], groups: list[dict[JoinPath, BatchedProfiles]]
-) -> dict[JoinPath, BatchedProfiles]:
-    """Stack per-group batched matrices back into one batch over ``rows``.
-
-    ``groups`` hold disjoint subsets of ``rows`` (e.g. one batch per
-    ambiguous name when training pairs span names); all groups must come
-    from the same database so the per-path column spaces line up.
-    """
-    position = {row: k for k, row in enumerate(rows)}
-    merged: dict[JoinPath, BatchedProfiles] = {}
-    for path in groups[0]:
-        order = [row for group in groups for row in group[path].rows]
-        inverse = np.empty(len(rows), dtype=np.int64)
-        for j, row in enumerate(order):
-            inverse[position[row]] = j
-        forward = sparse.vstack(
-            [group[path].forward for group in groups], format="csr"
-        )[inverse]
-        backward = sparse.vstack(
-            [group[path].backward for group in groups], format="csr"
-        )[inverse]
-        merged[path] = BatchedProfiles(
-            path=path,
-            rows=list(rows),
-            forward=_canonical(forward),
-            backward=_canonical(backward),
-        )
-    return merged

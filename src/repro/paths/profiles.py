@@ -8,10 +8,12 @@ The pipeline holds them stacked, one sparse row per reference
 :mod:`repro.similarity.vectorized` consumes them in that form.
 
 :class:`ProfileBuilder` computes them for a set of references over a set
-of paths, under one name's exclusions.
+of paths, each reference under its own exclusions.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from repro.paths.joinpath import JoinPath
 from repro.paths.propagation import Exclusions, PropagationEngine
@@ -22,8 +24,10 @@ class ProfileBuilder:
     """Computes neighbor profiles for many references over many paths.
 
     All references of a batch propagate at once, as stacked sparse
-    matrices. A builder belongs to one name's exclusions, so building
-    one `ProfileBuilder` per ambiguous name is the intended usage.
+    matrices. ``exclusions`` are the builder's default: a name's object
+    rows for :meth:`repro.core.distinct.Distinct.profile_builder`, which
+    every reference takes unless :meth:`matrices_for` is given one
+    mapping per reference, as a batch that spans names is.
     """
 
     def __init__(
@@ -34,16 +38,24 @@ class ProfileBuilder:
     ) -> None:
         self.db = db
         self.paths = list(paths)
-        self.engine = PropagationEngine(db, exclusions)
+        self.exclusions = {k: frozenset(v) for k, v in (exclusions or {}).items()}
+        self.engine = PropagationEngine(db)
 
-    def matrices_for(self, origin_rows: list[int]):
+    def matrices_for(
+        self,
+        origin_rows: list[int],
+        exclusions: Sequence[Exclusions] | None = None,
+    ):
         """Batched profile matrices for the given references, per path.
 
         The batched backend (:mod:`repro.paths.batch`): one sparse
         matrix pair per path covering *all* the references at once,
         computed as a handful of SpMM products over the engine's step
-        matrices.
+        matrices. ``exclusions[k]`` is reference ``origin_rows[k]``'s;
+        without it every reference takes the builder's.
         """
         from repro.paths.batch import batch_profile_matrices
 
-        return batch_profile_matrices(self.engine, self.paths, origin_rows)
+        if exclusions is None:
+            exclusions = [self.exclusions] * len(origin_rows)
+        return batch_profile_matrices(self.engine, self.paths, origin_rows, exclusions)

@@ -14,19 +14,22 @@ reached it forward, because both directions use the same join edges.
 
 Two kinds of tuples are treated specially (DESIGN.md §6):
 
-- *Globally excluded* tuples (e.g. the shared ``Authors`` row of the
-  ambiguous name) are absent from the database for both passes — they are
-  dropped from partner lists, numerator and denominator alike, so that two
-  same-name references never look similar merely by carrying the same name.
+- *Excluded* tuples (e.g. the shared ``Authors`` row of the ambiguous
+  name) are absent from the database for both passes — they are dropped
+  from partner lists, numerator and denominator alike, so that two
+  same-name references never look similar merely by carrying the same
+  name. Exclusions belong to the reference, not to the run: each
+  reference of a batch carries its own name's.
 - The *origin* tuple is excluded as an intermediate stop (levels >= 1 of the
   forward pass, and as a gathering partner into intermediate levels of the
   backward pass) but is of course the allowed endpoint of the backward walk.
 
-:mod:`repro.paths.batch` computes both passes for every reference of a
-name at once, as sparse matrix products over the shared step matrices of
-:attr:`PropagationEngine.steps`. The test suite's scalar oracle
-(``tests/oracle.py``) walks one reference at a time over Python dicts,
-the definition above read literally.
+:mod:`repro.paths.batch` computes both passes for any set of references,
+of one name or many, at once, as sparse matrix products over the shared
+step matrices of :attr:`PropagationEngine.steps`, with both kinds of
+exclusion applied as per-reference corrections. The test suite's scalar
+oracle (``tests/oracle.py``) walks one reference at a time over Python
+dicts, the definition above read literally.
 """
 
 from __future__ import annotations
@@ -36,31 +39,21 @@ from collections.abc import Mapping
 from repro.perf.transitions import StepMatrices
 from repro.reldb.database import Database
 
+#: Relation name -> row ids treated as absent.
 Exclusions = Mapping[str, frozenset[int]]
-
-_EMPTY_SET: frozenset[int] = frozenset()
 
 
 class PropagationEngine:
-    """What one name's propagation runs against.
+    """What propagation runs against: the database to walk and the store
+    of its exclusion-free step matrices.
 
-    Parameters
-    ----------
-    db:
-        The database to walk.
-    exclusions:
-        Relation name -> row ids globally treated as absent.
-
-    ``steps`` is the store of exclusion-free step matrices that batched
-    propagation reads. A fresh engine owns an empty one; a pipeline
-    points all its engines at one store
-    (:meth:`repro.core.distinct.Distinct.profile_builder`), so every name
-    shares each step's matrices.
+    A fresh engine owns an empty store; a pipeline points all its
+    engines at one store (:meth:`repro.core.distinct.Distinct
+    .profile_builder`), so every name shares each step's matrices.
     """
 
-    def __init__(self, db: Database, exclusions: Exclusions | None = None) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.exclusions = {k: frozenset(v) for k, v in (exclusions or {}).items()}
         self.steps = StepMatrices()
 
 

@@ -22,24 +22,24 @@ build (:func:`build_step`) is the extension of the empty pair.
 :class:`StepMatrices` holds these pairs for one database object. A read
 that finds either relation of a step grown (by
 :func:`repro.reldb.apply_delta` or a direct insert) extends the pair;
-a read at another database drops every pair. ``perf.transitions.built``
-counts the builds and extensions.
+a read at another database drops every pair. Delta ingest probes each
+grown step once per delta and hands the result to
+:meth:`StepMatrices.extend`, so the pair it extends is not probed again.
+``perf.transitions.built`` counts the builds and extensions.
 
-A name's exclusions (its own object rows,
-:func:`repro.core.references.exclusions_for_name`) drop tuples from
-partner lists. :func:`without_columns` and :func:`without_rows` make the
-masked copies of one propagation run; the shared matrices never change.
-Per-origin exclusion (the origin tuple is not an intermediate stop) is
-not baked in either; :mod:`repro.paths.batch` applies it as a sparse
-per-reference correction.
+The matrices know no exclusions. A name's exclusions (its own object
+rows, :func:`repro.core.references.exclusions_for_name`) and the origin
+tuple drop tuples from one reference's partner lists only, so
+:mod:`repro.paths.batch` applies both as sparse per-reference
+corrections on top of the shared products; the shared matrices never
+change.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -47,13 +47,12 @@ from scipy import sparse
 from repro.obs import counter
 
 __all__ = [
+    "GrownRows",
     "StepMatrices",
     "StepPair",
     "build_step",
     "extend_step",
     "grown_partner_rows",
-    "without_columns",
-    "without_rows",
 ]
 
 _BUILT = counter("perf.transitions.built")
@@ -141,21 +140,37 @@ def grown_partner_rows(db: Any, step: Any, n_src: int, n_dst: int) -> np.ndarray
     return rows
 
 
-def extend_step(db: Any, step: Any, pair: StepPair) -> StepPair:
+class GrownRows(NamedTuple):
+    """One step's probe after its destination relation grew: ``rows``
+    is :func:`grown_partner_rows` from the relation sizes ``shape``."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+
+
+def extend_step(
+    db: Any, step: Any, pair: StepPair, grown: np.ndarray | None = None
+) -> StepPair:
     """``pair`` grown to the current relations of ``db``.
 
     ``pair`` covers the first ``pair.shape`` source and destination rows.
     The source rows it does not cover, and the old rows a new destination
-    row joins, are re-listed from the destination's hash index (each
-    row's columns ascending, as the hash index lists them); every other
-    row's partner span is copied. Both matrices are
-    then renormalized over the whole pattern, so the result is byte-equal
-    to a fresh :func:`build_step`.
+    row joins (``grown``, probed here when not given), are re-listed
+    from the destination's hash index (each row's columns ascending, as
+    the hash index lists them); every other row's partner span is
+    copied. Both matrices are then renormalized over the whole pattern,
+    so the result is byte-equal to a fresh :func:`build_step`.
     """
     n_src_old, n_dst_old = pair.shape
     source = db.table(step.src_relation)
     shape = (len(source.rows), len(db.table(step.dst_relation).rows))
-    grown = grown_partner_rows(db, step, n_src_old, n_dst_old)
+    if grown is None:
+        # Only a grown destination can add partners to an old source row.
+        grown = (
+            grown_partner_rows(db, step, n_src_old, n_dst_old)
+            if n_src_old and shape[1] > n_dst_old
+            else np.empty(0, dtype=np.int64)
+        )
     relisted = np.concatenate([grown, np.arange(n_src_old, shape[0], dtype=np.int64)])
     index = db.index(step.dst_relation, step.dst_attribute)
     position = source.schema.position(step.src_attribute)
@@ -199,49 +214,6 @@ def build_step(db: Any, step: Any) -> StepPair:
     return extend_step(db, step, _EMPTY_PAIR)
 
 
-def _in_range(ids: Collection[int], n: int) -> np.ndarray:
-    """The ids that name a row of an ``n``-row relation."""
-    return np.fromiter((i for i in ids if 0 <= i < n), dtype=np.int64)
-
-
-def _keep(
-    matrix: sparse.csr_matrix, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``matrix``'s pattern restricted to the entries where ``keep`` holds."""
-    before = np.zeros(len(keep) + 1, dtype=matrix.indptr.dtype)
-    np.cumsum(keep, out=before[1:])
-    return before[matrix.indptr], matrix.indices[keep]
-
-
-def without_columns(
-    forward: sparse.csr_matrix, excluded: Collection[int]
-) -> sparse.csr_matrix:
-    """``T`` with the excluded destination rows dropped from every partner
-    list and each row renormalized over the partners that remain."""
-    columns = _in_range(excluded, forward.shape[1])
-    if not len(columns):
-        return forward
-    dropped = np.zeros(forward.shape[1], dtype=bool)
-    dropped[columns] = True
-    indptr, indices = _keep(forward, ~dropped[forward.indices])
-    return _row_normalized(indptr, indices, forward.shape)
-
-
-def without_rows(
-    backward: sparse.csr_matrix, excluded: Collection[int]
-) -> sparse.csr_matrix:
-    """``T_rev.T`` with the excluded source rows dropped from every reverse
-    partner list and each column renormalized over the partners that
-    remain."""
-    rows = _in_range(excluded, backward.shape[0])
-    if not len(rows):
-        return backward
-    dropped = np.zeros(backward.shape[0], dtype=bool)
-    dropped[rows] = True
-    indptr, indices = _keep(backward, ~np.repeat(dropped, np.diff(backward.indptr)))
-    return _column_normalized(indptr, indices, backward.shape)
-
-
 class StepMatrices:
     """The :class:`StepPair` of every step read so far, for one database
     object; a read that finds a step's relations grown extends its pair,
@@ -259,6 +231,17 @@ class StepMatrices:
         if pair.shape != rows:
             pair = self._pairs[step] = extend_step(db, step, pair)
         return pair
+
+    def extend(self, db: Any, probes: dict[Any, GrownRows]) -> None:
+        """Extend every held pair of ``db`` that a probe starts from, with
+        the probed rows instead of a second probe. Any other pair extends
+        on its next read."""
+        if db is not self._db:
+            return
+        for step, probe in probes.items():
+            pair = self._pairs.get(step)
+            if pair is not None and pair.shape == probe.shape:
+                self._pairs[step] = extend_step(db, step, pair, probe.rows)
 
     def __len__(self) -> int:
         return len(self._pairs)

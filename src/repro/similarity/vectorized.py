@@ -65,24 +65,35 @@ class _Entries:
     n_cols: int
 
     @classmethod
-    def of(cls, forward: sparse.csr_matrix, backward: sparse.csr_matrix) -> "_Entries":
+    def of(
+        cls, forward: sparse.csr_matrix, backward: sparse.csr_matrix, first: int, last: int
+    ) -> "_Entries":
+        """The entries of rows ``first`` to ``last - 1``, renumbered from 0."""
         forward, backward = _canonical(forward), _canonical(backward)
-        n_rows, n_cols = forward.shape
-        rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(forward.indptr))
-        indices = forward.indices
-        if backward.nnz == forward.nnz:
+        n_rows, n_cols = last - first, forward.shape[1]
+        start, stop = forward.indptr[first], forward.indptr[last]
+        indptr = forward.indptr[first : last + 1] - start
+        rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
+        indices = forward.indices[start:stop]
+        back_start, back_stop = backward.indptr[first], backward.indptr[last]
+        if back_stop - back_start == stop - start:
             # A pattern subset with as many entries is the same pattern.
-            back = backward.data
+            back = backward.data[back_start:back_stop]
         else:
             keys = rows * n_cols + indices
             back_rows = np.repeat(
-                np.arange(n_rows, dtype=np.int64), np.diff(backward.indptr)
+                np.arange(n_rows, dtype=np.int64),
+                np.diff(backward.indptr[first : last + 1]),
             )
-            back = np.zeros(forward.nnz)
-            back[np.searchsorted(keys, back_rows * n_cols + backward.indices)] = (
-                backward.data
-            )
-        return cls(forward.indptr, indices, rows, forward.data, back, n_rows, n_cols)
+            back = np.zeros(stop - start)
+            back[
+                np.searchsorted(
+                    keys, back_rows * n_cols + backward.indices[back_start:back_stop]
+                )
+            ] = backward.data[back_start:back_stop]
+        return cls(
+            indptr, indices, rows, forward.data[start:stop], back, n_rows, n_cols
+        )
 
     def row_masses(self) -> np.ndarray:
         """``|F[i]|_1``, summed in ascending column order from 0.0."""
@@ -209,7 +220,10 @@ def pair_similarities(
 
     Returns ``(resemblance, walk)``, aligned with the pairs (rows of
     ``forward``/``backward``). ``backward``'s pattern must be a subset of
-    ``forward``'s, as batched propagation builds them. A pair's values depend only on its two rows.
+    ``forward``'s, as batched propagation builds them. A pair's values
+    depend only on its two rows, and the work only on the rows from the
+    pairs' lowest to their highest: a batch that stacks several names
+    costs one name's pairs no more than the name's own rows.
     """
     idx_a = np.asarray(idx_a, dtype=np.int64)
     idx_b = np.asarray(idx_b, dtype=np.int64)
@@ -219,9 +233,11 @@ def pair_similarities(
         return resem, np.zeros(0)
     _RESEM_CALLS.inc(n_pairs)
     _WALK_CALLS.inc(n_pairs)
-    entries = _Entries.of(forward, backward)
     lo = np.minimum(idx_a, idx_b)
     hi = np.maximum(idx_a, idx_b)
+    first = int(lo.min())
+    entries = _Entries.of(forward, backward, first, int(hi.max()) + 1)
+    lo, hi = lo - first, hi - first
     n = entries.n_rows
     position = np.full(n * n, -1, dtype=np.int64)
     position[lo * n + hi] = np.arange(n_pairs, dtype=np.int64)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro import Distinct, DistinctConfig
 from repro.core.distinct import NamePreparation
+from repro.core.features import compute_pair_features
+from repro.obs import get_metrics
+from repro.paths.batch import BatchedProfiles
 from repro.core.variants import FIG4_VARIANTS, variant_by_key
 from repro.errors import NotFittedError
 from repro.eval.metrics import pairwise_scores
@@ -37,6 +41,53 @@ class TestFit:
     def test_unfitted_prepare_raises(self):
         with pytest.raises(NotFittedError):
             Distinct(DistinctConfig()).prepare("Wei Wang")
+
+
+class TestTrainingFeatures:
+    def test_one_batch_equals_a_batch_per_name(self, fitted):
+        """Every training pair's bytes, against the pair assembled from
+        its two rows' profiles, each row propagated in a batch of its own
+        name's training rows under that name's exclusions."""
+        training_set = fitted.training_set_
+        rows_of: dict[str, list[int]] = {}
+        for pair in training_set.pairs:
+            for row, name in ((pair.row_a, pair.name_a), (pair.row_b, pair.name_b)):
+                rows = rows_of.setdefault(name, [])
+                if row not in rows:
+                    rows.append(row)
+        profile_of = {}
+        for name, rows in rows_of.items():
+            batch = fitted.profile_builder(name).matrices_for(rows)
+            for k, row in enumerate(rows):
+                profile_of[row] = {
+                    path: (stacked.forward[k], stacked.backward[k])
+                    for path, stacked in batch.items()
+                }
+        got = fitted._training_features(training_set)
+        builder = fitted.profile_builder(training_set.pairs[0].name_a)
+        for k, pair in enumerate(training_set.pairs):
+            a, b = profile_of[pair.row_a], profile_of[pair.row_b]
+            two_rows = {
+                path: BatchedProfiles(
+                    path,
+                    [pair.row_a, pair.row_b],
+                    sparse.vstack([a[path][0], b[path][0]], format="csr"),
+                    sparse.vstack([a[path][1], b[path][1]], format="csr"),
+                )
+                for path in fitted.paths_
+            }
+            want = compute_pair_features(builder, [(pair.row_a, pair.row_b)], two_rows)
+            assert got.resemblance[k].tobytes() == want.resemblance[0].tobytes()
+            assert got.walk[k].tobytes() == want.walk[0].tobytes()
+
+    def test_fit_propagates_one_batch(self, small_db):
+        db, _ = small_db
+        runs = get_metrics().counter("propagation.batch.runs")
+        before = runs.value
+        distinct = Distinct(DistinctConfig(n_positive=40, n_negative=40, svm_C=10.0))
+        distinct.fit(db)
+        assert len(distinct.training_set_.rare_names) > 1
+        assert runs.value - before == 1
 
 
 class TestBackendEquivalentResolutions:

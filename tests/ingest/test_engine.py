@@ -17,16 +17,17 @@ from repro.core.distinct import Distinct
 from repro.core.references import exclusions_for_name, extract_references
 from repro.data.deltas import grow_world, split_world
 from repro.errors import ReproError
-from repro.ingest import IngestEngine
+from repro.ingest import IngestEngine, dirty
+from repro.obs import get_metrics
 from repro.paths.profiles import ProfileBuilder
+from repro.perf import transitions
 from repro.reldb.delta import Delta, apply_delta
 
 NAMES = ["Wei Wang", "Rakesh Kumar", "Jim Smith"]
 MIN_SIM = 0.4
 
 
-@pytest.fixture()
-def warm(fitted, small_world):
+def warm_pipeline(fitted, small_world):
     """The fitted models bound to a fresh pre-delta base, plus its split."""
     # New papers authored by the "Jim Smith" entities, so the delta is
     # guaranteed to add references of a tracked name (refs_new > 0).
@@ -37,6 +38,33 @@ def warm(fitted, small_world):
         split.base, fitted.resem_model_, fitted.walk_model_, fitted.config
     )
     return distinct, split
+
+
+@pytest.fixture()
+def warm(fitted, small_world):
+    return warm_pipeline(fitted, small_world)
+
+
+def assert_same_state(got, want, same_width: bool = True) -> None:
+    """Two resolutions, and their visited traces, byte for byte.
+
+    A clean name keeps the traces of its last propagation, over the
+    relations as they were then: against a cold resolve only the width
+    of its traces differs (``same_width=False``)."""
+    (got_res, got_traces), (want_res, want_traces) = got, want
+    assert got_res.rows == want_res.rows
+    assert got_res.clusters == want_res.clusters
+    assert got_res.resem_matrix.tobytes() == want_res.resem_matrix.tobytes()
+    assert got_res.walk_matrix.tobytes() == want_res.walk_matrix.tobytes()
+    assert got_res.clustering.dendrogram.merges == want_res.clustering.dendrogram.merges
+    assert set(got_traces) == set(want_traces)
+    for relation, pattern in got_traces.items():
+        other = want_traces[relation]
+        assert pattern.shape[0] == other.shape[0]
+        assert pattern.shape[1] == other.shape[1] or not same_width
+        assert pattern.indptr.tobytes() == other.indptr.tobytes()
+        assert pattern.indices.tobytes() == other.indices.tobytes()
+        assert pattern.data.tobytes() == other.data.tobytes()
 
 
 class TestColdResolve:
@@ -78,6 +106,77 @@ class TestStepMatricesAcrossDeltas:
                 (got[path].forward, fresh[path].forward),
                 (got[path].backward, fresh[path].backward),
             ):
+                assert old.shape == new.shape
+                assert old.indptr.tobytes() == new.indptr.tobytes()
+                assert old.indices.tobytes() == new.indices.tobytes()
+                assert old.data.tobytes() == new.data.tobytes()
+
+
+class TestOneBatchPerDelta:
+    def test_ingest_propagates_every_dirty_name_in_one_batch(self, fitted, small_world):
+        """One batch for the delta; every name equals its own refresh and
+        a cold resolve of the post-delta database, traces included."""
+        distinct, split = warm_pipeline(fitted, small_world)
+        engine = IngestEngine(distinct, min_sim=MIN_SIM)
+        for name in NAMES:
+            engine.resolve(name)
+        runs = get_metrics().counter("propagation.batch.runs")
+        before = runs.value
+        report = engine.ingest(split.delta)
+        assert runs.value - before == 1
+        assert len(report.names_refreshed) >= 2
+
+        alone_distinct, alone_split = warm_pipeline(fitted, small_world)
+        alone = IngestEngine(alone_distinct, min_sim=MIN_SIM)
+        for name in NAMES:
+            alone.resolve(name)
+        alone.apply(alone_split.delta)
+        for name in NAMES:
+            alone.refresh(name)
+
+        cold = IngestEngine(
+            Distinct.from_models(
+                alone_distinct.db, fitted.resem_model_, fitted.walk_model_, fitted.config
+            ),
+            min_sim=MIN_SIM,
+        )
+        for refresh in report.refreshes:
+            name = refresh.name
+            got = (refresh.resolution, refresh.traces)
+            assert_same_state(got, (alone.resolution(name), alone._states[name].traces))
+            cold.resolve(name)
+            assert_same_state(
+                got, (cold.resolution(name), cold._states[name].traces), refresh.refreshed
+            )
+
+    def test_each_grown_step_is_probed_once_per_delta(self, warm, monkeypatch):
+        distinct, split = warm
+        engine = IngestEngine(distinct, min_sim=MIN_SIM)
+        for name in NAMES:
+            engine.resolve(name)
+        probed = []
+        probe = transitions.grown_partner_rows
+
+        def spy(db, step, n_src, n_dst):
+            probed.append(step)
+            return probe(db, step, n_src, n_dst)
+
+        monkeypatch.setattr(transitions, "grown_partner_rows", spy)
+        monkeypatch.setattr(dirty, "grown_partner_rows", spy)
+        per_delta = []
+        for delta in (split.delta, Delta()):
+            probed.clear()
+            report = engine.ingest(delta)
+            assert len(probed) == len(set(probed))
+            per_delta.append(len(probed))
+        assert per_delta[0] > 0 and per_delta[1] == 0
+        assert report.names_clean == NAMES
+        db = distinct.db
+        held = list(distinct.steps._pairs.items())
+        assert held
+        for step, pair in held:
+            fresh = transitions.build_step(db, step)
+            for old, new in ((pair.forward, fresh.forward), (pair.backward, fresh.backward)):
                 assert old.shape == new.shape
                 assert old.indptr.tobytes() == new.indptr.tobytes()
                 assert old.indices.tobytes() == new.indices.tobytes()

@@ -21,7 +21,8 @@ that route to:
   profiles and the stacked CSR matrices the runtime works on.
 
 :func:`assert_rows_are_partner_splits` holds a step matrix to the scalar
-partner lists (:meth:`ScalarPropagation._partners`) row by row.
+partner lists (:meth:`ScalarPropagation._partners`, no exclusions) row
+by row.
 
 :func:`optimality` measures how far a fitted
 :class:`~repro.ml.svm.LinearSVM` is from the squared-hinge optimum.
@@ -91,7 +92,8 @@ class ScalarPropagation(PropagationEngine):
     """
 
     def __init__(self, db, exclusions: Exclusions | None = None) -> None:
-        super().__init__(db, exclusions)
+        super().__init__(db)
+        self.exclusions = {k: frozenset(v) for k, v in (exclusions or {}).items()}
         self.tuples_visited = 0
 
     def propagate(self, path: JoinPath, origin_row: int) -> PropagationResult:
@@ -304,7 +306,7 @@ class ScalarProfileBuilder(ProfileBuilder):
         """The oracle over ``builder``'s database, paths and exclusions."""
         if isinstance(builder, cls):
             return builder
-        return cls(builder.db, builder.paths, builder.engine.exclusions)
+        return cls(builder.db, builder.paths, builder.exclusions)
 
     def profile(self, path: JoinPath, origin_row: int) -> NeighborProfile:
         key = (path, origin_row)
@@ -464,17 +466,17 @@ def weights_for(batched: BatchedProfiles, k: int) -> dict[int, tuple[float, floa
 # -- step matrices and the SVM --------------------------------------------------
 
 
-def assert_rows_are_partner_splits(matrix, engine, step) -> None:
-    """Row ``i`` of ``matrix`` is ``1/|P(i)|`` on exactly ``_partners``."""
-    oracle = ScalarPropagation(engine.db, engine.exclusions)
-    src_table = engine.db.table(step.src_relation)
+def assert_rows_are_partner_splits(matrix, db, step) -> None:
+    """Row ``i`` of ``matrix`` is ``1/|P(i)|`` on exactly ``_partners``,
+    the unfiltered join partners of source row ``i`` across ``step``."""
+    oracle = ScalarPropagation(db)
+    src_table = db.table(step.src_relation)
     src_pos = src_table.schema.position(step.src_attribute)
-    dst_index = engine.db.index(step.dst_relation, step.dst_attribute)
-    excluded = engine.exclusions.get(step.dst_relation, frozenset())
-    assert matrix.shape == (len(src_table), len(engine.db.table(step.dst_relation)))
+    dst_index = db.index(step.dst_relation, step.dst_attribute)
+    assert matrix.shape == (len(src_table), len(db.table(step.dst_relation)))
     for row in range(matrix.shape[0]):
         partners = list(
-            oracle._partners(step, src_table, src_pos, dst_index, excluded, row)
+            oracle._partners(step, src_table, src_pos, dst_index, frozenset(), row)
         )
         lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
         assert matrix.indices[lo:hi].tolist() == partners

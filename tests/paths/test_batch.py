@@ -15,11 +15,11 @@ import pytest
 
 from repro.cli import main
 from repro.config import DistinctConfig
-from repro.core.references import exclusions_for_name
+from repro.core.references import exclusions_for_name, extract_references
 from repro.data.dblp_schema import prepare_dblp_database
 from repro.obs import get_metrics
 from repro.paths import JoinPath, PropagationEngine
-from repro.paths.batch import _BatchContext, batch_profile_matrices, merge_batched
+from repro.paths.batch import batch_profile_matrices
 from repro.paths.enumerate import enumerate_paths
 from repro.paths.propagation import make_exclusions
 from repro.reldb.csvio import load_database
@@ -49,7 +49,10 @@ ATOL = 1e-12
 
 
 def assert_matches_scalar(engine: ScalarPropagation, paths=PATHS, refs=WW_REFS):
-    batched = batch_profile_matrices(engine, paths, list(refs))
+    refs = list(refs)
+    batched = batch_profile_matrices(
+        engine, paths, refs, [engine.exclusions] * len(refs)
+    )
     for path in paths:
         stacked = batched[path]
         assert stacked.rows == list(refs)
@@ -77,20 +80,26 @@ class TestBatchMatchesScalar:
         )
 
     def test_mixed_start_relations_rejected(self):
-        engine = PropagationEngine(build_minidb(), EXCLUSIONS)
+        engine = PropagationEngine(build_minidb())
         other = JoinPath([PAP_PROC])
         with pytest.raises(ValueError, match="start"):
             batch_profile_matrices(engine, [PATHS[0], other], WW_REFS)
 
+    def test_one_exclusion_set_per_reference(self):
+        engine = PropagationEngine(build_minidb())
+        with pytest.raises(ValueError, match="exclusion sets"):
+            batch_profile_matrices(engine, PATHS, WW_REFS, [EXCLUSIONS])
+
     def test_empty_paths(self):
-        engine = PropagationEngine(build_minidb(), EXCLUSIONS)
+        engine = PropagationEngine(build_minidb())
         assert batch_profile_matrices(engine, [], WW_REFS) == {}
 
 
 class TestBatchedProfilesContract:
     def test_backward_pattern_subset_of_forward(self):
-        engine = PropagationEngine(build_minidb(), EXCLUSIONS)
-        for stacked in batch_profile_matrices(engine, PATHS, WW_REFS).values():
+        engine = PropagationEngine(build_minidb())
+        exclusions = [EXCLUSIONS] * len(WW_REFS)
+        for stacked in batch_profile_matrices(engine, PATHS, WW_REFS, exclusions).values():
             fwd = stacked.forward
             back = stacked.backward
             for k in range(fwd.shape[0]):
@@ -126,11 +135,11 @@ class TestBatchedProfilesContract:
         assert tuples.value - before == scalar
 
     def test_batch_leaves_no_reference_cycle(self):
-        engine = PropagationEngine(build_minidb(), EXCLUSIONS)
+        engine = PropagationEngine(build_minidb())
         gc.collect()
         gc.disable()
         try:
-            batch_profile_matrices(engine, PATHS, list(WW_REFS))
+            batch_profile_matrices(engine, PATHS, list(WW_REFS), [EXCLUSIONS] * len(WW_REFS))
             # A cycle would keep the batch's matrices until the cyclic
             # collector happened to run.
             assert gc.collect() == 0
@@ -138,35 +147,12 @@ class TestBatchedProfilesContract:
             gc.enable()
 
 
-class TestMergeBatched:
-    def test_merge_restores_row_order(self):
-        engine = PropagationEngine(build_minidb(), EXCLUSIONS)
-        whole = batch_profile_matrices(engine, PATHS, WW_REFS)
-        # split the batch in two and merge back in interleaved order
-        part_a = batch_profile_matrices(engine, PATHS, [WW_REFS[1], WW_REFS[3]])
-        part_b = batch_profile_matrices(engine, PATHS, [WW_REFS[0], WW_REFS[2]])
-        merged = merge_batched(list(WW_REFS), [part_a, part_b])
-        for path in PATHS:
-            assert merged[path].rows == list(WW_REFS)
-            np.testing.assert_allclose(
-                merged[path].forward.toarray(),
-                whole[path].forward.toarray(),
-                rtol=0,
-                atol=ATOL,
-            )
-            np.testing.assert_allclose(
-                merged[path].backward.toarray(),
-                whole[path].backward.toarray(),
-                rtol=0,
-                atol=ATOL,
-            )
-
-
 class TestStepMatricesOnCliWorld:
     def test_every_row_equals_partners_under_exclusions(self, tmp_path):
         """Both matrices of every step, in both directions, against the
-        scalar partner lists: a name's exclusions plus ids outside the
-        relation, and any NULL join values the world holds."""
+        scalar partner lists, across NULL join values; then a name's
+        exclusions padded with ids outside the relation propagate to the
+        same bytes as the name's own, and match the scalar oracle."""
         out = tmp_path / "db"
         assert main(["generate", "--out", str(out), "--scale", "0.3", "--seed", "5"]) == 0
         db = prepare_dblp_database(load_database(out))
@@ -179,15 +165,22 @@ class TestStepMatricesOnCliWorld:
         db.insert("Conferences", (10**6, "unnamed", None))
         config = DistinctConfig()
         paths = enumerate_paths(db.schema, config.reference_relation, config.path_config)
-        exclusions = {
-            relation: rows | {-1, 10**9}
-            for relation, rows in exclusions_for_name(db, "Wei Wang", config).items()
-        }
-        engine = PropagationEngine(db, exclusions)
-        ctx = _BatchContext(engine, [])
+        engine = PropagationEngine(db)
         steps = {s for path in paths for step in path for s in (step, step.reverse())}
         for step in steps:
-            assert_rows_are_partner_splits(ctx.forward(step), engine, step)
-            assert_rows_are_partner_splits(
-                ctx.backward(step).T.tocsr(), engine, step.reverse()
-            )
+            pair = engine.steps.get(db, step)
+            assert_rows_are_partner_splits(pair.forward, db, step)
+            assert_rows_are_partner_splits(pair.backward.T.tocsr(), db, step.reverse())
+
+        own = exclusions_for_name(db, "Wei Wang", config)
+        padded = {relation: rows | {-1, 10**9} for relation, rows in own.items()}
+        refs = extract_references(db, "Wei Wang", config).rows[:3]
+        want = batch_profile_matrices(engine, paths, refs, [own] * len(refs))
+        got = batch_profile_matrices(engine, paths, refs, [padded] * len(refs))
+        for path in paths:
+            for name in ("forward", "backward"):
+                a, b = getattr(got[path], name), getattr(want[path], name)
+                assert a.indptr.tolist() == b.indptr.tolist()
+                assert a.indices.tolist() == b.indices.tolist()
+                assert a.data.tobytes() == b.data.tobytes()
+        assert_matches_scalar(ScalarPropagation(db, padded), paths, refs)

@@ -10,21 +10,21 @@ from repro.config import DistinctConfig
 from repro.core.distinct import Distinct
 from repro.data.world import world_to_database
 from repro.obs import get_metrics
+from repro.paths import JoinPath
+from repro.paths.batch import batch_profile_matrices
 from repro.paths.propagation import PropagationEngine
 from repro.perf.transitions import (
     StepMatrices,
     StepPair,
     build_step,
     grown_partner_rows,
-    without_columns,
-    without_rows,
 )
 from repro.reldb import Attribute, Database, ForeignKey, RelationSchema, Schema
 from repro.reldb.delta import Delta, apply_delta
 from repro.reldb.joins import JoinStep, steps_for_foreign_key
 
 from tests.minidb import build_minidb
-from tests.oracle import assert_rows_are_partner_splits
+from tests.oracle import ScalarPropagation, assert_rows_are_partner_splits, weights_for
 
 FK = ForeignKey("Src", "dst", "Dst", "k")
 TO_DST, TO_SRC = steps_for_foreign_key(FK)
@@ -62,9 +62,8 @@ class TestBuildTransition:
 
     def test_matches_scalar_mass_split(self):
         db = toy_db()
-        engine = PropagationEngine(db)
         for step in (TO_DST, TO_SRC):
-            assert_rows_are_partner_splits(build_step(db, step).forward, engine, step)
+            assert_rows_are_partner_splits(build_step(db, step).forward, db, step)
 
     def test_empty_row_set(self):
         db = toy_db(src_rows=())
@@ -100,31 +99,35 @@ class TestBuildTransition:
 
 
 class TestMasks:
-    def test_without_columns_renormalizes_rows(self):
-        forward = build_step(toy_db(), TO_SRC).forward
-        dense = without_columns(forward, {3, 99, -1}).toarray()
-        np.testing.assert_allclose(dense[0], [0.5, 0, 0, 0, 0.5])
-        np.testing.assert_allclose(dense[1], [0, 0, 1, 0, 0])
-        assert without_columns(forward, {99}) is forward  # nothing in range
-
-    def test_without_rows_renormalizes_columns(self):
-        backward = build_step(toy_db(), TO_DST).backward
-        dense = without_rows(backward, {3, 99}).toarray()
-        # Dst "a" now splits over Src rows 0 and 4 only.
-        np.testing.assert_allclose(dense[:, 0], [0.5, 0, 0, 0, 0.5])
-        np.testing.assert_allclose(dense[:, 1], [0, 0, 1, 0, 0])
-        assert without_rows(backward, {99}) is backward
-
     def test_masks_match_partners_under_exclusions(self):
+        """The store holds the unfiltered partner splits; exclusions are
+        the route's, per reference, and ids outside a relation drop
+        nothing."""
         db = toy_db()
-        excluded = {"Src": frozenset({0, 99}), "Dst": frozenset({1})}
-        engine = PropagationEngine(db, excluded)
+        engine = PropagationEngine(db)
         for step in (TO_DST, TO_SRC):
-            pair = build_step(db, step)
-            forward = without_columns(pair.forward, excluded[step.dst_relation])
-            assert_rows_are_partner_splits(forward, engine, step)
-            backward = without_rows(pair.backward, excluded[step.src_relation])
-            assert_rows_are_partner_splits(backward.T.tocsr(), engine, step.reverse())
+            pair = engine.steps.get(db, step)
+            assert_rows_are_partner_splits(pair.forward, db, step)
+            assert_rows_are_partner_splits(pair.backward.T.tocsr(), db, step.reverse())
+        paths = [JoinPath([TO_DST]), JoinPath([TO_DST, TO_SRC])]
+        refs = [0, 2, 3, 4]
+        excluded = {"Src": frozenset({4}), "Dst": frozenset({1})}
+        padded = {"Src": frozenset({4, 99, -1}), "Dst": frozenset({1, 10**9})}
+        oracle = ScalarPropagation(db, excluded)
+        want = batch_profile_matrices(engine, paths, refs, [excluded] * len(refs))
+        got = batch_profile_matrices(engine, paths, refs, [padded] * len(refs))
+        for path in paths:
+            assert (got[path].forward != want[path].forward).nnz == 0
+            assert (got[path].backward != want[path].backward).nnz == 0
+            for k, row in enumerate(refs):
+                scalar = oracle.propagate(path, row)
+                weights = weights_for(got[path], k)
+                assert set(weights) == set(scalar.forward)
+                for t, forward in scalar.forward.items():
+                    assert weights[t][0] == pytest.approx(forward, abs=1e-12)
+                    assert weights[t][1] == pytest.approx(
+                        scalar.backward.get(t, 0.0), abs=1e-12
+                    )
 
 
 class TestStepMatrices:

@@ -1,13 +1,16 @@
 """Property tests of batched SpMM propagation on random DBs.
 
 Random three-level chain databases (the same generator family as the trie
-equivalence suite) and random global exclusions:
+equivalence suite) and random exclusions, shared by the whole batch or
+drawn per reference:
 
-- the batched backend must reproduce every scalar profile to 1e-12;
+- the batched backend must reproduce every scalar profile to 1e-12,
+  each reference under its own exclusions;
 - a reference's rows (forward, backward and visited trace) must not
-  depend on which other references share its batch, or in what order:
-  they are byte-equal whether it propagates alone, in the full batch,
-  in a sub-batch or in a shuffled batch.
+  depend on which other references share its batch, or in what order,
+  or under which exclusions they propagate: they are byte-equal whether
+  it propagates alone, in the full batch, in a sub-batch or in a
+  shuffled batch.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import get_metrics
 from repro.paths import JoinPath, PropagationEngine
 from repro.paths.batch import batch_profile_matrices
 from repro.reldb import Attribute, Database, ForeignKey, RelationSchema, Schema
@@ -32,7 +36,15 @@ def chain_database(draw):
     n_top = draw(st.integers(min_value=1, max_value=4))
     n_mid = draw(st.integers(min_value=1, max_value=8))
     n_refs = draw(st.integers(min_value=2, max_value=15))
+    return chain_database_from(
+        tops=list(range(n_top)),
+        mids=[draw(st.integers(0, n_top - 1)) for _ in range(n_mid)],
+        refs=[draw(st.integers(0, n_mid - 1)) for _ in range(n_refs)],
+    )
 
+
+def chain_schema() -> Schema:
+    """Refs -> Mid -> Top by foreign keys."""
     schema = Schema()
     schema.add_relation(
         RelationSchema("Refs", [Attribute("k", kind="key"), Attribute("mid", kind="fk")])
@@ -43,14 +55,19 @@ def chain_database(draw):
     schema.add_relation(RelationSchema("Top", [Attribute("k", kind="key")]))
     schema.add_foreign_key(ForeignKey("Refs", "mid", "Mid", "k"))
     schema.add_foreign_key(ForeignKey("Mid", "top", "Top", "k"))
+    return schema
 
-    db = Database(schema)
-    for t in range(n_top):
+
+def chain_database_from(tops: list[int], mids: list[int], refs: list[int]) -> Database:
+    """A chain DB with ``Mid`` row ``m`` under Top ``mids[m]`` and ``Refs``
+    row ``r`` under Mid ``refs[r]``."""
+    db = Database(chain_schema())
+    for t in tops:
         db.insert("Top", (t,))
-    for m in range(n_mid):
-        db.insert("Mid", (m, draw(st.integers(0, n_top - 1))))
-    for r in range(n_refs):
-        db.insert("Refs", (r, draw(st.integers(0, n_mid - 1))))
+    for m, top in enumerate(mids):
+        db.insert("Mid", (m, top))
+    for r, mid in enumerate(refs):
+        db.insert("Refs", (r, mid))
     return db
 
 
@@ -66,14 +83,35 @@ def chain_paths(db) -> list[JoinPath]:
     ]
 
 
-def assert_equivalent(engine: ScalarPropagation, db) -> None:
+@st.composite
+def mixed_batch(draw):
+    """A chain DB and one exclusion mapping per reference: 0-2 ``Mid``
+    rows of its own, plus ``Refs`` row 0 for every reference, so that
+    the origin and the exclusions meet on the start relation."""
+    db = draw(chain_database())
+    n_mid = len(db.table("Mid"))
+    exclusions = [
+        {
+            "Mid": frozenset(draw(st.sets(st.integers(0, n_mid - 1), max_size=2))),
+            "Refs": frozenset({0}),
+        }
+        for _ in range(len(db.table("Refs")))
+    ]
+    return db, exclusions
+
+
+def assert_equivalent(db, exclusions=None) -> None:
+    """Every reference of one batch against the scalar oracle under its
+    own exclusions (``exclusions[k]`` for reference ``k``; none when
+    None)."""
     refs = list(range(len(db.table("Refs"))))
+    exclusions = exclusions or [{}] * len(refs)
     paths = chain_paths(db)
-    batched = batch_profile_matrices(engine, paths, refs)
+    batched = batch_profile_matrices(PropagationEngine(db), paths, refs, exclusions)
     for path in paths:
         stacked = batched[path]
         for k, row in enumerate(refs):
-            scalar = engine.propagate(path, row)
+            scalar = ScalarPropagation(db, exclusions[k]).propagate(path, row)
             got = weights_for(stacked, k)
             assert set(got) == set(scalar.forward)
             for t, fwd in scalar.forward.items():
@@ -86,14 +124,39 @@ class TestBatchedPropagationProperty:
     @given(chain_database())
     @settings(max_examples=50, deadline=None)
     def test_plain_engine(self, db):
-        assert_equivalent(ScalarPropagation(db), db)
+        assert_equivalent(db)
 
     @given(chain_database(), st.integers(min_value=0, max_value=7))
     @settings(max_examples=40, deadline=None)
     def test_with_global_exclusions(self, db, excl_seed):
         mid = excl_seed % len(db.table("Mid"))
         excl = {"Mid": frozenset({mid}), "Refs": frozenset({0})}
-        assert_equivalent(ScalarPropagation(db, excl), db)
+        assert_equivalent(db, [excl] * len(db.table("Refs")))
+
+    @given(mixed_batch())
+    @settings(max_examples=60, deadline=None)
+    def test_with_exclusions_per_reference(self, batch):
+        db, exclusions = batch
+        assert_equivalent(db, exclusions)
+
+    def test_correction_on_a_level_a_sibling_branch_extends(self):
+        """Mid row 0 carries refs 0-2, Mid row 1 carries ref 3, and both
+        sit under Top row 0. Stepping back to the references from the
+        Mid level, which the ``-> Top`` branch also extends, splits mass
+        over two or more partners minus an excluded one (the origin, and
+        for ref 1 also ref 2); stepping from Top to Mid splits over two
+        Mid rows minus ref 3's excluded Mid row 0. Both build ``U``."""
+        schema_db = chain_database_from(tops=[0], mids=[0, 0], refs=[0, 0, 0, 1])
+        exclusions = [
+            {},
+            {"Refs": frozenset({2})},
+            {"Mid": frozenset({1})},
+            {"Mid": frozenset({0})},
+        ]
+        corrections = get_metrics().counter("propagation.batch.origin_corrections")
+        before = corrections.value
+        assert_equivalent(schema_db, exclusions)
+        assert corrections.value > before
 
 
 def row_bytes(matrix, k: int) -> tuple[bytes, bytes]:
@@ -102,11 +165,14 @@ def row_bytes(matrix, k: int) -> tuple[bytes, bytes]:
     return indices.tobytes(), matrix.data[lo:hi].tobytes()
 
 
-def rows_by_reference(engine, paths, refs) -> dict:
+def rows_by_reference(engine, paths, refs, exclusions) -> dict:
     """Per reference of one batch: its forward and backward row of every
-    path and its visited-trace row of every relation, as bytes."""
+    path and its visited-trace row of every relation, as bytes.
+    ``exclusions`` maps each reference to its own."""
     trace: dict = {}
-    batched = batch_profile_matrices(engine, paths, refs, trace=trace)
+    batched = batch_profile_matrices(
+        engine, paths, refs, [exclusions[ref] for ref in refs], trace=trace
+    )
     return {
         ref: (
             [row_bytes(batched[p].forward, k) + row_bytes(batched[p].backward, k)
@@ -117,15 +183,16 @@ def rows_by_reference(engine, paths, refs) -> dict:
     }
 
 
-def assert_batch_independent(engine, db, rnd) -> None:
+def assert_batch_independent(db, exclusions, rnd) -> None:
+    engine = PropagationEngine(db)
     refs = list(range(len(db.table("Refs"))))
     paths = chain_paths(db)
-    whole = rows_by_reference(engine, paths, refs)
+    whole = rows_by_reference(engine, paths, refs, exclusions)
     shuffled = refs[:]
     rnd.shuffle(shuffled)
     sub = sorted(rnd.sample(refs, rnd.randint(1, len(refs))))
     for batch in (shuffled, sub, *([ref] for ref in refs)):
-        for ref, rows in rows_by_reference(engine, paths, batch).items():
+        for ref, rows in rows_by_reference(engine, paths, batch, exclusions).items():
             assert rows == whole[ref], (ref, batch)
 
 
@@ -135,22 +202,38 @@ class TestBatchIndependence:
     def test_with_global_exclusions(self, db, excl_seed, rnd):
         mid = excl_seed % len(db.table("Mid"))
         excl = {"Mid": frozenset({mid}), "Refs": frozenset({0})}
-        assert_batch_independent(PropagationEngine(db, excl), db, rnd)
+        assert_batch_independent(db, dict.fromkeys(range(len(db.table("Refs"))), excl), rnd)
 
     @given(chain_database(), st.randoms())
     @settings(max_examples=40, deadline=None)
     def test_without_global_exclusions(self, db, rnd):
-        assert_batch_independent(PropagationEngine(db), db, rnd)
+        assert_batch_independent(db, dict.fromkeys(range(len(db.table("Refs"))), {}), rnd)
+
+    @given(mixed_batch(), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_with_exclusions_per_reference(self, batch, rnd):
+        db, exclusions = batch
+        assert_batch_independent(db, dict(enumerate(exclusions)), rnd)
 
     def test_on_a_fitted_world(self, fitted, small_db):
-        """Every name of the small world, full batch against one reference
-        at a time and against the name's reversed batch."""
+        """Every name of the small world: its full batch against one
+        reference at a time, against the name's reversed batch and
+        against one batch of all three names."""
         _, truth = small_db
-        for name in ("Wei Wang", "Rakesh Kumar", "Jim Smith"):
+        names = ("Wei Wang", "Rakesh Kumar", "Jim Smith")
+        exclusions = {
+            ref: fitted.profile_builder(name).exclusions
+            for name in names
+            for ref in truth.rows_of_name[name]
+        }
+        engine = fitted.profile_builder(names[0]).engine
+        mixed = rows_by_reference(engine, fitted.paths_, list(exclusions), exclusions)
+        for name in names:
             refs = list(truth.rows_of_name[name])
-            engine = fitted.profile_builder(name).engine
-            whole = rows_by_reference(engine, fitted.paths_, refs)
+            whole = rows_by_reference(engine, fitted.paths_, refs, exclusions)
+            for ref in refs:
+                assert mixed[ref] == whole[ref], (name, ref)
             for batch in (refs[::-1], *([ref] for ref in refs)):
-                got = rows_by_reference(engine, fitted.paths_, batch)
+                got = rows_by_reference(engine, fitted.paths_, batch, exclusions)
                 for ref, rows in got.items():
                     assert rows == whole[ref], (name, ref)

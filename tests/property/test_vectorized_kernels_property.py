@@ -4,7 +4,7 @@ Random profiles honoring the propagation invariants are pushed through
 both implementations; values must agree to floating-point reassociation
 tolerance on every pair, for every chunk budget. A pair's values must
 also be bit-identical under either enumeration of the shared support,
-and whatever else is scored beside it.
+whatever else is scored beside it and whatever rows surround it.
 """
 
 from __future__ import annotations
@@ -172,6 +172,27 @@ class TestBitwiseContract:
             )
             assert alone[0][0] == resem[k]
             assert alone[1][0] == walk[k]
+
+
+    @given(overlapping_profile_lists, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_outside_the_pairs_do_not_matter(self, group, data):
+        """Pairs among a block of rows score the same bits with or
+        without the rows around the block, also where the backward
+        pattern holds fewer entries than the forward one."""
+        forward, backward = profile_matrices(group)
+        dropped = data.draw(st.sets(st.integers(0, backward.nnz - 1), max_size=3))
+        backward.data[list(dropped)] = 0.0
+        backward.eliminate_zeros()
+        first = data.draw(st.integers(0, len(group) - 1))
+        last = data.draw(st.integers(first + 1, len(group)))
+        idx_a, idx_b = data.draw(pair_lists(last - first))
+        whole = pair_similarities(forward, backward, idx_a + first, idx_b + first)
+        block = pair_similarities(
+            forward[first:last], backward[first:last], idx_a, idx_b
+        )
+        np.testing.assert_array_equal(whole[0], block[0])
+        np.testing.assert_array_equal(whole[1], block[1])
 
 
 class TestProfileMatrices:
