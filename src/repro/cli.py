@@ -355,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write the scored results + ingest stats JSON here")
     _add_resilience_options(p)
-    _add_perf_options(p)
     p.set_defaults(func=cmd_ingest)
 
     return parser
@@ -748,8 +747,6 @@ def cmd_ingest(args) -> int:
         delta,
         min_sim,
         mode=args.mode,
-        workers=args.workers,
-        task_retries=args.task_retries,
         **kwargs,
     )
     result = outcome.result
@@ -770,8 +767,7 @@ def cmd_ingest(args) -> int:
         f"{stats.get('names_clean', 0)} clean; "
         f"{stats.get('refs_new', 0)} new + {stats.get('refs_dirty', 0)} dirty "
         f"reference(s); {stats.get('pairs_recomputed', 0)} pair(s) recomputed, "
-        f"{stats.get('pairs_reused', 0)} reused; "
-        f"{stats.get('merges_replayed', 0)} merge(s) replayed"
+        f"{stats.get('pairs_reused', 0)} reused"
     )
     if args.output:
         from repro.eval.persistence import name_result_to_dict

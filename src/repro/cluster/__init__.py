@@ -2,11 +2,13 @@
 
 The engine (:mod:`repro.cluster.agglomerative`) is generic: it repeatedly
 merges the most similar pair of clusters until the best similarity drops
-below ``min_sim``, driven by any :class:`ClusterMeasure`. DISTINCT's measure
-(:mod:`repro.cluster.composite`) is the geometric mean of average-link set
-resemblance and collective random-walk probability, maintained incrementally
-(§4.2); classic Single/Complete/Average-link measures
-(:mod:`repro.cluster.linkage`) are provided for the §4.1 comparison.
+below ``min_sim``, driven by any :class:`ClusterMeasure`, over one dense
+similarity array per name. DISTINCT's measure (:mod:`repro.cluster.composite`)
+is the geometric mean of average-link set resemblance and collective
+random-walk probability; classic Single/Complete/Average-link measures
+(:mod:`repro.cluster.linkage`) are provided for the §4.1 comparison. Every
+measure keeps its cluster–cluster aggregates as dense arrays that a merge
+folds row into row (§4.2).
 """
 
 from repro.cluster.agglomerative import (
@@ -21,7 +23,6 @@ from repro.cluster.linkage import (
 )
 from repro.cluster.composite import CompositeMeasure
 from repro.cluster.dendrogram import Dendrogram, Merge
-from repro.cluster.incremental import recluster_incremental
 
 __all__ = [
     "AgglomerativeClusterer",
@@ -33,5 +34,4 @@ __all__ = [
     "CompositeMeasure",
     "Dendrogram",
     "Merge",
-    "recluster_incremental",
 ]

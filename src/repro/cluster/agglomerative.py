@@ -6,55 +6,59 @@ while that similarity is at least ``min_sim``. Similarities come from a
 incrementally (§4.2) — the engine never recomputes pairwise similarities
 from scratch after a merge.
 
-The best pair is tracked with a lazy-deletion max-heap: entries are
-invalidated by a per-cluster version counter instead of being removed, which
-keeps each merge O((#clusters + heap churn) log n). Lazy deletion alone
-lets stale entries accumulate (every merge invalidates up to 2(k-1)
-entries but removes none), so the heap is compacted — stale entries
-filtered out and the remainder re-heapified — whenever its size exceeds
-twice the upper bound on live pairs. Compaction only discards entries
-that could never be popped as valid, so the merge sequence is unchanged;
-``cluster.heap.size`` (gauge) and ``cluster.heap.compactions`` /
-``cluster.heap.stale_dropped`` (counters) track the behaviour.
+The engine holds one dense n×n array of cluster–cluster similarities,
+indexed by slot (slot ``i`` starts as item ``i``; a merge folds one slot
+into the other). Ineligible pairs (``sim <= 0`` or ``sim < min_sim``),
+dead slots and the diagonal hold ``-inf``. Each merge takes the array's
+max, records it, and refills the surviving slot's row and column from
+one vectorized measure call: O(n²) per merge, O(n³) per name.
+
+Equal similarities break on the smallest ``(first, second)`` cluster-id
+pair, where a pair of two leaves is ordered ``(min, max)`` and a pair
+involving a merged cluster (id ``n + k``) ``(max, min)``. That is the
+order of a merge loop over a max-heap of ``(-sim, a, b)`` entries that
+pushes leaf pairs ascending and each new cluster's pairs as ``(merged,
+other)``; the test oracle holds the engine to that loop merge for merge.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Protocol
 
+import numpy as np
+
 from repro.cluster.dendrogram import Dendrogram
-from repro.obs import counter, gauge, span
+from repro.obs import counter, span
 
 _MERGES = counter("cluster.merges")
 _RUNS = counter("cluster.runs")
-_HEAP_SIZE = gauge("cluster.heap.size")
-_COMPACTIONS = counter("cluster.heap.compactions")
-_STALE_DROPPED = counter("cluster.heap.stale_dropped")
-
-#: Heaps smaller than this are never compacted (not worth the pass).
-_COMPACT_MIN = 64
+# Retired with ingest's dendrogram-prefix replay; declared at zero while
+# the benchmark's per-layer ledger still reads it.
+counter("cluster.merges_replayed")
 
 
 class ClusterMeasure(Protocol):
     """What the engine needs from a similarity measure.
 
-    Cluster ids are opaque ints; initially ``0..n_items-1`` (singletons).
-    ``merge`` must return the id of the merged cluster and update internal
-    aggregates so subsequent ``similarity`` calls reflect the merge.
+    Clusters live in slots ``0..n_items-1``, initially one singleton per
+    item. ``merge`` folds one slot into another and updates the
+    aggregates so subsequent ``similarities`` calls reflect the merge.
     """
 
     def n_items(self) -> int:
         """Number of initial singleton clusters."""
         ...
 
-    def similarity(self, a: int, b: int) -> float:
-        """Similarity between two active clusters (symmetric, >= 0)."""
+    def similarities(self, slot: int) -> np.ndarray:
+        """Similarity of ``slot`` to every slot (symmetric, >= 0).
+
+        Entries for ``slot`` itself and for folded slots are ignored.
+        """
         ...
 
-    def merge(self, a: int, b: int, merged_id: int) -> None:
-        """Fold clusters ``a`` and ``b`` into the new cluster ``merged_id``."""
+    def merge(self, i: int, j: int) -> None:
+        """Fold slot ``j`` into slot ``i``."""
         ...
 
 
@@ -107,120 +111,61 @@ class AgglomerativeClusterer:
         _MERGES.inc(len(result.merge_similarities))
         return result
 
-    def resume(
-        self,
-        measure: ClusterMeasure,
-        dendrogram: Dendrogram,
-        members: dict[int, set[int]],
-    ) -> ClusteringResult:
-        """Continue the merge loop from a replayed prefix state.
-
-        ``dendrogram`` holds the merges already performed (its ``record``
-        keeps numbering merged clusters consistently) and ``members`` the
-        live clusters, with ``measure`` already folded to match. Used by
-        :func:`repro.cluster.incremental.recluster_incremental`; a resume
-        from an empty prefix is exactly :meth:`cluster`.
-        """
-        _RUNS.inc()
-        n = dendrogram.n_leaves
-        if n == 0:
-            return ClusteringResult([], dendrogram, self.min_sim)
-        with span(
-            "cluster.agglomerative",
-            n_items=n,
-            min_sim=self.min_sim,
-            resumed_merges=len(dendrogram.merges),
-        ) as sp:
-            n_prefix = len(dendrogram.merges)
-            result = self._merge_loop(measure, n, dendrogram, members=members)
-            sp.annotate(
-                n_clusters=result.n_clusters, n_merges=len(result.merge_similarities)
-            )
-        _MERGES.inc(len(result.merge_similarities) - n_prefix)
-        return result
+    def _eligible(self, sims: np.ndarray) -> np.ndarray:
+        """``sims`` with every pair the loop may not merge set to ``-inf``."""
+        return np.where((sims > 0.0) & (sims >= self.min_sim), sims, -np.inf)
 
     def _merge_loop(
-        self,
-        measure: ClusterMeasure,
-        n: int,
-        dendrogram: Dendrogram,
-        members: dict[int, set[int]] | None = None,
+        self, measure: ClusterMeasure, n: int, dendrogram: Dendrogram
     ) -> ClusteringResult:
+        sims = np.empty((n, n))
+        for slot in range(n):
+            sims[slot] = self._eligible(measure.similarities(slot))
+        np.fill_diagonal(sims, -np.inf)
+        flat = sims.reshape(-1)
+        dead = np.zeros(n, dtype=bool)
+        ids = list(range(n))  # the cluster id each slot holds
+        members: list[set[int]] = [{i} for i in range(n)]
 
-        if members is None:
-            members = {i: {i} for i in range(n)}
-        version: dict[int, int] = {i: 0 for i in members}
-        heap: list[tuple[float, int, int, int, int]] = []
-
-        def push(a: int, b: int) -> None:
-            sim = measure.similarity(a, b)
-            if sim > 0.0 and sim >= self.min_sim:
-                heapq.heappush(heap, (-sim, a, b, version[a], version[b]))
-
-        def compact() -> list[tuple[float, int, int, int, int]]:
-            """Drop stale entries once they outnumber live pairs 2:1.
-
-            Live entries are at most C(k, 2) for k active clusters; when
-            the heap grows past twice that bound, filter entries whose
-            version stamps are current and re-heapify. Pop order is the
-            total order on the (unique) entry tuples, so removing
-            entries that could never pop as valid preserves the merge
-            sequence exactly.
-            """
-            k = len(members)
-            live_bound = k * (k - 1) // 2
-            if len(heap) <= max(_COMPACT_MIN, 2 * live_bound):
-                return heap
-            kept = [
-                entry
-                for entry in heap
-                if version.get(entry[1]) == entry[3]
-                and version.get(entry[2]) == entry[4]
-            ]
-            heapq.heapify(kept)
-            _COMPACTIONS.inc()
-            _STALE_DROPPED.inc(len(heap) - len(kept))
-            return kept
-
-        # Entry orientation must match what a from-scratch run's heap
-        # would hold for the same live pair: leaf-leaf pairs enter the
-        # initial fill as (min, max); any pair involving a merged cluster
-        # was pushed at that cluster's creation as (merged, other), and
-        # merged ids always exceed every id live at the time — so (max,
-        # min). Resume-time fills reproduce that orientation so equal-
-        # similarity ties break identically.
-        active = sorted(members)  # lint: allow[determinism/unkeyed-sort] cluster ids are ints
-        for i, a in enumerate(active):
-            for b in active[i + 1 :]:
-                if b >= n:
-                    push(b, a)
-                else:
-                    push(a, b)
-        _HEAP_SIZE.set(len(heap))
-
-        merge_similarities: list[float] = [m.similarity for m in dendrogram.merges]
-        while heap:
-            neg_sim, a, b, va, vb = heapq.heappop(heap)
-            if version.get(a) != va or version.get(b) != vb:
-                continue  # stale entry
-            sim = -neg_sim
-            merged = dendrogram.record(a, b, sim)
+        merge_similarities: list[float] = []
+        while True:
+            best = flat[flat.argmax()]
+            if best == -np.inf:
+                break
+            # Among the tied pairs, the smallest oriented (first, second).
+            key, i, j = min(
+                (_oriented(ids[i], ids[j], n), i, j)
+                for i, j in (divmod(int(k), n) for k in np.flatnonzero(flat == best))
+                if i < j
+            )
+            sim = float(best)
+            ids[i] = dendrogram.record(key[0], key[1], sim)
             merge_similarities.append(sim)
-            measure.merge(a, b, merged)
-            members[merged] = members.pop(a) | members.pop(b)
-            del version[a]
-            del version[b]
-            version[merged] = 0
-            for other in members:
-                if other != merged:
-                    push(merged, other)
-            heap = compact()
-            _HEAP_SIZE.set(len(heap))
+            measure.merge(i, j)
+            members[i] |= members[j]
+            dead[j] = True
+            row = self._eligible(measure.similarities(i))
+            row[dead] = -np.inf
+            row[i] = -np.inf
+            sims[i] = row
+            sims[:, i] = row
+            sims[j] = -np.inf
+            sims[:, j] = -np.inf
 
-        clusters = sorted(members.values(), key=lambda s: (-len(s), min(s)))
+        clusters = sorted(
+            (members[slot] for slot in range(n) if not dead[slot]),
+            key=lambda s: (-len(s), min(s)),
+        )
         return ClusteringResult(
             clusters=clusters,
             dendrogram=dendrogram,
             min_sim=self.min_sim,
             merge_similarities=merge_similarities,
         )
+
+
+def _oriented(a: int, b: int, n_leaves: int) -> tuple[int, int]:
+    """The pair's tie-break order: ``(min, max)`` for two leaves, else
+    ``(max, min)`` — a merged cluster's id exceeds every id alive with it."""
+    lo, hi = (a, b) if a < b else (b, a)
+    return (hi, lo) if hi >= n_leaves else (lo, hi)

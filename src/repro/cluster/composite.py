@@ -11,7 +11,7 @@
       W = sum of pair walk probabilities over cross pairs
 
 Both aggregates are plain sums over cross pairs, so a merge just adds the
-children's sums (§4.2's incremental computation) — no pair similarity is
+children's rows (§4.2's incremental computation) — no pair similarity is
 ever recomputed.
 """
 
@@ -19,11 +19,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.similarity.combine import geometric_mean
+from repro.cluster.linkage import AverageLinkMeasure, _PairMatrixMeasure
+
+
+class CollectiveWalkMeasure(_PairMatrixMeasure):
+    """Collective random-walk probability alone (the Fig-4 walk-only variant)."""
+
+    def similarities(self, slot: int) -> np.ndarray:
+        total = self._agg[slot]
+        return 0.5 * (total / self._size[slot] + total / self._size)
 
 
 class CompositeMeasure:
-    """Incrementally maintained composite similarity over two pair matrices.
+    """Average-Link resemblance composed with the collective walk.
 
     Parameters
     ----------
@@ -34,86 +42,26 @@ class CompositeMeasure:
     """
 
     def __init__(self, pair_resem: np.ndarray, pair_walk: np.ndarray) -> None:
-        pair_resem = np.asarray(pair_resem, dtype=float)
-        pair_walk = np.asarray(pair_walk, dtype=float)
-        if pair_resem.shape != pair_walk.shape:
+        if np.shape(pair_resem) != np.shape(pair_walk):
             raise ValueError("resemblance and walk matrices must align")
-        if pair_resem.ndim != 2 or pair_resem.shape[0] != pair_resem.shape[1]:
-            raise ValueError("pair matrices must be square")
-        for name, matrix in (("resemblance", pair_resem), ("walk", pair_walk)):
-            if not np.allclose(matrix, matrix.T, atol=1e-9):
-                raise ValueError(f"pair {name} matrix must be symmetric")
-
-        self._n = pair_resem.shape[0]
-        self._resem_sum: dict[int, dict[int, float]] = {}
-        self._walk_sum: dict[int, dict[int, float]] = {}
-        for i in range(self._n):
-            self._resem_sum[i] = {}
-            self._walk_sum[i] = {}
-            for j in range(self._n):
-                if j == i:
-                    continue
-                if pair_resem[i, j] > 0.0:
-                    self._resem_sum[i][j] = float(pair_resem[i, j])
-                if pair_walk[i, j] > 0.0:
-                    self._walk_sum[i][j] = float(pair_walk[i, j])
-        self._size: dict[int, int] = {i: 1 for i in range(self._n)}
-
-    # -- ClusterMeasure protocol -------------------------------------------
+        self.resemblance = AverageLinkMeasure(pair_resem)
+        self.walk = CollectiveWalkMeasure(pair_walk)
 
     def n_items(self) -> int:
-        return self._n
+        return self.resemblance.n_items()
 
-    def similarity(self, a: int, b: int) -> float:
-        resem = self.average_resemblance(a, b)
-        walk = self.collective_walk_probability(a, b)
-        return geometric_mean(resem, walk)
+    def size(self, slot: int) -> int:
+        return self.resemblance.size(slot)
 
-    def merge(self, a: int, b: int, merged_id: int) -> None:
-        for sums in (self._resem_sum, self._walk_sum):
-            sums_a = sums.pop(a)
-            sums_b = sums.pop(b)
-            merged: dict[int, float] = {}
-            # sorted: merge bookkeeping must not depend on set hash order
-            # (feeds the byte-identical parallel/serial guarantee).
-            # lint: allow[determinism/unkeyed-sort] cluster ids are plain int
-            for other in sorted((set(sums_a) | set(sums_b)) - {a, b}):
-                value = sums_a.get(other, 0.0) + sums_b.get(other, 0.0)
-                merged[other] = value
-                other_sums = sums[other]
-                other_sums.pop(a, None)
-                other_sums.pop(b, None)
-                other_sums[merged_id] = value
-            sums[merged_id] = merged
-        self._size[merged_id] = self._size.pop(a) + self._size.pop(b)
+    def merge(self, i: int, j: int) -> None:
+        self.resemblance.merge(i, j)
+        self.walk.merge(i, j)
 
-    # -- components (exposed for tests and diagnostics) ----------------------
-
-    def size(self, cluster: int) -> int:
-        return self._size[cluster]
-
-    def average_resemblance(self, a: int, b: int) -> float:
-        total = self._resem_sum[a].get(b, 0.0)
-        if total == 0.0:
-            return 0.0
-        return total / (self._size[a] * self._size[b])
-
-    def collective_walk_probability(self, a: int, b: int) -> float:
-        total = self._walk_sum[a].get(b, 0.0)
-        if total == 0.0:
-            return 0.0
-        return 0.5 * (total / self._size[a] + total / self._size[b])
-
-
-class CollectiveWalkMeasure(CompositeMeasure):
-    """Collective random-walk probability alone (the Fig-4 walk-only variant).
-
-    Reuses the composite bookkeeping with the resemblance term ignored.
-    """
-
-    def __init__(self, pair_walk: np.ndarray) -> None:
-        pair_walk = np.asarray(pair_walk, dtype=float)
-        super().__init__(np.zeros_like(pair_walk), pair_walk)
-
-    def similarity(self, a: int, b: int) -> float:
-        return self.collective_walk_probability(a, b)
+    def similarities(self, slot: int) -> np.ndarray:
+        """Geometric mean of the two factors; 0 unless both are positive."""
+        resem = self.resemblance.similarities(slot)
+        walk = self.walk.similarities(slot)
+        out = np.zeros_like(resem)
+        linked = (resem > 0.0) & (walk > 0.0)
+        out[linked] = np.sqrt(resem[linked] * walk[linked])
+        return out

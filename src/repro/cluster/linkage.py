@@ -1,13 +1,20 @@
-"""Classic linkage measures over one pairwise similarity matrix.
+"""Linkage measures over one pairwise similarity matrix.
 
 Used for the §4.1 discussion (Single-Link merges through one misleading
 linkage; Complete-Link refuses weakly linked partitions; Average-Link is the
 reasonable middle ground DISTINCT builds on) and for the linkage ablation
-bench. All three maintain their aggregates incrementally:
+bench; Average-Link is also the resemblance half of DISTINCT's composite
+(:mod:`repro.cluster.composite`).
+
+Every measure holds its cluster–cluster aggregate as a dense n×n array
+indexed by *slot* (slot ``i`` starts as item ``i``) plus a size vector;
+folding slot ``j`` into slot ``i`` combines the two rows in one pass:
 
 - Single-Link:   S(C3, Ci) = max(S(C1, Ci), S(C2, Ci))
-- Complete-Link: S(C3, Ci) = min(S(C1, Ci), S(C2, Ci))
+- Complete-Link: S(C3, Ci) = min(S(C1, Ci), S(C2, Ci)) (absent pairs are 0)
 - Average-Link:  sum(C3, Ci) = sum(C1, Ci) + sum(C2, Ci), divided by sizes
+
+Only positive pair values count as linkages; the rest enter as 0.
 """
 
 from __future__ import annotations
@@ -16,7 +23,10 @@ import numpy as np
 
 
 class _PairMatrixMeasure:
-    """Shared plumbing: symmetric pair matrix, per-cluster stats dicts."""
+    """Shared plumbing: the slot-indexed aggregate array and size vector."""
+
+    #: How two children's aggregates combine into their parent's.
+    _fold = staticmethod(np.add)
 
     def __init__(self, pair_sims: np.ndarray) -> None:
         pair_sims = np.asarray(pair_sims, dtype=float)
@@ -25,92 +35,43 @@ class _PairMatrixMeasure:
         if not np.allclose(pair_sims, pair_sims.T, atol=1e-9):
             raise ValueError("pair similarity matrix must be symmetric")
         self._n = pair_sims.shape[0]
-        # stats[a][b] == stats[b][a]: the linkage aggregate between clusters
-        self._stats: dict[int, dict[int, float]] = {
-            i: {
-                j: float(pair_sims[i, j])
-                for j in range(self._n)
-                if j != i and pair_sims[i, j] > 0.0
-            }
-            for i in range(self._n)
-        }
-        self._size: dict[int, int] = {i: 1 for i in range(self._n)}
+        # _agg[a, b] == _agg[b, a]: the linkage aggregate between slots
+        self._agg = np.where(pair_sims > 0.0, pair_sims, 0.0)
+        np.fill_diagonal(self._agg, 0.0)
+        self._size = np.ones(self._n, dtype=np.int64)
 
     def n_items(self) -> int:
         return self._n
 
-    def size(self, cluster: int) -> int:
-        return self._size[cluster]
+    def size(self, slot: int) -> int:
+        return int(self._size[slot])
 
-    def _combine(self, x: float, y: float) -> float:
-        raise NotImplementedError
+    def merge(self, i: int, j: int) -> None:
+        """Fold slot ``j`` into slot ``i``; slot ``j`` is dead afterwards."""
+        row = self._fold(self._agg[i], self._agg[j])
+        self._agg[i] = row
+        self._agg[:, i] = row
+        self._size[i] += self._size[j]
 
-    def _stat(self, a: int, b: int) -> float:
-        return self._stats[a].get(b, 0.0)
-
-    def merge(self, a: int, b: int, merged_id: int) -> None:
-        stats_a = self._stats.pop(a)
-        stats_b = self._stats.pop(b)
-        merged: dict[int, float] = {}
-        # sorted: merge bookkeeping must not depend on set hash order
-        # (feeds the byte-identical parallel/serial guarantee).
-        # lint: allow[determinism/unkeyed-sort] cluster ids are plain int
-        for other in sorted((set(stats_a) | set(stats_b)) - {a, b}):
-            if other in stats_a and other in stats_b:
-                value = self._combine(stats_a[other], stats_b[other])
-            else:
-                value = self._one_sided(
-                    stats_a[other] if other in stats_a else stats_b[other]
-                )
-            if value > 0.0:
-                merged[other] = value
-            # Keep the symmetric invariant: drop the other side's stale
-            # entries for a/b (and add merged_id if the linkage survives).
-            other_stats = self._stats[other]
-            other_stats.pop(a, None)
-            other_stats.pop(b, None)
-            if value > 0.0:
-                other_stats[merged_id] = value
-        self._stats[merged_id] = merged
-        self._size[merged_id] = self._size.pop(a) + self._size.pop(b)
-
-    def _one_sided(self, value: float) -> float:
-        """Aggregate when only one child had a linkage to the other cluster."""
-        return value
+    def similarities(self, slot: int) -> np.ndarray:
+        """Similarity of ``slot`` to every slot (own and dead slots are junk)."""
+        return self._agg[slot].copy()
 
 
 class SingleLinkMeasure(_PairMatrixMeasure):
     """Similarity = max over cross pairs."""
 
-    def _combine(self, x: float, y: float) -> float:
-        return max(x, y)
-
-    def similarity(self, a: int, b: int) -> float:
-        return self._stat(a, b)
+    _fold = staticmethod(np.maximum)
 
 
 class CompleteLinkMeasure(_PairMatrixMeasure):
     """Similarity = min over cross pairs (absent pairs count as 0)."""
 
-    def _combine(self, x: float, y: float) -> float:
-        return min(x, y)
-
-    def _one_sided(self, value: float) -> float:
-        return 0.0  # some cross pair had similarity 0
-
-    def similarity(self, a: int, b: int) -> float:
-        # A missing stat means at least one zero cross pair -> min is 0.
-        return self._stat(a, b)
+    _fold = staticmethod(np.minimum)
 
 
 class AverageLinkMeasure(_PairMatrixMeasure):
     """Similarity = mean over all cross pairs."""
 
-    def _combine(self, x: float, y: float) -> float:
-        return x + y
-
-    def similarity(self, a: int, b: int) -> float:
-        total = self._stat(a, b)
-        if total == 0.0:
-            return 0.0
-        return total / (self._size[a] * self._size[b])
+    def similarities(self, slot: int) -> np.ndarray:
+        return self._agg[slot] / (self._size[slot] * self._size)

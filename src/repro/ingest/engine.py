@@ -31,9 +31,9 @@ ladder instead of recomputing the world:
    reference are re-evaluated from those rows (so the recomputed values
    are bit-identical); clean pair values are scattered from the
    previous feature arrays;
-4. **dirty merges** — :func:`repro.cluster.recluster_incremental`
-   replays the previous dendrogram prefix the dirty pairs cannot have
-   influenced and resumes the merge loop from there.
+4. **merges** — the patched pair matrices cluster through
+   :meth:`~repro.core.distinct.Distinct.cluster_prepared`, the same
+   dense-array merge loop a cold resolve runs.
 
 Every rung preserves bytes, so ``ingest()`` produces resolutions equal
 to a cold ``prepare``/``cluster_prepared`` on the post-delta database —
@@ -41,10 +41,6 @@ the property suite asserts full equality.
 
 :meth:`IngestEngine.refresh` is one name's work; called without
 :meth:`IngestEngine.refresh_all`, it propagates its name alone.
-:meth:`IngestEngine.adopt` installs a refresh computed elsewhere, which
-is how :func:`repro.ingest.runner.ingest_resilient` fans the refreshes
-out over a process pool. Step matrices a worker extends stay in the
-worker; the parent extends its own on its next read.
 """
 
 from __future__ import annotations
@@ -54,14 +50,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from repro.cluster.agglomerative import AgglomerativeClusterer
-from repro.cluster.incremental import recluster_incremental
 from repro.core.distinct import Distinct, NamePreparation, NameResolution
 from repro.core.features import (
     PairFeatures,
     all_pairs,
     compute_pair_features,
-    pair_matrix,
 )
 from repro.core.references import NameReferences, extract_references
 from repro.errors import NotFittedError, ReproError
@@ -88,11 +81,7 @@ _PAIRS_REUSED = counter("ingest.pairs_reused")
 
 @dataclass
 class NameRefresh:
-    """One name's post-delta state: the resolution plus refresh accounting.
-
-    Picklable and self-contained, so parallel ingest can compute it in a
-    worker and :meth:`IngestEngine.adopt` it in the parent.
-    """
+    """One name's post-delta state: the resolution plus refresh accounting."""
 
     name: str
     resolution: NameResolution
@@ -101,7 +90,6 @@ class NameRefresh:
     n_refs_new: int
     n_pairs_recomputed: int
     n_pairs_reused: int
-    n_merges_replayed: int
     refreshed: bool = True
 
 
@@ -135,7 +123,6 @@ class IngestReport:
             "refs_new": sum(r.n_refs_new for r in self.refreshes),
             "pairs_recomputed": sum(r.n_pairs_recomputed for r in self.refreshes),
             "pairs_reused": sum(r.n_pairs_reused for r in self.refreshes),
-            "merges_replayed": sum(r.n_merges_replayed for r in self.refreshes),
         }
 
 
@@ -243,10 +230,7 @@ class IngestEngine:
         refs = extract_references(self.db, name, distinct.config)
         builder = distinct.profile_builder(name)
         if len(refs.rows) <= 1:
-            prep = NamePreparation(name=name, rows=list(refs.rows), features=None)
-            resolution = distinct.cluster_prepared(
-                prep, self.min_sim, self.measure, self.supervised
-            )
+            resolution = self._cluster(name, refs.rows, None)
             return _NameState(
                 name, list(refs.rows), list(refs.object_rows), builder,
                 None, resolution, {},
@@ -259,13 +243,20 @@ class IngestEngine:
             [builder.exclusions] * len(refs.rows), trace=traces,
         )
         features = compute_pair_features(builder, all_pairs(refs.rows), matrices)
-        prep = NamePreparation(name=name, rows=list(refs.rows), features=features)
-        resolution = distinct.cluster_prepared(
-            prep, self.min_sim, self.measure, self.supervised
-        )
+        resolution = self._cluster(name, refs.rows, features)
         return _NameState(
             name, list(refs.rows), list(refs.object_rows), builder,
             features, resolution, traces,
+        )
+
+    def _cluster(
+        self, name: str, rows: list[int], features: PairFeatures | None
+    ) -> NameResolution:
+        """The cold merge loop over ``features`` — every resolve and refresh
+        clusters here."""
+        prep = NamePreparation(name=name, rows=list(rows), features=features)
+        return self.distinct.cluster_prepared(
+            prep, self.min_sim, self.measure, self.supervised
         )
 
     # -- delta application -------------------------------------------------
@@ -347,7 +338,7 @@ class IngestEngine:
                 name=name, resolution=state.resolution, traces=state.traces,
                 n_refs_dirty=0, n_refs_new=0, n_pairs_recomputed=0,
                 n_pairs_reused=state.features.n_pairs if state.features else 0,
-                n_merges_replayed=0, refreshed=False,
+                refreshed=False,
             )
         with span(
             "ingest.refresh",
@@ -358,10 +349,7 @@ class IngestEngine:
             if plan.propagates and plan.propagated is None:
                 self._propagate([plan])
             refresh = self._refresh_state(state, plan)
-            sp.annotate(
-                pairs_recomputed=refresh.n_pairs_recomputed,
-                merges_replayed=refresh.n_merges_replayed,
-            )
+            sp.annotate(pairs_recomputed=refresh.n_pairs_recomputed)
         self._install(state, refresh)
         del self._plans[name]
         _NAMES_REFRESHED.inc()
@@ -404,23 +392,6 @@ class IngestEngine:
         state.resolution = refresh.resolution
         state.traces = refresh.traces
 
-    def adopt(self, refresh: NameRefresh) -> None:
-        """Install a worker-computed refresh into the parent engine.
-
-        The refresh carries everything the name's state needs; step
-        matrices the worker rebuilt stay in the worker.
-        """
-        state = self._states.get(refresh.name)
-        if state is None:
-            return
-        plan = self._plans.pop(refresh.name, None)
-        if not refresh.refreshed:
-            return
-        if plan is not None and plan.rebuild:
-            state.builder = plan.builder
-            state.object_rows = list(plan.refs.object_rows)
-        self._install(state, refresh)
-
     def ingest(self, delta: Delta) -> IngestReport:
         """Apply ``delta`` and refresh every tracked name."""
         n_rows = delta.n_rows()
@@ -440,19 +411,15 @@ class IngestEngine:
         full = (
             plan.rebuild
             or n_old <= 1
-            or state.resolution.clustering is None
             or state.features is None
             or rows_new[:n_old] != state.rows
         )
         if len(rows_new) <= 1:
-            prep = NamePreparation(name=state.name, rows=rows_new, features=None)
-            resolution = distinct.cluster_prepared(
-                prep, self.min_sim, self.measure, self.supervised
-            )
+            resolution = self._cluster(state.name, rows_new, None)
             return NameRefresh(
                 name=state.name, resolution=resolution, traces={},
                 n_refs_dirty=len(plan.dirty_idx), n_refs_new=len(plan.new_rows),
-                n_pairs_recomputed=0, n_pairs_reused=0, n_merges_replayed=0,
+                n_pairs_recomputed=0, n_pairs_reused=0,
             )
         # Every row pairs with a dirty one, so the recomputed pairs reach
         # every row: the name's traced batch feeds them all.
@@ -494,9 +461,7 @@ class IngestEngine:
             paths=distinct.paths_, pairs=pairs_new, resemblance=resem, walk=walk
         )
 
-        resolution, replayed = self._recluster(
-            state, rows_new, features, plan.dirty_idx, n_old
-        )
+        resolution = self._cluster(state.name, rows_new, features)
         return NameRefresh(
             name=state.name,
             resolution=resolution,
@@ -505,7 +470,6 @@ class IngestEngine:
             n_refs_new=len(plan.new_rows),
             n_pairs_recomputed=len(recompute),
             n_pairs_reused=reused,
-            n_merges_replayed=replayed,
         )
 
     def _full_refresh(
@@ -518,12 +482,8 @@ class IngestEngine:
     ) -> NameRefresh:
         """Cold-equivalent recompute of one name (under the plan's fresh
         builder when the exclusions changed)."""
-        distinct = self.distinct
         features = compute_pair_features(plan.builder, all_pairs(rows_new), matrices)
-        prep = NamePreparation(name=state.name, rows=rows_new, features=features)
-        resolution = distinct.cluster_prepared(
-            prep, self.min_sim, self.measure, self.supervised
-        )
+        resolution = self._cluster(state.name, rows_new, features)
         state.builder = plan.builder
         state.object_rows = list(plan.refs.object_rows)
         return NameRefresh(
@@ -534,49 +494,4 @@ class IngestEngine:
             n_refs_new=len(plan.new_rows),
             n_pairs_recomputed=len(features.pairs),
             n_pairs_reused=0,
-            n_merges_replayed=0,
         )
-
-    def _recluster(
-        self,
-        state: _NameState,
-        rows_new: list[int],
-        features: PairFeatures,
-        dirty_idx: np.ndarray,
-        n_old: int,
-    ) -> tuple[NameResolution, int]:
-        """The dirty-merge rung: replay + resume instead of a fresh heap.
-
-        Mirrors :meth:`Distinct.cluster_prepared` exactly except that the
-        merge loop starts from the replayed prefix —
-        :func:`recluster_incremental`'s byte-identity argument covers the
-        difference.
-        """
-        distinct = self.distinct
-        fault_check("cluster", state.name)
-        resem_vals, walk_vals = distinct._combined_pair_values(
-            features, self.supervised
-        )
-        resem_matrix = pair_matrix(rows_new, features.pairs, resem_vals)
-        walk_matrix = pair_matrix(rows_new, features.pairs, walk_vals)
-        measure_obj = Distinct._make_measure(self.measure, resem_matrix, walk_matrix)
-        clusterer = AgglomerativeClusterer(min_sim=self.min_sim)
-        result, replayed = recluster_incremental(
-            measure_obj,
-            state.resolution.clustering,
-            [int(i) for i in dirty_idx],
-            clusterer,
-            n_old,
-        )
-        clusters = [{rows_new[i] for i in cluster} for cluster in result.clusters]
-        resolution = NameResolution(
-            name=state.name,
-            rows=list(rows_new),
-            clusters=clusters,
-            clustering=result,
-            features=features,
-            resem_matrix=resem_matrix,
-            walk_matrix=walk_matrix,
-        )
-        return resolution, replayed
-

@@ -2,13 +2,14 @@
 
 Wraps the delta-ingest engine in the same machinery
 :func:`repro.eval.runner.run_resilient` gives the experiment loop:
-per-name failure policies, a wall-clock deadline, atomic per-name
-checkpoints with ``--resume``, and process-pool workers — while keeping
-the byte-identity contract (a resumed or parallel run assembles the
-same results as an uninterrupted serial one; completed names are loaded
-from the checkpoint, remaining names re-ingested exactly as a fresh run
-would, because every name's cold-resolve → apply → refresh pipeline is
-deterministic and independent of the other names).
+per-name failure policies, a wall-clock deadline and atomic per-name
+checkpoints with ``--resume`` — while keeping the byte-identity contract
+(a resumed run assembles the same results as an uninterrupted one;
+completed names are loaded from the checkpoint, remaining names
+re-ingested exactly as a fresh run would, because every name's
+cold-resolve → apply → refresh pipeline is deterministic and
+independent of the other names). Names refresh in-process, one after
+another.
 
 The run has two phases. *Cold phase*: each not-yet-checkpointed name is
 resolved on the pre-delta database, building the engine state a
@@ -40,7 +41,6 @@ from repro.errors import DeadlineExceeded
 from repro.eval.experiment import ExperimentResult, NameResult, score_resolution
 from repro.eval.persistence import name_result_from_dict, name_result_to_dict
 from repro.obs import counter, get_logger, histogram, span
-from repro.perf import DEFAULT_TASK_RETRIES, RemoteTaskError, ordered_process_map
 from repro.reldb.delta import Delta
 from repro.resilience import (
     CheckpointStore,
@@ -117,20 +117,12 @@ class IngestRunOutcome:
         return not self.interrupted and self.n_completed + len(self.errors) >= self.n_total
 
 
-def _ingest_name_task(payload, name: str) -> tuple[NameRefresh, NameResult]:
-    """Worker body for parallel exact-mode ingest: refresh + score one name."""
-    engine, truth = payload
-    refresh = engine.refresh(name)
-    return refresh, score_resolution(refresh.resolution, truth)
-
-
 def _accumulate(stats: dict[str, int], refresh: NameRefresh) -> None:
     stats["names_refreshed" if refresh.refreshed else "names_clean"] += 1
     stats["refs_dirty"] += refresh.n_refs_dirty
     stats["refs_new"] += refresh.n_refs_new
     stats["pairs_recomputed"] += refresh.n_pairs_recomputed
     stats["pairs_reused"] += refresh.n_pairs_reused
-    stats["merges_replayed"] += refresh.n_merges_replayed
 
 
 def ingest_resilient(
@@ -146,29 +138,22 @@ def ingest_resilient(
     collector: ErrorCollector | None = None,
     checkpoint: CheckpointStore | None = None,
     deadline: Deadline | None = None,
-    workers: int = 1,
-    task_retries: int = DEFAULT_TASK_RETRIES,
 ) -> IngestRunOutcome:
     """Cold-resolve ``names``, apply ``delta``, refresh, and score.
 
     ``distinct.db`` must hold the *pre-delta* database; ``truth`` the
     *post-delta* ground truth (the delta's new references belong to
     known entities). ``mode="exact"`` walks the byte-identical ladder;
-    ``mode="greedy"`` runs the approximate single-reference assigner
-    (always serial — its whole point is being cheap). ``workers > 1``
-    fans the exact-mode refreshes out over a fork-primed pool with
-    results assembled in input order.
+    ``mode="greedy"`` runs the approximate single-reference assigner.
     """
     if mode not in INGEST_MODES:
         raise ValueError(f"mode must be one of {INGEST_MODES}, got {mode!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     policy = Policy.coerce(policy)
     collector = collector if collector is not None else ErrorCollector()
     result = ExperimentResult(variant_key=f"ingest:{mode}", min_sim=min_sim)
     stats = {
         "names_refreshed": 0, "names_clean": 0, "refs_dirty": 0, "refs_new": 0,
-        "pairs_recomputed": 0, "pairs_reused": 0, "merges_replayed": 0,
+        "pairs_recomputed": 0, "pairs_reused": 0,
     }
     outcome = IngestRunOutcome(
         result=result, errors=collector, n_total=len(names), stats=stats
@@ -196,7 +181,6 @@ def ingest_resilient(
         mode=mode,
         min_sim=min_sim,
         n_names=len(names),
-        workers=workers,
     ) as sp:
         # -- cold phase: pre-delta state for every name still to ingest ----
         engine = IngestEngine(
@@ -234,74 +218,45 @@ def ingest_resilient(
                 known = set(cold[name].rows)
                 greedy_new[name] = [r for r in refs.rows if r not in known]
 
-        results_iter = None
-        if mode == "exact" and workers > 1:
-            results_iter = ordered_process_map(
-                _ingest_name_task,
-                (engine, truth),
-                pending,
-                workers=workers,
-                deadline=deadline,
-                task_retries=task_retries,
-            )
-        try:
-            for name in names:
-                if name in done:
-                    result.names.append(done[name])
-                    continue
-                if name not in cold:  # cold phase failed it under the policy
-                    continue
-                if deadline is not None and deadline.expired():
-                    outcome.interrupted = True
-                    break
-                scored = None
-                if results_iter is not None:
-                    task = next(results_iter)
-                    assert task.item == name, "parallel map yielded out of order"
-                    if task.interrupted:
-                        outcome.interrupted = True
-                        break
-                    _NAME_SECONDS.observe(task.seconds)
-                    with guard("ingest.refresh", name, policy, collector):
-                        if task.error is not None:
-                            _NAMES_FAILED.inc()
-                            raise RemoteTaskError(task.error)
-                        refresh, scored = task.value
-                        engine.adopt(refresh)
+        for name in names:
+            if name in done:
+                result.names.append(done[name])
+                continue
+            if name not in cold:  # cold phase failed it under the policy
+                continue
+            if deadline is not None and deadline.expired():
+                outcome.interrupted = True
+                break
+            scored = None
+            name_start = time.perf_counter()
+            with guard("ingest.refresh", name, policy, collector):
+                try:
+                    if mode == "greedy":
+                        extended, _ = extend_resolution(
+                            distinct,
+                            cold[name],
+                            greedy_new[name],
+                            min_sim=min_sim,
+                        )
+                        scored = score_resolution(extended, truth)
+                        stats["refs_new"] += len(greedy_new[name])
+                        stats["names_refreshed"] += 1
+                    else:
+                        refresh = engine.refresh(name)
                         _accumulate(stats, refresh)
-                else:
-                    name_start = time.perf_counter()
-                    with guard("ingest.refresh", name, policy, collector):
-                        try:
-                            if mode == "greedy":
-                                extended, _ = extend_resolution(
-                                    distinct,
-                                    cold[name],
-                                    greedy_new[name],
-                                    min_sim=min_sim,
-                                )
-                                scored = score_resolution(extended, truth)
-                                stats["refs_new"] += len(greedy_new[name])
-                                stats["names_refreshed"] += 1
-                            else:
-                                refresh = engine.refresh(name)
-                                _accumulate(stats, refresh)
-                                scored = score_resolution(refresh.resolution, truth)
-                        except (DeadlineExceeded, KeyboardInterrupt):
-                            raise
-                        except Exception:
-                            _NAMES_FAILED.inc()
-                            raise
-                    _NAME_SECONDS.observe(time.perf_counter() - name_start)
-                if scored is None:  # failed and policy skipped/collected it
-                    save_progress()
-                    continue
-                result.names.append(scored)
-                _NAMES_INGESTED.inc()
+                        scored = score_resolution(refresh.resolution, truth)
+                except (DeadlineExceeded, KeyboardInterrupt):
+                    raise
+                except Exception:
+                    _NAMES_FAILED.inc()
+                    raise
+            _NAME_SECONDS.observe(time.perf_counter() - name_start)
+            if scored is None:  # failed and policy skipped/collected it
                 save_progress()
-        finally:
-            if results_iter is not None:
-                results_iter.close()
+                continue
+            result.names.append(scored)
+            _NAMES_INGESTED.inc()
+            save_progress()
         sp.annotate(
             n_completed=outcome.n_completed,
             n_failed=len(collector),

@@ -28,11 +28,10 @@ REGISTERED_METRICS: dict[str, str] = {
     "checkpoint.corrupt_quarantined": "counter",
     "checkpoint.items_resumed": "counter",
     "checkpoint.writes": "counter",
-    # clustering (repro.cluster.agglomerative / .incremental)
-    "cluster.heap.compactions": "counter",
-    "cluster.heap.size": "gauge",
-    "cluster.heap.stale_dropped": "counter",
+    # clustering (repro.cluster.agglomerative)
     "cluster.merges": "counter",
+    # retired with ingest's dendrogram-prefix replay; declared at zero in
+    # repro.cluster.agglomerative while the benchmark's per-layer ledger reads it
     "cluster.merges_replayed": "counter",
     "cluster.runs": "counter",
     # CSV ingestion (repro.reldb.csvio)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.composite import CollectiveWalkMeasure
+from repro.cluster.composite import CollectiveWalkMeasure, CompositeMeasure
 
 
 def matrix(entries, n):
@@ -19,21 +19,21 @@ WALK = matrix([(0, 1, 0.4), (1, 2, 0.2), (3, 4, 0.5)], 5)
 class TestCollectiveWalkMeasure:
     def test_singleton_similarity_is_pair_walk(self):
         measure = CollectiveWalkMeasure(WALK)
-        assert measure.similarity(0, 1) == pytest.approx(0.4)
-        assert measure.similarity(0, 3) == 0.0
+        assert measure.similarities(0)[1] == pytest.approx(0.4)
+        assert measure.similarities(0)[3] == 0.0
 
     def test_resemblance_term_ignored(self):
         measure = CollectiveWalkMeasure(WALK)
-        # average_resemblance is zero (constructed with zeros) but
-        # similarity is still positive — unlike the composite.
-        assert measure.average_resemblance(0, 1) == 0.0
-        assert measure.similarity(0, 1) > 0.0
+        # With zero resemblance the composite is zero, but the walk-only
+        # similarity is still positive.
+        assert CompositeMeasure(np.zeros_like(WALK), WALK).similarities(0)[1] == 0.0
+        assert measure.similarities(0)[1] > 0.0
 
     def test_collective_aggregation_after_merge(self):
         measure = CollectiveWalkMeasure(WALK)
-        measure.merge(0, 1, 5)
+        measure.merge(0, 1)
         # {0,1} vs {2}: W = 0.2 ; (W/2 + W/1)/2
-        assert measure.similarity(5, 2) == pytest.approx(0.5 * (0.2 / 2 + 0.2))
+        assert measure.similarities(0)[2] == pytest.approx(0.5 * (0.2 / 2 + 0.2))
 
     def test_accumulates_many_weak_links(self):
         # Two groups with many weak cross links: collective walk grows with
@@ -42,11 +42,11 @@ class TestCollectiveWalkMeasure:
         weak = np.full((n, n), 0.01)
         np.fill_diagonal(weak, 0.0)
         measure = CollectiveWalkMeasure(weak)
-        measure.merge(0, 1, n)
-        measure.merge(n, 2, n + 1)  # {0,1,2}
-        measure.merge(3, 4, n + 2)
-        measure.merge(n + 2, 5, n + 3)  # {3,4,5}
-        collective = measure.similarity(n + 1, n + 3)
+        measure.merge(0, 1)
+        measure.merge(0, 2)  # {0,1,2}
+        measure.merge(3, 4)
+        measure.merge(3, 5)  # {3,4,5}
+        collective = measure.similarities(0)[3]
         # 9 cross pairs x 0.01 = 0.09 total; (0.09/3 + 0.09/3)/2 = 0.03 —
         # three times the individual pair value.
         assert collective == pytest.approx(0.03)

@@ -25,23 +25,23 @@ WALK = matrix([(0, 1, 0.4), (0, 2, 0.3), (1, 2, 0.2), (3, 4, 0.5), (2, 3, 0.05)]
 class TestCompositeMeasure:
     def test_singleton_similarity_is_geometric_mean(self):
         measure = CompositeMeasure(RESEM, WALK)
-        assert measure.similarity(0, 1) == pytest.approx(math.sqrt(0.8 * 0.4))
+        assert measure.similarities(0)[1] == pytest.approx(math.sqrt(0.8 * 0.4))
 
     def test_zero_when_either_component_zero(self):
         measure = CompositeMeasure(RESEM, WALK)
-        assert measure.similarity(0, 4) == 0.0
+        assert measure.similarities(0)[4] == 0.0
 
     def test_average_resemblance_after_merge(self):
         measure = CompositeMeasure(RESEM, WALK)
-        measure.merge(0, 1, 5)
+        measure.merge(0, 1)
         # {0,1} vs {2}: (0.6 + 0.7) / 2
-        assert measure.average_resemblance(5, 2) == pytest.approx(0.65)
+        assert measure.resemblance.similarities(0)[2] == pytest.approx(0.65)
 
     def test_collective_walk_after_merge(self):
         measure = CompositeMeasure(RESEM, WALK)
-        measure.merge(0, 1, 5)
+        measure.merge(0, 1)
         # W = 0.3 + 0.2 ; (W/2 + W/1) / 2
-        assert measure.collective_walk_probability(5, 2) == pytest.approx(
+        assert measure.walk.similarities(0)[2] == pytest.approx(
             0.5 * (0.5 / 2 + 0.5 / 1)
         )
 
@@ -49,17 +49,17 @@ class TestCompositeMeasure:
         # Average-link dilutes by |C1||C2|; collective walk divides by
         # cluster sizes only once, so many weak cross links still count.
         measure = CompositeMeasure(RESEM, WALK)
-        measure.merge(0, 1, 5)
+        measure.merge(0, 1)
         avg_walk = (0.3 + 0.2) / 2  # what average-link would compute
-        assert measure.collective_walk_probability(5, 2) > avg_walk
+        assert measure.walk.similarities(0)[2] > avg_walk
 
     def test_merge_is_equivalent_to_recomputing_sums(self):
         measure = CompositeMeasure(RESEM, WALK)
-        measure.merge(0, 1, 5)
-        measure.merge(5, 2, 6)
+        measure.merge(0, 1)
+        measure.merge(0, 2)
         # {0,1,2} vs {3}: resem sum = RESEM[2,3] only
-        assert measure.average_resemblance(6, 3) == pytest.approx(0.1 / 3)
-        assert measure.collective_walk_probability(6, 3) == pytest.approx(
+        assert measure.resemblance.similarities(0)[3] == pytest.approx(0.1 / 3)
+        assert measure.walk.similarities(0)[3] == pytest.approx(
             0.5 * (0.05 / 3 + 0.05 / 1)
         )
 

@@ -36,13 +36,13 @@ class TestMeasureValidation:
 class TestSingleLink:
     def test_initial_similarity_is_pair_value(self):
         measure = SingleLinkMeasure(TWO_GROUPS)
-        assert measure.similarity(0, 1) == pytest.approx(0.9)
-        assert measure.similarity(0, 4) == 0.0
+        assert measure.similarities(0)[1] == pytest.approx(0.9)
+        assert measure.similarities(0)[4] == 0.0
 
     def test_merge_takes_max(self):
         measure = SingleLinkMeasure(TWO_GROUPS)
-        measure.merge(0, 2, 5)
-        assert measure.similarity(5, 1) == pytest.approx(0.9)
+        measure.merge(0, 2)
+        assert measure.similarities(0)[1] == pytest.approx(0.9)
 
     def test_chains_through_weak_link(self):
         # Single-link merges everything reachable above the threshold.
@@ -55,13 +55,13 @@ class TestSingleLink:
 class TestCompleteLink:
     def test_merge_takes_min(self):
         measure = CompleteLinkMeasure(TWO_GROUPS)
-        measure.merge(0, 1, 5)
-        assert measure.similarity(5, 2) == pytest.approx(0.8)
+        measure.merge(0, 1)
+        assert measure.similarities(0)[2] == pytest.approx(0.8)
 
     def test_one_sided_linkage_becomes_zero(self):
         measure = CompleteLinkMeasure(TWO_GROUPS)
-        measure.merge(1, 3, 5)  # cluster {1,3}: 0 has no link to 3
-        assert measure.similarity(5, 0) == 0.0
+        measure.merge(1, 3)  # cluster {1,3}: 0 has no link to 3
+        assert measure.similarities(1)[0] == 0.0
 
     def test_refuses_weakly_linked_partitions(self):
         result = AgglomerativeClusterer(min_sim=0.1).cluster(
@@ -73,21 +73,21 @@ class TestCompleteLink:
 
     def test_initial_similarity(self):
         measure = CompleteLinkMeasure(TWO_GROUPS)
-        assert measure.similarity(3, 4) == pytest.approx(0.9)
+        assert measure.similarities(3)[4] == pytest.approx(0.9)
 
 
 class TestAverageLink:
     def test_merge_averages(self):
         measure = AverageLinkMeasure(TWO_GROUPS)
-        measure.merge(0, 2, 5)  # cluster {0,2} vs {1}: (0.9 + 0.85) / 2
-        assert measure.similarity(5, 1) == pytest.approx(0.875)
+        measure.merge(0, 2)  # cluster {0,2} vs {1}: (0.9 + 0.85) / 2
+        assert measure.similarities(0)[1] == pytest.approx(0.875)
 
     def test_weak_link_diluted(self):
         measure = AverageLinkMeasure(TWO_GROUPS)
-        measure.merge(0, 1, 5)
-        measure.merge(5, 2, 6)  # {0,1,2}
+        measure.merge(0, 1)
+        measure.merge(0, 2)  # {0,1,2}
         # vs {3}: only (1,3)=0.2 -> 0.2/3
-        assert measure.similarity(6, 3) == pytest.approx(0.2 / 3)
+        assert measure.similarities(0)[3] == pytest.approx(0.2 / 3)
 
     def test_clusters_two_groups_at_moderate_threshold(self):
         result = AgglomerativeClusterer(min_sim=0.3).cluster(
@@ -98,6 +98,6 @@ class TestAverageLink:
 
     def test_sizes_tracked(self):
         measure = AverageLinkMeasure(TWO_GROUPS)
-        measure.merge(0, 1, 5)
-        assert measure.size(5) == 2
+        measure.merge(0, 1)
+        assert measure.size(0) == 2
         assert measure.size(3) == 1

@@ -9,8 +9,6 @@ and the report surface.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.distinct import Distinct
@@ -247,12 +245,3 @@ class TestReportSurface:
         assert totals["names_refreshed"] + totals["names_clean"] == len(NAMES)
         assert totals["refs_new"] > 0  # the delta added references
         assert totals["pairs_recomputed"] > 0
-
-    def test_adopt_of_untracked_name_is_a_noop(self, warm):
-        distinct, split = warm
-        engine = IngestEngine(distinct, min_sim=MIN_SIM)
-        engine.resolve("Jim Smith")
-        report = engine.ingest(split.delta)
-        stray = replace(report.refreshes[0], name="Nobody")
-        engine.adopt(stray)  # must not raise, must not add state
-        assert engine.names == ["Jim Smith"]

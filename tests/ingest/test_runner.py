@@ -102,13 +102,6 @@ class TestParameterValidation:
             )
         assert INGEST_MODES == ("exact", "greedy")
 
-    def test_nonpositive_workers_rejected(self, fitted, small_world):
-        split = split_world(grow_world(small_world, 2, seed=0), 2)
-        with pytest.raises(ValueError, match="workers"):
-            ingest_resilient(
-                fitted, split.truth, NAMES, split.delta, MIN_SIM, workers=0
-            )
-
 
 class TestGreedyMode:
     def test_greedy_run_scores_every_name(self, fitted, small_world):

@@ -26,15 +26,24 @@ by row.
 
 :func:`optimality` measures how far a fitted
 :class:`~repro.ml.svm.LinearSVM` is from the squared-hinge optimum.
+
+:func:`heap_merges` is the clustering oracle: the lazy-deletion max-heap
+merge loop over the dict-of-dict measures :class:`DictPairMeasure` and
+:class:`DictCompositeMeasure`, which the dense-array engine
+(:class:`repro.cluster.AgglomerativeClusterer`) must match merge for
+merge, similarities byte for byte.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
+from repro.cluster.dendrogram import Dendrogram, Merge
 from repro.core.features import PairFeatures
 from repro.ml.svm import GRADIENT_TOL
 from repro.paths.batch import BatchedProfiles
@@ -501,3 +510,167 @@ def optimality(svm, X, y):
     dual = np.sum(alpha) - 0.5 * v @ v - np.sum(alpha**2 / (4.0 * costs))
     tol = GRADIENT_TOL * max(1.0, float(np.linalg.norm(g0)))
     return float(np.linalg.norm(grad)), tol, svm.primal_objective(X, y) - dual
+
+
+# -- clustering (§4) ------------------------------------------------------------
+#
+# The dict-of-dict measures and the lazy max-heap merge loop the runtime
+# replaced with dense arrays. Cluster ids are opaque ints: leaves
+# ``0..n-1``, merge ``k`` creates ``n + k``.
+
+
+class DictPairMeasure:
+    """Linkage aggregates over one pair matrix, as ``stats[a][b]`` dicts.
+
+    ``kind`` is ``"single"`` (max), ``"complete"`` (min; a one-sided
+    linkage becomes 0) or ``"average"`` (sum over the size product).
+    """
+
+    def __init__(self, pair_sims: np.ndarray, kind: str) -> None:
+        pair_sims = np.asarray(pair_sims, dtype=float)
+        self.kind = kind
+        self._n = pair_sims.shape[0]
+        # stats[a][b] == stats[b][a]: the linkage aggregate between clusters
+        self._stats: dict[int, dict[int, float]] = {
+            i: {
+                j: float(pair_sims[i, j])
+                for j in range(self._n)
+                if j != i and pair_sims[i, j] > 0.0
+            }
+            for i in range(self._n)
+        }
+        self._size: dict[int, int] = {i: 1 for i in range(self._n)}
+
+    def n_items(self) -> int:
+        return self._n
+
+    def _combine(self, x: float, y: float) -> float:
+        if self.kind == "single":
+            return max(x, y)
+        if self.kind == "complete":
+            return min(x, y)
+        return x + y
+
+    def merge(self, a: int, b: int, merged_id: int) -> None:
+        stats_a = self._stats.pop(a)
+        stats_b = self._stats.pop(b)
+        merged: dict[int, float] = {}
+        for other in sorted((set(stats_a) | set(stats_b)) - {a, b}):
+            if other in stats_a and other in stats_b:
+                value = self._combine(stats_a[other], stats_b[other])
+            elif self.kind == "complete":
+                value = 0.0  # some cross pair had similarity 0
+            else:
+                value = stats_a[other] if other in stats_a else stats_b[other]
+            if value > 0.0:
+                merged[other] = value
+            other_stats = self._stats[other]
+            other_stats.pop(a, None)
+            other_stats.pop(b, None)
+            if value > 0.0:
+                other_stats[merged_id] = value
+        self._stats[merged_id] = merged
+        self._size[merged_id] = self._size.pop(a) + self._size.pop(b)
+
+    def similarity(self, a: int, b: int) -> float:
+        total = self._stats[a].get(b, 0.0)
+        if self.kind != "average" or total == 0.0:
+            return total
+        return total / (self._size[a] * self._size[b])
+
+
+class DictCompositeMeasure:
+    """DISTINCT's composite over ``resem_sum[a][b]``/``walk_sum[a][b]`` dicts;
+    ``walk_only`` drops the resemblance factor (the collective walk alone)."""
+
+    def __init__(
+        self, pair_resem: np.ndarray, pair_walk: np.ndarray, walk_only: bool = False
+    ) -> None:
+        self.walk_only = walk_only
+        self._n = pair_walk.shape[0]
+        self._resem_sum: dict[int, dict[int, float]] = {}
+        self._walk_sum: dict[int, dict[int, float]] = {}
+        for i in range(self._n):
+            self._resem_sum[i] = {}
+            self._walk_sum[i] = {}
+            for j in range(self._n):
+                if j == i:
+                    continue
+                if pair_resem[i, j] > 0.0:
+                    self._resem_sum[i][j] = float(pair_resem[i, j])
+                if pair_walk[i, j] > 0.0:
+                    self._walk_sum[i][j] = float(pair_walk[i, j])
+        self._size: dict[int, int] = {i: 1 for i in range(self._n)}
+
+    def n_items(self) -> int:
+        return self._n
+
+    def merge(self, a: int, b: int, merged_id: int) -> None:
+        for sums in (self._resem_sum, self._walk_sum):
+            sums_a = sums.pop(a)
+            sums_b = sums.pop(b)
+            merged: dict[int, float] = {}
+            for other in sorted((set(sums_a) | set(sums_b)) - {a, b}):
+                value = sums_a.get(other, 0.0) + sums_b.get(other, 0.0)
+                merged[other] = value
+                other_sums = sums[other]
+                other_sums.pop(a, None)
+                other_sums.pop(b, None)
+                other_sums[merged_id] = value
+            sums[merged_id] = merged
+        self._size[merged_id] = self._size.pop(a) + self._size.pop(b)
+
+    def average_resemblance(self, a: int, b: int) -> float:
+        total = self._resem_sum[a].get(b, 0.0)
+        if total == 0.0:
+            return 0.0
+        return total / (self._size[a] * self._size[b])
+
+    def collective_walk_probability(self, a: int, b: int) -> float:
+        total = self._walk_sum[a].get(b, 0.0)
+        if total == 0.0:
+            return 0.0
+        return 0.5 * (total / self._size[a] + total / self._size[b])
+
+    def similarity(self, a: int, b: int) -> float:
+        walk = self.collective_walk_probability(a, b)
+        if self.walk_only:
+            return walk
+        resem = self.average_resemblance(a, b)
+        if resem <= 0.0 or walk <= 0.0:
+            return 0.0
+        return math.sqrt(resem * walk)
+
+
+def heap_merges(measure, min_sim: float) -> list[Merge]:
+    """The merge sequence of a lazy-deletion max-heap merge loop.
+
+    Leaf pairs enter as ``(min, max)``; each merged cluster's pairs are
+    pushed at its creation as ``(merged, other)``. Pops follow the
+    entries' total order ``(-sim, a, b)``; an entry naming a cluster
+    already merged away is stale and skipped.
+    """
+    n = measure.n_items()
+    dendrogram = Dendrogram(n_leaves=n)
+    alive = set(range(n))
+    heap: list[tuple[float, int, int]] = []
+
+    def push(a: int, b: int) -> None:
+        sim = measure.similarity(a, b)
+        if sim > 0.0 and sim >= min_sim:
+            heapq.heappush(heap, (-sim, a, b))
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            push(a, b)
+    while heap:
+        neg_sim, a, b = heapq.heappop(heap)
+        if a not in alive or b not in alive:
+            continue  # stale entry
+        merged = dendrogram.record(a, b, -neg_sim)
+        measure.merge(a, b, merged)
+        alive -= {a, b}
+        for other in sorted(alive):
+            push(merged, other)
+        alive.add(merged)
+    return dendrogram.merges

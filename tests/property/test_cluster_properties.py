@@ -2,7 +2,9 @@
 
 The central invariant (§4.2): the *incrementally* maintained cluster
 similarities must equal a brute-force recomputation from the original pair
-matrices after any sequence of merges.
+matrices after any sequence of merges. The dense-array merge loop must
+reproduce the heap-loop oracle (:func:`tests.oracle.heap_merges`) merge for
+merge, ties included.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from repro.cluster import (
     CompositeMeasure,
     SingleLinkMeasure,
 )
+from repro.cluster.composite import CollectiveWalkMeasure
+from tests.oracle import DictCompositeMeasure, DictPairMeasure, heap_merges
 
 
 @st.composite
@@ -58,6 +62,17 @@ def matrix_and_merges(draw):
     return matrix, merges
 
 
+def merge_random_slots(measures, n, n_merges, rng):
+    """Fold random live slot pairs in every measure; the members per slot."""
+    members = {i: {i} for i in range(n)}
+    for _ in range(n_merges):
+        i, j = rng.sample(sorted(members), 2)
+        for measure in measures:
+            measure.merge(i, j)
+        members[i] |= members.pop(j)
+    return members
+
+
 class TestIncrementalEqualsBruteForce:
     @given(matrix_and_merges(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -69,15 +84,7 @@ class TestIncrementalEqualsBruteForce:
             "complete": CompleteLinkMeasure(matrix),
             "average": AverageLinkMeasure(matrix),
         }
-        members = {i: {i} for i in range(n)}
-        next_id = n
-        for _ in range(n_merges):
-            active = sorted(members)
-            a, b = rng.sample(active, 2)
-            for measure in measures.values():
-                measure.merge(a, b, next_id)
-            members[next_id] = members.pop(a) | members.pop(b)
-            next_id += 1
+        members = merge_random_slots(measures.values(), n, n_merges, rng)
 
         active = sorted(members)
         for x_idx in range(len(active)):
@@ -85,7 +92,7 @@ class TestIncrementalEqualsBruteForce:
                 x, y = active[x_idx], active[y_idx]
                 for kind, measure in measures.items():
                     expected = brute_force(matrix, members[x], members[y], kind)
-                    assert measure.similarity(x, y) == pytest.approx(
+                    assert measure.similarities(x)[y] == pytest.approx(
                         expected, abs=1e-9
                     ), kind
 
@@ -95,14 +102,7 @@ class TestIncrementalEqualsBruteForce:
         resem, n_merges = matrix_merges
         walk = resem * 0.25  # any symmetric non-negative matrix works
         measure = CompositeMeasure(resem, walk)
-        n = resem.shape[0]
-        members = {i: {i} for i in range(n)}
-        next_id = n
-        for _ in range(n_merges):
-            a, b = rng.sample(sorted(members), 2)
-            measure.merge(a, b, next_id)
-            members[next_id] = members.pop(a) | members.pop(b)
-            next_id += 1
+        members = merge_random_slots([measure], resem.shape[0], n_merges, rng)
 
         active = sorted(members)
         for i in range(len(active)):
@@ -118,7 +118,84 @@ class TestIncrementalEqualsBruteForce:
                     if avg_resem > 0 and coll_walk > 0
                     else 0.0
                 )
-                assert measure.similarity(x, y) == pytest.approx(expected, abs=1e-9)
+                assert measure.similarities(x)[y] == pytest.approx(
+                    expected, abs=1e-9
+                )
+
+
+#: Few distinct values, so equal similarities (and zeros) are common.
+TIE_VALUES = (0.0, 0.0, 0.125, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def tied_matrix(draw, n):
+    values = draw(
+        st.lists(
+            st.sampled_from(TIE_VALUES),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        )
+    )
+    matrix = np.zeros((n, n))
+    matrix[np.triu_indices(n, k=1)] = values
+    return matrix + matrix.T
+
+
+#: (array measure, oracle measure) per kind, over (resemblance, walk).
+MEASURE_PAIRS = {
+    "composite": (
+        CompositeMeasure,
+        lambda r, w: DictCompositeMeasure(r, w),
+    ),
+    "walk": (
+        lambda r, w: CollectiveWalkMeasure(w),
+        lambda r, w: DictCompositeMeasure(r, w, walk_only=True),
+    ),
+    "average": (
+        lambda r, w: AverageLinkMeasure(r),
+        lambda r, w: DictPairMeasure(r, "average"),
+    ),
+    "single": (
+        lambda r, w: SingleLinkMeasure(r),
+        lambda r, w: DictPairMeasure(r, "single"),
+    ),
+    "complete": (
+        lambda r, w: CompleteLinkMeasure(r),
+        lambda r, w: DictPairMeasure(r, "complete"),
+    ),
+}
+
+
+def merge_bytes(merges):
+    return [
+        (m.left, m.right, m.merged, np.float64(m.similarity).tobytes())
+        for m in merges
+    ]
+
+
+class TestArrayLoopMatchesHeapOracle:
+    """The dense-array engine merges exactly as the lazy heap loop did."""
+
+    @pytest.mark.parametrize("kind", sorted(MEASURE_PAIRS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_merges_and_similarity_bytes(self, kind, data):
+        n = data.draw(st.integers(min_value=1, max_value=10), label="n")
+        resem = data.draw(tied_matrix(n), label="resem")
+        walk = data.draw(tied_matrix(n), label="walk")
+        make_array, make_oracle = MEASURE_PAIRS[kind]
+        full = heap_merges(make_oracle(resem, walk), 0.0)
+        # 0, or a merge similarity of the full tree: a threshold that cuts
+        # it exactly at one of its own (possibly tied) values.
+        cuts = [0.0] + [m.similarity for m in full]
+        min_sim = data.draw(st.sampled_from(cuts), label="min_sim")
+
+        expected = heap_merges(make_oracle(resem, walk), min_sim)
+        result = AgglomerativeClusterer(min_sim).cluster(make_array(resem, walk))
+        assert merge_bytes(result.dendrogram.merges) == merge_bytes(expected)
+        assert np.asarray(result.merge_similarities).tobytes() == np.asarray(
+            [m.similarity for m in expected], dtype=float
+        ).tobytes()
 
 
 class TestEngineInvariants:

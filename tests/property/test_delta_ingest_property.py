@@ -5,9 +5,8 @@ that resolved every name pre-delta and then applies the delta must
 produce exactly the rows, clusters, pair matrices, dendrogram merges,
 and merge similarities of a cold ``prepare``/``cluster_prepared`` on
 the post-delta database with the same fitted models — through the
-engine, and through the resilient runner serially and on a process
-pool — plus a crash-mid-ingest + resume chaos case through the
-resilient runner. A community-local delta must also leave a name clean
+engine and through the resilient runner — plus a crash-mid-ingest +
+resume chaos case through the resilient runner. A community-local delta must also leave a name clean
 and let a refreshed name reuse pairs.
 
 The fitted models come from the session-scoped ``fitted`` fixture (the
@@ -90,8 +89,7 @@ def ingest_vs_cold(fitted, world, n_delta, seed, author_pool=None):
 @pytest.fixture
 def snapshotting_runner(monkeypatch):
     """Make every name the resilient runner scores carry the snapshot of
-    the resolution it scored. On the pool route the scoring runs in the
-    forked worker, and the snapshot travels home with the score."""
+    the resolution it scored."""
     score = runner.score_resolution
 
     def scored(resolution, truth):
@@ -102,12 +100,11 @@ def snapshotting_runner(monkeypatch):
     monkeypatch.setattr(runner, "score_resolution", scored)
 
 
-def resilient_ingest(fitted, grown, n_delta, workers):
-    """``repro ingest``'s route over a grown-world split, at ``workers``."""
+def resilient_ingest(fitted, grown, n_delta):
+    """``repro ingest``'s route over a grown-world split."""
     split = split_world(grown, n_delta)
     outcome = ingest_resilient(
-        rebind(fitted, split.base), split.truth, NAMES, split.delta, MIN_SIM,
-        workers=workers,
+        rebind(fitted, split.base), split.truth, NAMES, split.delta, MIN_SIM
     )
     assert outcome.complete and not outcome.errors
     assert [r.name for r in outcome.result.names] == NAMES
@@ -137,23 +134,11 @@ class TestByteIdentity:
         self, fitted, small_world, snapshotting_runner
     ):
         grown = grow_world(small_world, 12, seed=5)
-        outcome = resilient_ingest(fitted, grown, 12, workers=2)
+        outcome = resilient_ingest(fitted, grown, 12)
         expected = cold_snapshots(fitted, grown)
         for result in outcome.result.names:
             assert result.snapshot == expected[result.name], result.name
         assert outcome.stats["names_refreshed"] >= 1
-
-    def test_parallel_equals_serial(self, fitted, small_world, snapshotting_runner):
-        grown = grow_world(small_world, 10, seed=9)
-        serial, pooled = (
-            resilient_ingest(fitted, grown, 10, workers=workers)
-            for workers in (1, 2)
-        )
-        assert pooled.result.names == serial.result.names
-        assert [r.snapshot for r in pooled.result.names] == [
-            r.snapshot for r in serial.result.names
-        ]
-        assert pooled.stats == serial.stats
 
 
 class TestLadderReuse:

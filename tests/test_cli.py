@@ -377,6 +377,54 @@ class TestResilienceFlags:
         assert ckpt.exists()
         assert "best min-sim:" in capsys.readouterr().out
 
+class TestIngest:
+    @pytest.fixture(scope="class")
+    def delta_world(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("deltaworld")
+        code = main(
+            [
+                "generate", "--out", str(out), "--scale", "0.3", "--seed", "5",
+                "--delta-papers", "12",
+            ]
+        )
+        assert code == 0
+        models = out / "models"
+        code = main(
+            [
+                "fit", "--db", str(out), "--out", str(models),
+                "--positive", "150", "--negative", "150", "--svm-c", "10",
+            ]
+        )
+        assert code == 0
+        return out
+
+    def _ingest_args(self, world):
+        return [
+            "ingest",
+            "--db", str(world),
+            "--models", str(world / "models"),
+            "--truth", str(world / "truth.json"),
+            "--delta", str(world / "delta.json"),
+            "--names", "Rakesh Kumar,Wei Wang",
+        ]
+
+    def test_writes_scored_results_and_stats(self, delta_world, tmp_path, capsys):
+        out = tmp_path / "ingest.json"
+        assert main([*self._ingest_args(delta_world), "--output", str(out)]) == 0
+        assert "replayed" not in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert [r["name"] for r in payload["names"]] == ["Rakesh Kumar", "Wei Wang"]
+        assert payload["epoch"] == 1
+        assert "merges_replayed" not in payload["stats"]
+        assert payload["stats"]["names_refreshed"] + payload["stats"]["names_clean"] == 2
+
+    def test_workers_flag_rejected(self, delta_world, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self._ingest_args(delta_world), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
 class TestReportCommand:
     @pytest.fixture(scope="class")
     def trace_path(self, world_dir, model_dir, tmp_path_factory):
