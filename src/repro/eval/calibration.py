@@ -25,20 +25,16 @@ from repro.core.features import all_pairs, compute_pair_features
 from repro.core.references import extract_references
 from repro.errors import DeadlineExceeded, NotFittedError, TrainingError
 from repro.eval.metrics import pairwise_scores
+from repro.eval.runner import NameLoop
 from repro.ml.trainingset import build_training_set
 from repro.obs import get_logger, span
-from repro.perf import (
-    DEFAULT_TASK_RETRIES,
-    RemoteTaskError,
-    ordered_process_map,
-)
+from repro.perf import DEFAULT_TASK_RETRIES
 from repro.resilience import (
     CheckpointStore,
     Deadline,
     ErrorCollector,
     Policy,
     fault_check,
-    guard,
 )
 
 log = get_logger("eval.calibration")
@@ -128,10 +124,15 @@ def make_synthetic_names(
     return synthetic
 
 
+def _synthetic_key(synthetic: SyntheticName) -> str:
+    return "+".join(synthetic.member_names)
+
+
 def prepare_synthetic(distinct: Distinct, synthetic: SyntheticName) -> NamePreparation:
     """Profile a pooled pseudo-name with the union of member exclusions."""
     assert distinct.db is not None and distinct.paths_ is not None
-    fault_check("profile", "+".join(synthetic.member_names))
+    key = _synthetic_key(synthetic)
+    fault_check("profile", key)
     config = distinct.config
     excluded_rows: set[int] = set()
     for name in synthetic.member_names:
@@ -140,16 +141,16 @@ def prepare_synthetic(distinct: Distinct, synthetic: SyntheticName) -> NamePrepa
     builder = distinct._builder({config.object_relation: frozenset(excluded_rows)})
     features = compute_pair_features(builder, all_pairs(synthetic.rows))
     return NamePreparation(
-        name="+".join(synthetic.member_names), rows=synthetic.rows, features=features
+        name=key, rows=synthetic.rows, features=features
     )
 
 
 def _calibrate_name_task(payload, synthetic: SyntheticName) -> dict:
-    """Worker body for parallel calibration: profile + sweep one pooled name.
+    """Profile + sweep one pooled name.
 
-    Returns the per-grid-point f1 list plus the phase wall times so the
-    parent's :class:`CalibrationResult` timing fields stay meaningful
-    (they sum worker-side seconds, exactly like a serial run would).
+    Returns the name's key and per-grid-point f1 list plus the phase
+    wall times, so the :class:`CalibrationResult` timing fields sum the
+    per-name seconds wherever (inline or on a pool worker) each name ran.
     """
     distinct, grid = payload
     tp = time.perf_counter()
@@ -163,10 +164,15 @@ def _calibrate_name_task(payload, synthetic: SyntheticName) -> dict:
         for min_sim in grid
     ]
     return {
+        "key": _synthetic_key(synthetic),
         "f1": f1s,
         "seconds_prepare": ts - tp,
         "seconds_sweep": time.perf_counter() - ts,
     }
+
+
+def _calibration_entry(scored: dict) -> dict:
+    return {"key": scored["key"], "f1": scored["f1"]}
 
 
 def calibration_checkpoint(
@@ -208,123 +214,44 @@ def calibrate_min_sim(
     the exact configuration that will run at resolve time.
 
     The expensive per-synthetic-name work (profiling the pooled references,
-    then sweeping the grid) runs one name at a time so failures follow
-    ``policy``, progress can be ``checkpoint``-ed after every name and
-    resumed, and an expired ``deadline`` stops the run gracefully
-    (``interrupted=True``; the partial result covers the scored names).
-    Raises :class:`DeadlineExceeded` if the deadline expires before any
-    synthetic name was scored.
+    then sweeping the grid) runs one name at a time through the resilient
+    per-name loop (:class:`repro.eval.runner.NameLoop`), so failures
+    follow ``policy``, progress can be ``checkpoint``-ed after every name
+    and resumed, and an expired ``deadline`` stops the run gracefully
+    (``interrupted=True``; the partial result covers the scored names,
+    checkpointed ones included). Raises :class:`DeadlineExceeded` if the
+    deadline expires before any synthetic name was scored.
 
-    ``workers > 1`` fans the per-name work out over a process pool
-    (:func:`repro.perf.ordered_process_map`); results are consumed in
-    input order and worker failures re-enter the same ``guard`` the
-    serial path uses, so the calibrated threshold and every policy /
-    checkpoint / deadline behaviour match a single-worker run.
+    ``workers > 1`` fans the per-name work out over that loop's process
+    pool, so the calibrated threshold and every policy / checkpoint /
+    deadline behaviour match a single-worker run.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    policy = Policy.coerce(policy)
-    collector = collector if collector is not None else ErrorCollector()
     t0 = time.perf_counter()
     with span("calibration.make_names", n_names=n_names, members=members):
         synthetic = make_synthetic_names(
             distinct, n_names=n_names, members=members, seed=seed
         )
-
-    done: dict[str, list[float]] = {}
-    if checkpoint is not None and checkpoint.exists():
-        payload = checkpoint.load()  # None: corrupt file was quarantined
-        if payload is not None:
-            done = {entry["key"]: entry["f1"] for entry in payload["completed"]}
-
-    completed: list[dict] = []
-    per_name_f1: list[list[float]] = []
-    interrupted = False
+    loop = NameLoop(
+        synthetic, policy=policy, collector=collector, checkpoint=checkpoint,
+        deadline=deadline, workers=workers, task_retries=task_retries,
+        key=_synthetic_key, entry_key="key",
+    )
     seconds_prepare = time.perf_counter() - t0  # synthetic-name construction
-    seconds_sweep = 0.0
-
-    def save_progress(complete: bool = False) -> None:
-        if checkpoint is not None:
-            checkpoint.save(completed, errors=collector.to_dicts(), complete=complete)
-
     with span(
         "calibration.names",
         n_names=len(synthetic),
         grid_size=len(grid),
         workers=workers,
     ):
-        results_iter = None
-        if workers > 1:
-            pending = [
-                syn for syn in synthetic
-                if "+".join(syn.member_names) not in done
-            ]
-            results_iter = ordered_process_map(
-                _calibrate_name_task,
-                (distinct, grid),
-                pending,
-                workers=workers,
-                deadline=deadline,
-                task_retries=task_retries,
-            )
-        try:
-            for syn in synthetic:
-                key = "+".join(syn.member_names)
-                if deadline is not None and deadline.expired():
-                    interrupted = True
-                    log.warning(
-                        "calibration deadline expired after %d/%d synthetic names",
-                        len(per_name_f1), len(synthetic),
-                    )
-                    break
-                if key in done:
-                    per_name_f1.append(done[key])
-                    completed.append({"key": key, "f1": done[key]})
-                    continue
-                f1s: list[float] | None = None
-                if results_iter is not None:
-                    task = next(results_iter)
-                    assert task.item is syn, "parallel map yielded out of order"
-                    if task.interrupted:
-                        interrupted = True
-                        log.warning(
-                            "calibration deadline expired after %d/%d synthetic names",
-                            len(per_name_f1), len(synthetic),
-                        )
-                        break
-                    with guard("calibration.name", key, policy, collector):
-                        if task.error is not None:
-                            raise RemoteTaskError(task.error)
-                        f1s = task.value["f1"]
-                        seconds_prepare += task.value["seconds_prepare"]
-                        seconds_sweep += task.value["seconds_sweep"]
-                else:
-                    with guard("calibration.name", key, policy, collector):
-                        tp = time.perf_counter()
-                        prep = prepare_synthetic(distinct, syn)
-                        seconds_prepare += time.perf_counter() - tp
-                        ts = time.perf_counter()
-                        f1s = [
-                            pairwise_scores(
-                                distinct.cluster_prepared(
-                                    prep, min_sim=min_sim
-                                ).clusters,
-                                syn.gold,
-                            ).f1
-                            for min_sim in grid
-                        ]
-                        seconds_sweep += time.perf_counter() - ts
-                if f1s is None:  # failed; policy skipped/collected it
-                    save_progress()
-                    continue
-                per_name_f1.append(f1s)
-                completed.append({"key": key, "f1": f1s})
-                save_progress()
-        finally:
-            if results_iter is not None:
-                # Cancels still-queued tasks when the loop exits early
-                # (deadline, raise policy); no-op after full consumption.
-                results_iter.close()
+        fresh = loop.run(
+            "calibration.name", _calibrate_name_task, (distinct, grid),
+            encode=_calibration_entry,
+        )
+    loop.finish()
+    seconds_prepare += sum(v["seconds_prepare"] for v in fresh.values())
+    seconds_sweep = sum(v["seconds_sweep"] for v in fresh.values())
+    per_name_f1 = [v["f1"] for v in loop.completed()]
+    interrupted = loop.interrupted
 
     if not per_name_f1:
         if interrupted:
@@ -333,14 +260,13 @@ def calibrate_min_sim(
             )
         raise TrainingError(
             "no synthetic name could be scored "
-            f"({len(collector)} failure(s) collected)"
+            f"({len(loop.collector)} failure(s) collected)"
         )
 
     f1_by_min_sim = {
         min_sim: float(np.mean([f1s[i] for f1s in per_name_f1]))
         for i, min_sim in enumerate(grid)
     }
-    save_progress(complete=not interrupted)
 
     best = max(f1_by_min_sim, key=f1_by_min_sim.get)
     log.info(

@@ -8,16 +8,17 @@ pair features, and merges untouched. This package applies a
 four-rung invalidation ladder (dirty rows → dirty references → dirty
 pairs → dirty merges; see :mod:`repro.ingest.engine`) whose every rung
 preserves bytes: the refreshed resolutions equal a cold
-``prepare``/``cluster_prepared`` on the post-delta database exactly,
-serial or on a process pool.
+``prepare``/``cluster_prepared`` on the post-delta database exactly.
+Names refresh in-process.
 
 - :mod:`repro.ingest.dirty` — which existing rows a delta touched;
 - :mod:`repro.ingest.engine` — :class:`IngestEngine`, the per-name
   state + refresh ladder (``--mode exact``);
 - :mod:`repro.ingest.greedy` — the approximate single-reference
   assigner (``--mode greedy``);
-- :mod:`repro.ingest.runner` — the resilient ``repro ingest`` loop:
-  checkpoints, ``--resume``, policies, workers.
+- :mod:`repro.ingest.runner` — the resilient ``repro ingest`` run on
+  the shared per-name loop (:class:`repro.eval.runner.NameLoop`):
+  checkpoints, ``--resume``, policies, a deadline.
 
 ``pipebench``'s ``ingest-stream`` workload measures the ladder on a
 stream of crawl increments.

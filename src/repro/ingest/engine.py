@@ -40,7 +40,9 @@ to a cold ``prepare``/``cluster_prepared`` on the post-delta database —
 the property suite asserts full equality.
 
 :meth:`IngestEngine.refresh` is one name's work; called without
-:meth:`IngestEngine.refresh_all`, it propagates its name alone.
+:meth:`IngestEngine.propagate_pending` (which
+:meth:`IngestEngine.refresh_all` and the exact-mode ``repro ingest``
+runner call first), it propagates its name alone.
 """
 
 from __future__ import annotations
@@ -324,7 +326,7 @@ class IngestEngine:
 
         Requires a preceding :meth:`apply`. Clean names return their
         unchanged resolution with ``refreshed=False``. A name whose rows
-        :meth:`refresh_all` has not propagated propagates alone.
+        :meth:`propagate_pending` has not propagated propagates alone.
         """
         state = self._state(name)
         plan = self._plans.get(name)
@@ -358,13 +360,22 @@ class IngestEngine:
         _PAIRS_REUSED.inc(refresh.n_pairs_reused)
         return refresh
 
+    def propagate_pending(self) -> None:
+        """Propagate the post-delta references of every pending name not
+        yet propagated in one traced batch, each under its own name's
+        exclusions; each later :meth:`refresh` takes its name's rows."""
+        self._propagate([
+            plan for plan in self._plans.values()
+            if plan.propagates and plan.propagated is None
+        ])
+
     def refresh_all(self) -> list[NameRefresh]:
         """Refresh every pending name; clean names report through too.
 
-        The post-delta references of every pending name propagate in one
-        traced batch first, each under its own name's exclusions.
+        Every pending name propagates in one batch first
+        (:meth:`propagate_pending`).
         """
-        self._propagate([plan for plan in self._plans.values() if plan.propagates])
+        self.propagate_pending()
         return [self.refresh(name) for name in self._states if name in self._plans]
 
     def _propagate(self, plans: list[_RefreshPlan]) -> None:

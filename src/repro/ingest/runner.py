@@ -1,13 +1,13 @@
 """Resilient delta-ingest runner: the engine behind ``repro ingest``.
 
-Wraps the delta-ingest engine in the same machinery
-:func:`repro.eval.runner.run_resilient` gives the experiment loop:
-per-name failure policies, a wall-clock deadline and atomic per-name
-checkpoints with ``--resume`` — while keeping the byte-identity contract
-(a resumed run assembles the same results as an uninterrupted one;
-completed names are loaded from the checkpoint, remaining names
-re-ingested exactly as a fresh run would, because every name's
-cold-resolve → apply → refresh pipeline is deterministic and
+Runs the delta-ingest engine through the per-name loop
+:class:`repro.eval.runner.NameLoop` that ``experiment`` and
+``calibrate`` use: per-name failure policies, a wall-clock deadline and
+atomic per-name checkpoints with ``--resume`` — while keeping the
+byte-identity contract (a resumed run assembles the same results as an
+uninterrupted one; completed names are loaded from the checkpoint,
+remaining names re-ingested exactly as a fresh run would, because every
+name's cold-resolve → apply → refresh pipeline is deterministic and
 independent of the other names). Names refresh in-process, one after
 another.
 
@@ -15,11 +15,13 @@ The run has two phases. *Cold phase*: each not-yet-checkpointed name is
 resolved on the pre-delta database, building the engine state a
 long-running service would already hold. *Ingest phase*: the delta is
 applied once, caches advance, and each name refreshes down the
-invalidation ladder (``mode="exact"``) or through the greedy
-single-reference assigner (``mode="greedy"``), then scores against the
-post-delta ground truth. Checkpoints record scored names after the
-ingest phase, so a crash at any point loses at most one name's work on
-resume.
+invalidation ladder (``mode="exact"``; every refresh takes its rows of
+one propagation batch, :meth:`IngestEngine.propagate_pending`) or
+through the greedy single-reference assigner (``mode="greedy"``), then
+scores against the post-delta ground truth. Both phases are stages of
+one loop (``ingest.cold``, ``ingest.refresh``). Checkpoints record
+scored names after the ingest phase, so a crash at any point loses at
+most one name's work on resume.
 
 The checkpoint signature includes a fingerprint of the delta's rows:
 resuming the store with a different delta raises
@@ -31,24 +33,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 
-from repro.core.distinct import Distinct, NameResolution
+from repro.core.distinct import Distinct
 from repro.core.references import extract_references
 from repro.data.world import GroundTruth
-from repro.errors import DeadlineExceeded
 from repro.eval.experiment import ExperimentResult, NameResult, score_resolution
 from repro.eval.persistence import name_result_from_dict, name_result_to_dict
-from repro.obs import counter, get_logger, histogram, span
+from repro.eval.runner import ExperimentRunOutcome, NameLoop, NameMetrics
+from repro.obs import counter, histogram, span
 from repro.reldb.delta import Delta
-from repro.resilience import (
-    CheckpointStore,
-    Deadline,
-    ErrorCollector,
-    Policy,
-    guard,
-)
+from repro.resilience import CheckpointStore, Deadline, ErrorCollector, Policy
 
 from repro.ingest.engine import IngestEngine, NameRefresh
 from repro.ingest.greedy import extend_resolution
@@ -60,8 +55,6 @@ __all__ = [
     "ingest_checkpoint",
     "ingest_resilient",
 ]
-
-log = get_logger("ingest.runner")
 
 INGEST_MODES = ("exact", "greedy")
 
@@ -98,23 +91,12 @@ def ingest_checkpoint(
 
 
 @dataclass
-class IngestRunOutcome:
-    """What a resilient ingest run produced, and how it ended."""
+class IngestRunOutcome(ExperimentRunOutcome):
+    """What a resilient ingest run produced, and how it ended: an
+    experiment outcome plus the delta's epoch and the refresh stats."""
 
-    result: ExperimentResult
-    errors: ErrorCollector = field(default_factory=ErrorCollector)
-    interrupted: bool = False
-    n_total: int = 0
     epoch: int | None = None
     stats: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def n_completed(self) -> int:
-        return len(self.result.names)
-
-    @property
-    def complete(self) -> bool:
-        return not self.interrupted and self.n_completed + len(self.errors) >= self.n_total
 
 
 def _accumulate(stats: dict[str, int], refresh: NameRefresh) -> None:
@@ -123,6 +105,34 @@ def _accumulate(stats: dict[str, int], refresh: NameRefresh) -> None:
     stats["refs_new"] += refresh.n_refs_new
     stats["pairs_recomputed"] += refresh.n_pairs_recomputed
     stats["pairs_reused"] += refresh.n_pairs_reused
+
+
+def _refresh_task(payload, name: str) -> NameResult:
+    """Exact-mode work: refresh one name down the ladder and score it."""
+    engine, truth, stats = payload
+    refresh = engine.refresh(name)
+    _accumulate(stats, refresh)
+    return score_resolution(refresh.resolution, truth)
+
+
+def _extend_task(payload, name: str) -> NameResult:
+    """Greedy-mode work: assign one name's new references and score it."""
+    engine, truth, stats, cold = payload
+    distinct = engine.distinct
+    refs = extract_references(distinct.db, name, distinct.config)
+    known = set(cold[name].rows)
+    new_rows = [r for r in refs.rows if r not in known]
+    extended, _ = extend_resolution(
+        distinct, cold[name], new_rows, min_sim=engine.min_sim
+    )
+    scored = score_resolution(extended, truth)
+    stats["refs_new"] += len(new_rows)
+    stats["names_refreshed"] += 1
+    return scored
+
+
+_COLD_METRICS = NameMetrics(failed=_NAMES_FAILED)
+_REFRESH_METRICS = NameMetrics(_NAMES_INGESTED, _NAMES_FAILED, _NAME_SECONDS)
 
 
 def ingest_resilient(
@@ -148,34 +158,18 @@ def ingest_resilient(
     """
     if mode not in INGEST_MODES:
         raise ValueError(f"mode must be one of {INGEST_MODES}, got {mode!r}")
-    policy = Policy.coerce(policy)
-    collector = collector if collector is not None else ErrorCollector()
+    loop = NameLoop(
+        names, policy=policy, collector=collector, checkpoint=checkpoint,
+        deadline=deadline, decode=name_result_from_dict,
+    )
     result = ExperimentResult(variant_key=f"ingest:{mode}", min_sim=min_sim)
     stats = {
         "names_refreshed": 0, "names_clean": 0, "refs_dirty": 0, "refs_new": 0,
         "pairs_recomputed": 0, "pairs_reused": 0,
     }
     outcome = IngestRunOutcome(
-        result=result, errors=collector, n_total=len(names), stats=stats
+        result=result, errors=loop.collector, n_total=len(names), stats=stats
     )
-
-    done: dict[str, NameResult] = {}
-    if checkpoint is not None and checkpoint.exists():
-        payload = checkpoint.load()  # None: corrupt file was quarantined
-        if payload is not None:
-            done = {
-                entry["name"]: name_result_from_dict(entry)
-                for entry in payload["completed"]
-            }
-
-    def save_progress(complete: bool = False) -> None:
-        if checkpoint is not None:
-            checkpoint.save(
-                [name_result_to_dict(r) for r in result.names],
-                errors=collector.to_dicts(),
-                complete=complete,
-            )
-
     with span(
         "ingest.resilient",
         mode=mode,
@@ -186,81 +180,28 @@ def ingest_resilient(
         engine = IngestEngine(
             distinct, min_sim=min_sim, measure=measure, supervised=supervised
         )
-        cold: dict[str, NameResolution] = {}
-        for name in names:
-            if name in done:
-                continue
-            if deadline is not None and deadline.expired():
-                outcome.interrupted = True
-                break
-            with guard("ingest.cold", name, policy, collector):
-                try:
-                    cold[name] = engine.resolve(name)
-                except (DeadlineExceeded, KeyboardInterrupt):
-                    raise
-                except Exception:
-                    _NAMES_FAILED.inc()
-                    raise
-        if outcome.interrupted:
-            sp.annotate(n_completed=0, interrupted=True)
-            save_progress()
-            return outcome
+        cold = loop.run(
+            "ingest.cold", IngestEngine.resolve, engine, metrics=_COLD_METRICS
+        )
 
         # -- ingest phase: one apply, then per-name refresh + score --------
-        applied = engine.apply(delta)
-        outcome.epoch = applied.epoch
-        pending = [n for n in names if n in cold]
-
-        greedy_new: dict[str, list[int]] = {}
-        if mode == "greedy":
-            for name in pending:
-                refs = extract_references(distinct.db, name, distinct.config)
-                known = set(cold[name].rows)
-                greedy_new[name] = [r for r in refs.rows if r not in known]
-
-        for name in names:
-            if name in done:
-                result.names.append(done[name])
-                continue
-            if name not in cold:  # cold phase failed it under the policy
-                continue
-            if deadline is not None and deadline.expired():
-                outcome.interrupted = True
-                break
-            scored = None
-            name_start = time.perf_counter()
-            with guard("ingest.refresh", name, policy, collector):
-                try:
-                    if mode == "greedy":
-                        extended, _ = extend_resolution(
-                            distinct,
-                            cold[name],
-                            greedy_new[name],
-                            min_sim=min_sim,
-                        )
-                        scored = score_resolution(extended, truth)
-                        stats["refs_new"] += len(greedy_new[name])
-                        stats["names_refreshed"] += 1
-                    else:
-                        refresh = engine.refresh(name)
-                        _accumulate(stats, refresh)
-                        scored = score_resolution(refresh.resolution, truth)
-                except (DeadlineExceeded, KeyboardInterrupt):
-                    raise
-                except Exception:
-                    _NAMES_FAILED.inc()
-                    raise
-            _NAME_SECONDS.observe(time.perf_counter() - name_start)
-            if scored is None:  # failed and policy skipped/collected it
-                save_progress()
-                continue
-            result.names.append(scored)
-            _NAMES_INGESTED.inc()
-            save_progress()
+        if not loop.interrupted:
+            outcome.epoch = engine.apply(delta).epoch
+            if mode == "exact":
+                engine.propagate_pending()
+                task, payload = _refresh_task, (engine, truth, stats)
+            else:
+                task, payload = _extend_task, (engine, truth, stats, cold)
+            loop.run(
+                "ingest.refresh", task, payload, [n for n in names if n in cold],
+                encode=name_result_to_dict, metrics=_REFRESH_METRICS,
+            )
+        result.names = loop.completed()
+        outcome.interrupted = loop.interrupted
         sp.annotate(
             n_completed=outcome.n_completed,
-            n_failed=len(collector),
+            n_failed=len(loop.collector),
             interrupted=outcome.interrupted,
         )
-    save_progress(complete=outcome.complete)
+    loop.finish()
     return outcome

@@ -43,6 +43,7 @@ site                      where
 ``profile``               per name in :meth:`repro.core.distinct.Distinct.prepare`
 ``features.backend``      per batch in :func:`repro.core.features.compute_pair_features`
 ``cluster``               per name in :meth:`repro.core.distinct.Distinct.cluster_prepared`
+``ingest.refresh``        per name in :meth:`repro.ingest.engine.IngestEngine.refresh`
 ========================  ====================================================
 """
 

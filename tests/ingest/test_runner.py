@@ -1,21 +1,30 @@
 """Unit tests for :mod:`repro.ingest.runner` (the ``repro ingest`` engine).
 
 Crash/resume byte-identity lives in the property suite; these tests pin
-the parameter validation, the delta fingerprint, and the checkpoint
+the parameter validation, the delta fingerprint, the checkpoint
 signature (resuming against a different delta must refuse, not mix
-epochs).
+epochs), resume under an expired deadline, and the one propagation
+batch behind every exact-mode refresh.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
+
+import numpy as np
 import pytest
 
+import repro.ingest.runner as runner
 from repro.core.distinct import Distinct
 from repro.data.deltas import grow_world, split_world
 from repro.errors import CheckpointError
-from repro.ingest import ingest_checkpoint, ingest_resilient
+from repro.eval.persistence import experiment_result_to_dict
+from repro.ingest import IngestEngine, ingest_checkpoint, ingest_resilient
 from repro.ingest.runner import INGEST_MODES, delta_fingerprint
+from repro.obs import get_metrics
 from repro.reldb.delta import Delta
+from repro.resilience import Deadline, FaultInjected, FaultPlan, fault_plan
 
 NAMES = ["Wei Wang", "Rakesh Kumar", "Jim Smith"]
 MIN_SIM = 0.4
@@ -117,3 +126,106 @@ class TestGreedyMode:
         assert [r.name for r in outcome.result.names] == NAMES
         assert outcome.result.variant_key == "ingest:greedy"
         assert outcome.stats["names_refreshed"] == len(NAMES)
+
+
+def grown_split(small_world):
+    """The test world grown by five papers, split into base and delta."""
+    return split_world(grow_world(small_world, 5, seed=17), 5)
+
+
+def warm(fitted, split) -> Distinct:
+    return Distinct.from_models(
+        split.base, fitted.resem_model_, fitted.walk_model_, fitted.config
+    )
+
+
+def result_json(outcome) -> str:
+    return json.dumps(experiment_result_to_dict(outcome.result), sort_keys=True)
+
+
+class TestResumeUnderDeadline:
+    def test_expired_deadline_keeps_checkpointed_names(
+        self, fitted, small_world, tmp_path
+    ):
+        """Crash on the third name, then resume past the deadline: the
+        checkpoint keeps both finished names, and a later resume matches
+        an uninterrupted run byte for byte."""
+        path = tmp_path / "ingest.ckpt.json"
+        delta = grown_split(small_world).delta
+
+        def run(deadline=None):
+            split = grown_split(small_world)
+            return ingest_resilient(
+                warm(fitted, split), split.truth, NAMES, split.delta, MIN_SIM,
+                checkpoint=ingest_checkpoint(path, NAMES, delta, MIN_SIM, "exact"),
+                deadline=deadline,
+            )
+
+        split = grown_split(small_world)
+        baseline = ingest_resilient(
+            warm(fitted, split), split.truth, NAMES, split.delta, MIN_SIM
+        )
+        with fault_plan(FaultPlan().fail_at("ingest.refresh", item=NAMES[2])):
+            with pytest.raises(FaultInjected):
+                run()
+        before = json.loads(path.read_text())["completed"]
+        assert [e["name"] for e in before] == NAMES[:2]
+
+        ticks = itertools.chain([0.0], itertools.repeat(100.0))
+        outcome = run(Deadline(1.0, clock=lambda: next(ticks)))
+        saved = json.loads(path.read_text())
+        assert saved["completed"] == before
+        assert saved["complete"] is False
+        assert outcome.interrupted and not outcome.complete
+        assert [r.name for r in outcome.result.names] == NAMES[:2]
+
+        resumed = run()
+        assert resumed.complete
+        assert result_json(resumed) == result_json(baseline)
+
+
+class TestOneRefreshBatch:
+    def test_refreshes_share_one_batch_and_match_the_per_name_route(
+        self, fitted, small_world, monkeypatch
+    ):
+        """Exact mode propagates every refresh in one batch after the
+        per-name cold batches, and resolves exactly as refreshing each
+        name alone does."""
+        resolutions = {}
+        score = runner.score_resolution
+
+        def scored(resolution, truth):
+            resolutions[resolution.name] = resolution
+            return score(resolution, truth)
+
+        monkeypatch.setattr(runner, "score_resolution", scored)
+        runs = get_metrics().counter("propagation.batch.runs")
+        before = runs.value
+        split = grown_split(small_world)
+        outcome = ingest_resilient(
+            warm(fitted, split), split.truth, NAMES, split.delta, MIN_SIM
+        )
+        assert outcome.complete
+        assert outcome.stats["names_refreshed"] == len(NAMES)
+        assert runs.value - before == len(NAMES) + 1
+
+        split = grown_split(small_world)
+        alone = IngestEngine(warm(fitted, split), min_sim=MIN_SIM)
+        for name in NAMES:
+            alone.resolve(name)
+        alone.apply(split.delta)
+        for name in NAMES:
+            expected = alone.refresh(name).resolution
+            got = resolutions[name]
+            assert got.rows == expected.rows
+            assert got.clusters == expected.clusters
+            assert got.resem_matrix.tobytes() == expected.resem_matrix.tobytes()
+            assert got.walk_matrix.tobytes() == expected.walk_matrix.tobytes()
+            assert (
+                got.clustering.dendrogram.merges
+                == expected.clustering.dendrogram.merges
+            )
+            assert (
+                np.asarray(got.clustering.merge_similarities).tobytes()
+                == np.asarray(expected.clustering.merge_similarities).tobytes()
+            )

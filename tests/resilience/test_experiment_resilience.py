@@ -6,6 +6,7 @@ poisoned name under ``collect`` finishes, reports exactly that name, and
 scores the rest.
 """
 
+import itertools
 import json
 
 import pytest
@@ -20,6 +21,15 @@ from repro.resilience import ErrorCollector, FaultInjected, FaultPlan, Deadline,
 NAMES = ["Wei Wang", "Rakesh Kumar", "Jim Smith"]
 MIN_SIM = 0.006
 VARIANT = variant_by_key("distinct")
+
+
+def expiring_deadline(checks_in_budget: int = 0) -> Deadline:
+    """A deadline whose first ``checks_in_budget`` checks pass and every
+    later one finds it expired."""
+    ticks = itertools.chain(
+        [0.0], itertools.repeat(0.5, checks_in_budget), itertools.repeat(100.0)
+    )
+    return Deadline(1.0, clock=lambda: next(ticks))
 
 
 @pytest.fixture(scope="module")
@@ -182,5 +192,87 @@ class TestCalibrationResilience:
             fitted, n_names=4, members=2, seed=3, checkpoint=checkpoint()
         )
         assert resumed.f1_by_min_sim == baseline.f1_by_min_sim
+        assert resumed.best_min_sim == baseline.best_min_sim
+        assert json.loads(ckpt_path.read_text())["complete"] is True
+
+
+class TestResumeUnderDeadline:
+    """A resumed run that meets its deadline keeps every checkpointed entry:
+    the checkpoint it writes back never holds fewer than it loaded."""
+
+    def test_experiment_keeps_checkpointed_names(
+        self, fitted, small_db, tmp_path, baseline
+    ):
+        _, truth = small_db
+        _, baseline_json = baseline
+        ckpt_path = tmp_path / "run.ckpt.json"
+
+        def checkpoint():
+            return experiment_checkpoint(ckpt_path, NAMES, VARIANT.key, MIN_SIM)
+
+        with fault_plan(FaultPlan().fail_at("profile", item=NAMES[2])):
+            with pytest.raises(FaultInjected):
+                run_resilient(
+                    fitted, truth, NAMES, VARIANT, MIN_SIM, checkpoint=checkpoint()
+                )
+        before = json.loads(ckpt_path.read_text())["completed"]
+        assert [e["name"] for e in before] == NAMES[:2]
+
+        outcome = run_resilient(
+            fitted, truth, NAMES, VARIANT, MIN_SIM,
+            checkpoint=checkpoint(), deadline=expiring_deadline(),
+        )
+        saved = json.loads(ckpt_path.read_text())
+        assert saved["completed"] == before
+        assert saved["complete"] is False
+        assert outcome.interrupted and not outcome.complete
+        assert [r.name for r in outcome.result.names] == NAMES[:2]
+
+        resumed = run_resilient(
+            fitted, truth, NAMES, VARIANT, MIN_SIM, checkpoint=checkpoint()
+        )
+        assert resumed.complete
+        resumed_json = json.dumps(
+            experiment_result_to_dict(resumed.result), sort_keys=True
+        )
+        assert resumed_json == baseline_json
+
+    @pytest.mark.parametrize("checks_in_budget", [0, 1])
+    def test_calibration_keeps_checkpointed_names(
+        self, fitted, tmp_path, checks_in_budget
+    ):
+        ckpt_path = tmp_path / "cal.ckpt.json"
+
+        def checkpoint():
+            return calibration_checkpoint(ckpt_path, n_names=4, members=2, seed=3)
+
+        baseline = calibrate_min_sim(fitted, n_names=4, members=2, seed=3)
+        third = "+".join(baseline.details[2].member_names)
+        with fault_plan(FaultPlan().fail_at("profile", item=third)):
+            with pytest.raises(FaultInjected):
+                calibrate_min_sim(
+                    fitted, n_names=4, members=2, seed=3, checkpoint=checkpoint()
+                )
+        before = json.loads(ckpt_path.read_text())["completed"]
+        assert len(before) == 2
+
+        interrupted = calibrate_min_sim(
+            fitted, n_names=4, members=2, seed=3, checkpoint=checkpoint(),
+            deadline=expiring_deadline(checks_in_budget),
+        )
+        saved = json.loads(ckpt_path.read_text())
+        assert saved["completed"][:2] == before
+        assert len(saved["completed"]) == 2 + checks_in_budget
+        assert saved["complete"] is False
+        assert interrupted.interrupted
+        assert interrupted.n_scored == 2 + checks_in_budget
+
+        resumed = calibrate_min_sim(
+            fitted, n_names=4, members=2, seed=3, checkpoint=checkpoint()
+        )
+        assert not resumed.interrupted
+        assert json.dumps(resumed.f1_by_min_sim) == json.dumps(
+            baseline.f1_by_min_sim
+        )
         assert resumed.best_min_sim == baseline.best_min_sim
         assert json.loads(ckpt_path.read_text())["complete"] is True

@@ -16,6 +16,39 @@ def world_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def delta_world(tmp_path_factory):
+    """The same world with a 12-paper delta, and models fitted on it."""
+    out = tmp_path_factory.mktemp("deltaworld")
+    code = main(
+        [
+            "generate", "--out", str(out), "--scale", "0.3", "--seed", "5",
+            "--delta-papers", "12",
+        ]
+    )
+    assert code == 0
+    models = out / "models"
+    code = main(
+        [
+            "fit", "--db", str(out), "--out", str(models),
+            "--positive", "150", "--negative", "150", "--svm-c", "10",
+        ]
+    )
+    assert code == 0
+    return out
+
+
+def ingest_args(world):
+    return [
+        "ingest",
+        "--db", str(world),
+        "--models", str(world / "models"),
+        "--truth", str(world / "truth.json"),
+        "--delta", str(world / "delta.json"),
+        "--names", "Rakesh Kumar,Wei Wang",
+    ]
+
+
+@pytest.fixture(scope="module")
 def model_dir(world_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("models")
     code = main(
@@ -377,40 +410,30 @@ class TestResilienceFlags:
         assert ckpt.exists()
         assert "best min-sim:" in capsys.readouterr().out
 
+    def test_ingest_deadline_exit_code_and_resume(
+        self, delta_world, tmp_path, capsys
+    ):
+        from repro.cli import EXIT_DEADLINE
+
+        ckpt = tmp_path / "ingest.ckpt.json"
+        code = main(
+            [*ingest_args(delta_world), "--resume", str(ckpt), "--deadline", "0.000001"]
+        )
+        assert code == EXIT_DEADLINE
+        out = capsys.readouterr().out
+        assert "deadline exceeded" in out
+        assert str(ckpt) in out
+        assert ckpt.exists()
+
+        code = main([*ingest_args(delta_world), "--resume", str(ckpt)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Rakesh Kumar" in out and "Wei Wang" in out
+
 class TestIngest:
-    @pytest.fixture(scope="class")
-    def delta_world(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("deltaworld")
-        code = main(
-            [
-                "generate", "--out", str(out), "--scale", "0.3", "--seed", "5",
-                "--delta-papers", "12",
-            ]
-        )
-        assert code == 0
-        models = out / "models"
-        code = main(
-            [
-                "fit", "--db", str(out), "--out", str(models),
-                "--positive", "150", "--negative", "150", "--svm-c", "10",
-            ]
-        )
-        assert code == 0
-        return out
-
-    def _ingest_args(self, world):
-        return [
-            "ingest",
-            "--db", str(world),
-            "--models", str(world / "models"),
-            "--truth", str(world / "truth.json"),
-            "--delta", str(world / "delta.json"),
-            "--names", "Rakesh Kumar,Wei Wang",
-        ]
-
     def test_writes_scored_results_and_stats(self, delta_world, tmp_path, capsys):
         out = tmp_path / "ingest.json"
-        assert main([*self._ingest_args(delta_world), "--output", str(out)]) == 0
+        assert main([*ingest_args(delta_world), "--output", str(out)]) == 0
         assert "replayed" not in capsys.readouterr().out
         payload = json.loads(out.read_text())
         assert [r["name"] for r in payload["names"]] == ["Rakesh Kumar", "Wei Wang"]
@@ -420,7 +443,7 @@ class TestIngest:
 
     def test_workers_flag_rejected(self, delta_world, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([*self._ingest_args(delta_world), "--workers", "2"])
+            main([*ingest_args(delta_world), "--workers", "2"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
