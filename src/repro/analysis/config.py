@@ -97,8 +97,6 @@ DEFAULT_CONFIG_PROGRAMMATIC: tuple[str, ...] = (
     "svm_C_grid",
     "svm_cv_folds",
     "svm_class_weight",
-    "clamp_negative_weights",
-    "normalize_weights",
     "seed",
 )
 

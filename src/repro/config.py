@@ -85,14 +85,6 @@ class DistinctConfig:
     # None, "balanced", or a {label: factor} dict; "balanced" is useful when
     # n_positive != n_negative.
     svm_class_weight: str | None = None
-    clamp_negative_weights: bool = True
-    # Rescale each measure's clamped weights to sum to 1 before combining.
-    # A positive global rescale of one measure rescales every composite
-    # similarity equally, so cluster merge order is unchanged — but the
-    # combined resemblance becomes a convex combination of per-path Jaccard
-    # values in [0, 1], giving ``min_sim`` a stable, interpretable scale
-    # across worlds and seeds.
-    normalize_weights: bool = True
 
     # clustering
     min_sim: float = 0.006

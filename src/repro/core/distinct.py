@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from repro.cluster.agglomerative import AgglomerativeClusterer, ClusteringResult
 from repro.cluster.composite import CollectiveWalkMeasure, CompositeMeasure
@@ -30,6 +31,7 @@ from repro.core.features import (
     pair_matrix,
 )
 from repro.core.references import (
+    NameReferences,
     exclusions_for_name,
     extract_references,
     live_paths,
@@ -107,10 +109,10 @@ class FitReport:
 class Distinct:
     """The full DISTINCT methodology bound to one configuration.
 
-    ``steps`` holds the join-step matrices of the database; every profile
-    builder of the pipeline reads them, so each step is built once
-    whatever the number of names, and extended by the appended rows when
-    its relations grow.
+    ``steps`` holds the join-step matrices of the database; every batch
+    the pipeline propagates (:attr:`profiles`) reads them, so each step
+    is built once whatever the number of names, and extended by the
+    appended rows when its relations grow.
 
     ``paths_`` holds the enumerated join paths the exclusion rule leaves
     alive (:func:`~repro.core.references.live_paths`);
@@ -231,27 +233,21 @@ class Distinct:
                 if name not in by_name:
                     by_name[name] = exclusions_for_name(self.db, name, self.config)
                 by_row.setdefault(row, by_name[name])
-        builder = self._builder({})
         rows = list(by_row)
-        matrices = builder.matrices_for(rows, [by_row[row] for row in rows])
+        matrices = self.profiles.matrices_for(rows, [by_row[row] for row in rows])
         pairs = [(p.row_a, p.row_b) for p in training_set.pairs]
-        return compute_pair_features(builder, pairs, matrices)
+        return compute_pair_features(self.paths_, pairs, matrices)
 
-    def profile_builder(self, name: str) -> ProfileBuilder:
-        """The profile builder of ``name``: its exclusions over the shared
-        step matrices. Every feature computation for a real name
-        propagates under these exclusions, so resolution, training,
-        explanation and ingest see the same values."""
+    @property
+    def profiles(self) -> ProfileBuilder:
+        """The pipeline's one way into propagation: its live paths over
+        the shared ``steps``. Every feature computation, whatever the
+        caller, propagates here, each reference under its own name's
+        exclusions, so resolution, training, calibration, explanation
+        and ingest see the same values."""
         if self.db is None or self.paths_ is None:
             raise NotFittedError("call fit(db) before building profiles")
-        return self._builder(exclusions_for_name(self.db, name, self.config))
-
-    def _builder(self, exclusions: Exclusions) -> ProfileBuilder:
-        """A profile builder under ``exclusions`` that reads ``steps``."""
-        assert self.db is not None and self.paths_ is not None
-        builder = ProfileBuilder(self.db, self.paths_, exclusions)
-        builder.engine.steps = self.steps
-        return builder
+        return ProfileBuilder(self.db, self.paths_, self.steps)
 
     def _train_measure(
         self, measure: str, X: np.ndarray, labels: np.ndarray
@@ -343,20 +339,45 @@ class Distinct:
         with span("resolve.prepare", name=name) as prep_span:
             fault_check("profile", name)
             refs = extract_references(self.db, name, self.config)
-            if len(refs.rows) <= 1:
-                prep_span.annotate(n_refs=len(refs.rows))
-                return NamePreparation(name=name, rows=list(refs.rows), features=None)
-            builder = self.profile_builder(name)
-            with span("resolve.profiles", name=name, n_refs=len(refs.rows)):
-                matrices = builder.matrices_for(refs.rows)
-            pairs = all_pairs(refs.rows)
-            with span("resolve.similarity", name=name, n_pairs=len(pairs)):
-                features = compute_pair_features(builder, pairs, matrices)
-            _PAIRS_SCORED.inc(len(pairs))
-            prep_span.annotate(n_refs=len(refs.rows), n_pairs=len(pairs))
-        log.debug("prepared %r: %d references, %d pairs", name, len(refs.rows),
+            prep = self.prepare_references(refs)
+            prep_span.annotate(n_refs=len(prep.rows))
+            if prep.features is not None:
+                prep_span.annotate(n_pairs=prep.features.n_pairs)
+        return prep
+
+    def prepare_references(
+        self,
+        refs: NameReferences,
+        trace: dict[str, sparse.csr_matrix] | None = None,
+    ) -> "NamePreparation":
+        """:meth:`prepare` once the references are known: one batch over
+        ``refs.rows``, each under ``refs.exclusions``, then every pair
+        (:func:`all_pairs` order) through the pair kernel. ``trace``
+        collects the batch's visited patterns
+        (:func:`repro.paths.batch.batch_profile_matrices`)."""
+        if len(refs.rows) <= 1:
+            return NamePreparation(name=refs.name, rows=list(refs.rows), features=None)
+        with span("resolve.profiles", name=refs.name, n_refs=len(refs.rows)):
+            matrices = self.profiles.matrices_for(
+                refs.rows, [refs.exclusions] * len(refs.rows), trace
+            )
+        pairs = all_pairs(refs.rows)
+        with span("resolve.similarity", name=refs.name, n_pairs=len(pairs)):
+            features = compute_pair_features(self.paths_, pairs, matrices)
+        _PAIRS_SCORED.inc(len(pairs))
+        log.debug("prepared %r: %d references, %d pairs", refs.name, len(refs.rows),
                   len(pairs))
-        return NamePreparation(name=name, rows=list(refs.rows), features=features)
+        return NamePreparation(name=refs.name, rows=list(refs.rows), features=features)
+
+    def pair_features(
+        self, exclusions: Exclusions, pairs: list[tuple[int, int]]
+    ) -> PairFeatures:
+        """Features of ``pairs`` of one name's references: one batch over
+        the pairs' rows, all under the name's ``exclusions``, so each pair
+        scores as in :meth:`prepare`."""
+        rows = list(dict.fromkeys(row for pair in pairs for row in pair))
+        matrices = self.profiles.matrices_for(rows, [exclusions] * len(rows))
+        return compute_pair_features(self.paths_, pairs, matrices)
 
     def cluster_prepared(
         self,
@@ -387,8 +408,8 @@ class Distinct:
             "resolve.cluster", name=prep.name, measure=measure, min_sim=min_sim
         ) as sp:
             resem_values, walk_values = self._combined_pair_values(features, supervised)
-            resem_matrix = pair_matrix(prep.rows, features.pairs, resem_values)
-            walk_matrix = pair_matrix(prep.rows, features.pairs, walk_values)
+            resem_matrix = pair_matrix(len(prep.rows), resem_values)
+            walk_matrix = pair_matrix(len(prep.rows), walk_values)
             cluster_measure = self._make_measure(measure, resem_matrix, walk_matrix)
             result = AgglomerativeClusterer(min_sim=min_sim).cluster(cluster_measure)
             sp.annotate(n_clusters=result.n_clusters)
@@ -409,14 +430,7 @@ class Distinct:
         self, features: PairFeatures, supervised: bool
     ) -> tuple[np.ndarray, np.ndarray]:
         if supervised:
-            assert self.resem_model_ is not None and self.walk_model_ is not None
-            clamp = self.config.clamp_negative_weights
-            resem_weights = self.resem_model_.align_to(features.paths).combiner(clamp)
-            walk_weights = self.walk_model_.align_to(features.paths).combiner(clamp)
-            if self.config.normalize_weights:
-                resem_weights = resem_weights.normalized()
-                walk_weights = walk_weights.normalized()
-            return features.combined(resem_weights, walk_weights)
+            return features.combined(*self.combiners(features.paths))
         # Unsupervised: uniform weights over *raw* per-path similarities.
         # This mirrors the unweighted prior work ([1], [9]) the paper
         # compares against, which sums raw resemblances / walk probabilities
@@ -429,6 +443,24 @@ class Distinct:
             [1.0 / self.n_enumerated_paths_] * len(features.paths), clamp_negative=False
         )
         return features.combined(uniform, uniform)
+
+    def combiners(self, paths: list[JoinPath]) -> tuple[PathWeights, PathWeights]:
+        """The Eq-1 (resemblance, walk) combiners over ``paths``: each
+        model's weights aligned to ``paths`` by signature, negative
+        weights clamped to 0, then rescaled to sum to 1.
+
+        A positive global rescale of one measure rescales every composite
+        similarity equally, so cluster merge order is unchanged — but the
+        combined resemblance becomes a convex combination of per-path
+        Jaccard values in [0, 1], giving ``min_sim`` a stable,
+        interpretable scale across worlds and seeds.
+        """
+        if self.resem_model_ is None or self.walk_model_ is None:
+            raise NotFittedError("the combiners need the supervised models")
+        return (
+            self.resem_model_.align_to(paths).combiner().normalized(),
+            self.walk_model_.align_to(paths).combiner().normalized(),
+        )
 
     @staticmethod
     def _make_measure(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.distinct import Distinct
-from repro.core.features import compute_pair_features
+from repro.core.references import exclusions_for_name
 from repro.errors import NotFittedError
 from repro.similarity.combine import geometric_mean
 
@@ -92,15 +92,11 @@ def explain_pair(
     if distinct.resem_model_ is None or distinct.walk_model_ is None:
         raise NotFittedError("explanations use the supervised models")
 
-    features = compute_pair_features(distinct.profile_builder(name), [(row_a, row_b)])
-    resem_values, walk_values = distinct._combined_pair_values(features, True)
-
-    clamp = distinct.config.clamp_negative_weights
-    resem_weights = distinct.resem_model_.align_to(features.paths).combiner(clamp)
-    walk_weights = distinct.walk_model_.align_to(features.paths).combiner(clamp)
-    if distinct.config.normalize_weights:
-        resem_weights = resem_weights.normalized()
-        walk_weights = walk_weights.normalized()
+    features = distinct.pair_features(
+        exclusions_for_name(distinct.db, name, distinct.config), [(row_a, row_b)]
+    )
+    resem_weights, walk_weights = distinct.combiners(features.paths)
+    resem_values, walk_values = features.combined(resem_weights, walk_weights)
 
     contributions = [
         PathContribution(

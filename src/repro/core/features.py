@@ -6,16 +6,19 @@ and one walk-probability value per join path — these are the inputs to the
 aggregates. Everything here is vectorized over pairs: ``resemblance`` and
 ``walk`` are (n_pairs, n_paths) arrays aligned with ``pairs``.
 
-:func:`compute_pair_features` takes one route:
+Pair features take one route:
 
-1. **batched propagation** — every reference of the batch propagates at
-   once as sparse matrix products (:mod:`repro.paths.batch`), giving one
-   stacked (forward, backward) matrix pair per path;
-2. **the pair kernel** — every pair is evaluated per path by
-   :func:`repro.similarity.vectorized.pair_similarities`, from one
-   enumeration of the columns its two rows share (an exact 0 where the
-   supports are disjoint). A pair's values depend only on its two rows,
-   so any subset of the pairs scores bit for bit as in the whole list.
+1. **batched propagation** — the caller propagates every reference of
+   the pairs at once through :meth:`repro.paths.profiles.ProfileBuilder
+   .matrices_for` (for the pipeline, :attr:`repro.core.distinct.Distinct
+   .profiles`), giving one stacked (forward, backward) matrix pair per
+   path;
+2. **the pair kernel** — :func:`compute_pair_features` evaluates every
+   pair per path by :func:`repro.similarity.vectorized
+   .pair_similarities`, from one enumeration of the columns its two
+   rows share (an exact 0 where the supports are disjoint). A pair's
+   values depend only on its two rows, so any subset of the pairs
+   scores bit for bit as in the whole list.
 
 The paths are the pipeline's live ones
 (:func:`repro.core.references.live_paths`), so no column is zero by
@@ -35,7 +38,6 @@ import numpy as np
 from repro.obs import counter
 from repro.paths.batch import BatchedProfiles
 from repro.paths.joinpath import JoinPath
-from repro.paths.profiles import ProfileBuilder
 from repro.resilience import fault_check
 from repro.similarity.combine import PathWeights
 from repro.similarity.vectorized import pair_similarities
@@ -83,25 +85,21 @@ class PairFeatures:
 
 
 def compute_pair_features(
-    builder: ProfileBuilder,
+    paths: list[JoinPath],
     pairs: list[tuple[int, int]],
-    matrices: dict[JoinPath, BatchedProfiles] | None = None,
+    matrices: dict[JoinPath, BatchedProfiles],
 ) -> PairFeatures:
-    """Compute both measures for every pair along every path of ``builder``.
+    """Compute both measures for every pair along every path of ``paths``.
 
-    ``matrices`` is the batch of a caller that already propagated the
-    pairs' references (``builder.matrices_for(rows)`` with every row of
-    ``pairs`` among ``rows``); without it the pairs' rows propagate here.
+    ``matrices`` is the batch that propagated the pairs' references
+    (``matrices_for(rows, ...)`` with every row of ``pairs`` among
+    ``rows``); the kernel reads only the pairs' rows of it.
     """
     fault_check("features.backend")
-    paths = builder.paths
     resem = np.zeros((len(pairs), len(paths)))
     walk = np.zeros((len(pairs), len(paths)))
     if not pairs or not paths:
         return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
-    if matrices is None:
-        rows = list(dict.fromkeys(row for pair in pairs for row in pair))
-        matrices = builder.matrices_for(rows)
     index = {row: k for k, row in enumerate(matrices[paths[0]].rows)}
     idx_a = np.fromiter((index[a] for a, _ in pairs), dtype=np.int64, count=len(pairs))
     idx_b = np.fromiter((index[b] for _, b in pairs), dtype=np.int64, count=len(pairs))
@@ -120,15 +118,11 @@ def all_pairs(rows: list[int]) -> list[tuple[int, int]]:
     return list(zip(ids[pos_a].tolist(), ids[pos_b].tolist()))
 
 
-def pair_matrix(
-    rows: list[int], pairs: list[tuple[int, int]], values: np.ndarray
-) -> np.ndarray:
-    """Expand condensed per-pair values into a symmetric n x n matrix."""
-    ids = np.asarray(rows, dtype=np.int64)
-    order = np.argsort(ids)
-    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    pos = order[np.searchsorted(ids[order], ends)]
-    matrix = np.zeros((len(rows), len(rows)))
-    matrix[pos[:, 0], pos[:, 1]] = values
-    matrix[pos[:, 1], pos[:, 0]] = values
+def pair_matrix(n: int, values: np.ndarray) -> np.ndarray:
+    """Expand condensed per-pair values, in :func:`all_pairs` order over
+    ``n`` rows, into a symmetric n x n matrix."""
+    pos_a, pos_b = np.triu_indices(n, k=1)
+    matrix = np.zeros((n, n))
+    matrix[pos_a, pos_b] = values
+    matrix[pos_b, pos_a] = values
     return matrix

@@ -4,31 +4,52 @@ In the DBLP schema a *reference* is a row of ``Publish``; all references to
 one name share the single ``Authors`` row holding that name, so extraction
 is one index lookup on ``Authors.name`` followed by one on
 ``Publish.author_key``. The shared ``Authors`` row is also what must be
-excluded from propagation (DESIGN.md §6), which
-:func:`exclusions_for_name` packages up; :func:`live_paths` drops the
-join paths that exclusion empties.
+excluded from propagation (DESIGN.md §6): every reference of a name
+propagates under its :attr:`NameReferences.exclusions`, and
+:func:`live_paths` drops the join paths that exclusion empties.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.config import DistinctConfig
 from repro.errors import ReproError
 from repro.paths.joinpath import JoinPath
+from repro.paths.propagation import Exclusions
 from repro.reldb.database import Database
 
 
 @dataclass
 class NameReferences:
-    """The references carrying one name: the rows to cluster."""
+    """The references carrying one name: the rows to cluster, and the
+    exclusions each of them propagates under."""
 
     name: str
     rows: list[int]
     object_rows: list[int]  # Authors rows holding this name (normally one)
+    exclusions: Exclusions  # object relation -> the object rows
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    @classmethod
+    def pooled(cls, name: str, members: Sequence["NameReferences"]) -> "NameReferences":
+        """``members`` pooled under one pseudo-name: their rows, object
+        rows and excluded rows united, as one genuinely shared name would
+        carry them."""
+        exclusions: dict[str, frozenset[int]] = {}
+        for member in members:
+            for relation, rows in member.exclusions.items():
+                exclusions[relation] = exclusions.get(relation, frozenset()) | rows
+        return cls(
+            name=name,
+            # lint: allow[determinism/unkeyed-sort] row ids are plain int
+            rows=sorted(row for member in members for row in member.rows),
+            object_rows=[row for member in members for row in member.object_rows],
+            exclusions=exclusions,
+        )
 
 
 def extract_references(
@@ -51,16 +72,19 @@ def extract_references(
     for object_row in object_rows:
         rows.extend(ref_index.lookup(objects.row(object_row)[key_pos]))
     rows.sort()
-    return NameReferences(name=name, rows=rows, object_rows=object_rows)
+    return NameReferences(
+        name=name,
+        rows=rows,
+        object_rows=object_rows,
+        exclusions={config.object_relation: frozenset(object_rows)},
+    )
 
 
 def exclusions_for_name(
     db: Database, name: str, config: DistinctConfig | None = None
-) -> dict[str, frozenset[int]]:
+) -> Exclusions:
     """Propagation exclusions for resolving ``name``: its object row(s)."""
-    config = config or DistinctConfig()
-    refs = extract_references(db, name, config)
-    return {config.object_relation: frozenset(refs.object_rows)}
+    return extract_references(db, name, config).exclusions
 
 
 def live_paths(
@@ -70,8 +94,8 @@ def live_paths(
 
     A path whose first step joins the reference relation to the object
     relation on ``object_key`` reaches only the reference's own object.
-    Every profile builder excludes the object rows of the references it
-    profiles (:func:`exclusions_for_name`, and their union for pooled
+    Every reference propagates with the object rows of its name excluded
+    (:attr:`NameReferences.exclusions`, and their union for pooled
     names), so such a path carries no mass: both of its features are 0
     for every pair, by construction rather than by data.
     """

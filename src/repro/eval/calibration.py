@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.distinct import Distinct, NamePreparation
-from repro.core.features import all_pairs, compute_pair_features
-from repro.core.references import extract_references
+from repro.core.references import NameReferences, extract_references
 from repro.errors import DeadlineExceeded, NotFittedError, TrainingError
 from repro.eval.metrics import pairwise_scores
 from repro.eval.runner import NameLoop
@@ -133,16 +132,11 @@ def prepare_synthetic(distinct: Distinct, synthetic: SyntheticName) -> NamePrepa
     assert distinct.db is not None and distinct.paths_ is not None
     key = _synthetic_key(synthetic)
     fault_check("profile", key)
-    config = distinct.config
-    excluded_rows: set[int] = set()
-    for name in synthetic.member_names:
-        refs = extract_references(distinct.db, name, config)
-        excluded_rows.update(refs.object_rows)
-    builder = distinct._builder({config.object_relation: frozenset(excluded_rows)})
-    features = compute_pair_features(builder, all_pairs(synthetic.rows))
-    return NamePreparation(
-        name=key, rows=synthetic.rows, features=features
-    )
+    refs = NameReferences.pooled(key, [
+        extract_references(distinct.db, name, distinct.config)
+        for name in synthetic.member_names
+    ])
+    return distinct.prepare_references(refs)
 
 
 def _calibrate_name_task(payload, synthetic: SyntheticName) -> dict:

@@ -4,14 +4,16 @@
 :meth:`repro.core.distinct.Distinct.prepare` + ``cluster_prepared`` run
 produces *plus* the state needed to invalidate it precisely:
 
-- the reference rows, pair features, combined pair matrices, and the
-  :class:`~repro.cluster.agglomerative.ClusteringResult`;
-- a persistent :class:`~repro.paths.profiles.ProfileBuilder` carrying
-  the name's exclusions over the pipeline's shared step matrices, which
-  extend by the delta's rows (:class:`repro.perf.transitions
-  .StepMatrices`);
+- the resolution: reference rows, pair features, combined pair
+  matrices, and the :class:`~repro.cluster.agglomerative.ClusteringResult`;
+- the name's object rows, whose change changes its exclusions;
 - the per-relation *visited traces* (boolean reference × relation-row
   patterns) of every forward propagation level.
+
+Every batch propagates through the pipeline's
+:attr:`~repro.core.distinct.Distinct.profiles`, over its shared step
+matrices, which extend by the delta's rows
+(:class:`repro.perf.transitions.StepMatrices`).
 
 Applying a :class:`~repro.reldb.Delta` then walks the invalidation
 ladder instead of recomputing the world:
@@ -30,7 +32,8 @@ ladder instead of recomputing the world:
    as its batch in a cold run). Only pairs touching a dirty or new
    reference are re-evaluated from those rows (so the recomputed values
    are bit-identical); clean pair values are scattered from the
-   previous feature arrays;
+   previous feature arrays. A name whose exclusions changed (it gained
+   an object row) takes every reference as dirty and reuses nothing;
 4. **merges** — the patched pair matrices cluster through
    :meth:`~repro.core.distinct.Distinct.cluster_prepared`, the same
    dense-array merge loop a cold resolve runs.
@@ -61,9 +64,8 @@ from repro.core.features import (
 from repro.core.references import NameReferences, extract_references
 from repro.errors import NotFittedError, ReproError
 from repro.obs import counter, get_logger, span
-from repro.paths.batch import BatchedProfiles, batch_profile_matrices
+from repro.paths.batch import BatchedProfiles
 from repro.paths.joinpath import JoinPath
-from repro.paths.profiles import ProfileBuilder
 from repro.reldb.delta import AppliedDelta, Delta, apply_delta
 from repro.resilience.faults import fault_check
 
@@ -130,13 +132,11 @@ class IngestReport:
 
 @dataclass
 class _NameState:
-    """Everything the engine keeps per tracked name."""
+    """Everything the engine keeps per tracked name; its rows and pair
+    features are the resolution's."""
 
     name: str
-    rows: list[int]
     object_rows: list[int]
-    builder: ProfileBuilder
-    features: PairFeatures | None
     resolution: NameResolution
     traces: dict[str, sparse.csr_matrix]
 
@@ -145,14 +145,12 @@ class _NameState:
 class _RefreshPlan:
     """Per-name work order computed when a delta is applied.
 
-    ``builder`` carries the name's post-delta exclusions: the state's
-    own, or a fresh one when the name gained an object row.
-    ``propagated`` is a traced batch holding the name's references, and
-    the batch rows that are its own, once one ran.
+    ``refs`` carries the name's post-delta exclusions, new ones when it
+    gained an object row. ``propagated`` is a traced batch holding the
+    name's references, and the batch rows that are its own, once one ran.
     """
 
     refs: NameReferences  # the name's post-delta references
-    builder: ProfileBuilder
     new_rows: list[int]
     dirty_idx: np.ndarray  # positions (== leaf indices) of dirty old refs
     rebuild: bool = False  # exclusions changed: refresh from scratch
@@ -228,28 +226,12 @@ class IngestEngine:
         return state.resolution
 
     def _cold_state(self, name: str) -> _NameState:
-        distinct = self.distinct
-        refs = extract_references(self.db, name, distinct.config)
-        builder = distinct.profile_builder(name)
-        if len(refs.rows) <= 1:
-            resolution = self._cluster(name, refs.rows, None)
-            return _NameState(
-                name, list(refs.rows), list(refs.object_rows), builder,
-                None, resolution, {},
-            )
+        refs = extract_references(self.db, name, self.distinct.config)
         traces: dict[str, sparse.csr_matrix] = {}
-        # The traced batch is the one prepare() propagates; its matrices
-        # feed the pair kernels directly.
-        matrices = batch_profile_matrices(
-            builder.engine, distinct.paths_, refs.rows,
-            [builder.exclusions] * len(refs.rows), trace=traces,
-        )
-        features = compute_pair_features(builder, all_pairs(refs.rows), matrices)
-        resolution = self._cluster(name, refs.rows, features)
-        return _NameState(
-            name, list(refs.rows), list(refs.object_rows), builder,
-            features, resolution, traces,
-        )
+        # The traced batch is the one prepare() propagates.
+        prep = self.distinct.prepare_references(refs, trace=traces)
+        resolution = self._cluster(name, prep.rows, prep.features)
+        return _NameState(name, list(refs.object_rows), resolution, traces)
 
     def _cluster(
         self, name: str, rows: list[int], features: PairFeatures | None
@@ -295,24 +277,23 @@ class IngestEngine:
 
     def _plan(self, state: _NameState, affected: dict[str, set[int]]) -> _RefreshPlan:
         refs = extract_references(self.db, state.name, self.distinct.config)
+        old = set(state.resolution.rows)
+        new_rows = [row for row in refs.rows if row not in old]
         if list(refs.object_rows) != state.object_rows:
             # The name gained an object row: exclusions change for every
             # reference, so nothing survives — refresh from scratch.
             return _RefreshPlan(
-                refs=refs, builder=self.distinct.profile_builder(state.name),
-                new_rows=[], dirty_idx=np.empty(0, np.int64), rebuild=True,
+                refs=refs, new_rows=new_rows, dirty_idx=np.empty(0, np.int64),
+                rebuild=True,
             )
-        old = set(state.rows)
-        new_rows = [row for row in refs.rows if row not in old]
-        dirty_mask = np.zeros(len(state.rows), dtype=bool)
+        dirty_mask = np.zeros(len(old), dtype=bool)
         for relation, pattern in state.traces.items():
             columns = affected.get(relation)
             if columns:
                 # lint: allow[determinism/unkeyed-sort] row ids are plain int
                 dirty_mask |= touched_row_mask(pattern, np.asarray(sorted(columns)))
         return _RefreshPlan(
-            refs=refs, builder=state.builder,
-            new_rows=new_rows, dirty_idx=np.flatnonzero(dirty_mask),
+            refs=refs, new_rows=new_rows, dirty_idx=np.flatnonzero(dirty_mask),
         )
 
     def pending(self) -> list[str]:
@@ -339,7 +320,9 @@ class IngestEngine:
             return NameRefresh(
                 name=name, resolution=state.resolution, traces=state.traces,
                 n_refs_dirty=0, n_refs_new=0, n_pairs_recomputed=0,
-                n_pairs_reused=state.features.n_pairs if state.features else 0,
+                n_pairs_reused=(
+                    state.resolution.features.n_pairs if state.resolution.features else 0
+                ),
                 refreshed=False,
             )
         with span(
@@ -352,7 +335,9 @@ class IngestEngine:
                 self._propagate([plan])
             refresh = self._refresh_state(state, plan)
             sp.annotate(pairs_recomputed=refresh.n_pairs_recomputed)
-        self._install(state, refresh)
+        state.object_rows = list(plan.refs.object_rows)
+        state.resolution = refresh.resolution
+        state.traces = refresh.traces
         del self._plans[name]
         _NAMES_REFRESHED.inc()
         _REFS_DIRTY.inc(refresh.n_refs_dirty)
@@ -385,23 +370,14 @@ class IngestEngine:
         if not plans:
             return
         rows = [row for plan in plans for row in plan.refs.rows]
-        exclusions = [plan.builder.exclusions for plan in plans for _ in plan.refs.rows]
+        exclusions = [plan.refs.exclusions for plan in plans for _ in plan.refs.rows]
         traces: dict[str, sparse.csr_matrix] = {}
         with span("ingest.propagate", n_names=len(plans), n_refs=len(rows)):
-            matrices = batch_profile_matrices(
-                plans[0].builder.engine, self.distinct.paths_, rows, exclusions,
-                trace=traces,
-            )
+            matrices = self.distinct.profiles.matrices_for(rows, exclusions, trace=traces)
         stop = 0
         for plan in plans:
             start, stop = stop, stop + len(plan.refs.rows)
             plan.propagated = (matrices, traces, slice(start, stop))
-
-    def _install(self, state: _NameState, refresh: NameRefresh) -> None:
-        state.rows = list(refresh.resolution.rows)
-        state.features = refresh.resolution.features
-        state.resolution = refresh.resolution
-        state.traces = refresh.traces
 
     def ingest(self, delta: Delta) -> IngestReport:
         """Apply ``delta`` and refresh every tracked name."""
@@ -416,15 +392,9 @@ class IngestEngine:
 
     def _refresh_state(self, state: _NameState, plan: _RefreshPlan) -> NameRefresh:
         distinct = self.distinct
+        previous = state.resolution
         rows_new = list(plan.refs.rows)
-        n_old = len(state.rows)
-
-        full = (
-            plan.rebuild
-            or n_old <= 1
-            or state.features is None
-            or rows_new[:n_old] != state.rows
-        )
+        n_old = len(previous.rows)
         if len(rows_new) <= 1:
             resolution = self._cluster(state.name, rows_new, None)
             return NameRefresh(
@@ -439,35 +409,33 @@ class IngestEngine:
         # The pair kernel reads only the pairs' rows of the batch; the
         # traces are kept, so they keep only the name's own.
         traces = {relation: pattern[own] for relation, pattern in traces.items()}
-        if full:
-            return self._full_refresh(state, plan, rows_new, matrices, traces)
 
         # The old rows are a prefix of the new ones and both pair lists
         # are ``all_pairs`` order, so a clean pair (i, j) of old positions
         # sits at the condensed index i*(2n_old - i - 1)/2 + j - i - 1.
+        # New exclusions, or rows that are no such prefix, dirty them all.
         pairs_new = all_pairs(rows_new)
         pos_a, pos_b = np.triu_indices(len(rows_new), k=1)
-        dirty = np.zeros(len(rows_new), dtype=bool)
+        dirty = np.full(len(rows_new), plan.rebuild or rows_new[:n_old] != previous.rows)
         dirty[plan.dirty_idx] = True
         dirty[n_old:] = True
         recompute_mask = dirty[pos_a] | dirty[pos_b]
         recompute = np.flatnonzero(recompute_mask)
         keep = np.flatnonzero(~recompute_mask)
-        keep_a, keep_b = pos_a[keep], pos_b[keep]
-        old_k = keep_a * (2 * n_old - keep_a - 1) // 2 + keep_b - keep_a - 1
 
         n_paths = len(distinct.paths_)
         resem = np.zeros((len(pairs_new), n_paths))
         walk = np.zeros((len(pairs_new), n_paths))
-        resem[keep] = state.features.resemblance[old_k]
-        walk[keep] = state.features.walk[old_k]
-        reused = len(keep)
-        if len(recompute):
-            sub = compute_pair_features(
-                plan.builder, [pairs_new[k] for k in recompute], matrices
-            )
-            resem[recompute] = sub.resemblance
-            walk[recompute] = sub.walk
+        if len(keep):
+            keep_a, keep_b = pos_a[keep], pos_b[keep]
+            old_k = keep_a * (2 * n_old - keep_a - 1) // 2 + keep_b - keep_a - 1
+            resem[keep] = previous.features.resemblance[old_k]
+            walk[keep] = previous.features.walk[old_k]
+        sub = compute_pair_features(
+            distinct.paths_, [pairs_new[k] for k in recompute], matrices
+        )
+        resem[recompute] = sub.resemblance
+        walk[recompute] = sub.walk
         features = PairFeatures(
             paths=distinct.paths_, pairs=pairs_new, resemblance=resem, walk=walk
         )
@@ -480,29 +448,5 @@ class IngestEngine:
             n_refs_dirty=len(plan.dirty_idx),
             n_refs_new=len(plan.new_rows),
             n_pairs_recomputed=len(recompute),
-            n_pairs_reused=reused,
-        )
-
-    def _full_refresh(
-        self,
-        state: _NameState,
-        plan: _RefreshPlan,
-        rows_new: list[int],
-        matrices: dict[JoinPath, BatchedProfiles],
-        traces: dict[str, sparse.csr_matrix],
-    ) -> NameRefresh:
-        """Cold-equivalent recompute of one name (under the plan's fresh
-        builder when the exclusions changed)."""
-        features = compute_pair_features(plan.builder, all_pairs(rows_new), matrices)
-        resolution = self._cluster(state.name, rows_new, features)
-        state.builder = plan.builder
-        state.object_rows = list(plan.refs.object_rows)
-        return NameRefresh(
-            name=state.name,
-            resolution=resolution,
-            traces=traces,
-            n_refs_dirty=len(plan.dirty_idx),
-            n_refs_new=len(plan.new_rows),
-            n_pairs_recomputed=len(features.pairs),
-            n_pairs_reused=0,
+            n_pairs_reused=len(keep),
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.distinct import Distinct, NameResolution
-from repro.core.features import compute_pair_features
+from repro.core.references import exclusions_for_name
 from repro.errors import NotFittedError
 from repro.obs import counter
 from repro.similarity.combine import geometric_mean
@@ -55,7 +55,7 @@ def extend_resolution(
 
     The pairs every new row forms with the rows before it do not depend on
     the assignments, so their features are computed up front, in one
-    batch, by the builder and route :meth:`Distinct.prepare` uses.
+    batch under the name's exclusions (:meth:`Distinct.pair_features`).
     """
     if distinct.db is None or distinct.paths_ is None:
         raise NotFittedError("fit the pipeline before extending a resolution")
@@ -73,8 +73,10 @@ def extend_resolution(
         for k, new_row in enumerate(new_rows)
         for row in rows + list(new_rows[:k])
     ]
-    features = compute_pair_features(distinct.profile_builder(resolution.name), pairs)
-    all_resem, all_walk = distinct._combined_pair_values(features, True)
+    features = distinct.pair_features(
+        exclusions_for_name(distinct.db, resolution.name, config), pairs
+    )
+    all_resem, all_walk = features.combined(*distinct.combiners(features.paths))
 
     clusters = [set(c) for c in resolution.clusters]
     index_of = {row: i for i, row in enumerate(rows)}

@@ -11,13 +11,11 @@ reachable neighbor tuple ``t`` both ``Prob_P(r -> t)`` and
 
 from repro.paths.joinpath import JoinPath
 from repro.paths.enumerate import PathEnumerationConfig, enumerate_paths
-from repro.paths.propagation import PropagationEngine
 from repro.paths.profiles import ProfileBuilder
 
 __all__ = [
     "JoinPath",
     "PathEnumerationConfig",
     "enumerate_paths",
-    "PropagationEngine",
     "ProfileBuilder",
 ]

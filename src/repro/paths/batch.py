@@ -13,15 +13,16 @@ rows of a sparse matrix ``M`` turns each step into a single SpMM:
   the rows the forward pass reached (the backward DP's per-level domain).
 
 Both matrices of a step are built once over the whole relations,
-extended when a relation grows, and shared by every name
-(:attr:`PropagationEngine.steps`). The products never see an exclusion.
+extended when a relation grows, and shared by every name (the
+pipeline's :class:`repro.perf.transitions.StepMatrices`). The products
+never see an exclusion.
 
 Each reference carries its own *excluded rows*: its name's object rows
-(:func:`repro.core.references.exclusions_for_name`, or a pooled group's
-union in calibration), and, on the start relation, its origin tuple,
-which is no intermediate stop. References with equal exclusions share a
-group, so a name's exclusions are held once however many of its
-references the batch holds. A relation's excluded rows of reference
+(:attr:`repro.core.references.NameReferences.exclusions`, the union of
+the members' for a pooled group in calibration), and, on the start
+relation, its origin tuple, which is no intermediate stop. References
+with equal exclusions share a group, so a name's exclusions are held
+once however many of its references the batch holds. A relation's excluded rows of reference
 ``r`` are dropped from every partner list, numerator and denominator
 alike, by corrections on top of the exclusion-free products. Write ``d``
 for a tuple's partner count across a step and ``k`` for how many of
@@ -77,9 +78,10 @@ from scipy import sparse
 
 from repro.obs import counter
 from repro.paths.joinpath import JoinPath
-from repro.paths.propagation import Exclusions, PropagationEngine
+from repro.paths.propagation import Exclusions
 from repro.paths.trie import _TrieNode, _build_trie
-from repro.perf.transitions import StepPair
+from repro.perf.transitions import StepMatrices, StepPair
+from repro.reldb.database import Database
 
 __all__ = ["BatchedProfiles", "batch_profile_matrices"]
 
@@ -120,7 +122,7 @@ def _member(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 class _BatchContext:
-    """Per-run state: engine access, each reference's origin and exclusions.
+    """Per-run state: the step store, each reference's origin and exclusions.
 
     ``group[k]`` numbers reference ``k``'s exclusions (equal mappings
     share a number). ``excluded[relation]`` holds the sorted keys
@@ -130,13 +132,14 @@ class _BatchContext:
 
     def __init__(
         self,
-        engine: PropagationEngine,
+        db: Database,
+        steps: StepMatrices,
         start_relation: str,
         origin_rows: list[int],
         exclusions: Sequence[Exclusions] | None,
     ) -> None:
-        self.engine = engine
-        self.db = engine.db
+        self.db = db
+        self.steps = steps
         self.start = start_relation
         self.origins = np.asarray(list(origin_rows), dtype=np.int64)
         self.n_refs = len(self.origins)
@@ -174,7 +177,7 @@ class _BatchContext:
 
     def step(self, step) -> StepPair:
         """The shared, exclusion-free matrices of ``step``."""
-        return self.engine.steps.get(self.db, step)
+        return self.steps.get(self.db, step)
 
 
 def _entry_rows(matrix: sparse.csr_matrix) -> np.ndarray:
@@ -456,7 +459,8 @@ def _visited_pattern(
 
 
 def batch_profile_matrices(
-    engine: PropagationEngine,
+    db: Database,
+    steps: StepMatrices,
     paths: list[JoinPath],
     origin_rows: list[int],
     exclusions: Sequence[Exclusions] | None = None,
@@ -464,11 +468,12 @@ def batch_profile_matrices(
 ) -> dict[JoinPath, BatchedProfiles]:
     """Stacked (forward, backward) profile matrices for every path.
 
-    Row ``k`` of each matrix is reference ``origin_rows[k]``'s profile
-    along the path, propagated alone under ``exclusions[k]`` (relation
-    -> row ids treated as absent; no exclusions when ``exclusions`` is
-    None) as §2.2 defines it, to reassociation tolerance, with columns
-    over the full end relation. References of any number of names mix
+    ``steps`` holds the exclusion-free step matrices of ``db``, built on
+    first use. Row ``k`` of each matrix is reference ``origin_rows[k]``'s
+    profile along the path, propagated alone under ``exclusions[k]``
+    (relation -> row ids treated as absent; no exclusions when
+    ``exclusions`` is None) as §2.2 defines it, to reassociation
+    tolerance, with columns over the full end relation. References of any number of names mix
     in one batch. Prefix work is shared across paths through the step
     trie, and level work is shared across references through the SpMM
     formulation.
@@ -478,8 +483,11 @@ def batch_profile_matrices(
     origin level) — the raw material of dirty-reference detection. Each
     relation's pattern is one union taken after the walk, over its
     levels and any pattern the dict already held for it.
+
+    Without rows or paths there is nothing to walk: the result is empty
+    and no batch runs.
     """
-    if not paths:
+    if not paths or len(origin_rows) == 0:
         return {}
     starts = {p.start_relation for p in paths}
     if len(starts) > 1:
@@ -487,7 +495,7 @@ def batch_profile_matrices(
         raise ValueError(f"paths start at different relations: {sorted(starts)}")
     _BATCH_RUNS.inc()
     start_relation = paths[0].start_relation
-    ctx = _BatchContext(engine, start_relation, origin_rows, exclusions)
+    ctx = _BatchContext(db, steps, start_relation, origin_rows, exclusions)
     ones = np.ones(ctx.n_refs, dtype=np.float64)
     ref_ids = np.arange(ctx.n_refs, dtype=np.int64)
     initial = sparse.csr_matrix(

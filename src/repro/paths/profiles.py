@@ -7,16 +7,23 @@ The pipeline holds them stacked, one sparse row per reference
 (:class:`repro.paths.batch.BatchedProfiles`), and the pair kernel in
 :mod:`repro.similarity.vectorized` consumes them in that form.
 
-:class:`ProfileBuilder` computes them for a set of references over a set
-of paths, each reference under its own exclusions.
+:meth:`ProfileBuilder.matrices_for` is the pipeline's one way into
+propagation (:attr:`repro.core.distinct.Distinct.profiles`): fit,
+resolution, calibration, ingest, greedy assignment and explanations all
+propagate through it, each reference under the exclusions its caller
+hands it (:attr:`repro.core.references.NameReferences.exclusions`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from scipy import sparse
+
+from repro.paths.batch import BatchedProfiles, batch_profile_matrices
 from repro.paths.joinpath import JoinPath
-from repro.paths.propagation import Exclusions, PropagationEngine
+from repro.paths.propagation import Exclusions
+from repro.perf.transitions import StepMatrices
 from repro.reldb.database import Database
 
 
@@ -24,38 +31,34 @@ class ProfileBuilder:
     """Computes neighbor profiles for many references over many paths.
 
     All references of a batch propagate at once, as stacked sparse
-    matrices. ``exclusions`` are the builder's default: a name's object
-    rows for :meth:`repro.core.distinct.Distinct.profile_builder`, which
-    every reference takes unless :meth:`matrices_for` is given one
-    mapping per reference, as a batch that spans names is.
+    matrices over ``steps``, the exclusion-free step matrices of ``db``
+    (a fresh store unless given one; a pipeline hands every builder its
+    own shared store, so each step is built once whatever the names).
     """
 
     def __init__(
         self,
         db: Database,
         paths: list[JoinPath],
-        exclusions: Exclusions | None = None,
+        steps: StepMatrices | None = None,
     ) -> None:
         self.db = db
         self.paths = list(paths)
-        self.exclusions = {k: frozenset(v) for k, v in (exclusions or {}).items()}
-        self.engine = PropagationEngine(db)
+        self.steps = StepMatrices() if steps is None else steps
 
     def matrices_for(
         self,
         origin_rows: list[int],
-        exclusions: Sequence[Exclusions] | None = None,
-    ):
+        exclusions: Sequence[Exclusions],
+        trace: dict[str, sparse.csr_matrix] | None = None,
+    ) -> dict[JoinPath, BatchedProfiles]:
         """Batched profile matrices for the given references, per path.
 
-        The batched backend (:mod:`repro.paths.batch`): one sparse
-        matrix pair per path covering *all* the references at once,
-        computed as a handful of SpMM products over the engine's step
-        matrices. ``exclusions[k]`` is reference ``origin_rows[k]``'s;
-        without it every reference takes the builder's.
+        One sparse matrix pair per path covering *all* the references at
+        once (:func:`repro.paths.batch.batch_profile_matrices`), reference
+        ``origin_rows[k]`` propagating under ``exclusions[k]``; ``trace``
+        collects the visited patterns. No rows, no batch.
         """
-        from repro.paths.batch import batch_profile_matrices
-
-        if exclusions is None:
-            exclusions = [self.exclusions] * len(origin_rows)
-        return batch_profile_matrices(self.engine, self.paths, origin_rows, exclusions)
+        return batch_profile_matrices(
+            self.db, self.steps, self.paths, origin_rows, exclusions, trace
+        )

@@ -1,5 +1,5 @@
 """Probability propagation along a join path (§2.2, Fig 3 of the paper):
-the context a name's propagation runs in.
+its definition, and the per-reference exclusions it runs under.
 
 Forward pass — ``Prob_P(r -> t)``: the origin tuple starts with probability
 1; at each join step every tuple splits its mass uniformly over its join
@@ -25,9 +25,11 @@ Two kinds of tuples are treated specially (DESIGN.md §6):
   backward pass) but is of course the allowed endpoint of the backward walk.
 
 :mod:`repro.paths.batch` computes both passes for any set of references,
-of one name or many, at once, as sparse matrix products over the shared
-step matrices of :attr:`PropagationEngine.steps`, with both kinds of
-exclusion applied as per-reference corrections. The test suite's scalar
+of one name or many, at once, as sparse matrix products over a
+pipeline's shared step matrices (:class:`repro.perf.transitions
+.StepMatrices`), with both kinds of exclusion applied as per-reference
+corrections; :meth:`repro.paths.profiles.ProfileBuilder.matrices_for`
+is the pipeline's one way into it. The test suite's scalar
 oracle (``tests/oracle.py``) walks one reference at a time over Python
 dicts, the definition above read literally.
 """
@@ -36,25 +38,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.perf.transitions import StepMatrices
-from repro.reldb.database import Database
-
 #: Relation name -> row ids treated as absent.
 Exclusions = Mapping[str, frozenset[int]]
-
-
-class PropagationEngine:
-    """What propagation runs against: the database to walk and the store
-    of its exclusion-free step matrices.
-
-    A fresh engine owns an empty store; a pipeline points all its
-    engines at one store (:meth:`repro.core.distinct.Distinct
-    .profile_builder`), so every name shares each step's matrices.
-    """
-
-    def __init__(self, db: Database) -> None:
-        self.db = db
-        self.steps = StepMatrices()
 
 
 def make_exclusions(**relation_rows: set[int] | frozenset[int]) -> dict[str, frozenset[int]]:

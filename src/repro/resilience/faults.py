@@ -40,8 +40,8 @@ site                      where
 ========================  ====================================================
 ``ingest.record``         per record in :func:`repro.data.dblp_xml.iter_dblp_records`
 ``csv.load``              per relation in :func:`repro.reldb.csvio.load_database`
-``profile``               per name in :meth:`repro.core.distinct.Distinct.prepare`
-``features.backend``      per batch in :func:`repro.core.features.compute_pair_features`
+``profile``               per name in :meth:`repro.core.distinct.Distinct.prepare` and per pooled name in :func:`repro.eval.calibration.prepare_synthetic`
+``features.backend``      per call of :func:`repro.core.features.compute_pair_features`
 ``cluster``               per name in :meth:`repro.core.distinct.Distinct.cluster_prepared`
 ``ingest.refresh``        per name in :meth:`repro.ingest.engine.IngestEngine.refresh`
 ========================  ====================================================

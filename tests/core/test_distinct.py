@@ -5,13 +5,14 @@ from scipy import sparse
 from repro import Distinct, DistinctConfig
 from repro.core.distinct import NamePreparation
 from repro.core.features import compute_pair_features
+from repro.core.references import exclusions_for_name
 from repro.obs import get_metrics
 from repro.paths.batch import BatchedProfiles
 from repro.core.variants import FIG4_VARIANTS, variant_by_key
 from repro.errors import NotFittedError
 from repro.eval.metrics import pairwise_scores
 
-from tests.oracle import scalar_pair_features
+from tests.oracle import ScalarProfileBuilder, scalar_pair_features
 
 
 class TestFit:
@@ -57,14 +58,14 @@ class TestTrainingFeatures:
                     rows.append(row)
         profile_of = {}
         for name, rows in rows_of.items():
-            batch = fitted.profile_builder(name).matrices_for(rows)
+            exclusions = exclusions_for_name(fitted.db, name, fitted.config)
+            batch = fitted.profiles.matrices_for(rows, [exclusions] * len(rows))
             for k, row in enumerate(rows):
                 profile_of[row] = {
                     path: (stacked.forward[k], stacked.backward[k])
                     for path, stacked in batch.items()
                 }
         got = fitted._training_features(training_set)
-        builder = fitted.profile_builder(training_set.pairs[0].name_a)
         for k, pair in enumerate(training_set.pairs):
             a, b = profile_of[pair.row_a], profile_of[pair.row_b]
             two_rows = {
@@ -76,7 +77,9 @@ class TestTrainingFeatures:
                 )
                 for path in fitted.paths_
             }
-            want = compute_pair_features(builder, [(pair.row_a, pair.row_b)], two_rows)
+            want = compute_pair_features(
+                fitted.paths_, [(pair.row_a, pair.row_b)], two_rows
+            )
             assert got.resemblance[k].tobytes() == want.resemblance[0].tobytes()
             assert got.walk[k].tobytes() == want.walk[0].tobytes()
 
@@ -95,9 +98,12 @@ class TestBackendEquivalentResolutions:
         """The production route clusters exactly as the scalar reference."""
         for name in ("Wei Wang", "Jim Smith"):
             prep = fitted.prepare(name)
-            builder = fitted.profile_builder(name)
+            oracle = ScalarProfileBuilder(
+                fitted.db, fitted.paths_,
+                exclusions_for_name(fitted.db, name, fitted.config),
+            )
             scalar = NamePreparation(
-                name, prep.rows, scalar_pair_features(builder, prep.features.pairs)
+                name, prep.rows, scalar_pair_features(oracle, prep.features.pairs)
             )
             assert fitted.cluster_prepared(prep).clusters == (
                 fitted.cluster_prepared(scalar).clusters

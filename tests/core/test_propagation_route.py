@@ -1,0 +1,80 @@
+"""The one propagation route: every batch any caller propagates goes
+through :meth:`repro.paths.profiles.ProfileBuilder.matrices_for`, and
+resolving a name extracts its references once."""
+
+from __future__ import annotations
+
+import repro.core.distinct as distinct_module
+import repro.core.references as references
+from repro import Distinct, DistinctConfig
+from repro.core.explain import explain_pair
+from repro.eval.calibration import calibrate_min_sim
+from repro.ingest import IngestEngine
+from repro.ingest.greedy import extend_resolution
+from repro.obs import get_metrics
+from repro.paths.profiles import ProfileBuilder
+
+from tests.ingest.test_engine import MIN_SIM, NAMES, warm_pipeline
+
+
+def test_every_batch_goes_through_matrices_for(fitted, small_world, monkeypatch):
+    """Fit, prepare, calibration, explanation, ingest's cold resolves,
+    ``refresh_all``, a lone ``refresh`` and greedy assignment each
+    propagate, and every batch they run is one ``matrices_for`` call."""
+    calls: list[None] = []
+    original = ProfileBuilder.matrices_for
+
+    def spy(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProfileBuilder, "matrices_for", spy)
+    runs = get_metrics().counter("propagation.batch.runs")
+
+    def through_route(step, fn):
+        n_calls, n_runs = len(calls), runs.value
+        out = fn()
+        assert len(calls) - n_calls >= 1, step
+        assert len(calls) - n_calls == runs.value - n_runs, step
+        return out
+
+    _, split = warm_pipeline(fitted, small_world)
+    config = DistinctConfig(n_positive=40, n_negative=40, svm_C=10.0)
+    distinct = through_route("fit", lambda: Distinct(config).fit(split.base))
+    prep = through_route("prepare", lambda: distinct.prepare("Wei Wang"))
+    through_route("calibrate", lambda: calibrate_min_sim(distinct, n_names=2, members=2))
+    through_route(
+        "explain", lambda: explain_pair(distinct, "Wei Wang", prep.rows[0], prep.rows[1])
+    )
+
+    engine = IngestEngine(distinct, min_sim=MIN_SIM)
+    cold = through_route("cold", lambda: {name: engine.resolve(name) for name in NAMES})
+    through_route("refresh_all", lambda: (engine.apply(split.delta), engine.refresh_all()))
+    known = set(cold["Jim Smith"].rows)
+    new_rows = [row for row in engine.resolution("Jim Smith").rows if row not in known]
+    assert new_rows
+    through_route(
+        "extend", lambda: extend_resolution(distinct, cold["Jim Smith"], new_rows)
+    )
+
+    alone_distinct, alone_split = warm_pipeline(fitted, small_world)
+    alone = IngestEngine(alone_distinct, min_sim=MIN_SIM)
+    for name in NAMES:
+        alone.resolve(name)
+    alone.apply(alone_split.delta)
+    through_route("refresh", lambda: alone.refresh("Jim Smith"))
+
+
+def test_prepare_extracts_references_once(fitted, monkeypatch):
+    names: list[str] = []
+    original = references.extract_references
+
+    def spy(db, name, *args, **kwargs):
+        names.append(name)
+        return original(db, name, *args, **kwargs)
+
+    monkeypatch.setattr(references, "extract_references", spy)
+    monkeypatch.setattr(distinct_module, "extract_references", spy)
+    for name in ("Wei Wang", "Jim Smith"):
+        fitted.prepare(name)
+    assert names == ["Wei Wang", "Jim Smith"]

@@ -4,6 +4,7 @@ import pytest
 from repro.config import DistinctConfig
 from repro.core.features import all_pairs, compute_pair_features, pair_matrix
 from repro.core.references import (
+    NameReferences,
     exclusions_for_name,
     extract_references,
     reference_counts_by_name,
@@ -27,6 +28,19 @@ class TestReferences:
         refs = extract_references(db, "Wei Wang")
         assert refs.rows == WW_REFS
         assert refs.object_rows == [WW_AUTHOR_ROW]
+        assert refs.exclusions == {"Authors": frozenset({WW_AUTHOR_ROW})}
+
+    def test_pooled_unites_rows_and_exclusions(self):
+        db = build_minidb()
+        wei = extract_references(db, "Wei Wang")
+        jiong = extract_references(db, "Jiong Yang")
+        pooled = NameReferences.pooled("Wei Wang+Jiong Yang", [wei, jiong])
+        assert pooled.name == "Wei Wang+Jiong Yang"
+        assert pooled.rows == sorted(wei.rows + jiong.rows)
+        assert pooled.object_rows == wei.object_rows + jiong.object_rows
+        assert pooled.exclusions == {
+            "Authors": frozenset(wei.object_rows + jiong.object_rows)
+        }
 
     def test_extract_unknown_name_raises(self):
         db = build_minidb()
@@ -52,12 +66,12 @@ class TestReferences:
 
 class TestPairFeatures:
     def make_features(self):
-        db = build_minidb()
-        builder = ProfileBuilder(
-            db, [COAUTHOR], {"Authors": frozenset({WW_AUTHOR_ROW})}
+        exclusions = {"Authors": frozenset({WW_AUTHOR_ROW})}
+        matrices = ProfileBuilder(build_minidb(), [COAUTHOR]).matrices_for(
+            WW_REFS, [exclusions] * len(WW_REFS)
         )
         pairs = all_pairs(WW_REFS)
-        return compute_pair_features(builder, pairs), pairs
+        return compute_pair_features([COAUTHOR], pairs, matrices), pairs
 
     def test_all_pairs(self):
         assert all_pairs([1, 2, 3]) == [(1, 2), (1, 3), (2, 3)]
@@ -90,13 +104,16 @@ class TestPairFeatures:
 
     def test_pair_matrix_symmetric(self):
         features, pairs = self.make_features()
-        matrix = pair_matrix(WW_REFS, pairs, features.resemblance[:, 0])
+        matrix = pair_matrix(len(WW_REFS), features.resemblance[:, 0])
         assert matrix.shape == (4, 4)
         assert np.allclose(matrix, matrix.T)
         assert matrix[0, 2] == pytest.approx(1 / 3)  # rows 0 and 6
         assert np.all(np.diag(matrix) == 0.0)
 
     def test_pair_matrix_unsorted_rows_and_pairs(self):
-        matrix = pair_matrix([30, 10, 20], [(20, 30), (10, 30)], np.array([1.0, 2.0]))
+        # Rows [30, 10, 20] in any order; values in all_pairs order of them:
+        # (30, 10), (30, 20), (10, 20).
+        assert all_pairs([30, 10, 20]) == [(30, 10), (30, 20), (10, 20)]
+        matrix = pair_matrix(3, np.array([2.0, 1.0, 0.0]))
         expected = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(matrix, expected)

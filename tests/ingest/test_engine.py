@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.distinct import Distinct
-from repro.core.references import exclusions_for_name, extract_references
+from repro.core.references import extract_references
 from repro.data.deltas import grow_world, split_world
 from repro.errors import ReproError
 from repro.ingest import IngestEngine, dirty
@@ -91,14 +91,14 @@ class TestStepMatricesAcrossDeltas:
     def test_builder_from_before_a_delta_matches_a_fresh_build(self, warm):
         distinct, split = warm
         db = distinct.db
-        builder = distinct.profile_builder("Jim Smith")
-        builder.matrices_for(extract_references(db, "Jim Smith").rows)
+        builder = distinct.profiles
+        refs = extract_references(db, "Jim Smith")
+        builder.matrices_for(refs.rows, [refs.exclusions] * len(refs.rows))
         apply_delta(db, split.delta)
-        rows = extract_references(db, "Jim Smith").rows
-        got = builder.matrices_for(rows)
-        fresh = ProfileBuilder(
-            db, distinct.paths_, exclusions_for_name(db, "Jim Smith")
-        ).matrices_for(rows)
+        refs = extract_references(db, "Jim Smith")
+        exclusions = [refs.exclusions] * len(refs.rows)
+        got = builder.matrices_for(refs.rows, exclusions)
+        fresh = ProfileBuilder(db, distinct.paths_).matrices_for(refs.rows, exclusions)
         for path in distinct.paths_:
             for old, new in (
                 (got[path].forward, fresh[path].forward),
@@ -179,6 +179,67 @@ class TestOneBatchPerDelta:
                 assert old.indptr.tobytes() == new.indptr.tobytes()
                 assert old.indices.tobytes() == new.indices.tobytes()
                 assert old.data.tobytes() == new.data.tobytes()
+
+
+class TestExclusionChange:
+    def test_gaining_an_object_row_refreshes_from_scratch(self, warm):
+        """A second ``Authors`` row named "Jim Smith" with two ``Publish``
+        rows changes every reference's exclusions: the refresh reuses no
+        pair, equals a cold resolve, counts the two new references and
+        holds the new object rows, so the next delta finds it clean."""
+        distinct, _ = warm
+        db = distinct.db
+        engine = IngestEngine(distinct, min_sim=MIN_SIM)
+        for name in NAMES:
+            engine.resolve(name)
+        old_objects = extract_references(db, "Jim Smith").object_rows
+        author_key = max(row[0] for row in db.table("Authors").rows) + 1
+        papers = [db.table("Publications").row(k)[0] for k in (0, 1)]
+        delta = Delta({
+            "Authors": [(author_key, "Jim Smith")],
+            "Publish": [(paper, author_key) for paper in papers],
+        })
+        report = engine.ingest(delta)
+
+        refresh = next(r for r in report.refreshes if r.name == "Jim Smith")
+        assert refresh.refreshed
+        assert refresh.n_refs_new == 2
+        assert refresh.n_pairs_reused == 0
+        assert report.totals()["refs_new"] == 2
+        new_objects = extract_references(db, "Jim Smith").object_rows
+        assert len(new_objects) == len(old_objects) + 1
+        assert engine._states["Jim Smith"].object_rows == new_objects
+
+        cold = IngestEngine(
+            Distinct.from_models(
+                db, distinct.resem_model_, distinct.walk_model_, distinct.config
+            ),
+            min_sim=MIN_SIM,
+        )
+        cold.resolve("Jim Smith")
+        assert_same_state(
+            (refresh.resolution, refresh.traces),
+            (cold.resolution("Jim Smith"), cold._states["Jim Smith"].traces),
+        )
+        assert "Jim Smith" in engine.ingest(Delta()).names_clean
+
+    def test_a_name_of_one_reference_keeps_its_new_object_rows(self, warm):
+        distinct, _ = warm
+        db = distinct.db
+        author_key = max(row[0] for row in db.table("Authors").rows) + 1
+        paper = db.table("Publications").row(0)[0]
+        apply_delta(db, Delta({
+            "Authors": [(author_key, "Ann Newcomer")],
+            "Publish": [(paper, author_key)],
+        }))
+        engine = IngestEngine(distinct, min_sim=MIN_SIM)
+        assert len(engine.resolve("Ann Newcomer").rows) == 1
+        report = engine.ingest(Delta({"Authors": [(author_key + 1, "Ann Newcomer")]}))
+        assert report.names_refreshed == ["Ann Newcomer"]
+        assert engine._states["Ann Newcomer"].object_rows == (
+            extract_references(db, "Ann Newcomer").object_rows
+        )
+        assert engine.ingest(Delta()).names_clean == ["Ann Newcomer"]
 
 
 class TestEpochSequencing:

@@ -11,7 +11,9 @@ that route to:
   :func:`propagate_trie`, the same walk sharing prefix work across paths;
 - :class:`NeighborProfile` and :class:`ScalarProfileBuilder` — the
   weighted neighbor-tuple set ``NB_P(r)`` of one reference along one
-  path, cached per ``(path, origin_row)``;
+  path, cached per ``(path, origin_row)``; the builder also runs the
+  runtime route under the same exclusions
+  (:meth:`ScalarProfileBuilder.route_features`);
 - :func:`set_resemblance` (Definition 2) and :func:`walk_probability`
   (§2.4) — one (pair, path) value per call;
 - :func:`scalar_pair_features` — pair features from all of the above,
@@ -44,12 +46,12 @@ import numpy as np
 from scipy import sparse
 
 from repro.cluster.dendrogram import Dendrogram, Merge
-from repro.core.features import PairFeatures
+from repro.core.features import PairFeatures, compute_pair_features
 from repro.ml.svm import GRADIENT_TOL
 from repro.paths.batch import BatchedProfiles
 from repro.paths.joinpath import JoinPath
 from repro.paths.profiles import ProfileBuilder
-from repro.paths.propagation import Exclusions, PropagationEngine
+from repro.paths.propagation import Exclusions
 from repro.paths.trie import _build_trie, _TrieNode
 
 _EMPTY_SET: frozenset[int] = frozenset()
@@ -83,7 +85,7 @@ class PropagationResult:
         return sum(self.forward.values())
 
 
-class ScalarPropagation(PropagationEngine):
+class ScalarPropagation:
     """Forward/backward propagation of one reference over Python dicts.
 
     Forward: the origin starts with mass 1; at each join step every
@@ -101,7 +103,7 @@ class ScalarPropagation(PropagationEngine):
     """
 
     def __init__(self, db, exclusions: Exclusions | None = None) -> None:
-        super().__init__(db)
+        self.db = db
         self.exclusions = {k: frozenset(v) for k, v in (exclusions or {}).items()}
         self.tuples_visited = 0
 
@@ -296,26 +298,32 @@ class NeighborProfile:
 
 class ScalarProfileBuilder(ProfileBuilder):
     """A :class:`~repro.paths.profiles.ProfileBuilder` that also walks one
-    reference at a time, caching profiles by ``(path, origin_row)``.
+    reference at a time under its own ``exclusions``, caching profiles
+    by ``(path, origin_row)``.
 
-    Its engine is a :class:`ScalarPropagation`, so the inherited
-    :meth:`matrices_for` runs the runtime route over the same database,
-    paths and exclusions.
+    The inherited :meth:`matrices_for` runs the runtime route over the
+    same database and paths, every reference under the oracle's
+    exclusions unless given its own.
     """
 
     def __init__(
         self, db, paths: list[JoinPath], exclusions: Exclusions | None = None
     ) -> None:
-        super().__init__(db, paths, exclusions)
-        self.engine = ScalarPropagation(db, exclusions)
+        super().__init__(db, paths)
+        self.exclusions = {k: frozenset(v) for k, v in (exclusions or {}).items()}
+        self.engine = ScalarPropagation(db, self.exclusions)
         self._cache: dict[tuple[JoinPath, int], NeighborProfile] = {}
 
-    @classmethod
-    def like(cls, builder: ProfileBuilder) -> "ScalarProfileBuilder":
-        """The oracle over ``builder``'s database, paths and exclusions."""
-        if isinstance(builder, cls):
-            return builder
-        return cls(builder.db, builder.paths, builder.exclusions)
+    def matrices_for(self, origin_rows, exclusions=None, trace=None):
+        if exclusions is None:
+            exclusions = [self.exclusions] * len(origin_rows)
+        return super().matrices_for(origin_rows, exclusions, trace)
+
+    def route_features(self, pairs: list[tuple[int, int]]) -> PairFeatures:
+        """The runtime's features of ``pairs``: one batch over their rows
+        under the oracle's exclusions, then the pair kernel."""
+        rows = list(dict.fromkeys(row for pair in pairs for row in pair))
+        return compute_pair_features(self.paths, pairs, self.matrices_for(rows))
 
     def profile(self, path: JoinPath, origin_row: int) -> NeighborProfile:
         key = (path, origin_row)
@@ -397,10 +405,11 @@ def walk_probability(a: NeighborProfile, b: NeighborProfile) -> float:
     return 0.5 * (directed_walk_probability(a, b) + directed_walk_probability(b, a))
 
 
-def scalar_pair_features(builder, pairs: list[tuple[int, int]]) -> PairFeatures:
+def scalar_pair_features(
+    oracle: ScalarProfileBuilder, pairs: list[tuple[int, int]]
+) -> PairFeatures:
     """Pair features from the scalar propagation and per-pair measures,
-    over ``builder``'s database, paths and exclusions."""
-    oracle = ScalarProfileBuilder.like(builder)
+    over ``oracle``'s database, paths and exclusions."""
     paths = oracle.paths
     resem = np.zeros((len(pairs), len(paths)))
     walk = np.zeros((len(pairs), len(paths)))

@@ -18,10 +18,11 @@ from repro.config import DistinctConfig
 from repro.core.references import exclusions_for_name, extract_references
 from repro.data.dblp_schema import prepare_dblp_database
 from repro.obs import get_metrics
-from repro.paths import JoinPath, PropagationEngine
+from repro.paths import JoinPath
 from repro.paths.batch import batch_profile_matrices
 from repro.paths.enumerate import enumerate_paths
 from repro.paths.propagation import make_exclusions
+from repro.perf.transitions import StepMatrices
 from repro.reldb.csvio import load_database
 from repro.reldb.joins import JoinStep
 
@@ -51,7 +52,7 @@ ATOL = 1e-12
 def assert_matches_scalar(engine: ScalarPropagation, paths=PATHS, refs=WW_REFS):
     refs = list(refs)
     batched = batch_profile_matrices(
-        engine, paths, refs, [engine.exclusions] * len(refs)
+        engine.db, StepMatrices(), paths, refs, [engine.exclusions] * len(refs)
     )
     for path in paths:
         stacked = batched[path]
@@ -80,26 +81,35 @@ class TestBatchMatchesScalar:
         )
 
     def test_mixed_start_relations_rejected(self):
-        engine = PropagationEngine(build_minidb())
         other = JoinPath([PAP_PROC])
         with pytest.raises(ValueError, match="start"):
-            batch_profile_matrices(engine, [PATHS[0], other], WW_REFS)
+            batch_profile_matrices(
+                build_minidb(), StepMatrices(), [PATHS[0], other], WW_REFS
+            )
 
     def test_one_exclusion_set_per_reference(self):
-        engine = PropagationEngine(build_minidb())
         with pytest.raises(ValueError, match="exclusion sets"):
-            batch_profile_matrices(engine, PATHS, WW_REFS, [EXCLUSIONS])
+            batch_profile_matrices(
+                build_minidb(), StepMatrices(), PATHS, WW_REFS, [EXCLUSIONS]
+            )
 
     def test_empty_paths(self):
-        engine = PropagationEngine(build_minidb())
-        assert batch_profile_matrices(engine, [], WW_REFS) == {}
+        assert batch_profile_matrices(build_minidb(), StepMatrices(), [], WW_REFS) == {}
+
+    def test_no_rows_runs_no_batch(self):
+        runs = get_metrics().counter("propagation.batch.runs")
+        before = runs.value
+        assert batch_profile_matrices(build_minidb(), StepMatrices(), PATHS, []) == {}
+        assert runs.value == before
 
 
 class TestBatchedProfilesContract:
     def test_backward_pattern_subset_of_forward(self):
-        engine = PropagationEngine(build_minidb())
         exclusions = [EXCLUSIONS] * len(WW_REFS)
-        for stacked in batch_profile_matrices(engine, PATHS, WW_REFS, exclusions).values():
+        batched = batch_profile_matrices(
+            build_minidb(), StepMatrices(), PATHS, WW_REFS, exclusions
+        )
+        for stacked in batched.values():
             fwd = stacked.forward
             back = stacked.backward
             for k in range(fwd.shape[0]):
@@ -125,21 +135,24 @@ class TestBatchedProfilesContract:
         materializes, summed over references, on a real name."""
         db, truth = small_db
         rows = truth.rows_of_name["Wei Wang"]
-        oracle = ScalarProfileBuilder.like(fitted.profile_builder("Wei Wang"))
+        exclusions = exclusions_for_name(db, "Wei Wang", fitted.config)
+        oracle = ScalarProfileBuilder(db, fitted.paths_, exclusions)
         oracle.warm(rows)
         scalar = oracle.engine.tuples_visited
         tuples = get_metrics().counter("propagation.tuples_visited")
         before = tuples.value
-        fitted.profile_builder("Wei Wang").matrices_for(rows)
+        fitted.profiles.matrices_for(rows, [exclusions] * len(rows))
         assert scalar > 0
         assert tuples.value - before == scalar
 
     def test_batch_leaves_no_reference_cycle(self):
-        engine = PropagationEngine(build_minidb())
+        db = build_minidb()
         gc.collect()
         gc.disable()
         try:
-            batch_profile_matrices(engine, PATHS, list(WW_REFS), [EXCLUSIONS] * len(WW_REFS))
+            batch_profile_matrices(
+                db, StepMatrices(), PATHS, list(WW_REFS), [EXCLUSIONS] * len(WW_REFS)
+            )
             # A cycle would keep the batch's matrices until the cyclic
             # collector happened to run.
             assert gc.collect() == 0
@@ -165,18 +178,18 @@ class TestStepMatricesOnCliWorld:
         db.insert("Conferences", (10**6, "unnamed", None))
         config = DistinctConfig()
         paths = enumerate_paths(db.schema, config.reference_relation, config.path_config)
-        engine = PropagationEngine(db)
+        store = StepMatrices()
         steps = {s for path in paths for step in path for s in (step, step.reverse())}
         for step in steps:
-            pair = engine.steps.get(db, step)
+            pair = store.get(db, step)
             assert_rows_are_partner_splits(pair.forward, db, step)
             assert_rows_are_partner_splits(pair.backward.T.tocsr(), db, step.reverse())
 
         own = exclusions_for_name(db, "Wei Wang", config)
         padded = {relation: rows | {-1, 10**9} for relation, rows in own.items()}
         refs = extract_references(db, "Wei Wang", config).rows[:3]
-        want = batch_profile_matrices(engine, paths, refs, [own] * len(refs))
-        got = batch_profile_matrices(engine, paths, refs, [padded] * len(refs))
+        want = batch_profile_matrices(db, store, paths, refs, [own] * len(refs))
+        got = batch_profile_matrices(db, store, paths, refs, [padded] * len(refs))
         for path in paths:
             for name in ("forward", "backward"):
                 a, b = getattr(got[path], name), getattr(want[path], name)

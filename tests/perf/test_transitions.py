@@ -12,7 +12,6 @@ from repro.data.world import world_to_database
 from repro.obs import get_metrics
 from repro.paths import JoinPath
 from repro.paths.batch import batch_profile_matrices
-from repro.paths.propagation import PropagationEngine
 from repro.perf.transitions import (
     StepMatrices,
     StepPair,
@@ -104,9 +103,9 @@ class TestMasks:
         the route's, per reference, and ids outside a relation drop
         nothing."""
         db = toy_db()
-        engine = PropagationEngine(db)
+        steps = StepMatrices()
         for step in (TO_DST, TO_SRC):
-            pair = engine.steps.get(db, step)
+            pair = steps.get(db, step)
             assert_rows_are_partner_splits(pair.forward, db, step)
             assert_rows_are_partner_splits(pair.backward.T.tocsr(), db, step.reverse())
         paths = [JoinPath([TO_DST]), JoinPath([TO_DST, TO_SRC])]
@@ -114,8 +113,8 @@ class TestMasks:
         excluded = {"Src": frozenset({4}), "Dst": frozenset({1})}
         padded = {"Src": frozenset({4, 99, -1}), "Dst": frozenset({1, 10**9})}
         oracle = ScalarPropagation(db, excluded)
-        want = batch_profile_matrices(engine, paths, refs, [excluded] * len(refs))
-        got = batch_profile_matrices(engine, paths, refs, [padded] * len(refs))
+        want = batch_profile_matrices(db, steps, paths, refs, [excluded] * len(refs))
+        got = batch_profile_matrices(db, steps, paths, refs, [padded] * len(refs))
         for path in paths:
             assert (got[path].forward != want[path].forward).nnz == 0
             assert (got[path].backward != want[path].backward).nnz == 0

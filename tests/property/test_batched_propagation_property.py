@@ -19,9 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.references import exclusions_for_name
 from repro.obs import get_metrics
-from repro.paths import JoinPath, PropagationEngine
+from repro.paths import JoinPath
 from repro.paths.batch import batch_profile_matrices
+from repro.perf.transitions import StepMatrices
 from repro.reldb import Attribute, Database, ForeignKey, RelationSchema, Schema
 from repro.reldb.joins import steps_for_foreign_key
 
@@ -107,7 +109,7 @@ def assert_equivalent(db, exclusions=None) -> None:
     refs = list(range(len(db.table("Refs"))))
     exclusions = exclusions or [{}] * len(refs)
     paths = chain_paths(db)
-    batched = batch_profile_matrices(PropagationEngine(db), paths, refs, exclusions)
+    batched = batch_profile_matrices(db, StepMatrices(), paths, refs, exclusions)
     for path in paths:
         stacked = batched[path]
         for k, row in enumerate(refs):
@@ -165,13 +167,13 @@ def row_bytes(matrix, k: int) -> tuple[bytes, bytes]:
     return indices.tobytes(), matrix.data[lo:hi].tobytes()
 
 
-def rows_by_reference(engine, paths, refs, exclusions) -> dict:
+def rows_by_reference(db, steps, paths, refs, exclusions) -> dict:
     """Per reference of one batch: its forward and backward row of every
     path and its visited-trace row of every relation, as bytes.
     ``exclusions`` maps each reference to its own."""
     trace: dict = {}
     batched = batch_profile_matrices(
-        engine, paths, refs, [exclusions[ref] for ref in refs], trace=trace
+        db, steps, paths, refs, [exclusions[ref] for ref in refs], trace=trace
     )
     return {
         ref: (
@@ -184,15 +186,15 @@ def rows_by_reference(engine, paths, refs, exclusions) -> dict:
 
 
 def assert_batch_independent(db, exclusions, rnd) -> None:
-    engine = PropagationEngine(db)
+    steps = StepMatrices()
     refs = list(range(len(db.table("Refs"))))
     paths = chain_paths(db)
-    whole = rows_by_reference(engine, paths, refs, exclusions)
+    whole = rows_by_reference(db, steps, paths, refs, exclusions)
     shuffled = refs[:]
     rnd.shuffle(shuffled)
     sub = sorted(rnd.sample(refs, rnd.randint(1, len(refs))))
     for batch in (shuffled, sub, *([ref] for ref in refs)):
-        for ref, rows in rows_by_reference(engine, paths, batch, exclusions).items():
+        for ref, rows in rows_by_reference(db, steps, paths, batch, exclusions).items():
             assert rows == whole[ref], (ref, batch)
 
 
@@ -222,18 +224,18 @@ class TestBatchIndependence:
         _, truth = small_db
         names = ("Wei Wang", "Rakesh Kumar", "Jim Smith")
         exclusions = {
-            ref: fitted.profile_builder(name).exclusions
+            ref: exclusions_for_name(fitted.db, name, fitted.config)
             for name in names
             for ref in truth.rows_of_name[name]
         }
-        engine = fitted.profile_builder(names[0]).engine
-        mixed = rows_by_reference(engine, fitted.paths_, list(exclusions), exclusions)
+        db, steps = fitted.db, fitted.steps
+        mixed = rows_by_reference(db, steps, fitted.paths_, list(exclusions), exclusions)
         for name in names:
             refs = list(truth.rows_of_name[name])
-            whole = rows_by_reference(engine, fitted.paths_, refs, exclusions)
+            whole = rows_by_reference(db, steps, fitted.paths_, refs, exclusions)
             for ref in refs:
                 assert mixed[ref] == whole[ref], (name, ref)
             for batch in (refs[::-1], *([ref] for ref in refs)):
-                got = rows_by_reference(engine, fitted.paths_, batch, exclusions)
+                got = rows_by_reference(db, steps, fitted.paths_, batch, exclusions)
                 for ref, rows in got.items():
                     assert rows == whole[ref], (name, ref)

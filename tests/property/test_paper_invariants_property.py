@@ -3,7 +3,8 @@
 Random chain databases (references -> mid -> top, with sibling and
 back-and-forth paths) go through what the pipeline runs —
 :meth:`ProfileBuilder.matrices_for` (batched propagation) and
-:func:`compute_pair_features` (the matrix kernels) — and
+:func:`compute_pair_features` (the matrix kernels), through the
+oracle's :meth:`~tests.oracle.ScalarProfileBuilder.route_features` — and
 every invariant is checked against the scalar oracle as well:
 
 - per-path forward probability mass is at most 1, and exactly 1 when no
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.features import all_pairs, compute_pair_features
+from repro.core.features import all_pairs
 from repro.paths.propagation import make_exclusions
 
 from tests.oracle import ScalarProfileBuilder, scalar_pair_features
@@ -82,8 +83,8 @@ class TestMeasures:
     def test_resemblance_in_unit_interval_and_symmetric(self, db, excluded_mid):
         pairs = all_pairs(ref_rows(db))
         swapped = [(b, a) for a, b in pairs]
-        got = compute_pair_features(builder_for(db, excluded_mid=excluded_mid), pairs)
-        back = compute_pair_features(builder_for(db, excluded_mid=excluded_mid), swapped)
+        got = builder_for(db, excluded_mid=excluded_mid).route_features(pairs)
+        back = builder_for(db, excluded_mid=excluded_mid).route_features(swapped)
         oracle = scalar_pair_features(builder_for(db, excluded_mid=excluded_mid), pairs)
         assert (got.resemblance >= 0.0).all() and (got.resemblance <= 1.0).all()
         np.testing.assert_array_equal(got.resemblance, back.resemblance)
@@ -94,8 +95,8 @@ class TestMeasures:
     def test_symmetrized_walk_is_symmetric(self, db, excluded_mid):
         pairs = all_pairs(ref_rows(db))
         swapped = [(b, a) for a, b in pairs]
-        got = compute_pair_features(builder_for(db, excluded_mid=excluded_mid), pairs)
-        back = compute_pair_features(builder_for(db, excluded_mid=excluded_mid), swapped)
+        got = builder_for(db, excluded_mid=excluded_mid).route_features(pairs)
+        back = builder_for(db, excluded_mid=excluded_mid).route_features(swapped)
         oracle = scalar_pair_features(builder_for(db, excluded_mid=excluded_mid), swapped)
         assert (got.walk >= 0.0).all()
         np.testing.assert_array_equal(got.walk, back.walk)
@@ -106,7 +107,7 @@ class TestMeasures:
     def test_disjoint_supports_give_exact_zeros(self, db, excluded_mid):
         builder = builder_for(db, excluded_mid=excluded_mid)
         pairs = all_pairs(ref_rows(db))
-        got = compute_pair_features(builder, pairs)
+        got = builder.route_features(pairs)
         oracle = scalar_pair_features(builder, pairs)
         for k, (a, b) in enumerate(pairs):
             for p, path in enumerate(builder.paths):
