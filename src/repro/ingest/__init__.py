@@ -24,7 +24,7 @@ Names refresh in-process.
 stream of crawl increments.
 """
 
-from repro.ingest.dirty import affected_rows, grown_steps
+from repro.ingest.dirty import affected_rows
 from repro.ingest.engine import IngestEngine, IngestReport, NameRefresh
 from repro.ingest.greedy import Assignment, extend_resolution
 from repro.ingest.runner import IngestRunOutcome, ingest_checkpoint, ingest_resilient
@@ -37,7 +37,6 @@ __all__ = [
     "NameRefresh",
     "affected_rows",
     "extend_resolution",
-    "grown_steps",
     "ingest_checkpoint",
     "ingest_resilient",
 ]

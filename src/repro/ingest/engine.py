@@ -12,16 +12,16 @@ produces *plus* the state needed to invalidate it precisely:
 
 Every batch propagates through the pipeline's
 :attr:`~repro.core.distinct.Distinct.profiles`, over its shared step
-matrices, which extend by the delta's rows
-(:class:`repro.perf.transitions.StepMatrices`).
+matrices, which a batch's read extends by the delta's rows
+(:class:`repro.perf.transitions.StepMatrices`); applying a delta
+touches no step matrix.
 
 Applying a :class:`~repro.reldb.Delta` then walks the invalidation
 ladder instead of recomputing the world:
 
-1. **dirty rows** — :func:`repro.ingest.dirty.grown_steps` probes each
-   grown step once, and :func:`repro.ingest.dirty.affected_rows` finds
-   from the probes the existing rows whose partner lists grew (the same
-   probes extend the step matrices);
+1. **dirty rows** — :func:`repro.ingest.dirty.affected_rows` probes
+   each grown step once and lists the existing rows whose partner lists
+   grew;
 2. **dirty references** — a reference is dirty iff its visited trace
    intersects the affected rows (:func:`repro.ingest.dirty
    .touched_row_mask`) or it is new; clean references provably kept
@@ -33,7 +33,7 @@ ladder instead of recomputing the world:
    reference are re-evaluated from those rows (so the recomputed values
    are bit-identical); clean pair values are scattered from the
    previous feature arrays. A name whose exclusions changed (it gained
-   an object row) takes every reference as dirty and reuses nothing;
+   an object row) plans every old reference as dirty and reuses nothing;
 4. **merges** — the patched pair matrices cluster through
    :meth:`~repro.core.distinct.Distinct.cluster_prepared`, the same
    dense-array merge loop a cold resolve runs.
@@ -69,7 +69,7 @@ from repro.paths.joinpath import JoinPath
 from repro.reldb.delta import AppliedDelta, Delta, apply_delta
 from repro.resilience.faults import fault_check
 
-from repro.ingest.dirty import affected_rows, grown_steps, touched_row_mask
+from repro.ingest.dirty import affected_rows, touched_row_mask
 
 __all__ = ["IngestEngine", "IngestReport", "NameRefresh"]
 
@@ -146,14 +146,14 @@ class _RefreshPlan:
     """Per-name work order computed when a delta is applied.
 
     ``refs`` carries the name's post-delta exclusions, new ones when it
-    gained an object row. ``propagated`` is a traced batch holding the
-    name's references, and the batch rows that are its own, once one ran.
+    gained an object row (every old reference is then dirty).
+    ``propagated`` is a traced batch holding the name's references, and
+    the batch rows that are its own, once one ran.
     """
 
     refs: NameReferences  # the name's post-delta references
     new_rows: list[int]
     dirty_idx: np.ndarray  # positions (== leaf indices) of dirty old refs
-    rebuild: bool = False  # exclusions changed: refresh from scratch
     propagated: (
         tuple[dict[JoinPath, BatchedProfiles], dict[str, sparse.csr_matrix], slice]
         | None
@@ -161,7 +161,7 @@ class _RefreshPlan:
 
     @property
     def needed(self) -> bool:
-        return self.rebuild or bool(self.new_rows) or len(self.dirty_idx) > 0
+        return bool(self.new_rows) or len(self.dirty_idx) > 0
 
     @property
     def propagates(self) -> bool:
@@ -250,9 +250,10 @@ class IngestEngine:
 
         After this returns, :meth:`pending` names the states whose
         resolutions must be recomputed (call :meth:`refresh` for each, in
-        any order or in parallel); every other tracked name is provably
-        unchanged. A second ``apply`` before the pending refreshes run
-        would interleave epochs, so it raises.
+        any order); every other tracked name is provably unchanged. No
+        step matrix is touched: a batch's read extends the steps it
+        walks. A second ``apply`` before the pending refreshes run would
+        interleave epochs, so it raises.
         """
         if self._plans:
             raise ReproError(
@@ -261,9 +262,7 @@ class IngestEngine:
         db = self.db
         with span("ingest.apply", n_rows=delta.n_rows(), epoch=db.epoch + 1) as sp:
             applied = apply_delta(db, delta)
-            probes = grown_steps(db, self.distinct.paths_, applied)
-            self.distinct.steps.extend(db, probes)
-            affected = affected_rows(probes)
+            affected = affected_rows(db, self.distinct.paths_, applied)
             self._plans = {
                 name: self._plan(state, affected)
                 for name, state in self._states.items()
@@ -275,23 +274,20 @@ class IngestEngine:
         _DELTAS.inc()
         return applied
 
-    def _plan(self, state: _NameState, affected: dict[str, set[int]]) -> _RefreshPlan:
+    def _plan(self, state: _NameState, affected: dict[str, np.ndarray]) -> _RefreshPlan:
         refs = extract_references(self.db, state.name, self.distinct.config)
         old = set(state.resolution.rows)
         new_rows = [row for row in refs.rows if row not in old]
         if list(refs.object_rows) != state.object_rows:
             # The name gained an object row: exclusions change for every
-            # reference, so nothing survives — refresh from scratch.
+            # reference, so nothing survives — every old one is dirty.
             return _RefreshPlan(
-                refs=refs, new_rows=new_rows, dirty_idx=np.empty(0, np.int64),
-                rebuild=True,
+                refs=refs, new_rows=new_rows, dirty_idx=np.arange(len(old)),
             )
         dirty_mask = np.zeros(len(old), dtype=bool)
         for relation, pattern in state.traces.items():
-            columns = affected.get(relation)
-            if columns:
-                # lint: allow[determinism/unkeyed-sort] row ids are plain int
-                dirty_mask |= touched_row_mask(pattern, np.asarray(sorted(columns)))
+            if relation in affected:
+                dirty_mask |= touched_row_mask(pattern, affected[relation])
         return _RefreshPlan(
             refs=refs, new_rows=new_rows, dirty_idx=np.flatnonzero(dirty_mask),
         )
@@ -413,10 +409,10 @@ class IngestEngine:
         # The old rows are a prefix of the new ones and both pair lists
         # are ``all_pairs`` order, so a clean pair (i, j) of old positions
         # sits at the condensed index i*(2n_old - i - 1)/2 + j - i - 1.
-        # New exclusions, or rows that are no such prefix, dirty them all.
+        # Rows that are no such prefix dirty them all.
         pairs_new = all_pairs(rows_new)
         pos_a, pos_b = np.triu_indices(len(rows_new), k=1)
-        dirty = np.full(len(rows_new), plan.rebuild or rows_new[:n_old] != previous.rows)
+        dirty = np.full(len(rows_new), rows_new[:n_old] != previous.rows)
         dirty[plan.dirty_idx] = True
         dirty[n_old:] = True
         recompute_mask = dirty[pos_a] | dirty[pos_b]

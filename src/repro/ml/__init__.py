@@ -9,15 +9,12 @@ references are positives, and cross-name pairs are negatives.
 """
 
 from repro.ml.svm import LinearSVM
-from repro.ml.scaling import MaxAbsScaler, StandardScaler
 from repro.ml.model import PathWeightModel
 from repro.ml.trainingset import TrainingPair, TrainingSet, build_training_set
 from repro.ml.validation import cross_validate, classification_report
 
 __all__ = [
     "LinearSVM",
-    "MaxAbsScaler",
-    "StandardScaler",
     "PathWeightModel",
     "TrainingPair",
     "TrainingSet",

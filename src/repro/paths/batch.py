@@ -480,9 +480,7 @@ def batch_profile_matrices(
 
     ``trace``, when given a dict, is filled with the
     per-relation visited patterns of every forward level (including the
-    origin level) — the raw material of dirty-reference detection. Each
-    relation's pattern is one union taken after the walk, over its
-    levels and any pattern the dict already held for it.
+    origin level) — the raw material of dirty-reference detection.
 
     Without rows or paths there is nothing to walk: the result is empty
     and no batch runs.
@@ -533,7 +531,5 @@ def batch_profile_matrices(
         del visit
     if trace is not None:
         for relation, levels in visited.items():
-            if relation in trace:
-                levels.append(trace[relation])
             trace[relation] = _visited_pattern(levels, levels[0].shape)
     return results

@@ -14,17 +14,17 @@ converts one.
 Tables are append-only, so a pair built over the first ``s`` source and
 ``d`` destination rows stays right for those rows except where a
 destination row appended since joins an old source row
-(:func:`grown_partner_rows`, the probe delta ingest shares). Extending a
-pair re-lists those rows and the appended source rows from the hash
-index, copies every other row's partner span, and renormalizes. A fresh
-build (:func:`build_step`) is the extension of the empty pair.
+(:func:`grown_partner_rows`, the same probe delta ingest runs to find
+its dirty rows). Extending a pair re-lists those rows and the appended
+source rows from the hash index, copies every other row's partner span,
+and renormalizes. A fresh build (:func:`build_step`) is the extension
+of the empty pair.
 
 :class:`StepMatrices` holds these pairs for one database object. A read
-that finds either relation of a step grown (by
-:func:`repro.reldb.apply_delta` or a direct insert) extends the pair;
-a read at another database drops every pair. Delta ingest probes each
-grown step once per delta and hands the result to
-:meth:`StepMatrices.extend`, so the pair it extends is not probed again.
+(:meth:`StepMatrices.get`, the only way a pair grows) that finds either
+relation of a step grown (by :func:`repro.reldb.apply_delta` or a
+direct insert) extends the pair; a read at another database drops every
+pair. A step no batch reads is never extended.
 ``perf.transitions.built`` counts the builds and extensions.
 
 The matrices know no exclusions. A name's exclusions (its own object
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 from scipy import sparse
@@ -47,7 +47,6 @@ from scipy import sparse
 from repro.obs import counter
 
 __all__ = [
-    "GrownRows",
     "StepMatrices",
     "StepPair",
     "build_step",
@@ -140,37 +139,26 @@ def grown_partner_rows(db: Any, step: Any, n_src: int, n_dst: int) -> np.ndarray
     return rows
 
 
-class GrownRows(NamedTuple):
-    """One step's probe after its destination relation grew: ``rows``
-    is :func:`grown_partner_rows` from the relation sizes ``shape``."""
-
-    shape: tuple[int, int]
-    rows: np.ndarray
-
-
-def extend_step(
-    db: Any, step: Any, pair: StepPair, grown: np.ndarray | None = None
-) -> StepPair:
+def extend_step(db: Any, step: Any, pair: StepPair) -> StepPair:
     """``pair`` grown to the current relations of ``db``.
 
     ``pair`` covers the first ``pair.shape`` source and destination rows.
     The source rows it does not cover, and the old rows a new destination
-    row joins (``grown``, probed here when not given), are re-listed
-    from the destination's hash index (each row's columns ascending, as
-    the hash index lists them); every other row's partner span is
-    copied. Both matrices are then renormalized over the whole pattern,
-    so the result is byte-equal to a fresh :func:`build_step`.
+    row joins (:func:`grown_partner_rows`), are re-listed from the
+    destination's hash index (each row's columns ascending, as the hash
+    index lists them); every other row's partner span is copied. Both
+    matrices are then renormalized over the whole pattern, so the result
+    is byte-equal to a fresh :func:`build_step`.
     """
     n_src_old, n_dst_old = pair.shape
     source = db.table(step.src_relation)
     shape = (len(source.rows), len(db.table(step.dst_relation).rows))
-    if grown is None:
-        # Only a grown destination can add partners to an old source row.
-        grown = (
-            grown_partner_rows(db, step, n_src_old, n_dst_old)
-            if n_src_old and shape[1] > n_dst_old
-            else np.empty(0, dtype=np.int64)
-        )
+    # Only a grown destination can add partners to an old source row.
+    grown = (
+        grown_partner_rows(db, step, n_src_old, n_dst_old)
+        if n_src_old and shape[1] > n_dst_old
+        else np.empty(0, dtype=np.int64)
+    )
     relisted = np.concatenate([grown, np.arange(n_src_old, shape[0], dtype=np.int64)])
     index = db.index(step.dst_relation, step.dst_attribute)
     position = source.schema.position(step.src_attribute)
@@ -231,17 +219,6 @@ class StepMatrices:
         if pair.shape != rows:
             pair = self._pairs[step] = extend_step(db, step, pair)
         return pair
-
-    def extend(self, db: Any, probes: dict[Any, GrownRows]) -> None:
-        """Extend every held pair of ``db`` that a probe starts from, with
-        the probed rows instead of a second probe. Any other pair extends
-        on its next read."""
-        if db is not self._db:
-            return
-        for step, probe in probes.items():
-            pair = self._pairs.get(step)
-            if pair is not None and pair.shape == probe.shape:
-                self._pairs[step] = extend_step(db, step, pair, probe.rows)
 
     def __len__(self) -> int:
         return len(self._pairs)

@@ -15,7 +15,7 @@ from repro.core.distinct import Distinct
 from repro.core.references import extract_references
 from repro.data.deltas import grow_world, split_world
 from repro.errors import ReproError
-from repro.ingest import IngestEngine, dirty
+from repro.ingest import IngestEngine
 from repro.obs import get_metrics
 from repro.paths.profiles import ProfileBuilder
 from repro.perf import transitions
@@ -147,52 +147,54 @@ class TestOneBatchPerDelta:
                 got, (cold.resolution(name), cold._states[name].traces), refresh.refreshed
             )
 
-    def test_each_grown_step_is_probed_once_per_delta(self, warm, monkeypatch):
+    def test_steps_extend_only_when_read(self, warm):
+        """A refreshing delta leaves every held step pair equal to a fresh
+        build on its next read; a delta that grows ``Authors``,
+        ``Publications`` and ``Publish`` but dirties no tracked name (a
+        new author of one new paper in no proceedings) builds no step."""
         distinct, split = warm
+        db = distinct.db
         engine = IngestEngine(distinct, min_sim=MIN_SIM)
         for name in NAMES:
             engine.resolve(name)
-        probed = []
-        probe = transitions.grown_partner_rows
-
-        def spy(db, step, n_src, n_dst):
-            probed.append(step)
-            return probe(db, step, n_src, n_dst)
-
-        monkeypatch.setattr(transitions, "grown_partner_rows", spy)
-        monkeypatch.setattr(dirty, "grown_partner_rows", spy)
-        per_delta = []
-        for delta in (split.delta, Delta()):
-            probed.clear()
-            report = engine.ingest(delta)
-            assert len(probed) == len(set(probed))
-            per_delta.append(len(probed))
-        assert per_delta[0] > 0 and per_delta[1] == 0
-        assert report.names_clean == NAMES
-        db = distinct.db
-        held = list(distinct.steps._pairs.items())
+        assert engine.ingest(split.delta).names_refreshed
+        held = list(distinct.steps._pairs)
         assert held
-        for step, pair in held:
-            fresh = transitions.build_step(db, step)
-            for old, new in ((pair.forward, fresh.forward), (pair.backward, fresh.backward)):
+        for step in held:
+            got, fresh = distinct.steps.get(db, step), transitions.build_step(db, step)
+            for old, new in ((got.forward, fresh.forward), (got.backward, fresh.backward)):
                 assert old.shape == new.shape
                 assert old.indptr.tobytes() == new.indptr.tobytes()
                 assert old.indices.tobytes() == new.indices.tobytes()
                 assert old.data.tobytes() == new.data.tobytes()
 
+        built = get_metrics().counter("perf.transitions.built")
+        before = built.value
+        author_key = max(row[0] for row in db.table("Authors").rows) + 1
+        paper_key = max(row[0] for row in db.table("Publications").rows) + 1
+        report = engine.ingest(Delta({
+            "Authors": [(author_key, "Zed Newcomer")],
+            "Publications": [(paper_key, "A paper of its own", None)],
+            "Publish": [(paper_key, author_key)],
+        }))
+        assert report.names_clean == NAMES
+        assert built.value == before
+
 
 class TestExclusionChange:
     def test_gaining_an_object_row_refreshes_from_scratch(self, warm):
         """A second ``Authors`` row named "Jim Smith" with two ``Publish``
-        rows changes every reference's exclusions: the refresh reuses no
-        pair, equals a cold resolve, counts the two new references and
-        holds the new object rows, so the next delta finds it clean."""
+        rows changes every reference's exclusions: the refresh counts every
+        old reference dirty, reuses no pair, equals a cold resolve, counts
+        the two new references and holds the new object rows, so the next
+        delta finds it clean."""
         distinct, _ = warm
         db = distinct.db
         engine = IngestEngine(distinct, min_sim=MIN_SIM)
         for name in NAMES:
             engine.resolve(name)
         old_objects = extract_references(db, "Jim Smith").object_rows
+        old_resolution = engine.resolution("Jim Smith")
         author_key = max(row[0] for row in db.table("Authors").rows) + 1
         papers = [db.table("Publications").row(k)[0] for k in (0, 1)]
         delta = Delta({
@@ -204,8 +206,11 @@ class TestExclusionChange:
         refresh = next(r for r in report.refreshes if r.name == "Jim Smith")
         assert refresh.refreshed
         assert refresh.n_refs_new == 2
+        # Every old reference is recomputed, so every one counts as dirty.
+        assert refresh.n_refs_dirty == 9 == len(old_resolution.rows)
         assert refresh.n_pairs_reused == 0
         assert report.totals()["refs_new"] == 2
+        assert report.totals()["refs_dirty"] == 9
         new_objects = extract_references(db, "Jim Smith").object_rows
         assert len(new_objects) == len(old_objects) + 1
         assert engine._states["Jim Smith"].object_rows == new_objects

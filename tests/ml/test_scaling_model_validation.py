@@ -5,7 +5,6 @@ from repro.errors import NotFittedError
 from repro.ml import (
     LinearSVM,
     PathWeightModel,
-    StandardScaler,
     classification_report,
     cross_validate,
 )
@@ -15,38 +14,6 @@ from repro.reldb.joins import JoinStep
 
 PUB_PAP = JoinStep("Publish", "paper_key", "Publications", "paper_key", "n1")
 PATHS = [JoinPath([PUB_PAP]), JoinPath([PUB_PAP, PUB_PAP.reverse()])]
-
-
-class TestStandardScaler:
-    def test_transform_zero_mean_unit_std(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(loc=5.0, scale=3.0, size=(200, 3))
-        Z = StandardScaler().fit_transform(X)
-        assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
-        assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
-
-    def test_constant_column_passthrough(self):
-        X = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
-        scaler = StandardScaler().fit(X)
-        Z = scaler.transform(X)
-        assert np.allclose(Z[:, 1], 0.0)  # mean removed, scale 1
-
-    def test_unfitted_raises(self):
-        with pytest.raises(NotFittedError):
-            StandardScaler().transform([[1.0]])
-        with pytest.raises(NotFittedError):
-            StandardScaler().raw_linear_model(np.array([1.0]), 0.0)
-
-    def test_raw_linear_model_equivalence(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(loc=2.0, scale=4.0, size=(50, 4))
-        scaler = StandardScaler().fit(X)
-        w_scaled = rng.normal(size=4)
-        b_scaled = 0.7
-        w_raw, b_raw = scaler.raw_linear_model(w_scaled, b_scaled)
-        scaled_scores = scaler.transform(X) @ w_scaled + b_scaled
-        raw_scores = X @ w_raw + b_raw
-        assert np.allclose(scaled_scores, raw_scores)
 
 
 class TestPathWeightModel:
