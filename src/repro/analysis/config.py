@@ -96,7 +96,6 @@ DEFAULT_CONFIG_PROGRAMMATIC: tuple[str, ...] = (
     "max_refs",
     "svm_C_grid",
     "svm_cv_folds",
-    "svm_class_weight",
     "seed",
 )
 

@@ -82,9 +82,6 @@ class DistinctConfig:
     svm_C: float | None = None
     svm_C_grid: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
     svm_cv_folds: int = 3
-    # None, "balanced", or a {label: factor} dict; "balanced" is useful when
-    # n_positive != n_negative.
-    svm_class_weight: str | None = None
 
     # clustering
     min_sim: float = 0.006

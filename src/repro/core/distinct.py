@@ -282,7 +282,7 @@ class Distinct:
         return model, accuracy
 
     def _make_svm(self, cost: float) -> LinearSVM:
-        return LinearSVM(C=cost, class_weight=self.config.svm_class_weight)
+        return LinearSVM(C=cost)
 
     def _select_cost(self, X: np.ndarray, labels: np.ndarray) -> float:
         """Pick C by k-fold cross-validation over the config grid: the

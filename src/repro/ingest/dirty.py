@@ -74,23 +74,30 @@ def affected_rows(
     return affected
 
 
-def touched_row_mask(pattern: sparse.csr_matrix, columns: np.ndarray) -> np.ndarray:
+def touched_row_mask(
+    pattern: sparse.csr_matrix, columns: np.ndarray, rows: slice | None = None
+) -> np.ndarray:
     """True per reference row whose support hits any of ``columns``.
 
     ``pattern`` is a (references × relation rows) visited pattern (see
     :func:`repro.paths.batch.batch_profile_matrices`'s ``trace``), every
     stored entry a visited tuple, and ``columns`` the rows of that
-    relation a delta changed. A False entry certifies the reference's
-    walk never crossed a changed tuple, so its profiles — and every pair
-    feature built from them — are unchanged. Column ids beyond the
-    pattern's width (rows appended by the delta itself) are ignored:
-    they cannot appear in a pre-delta walk.
+    relation a delta changed. ``rows`` (a step-1 slice, default all)
+    picks the references to report, read straight from the CSR arrays:
+    a batch's patterns serve every name it propagated. A False entry
+    certifies the reference's walk never crossed a changed tuple, so its
+    profiles — and every pair feature built from them — are unchanged.
+    Column ids beyond the pattern's width (rows appended by the delta
+    itself) are ignored: they cannot appear in a pre-delta walk.
     """
+    start, stop, _ = (rows or slice(None)).indices(pattern.shape[0])
+    bounds = pattern.indptr[start:max(start, stop) + 1]
     columns = np.asarray(columns, dtype=np.int64)
     changed = np.zeros(pattern.shape[1], dtype=bool)
     changed[columns[columns < pattern.shape[1]]] = True
     # Row r is touched iff its span of hits has a True: compare the
     # running count of hits at the span's two ends.
-    hits = np.zeros(pattern.nnz + 1, dtype=np.int64)
-    np.cumsum(changed[pattern.indices], out=hits[1:])
-    return hits[pattern.indptr[1:]] > hits[pattern.indptr[:-1]]
+    hits = np.zeros(bounds[-1] - bounds[0] + 1, dtype=np.int64)
+    np.cumsum(changed[pattern.indices[bounds[0]:bounds[-1]]], out=hits[1:])
+    bounds = bounds - bounds[0]
+    return hits[bounds[1:]] > hits[bounds[:-1]]

@@ -8,13 +8,15 @@ produces *plus* the state needed to invalidate it precisely:
   matrices, and the :class:`~repro.cluster.agglomerative.ClusteringResult`;
 - the name's object rows, whose change changes its exclusions;
 - the per-relation *visited traces* (boolean reference × relation-row
-  patterns) of every forward propagation level.
+  patterns) of every forward propagation level: the patterns of the
+  batch that last propagated the name, and the name's row range in
+  them (all of them after a cold resolve).
 
 Every batch propagates through the pipeline's
 :attr:`~repro.core.distinct.Distinct.profiles`, over its shared step
 matrices, which a batch's read extends by the delta's rows
-(:class:`repro.perf.transitions.StepMatrices`); applying a delta
-touches no step matrix.
+(:class:`repro.perf.transitions.StepMatrices`); applying the delta's
+rows touches no step matrix.
 
 Applying a :class:`~repro.reldb.Delta` then walks the invalidation
 ladder instead of recomputing the world:
@@ -26,14 +28,15 @@ ladder instead of recomputing the world:
    intersects the affected rows (:func:`repro.ingest.dirty
    .touched_row_mask`) or it is new; clean references provably kept
    their exact profiles;
-3. **dirty pairs** — the post-delta references of every pending name
-   propagate in one traced batch per delta, each under its own name's
-   exclusions, and each name takes its own rows of it (the same bytes
-   as its batch in a cold run). Only pairs touching a dirty or new
-   reference are re-evaluated from those rows (so the recomputed values
-   are bit-identical); clean pair values are scattered from the
-   previous feature arrays. A name whose exclusions changed (it gained
-   an object row) plans every old reference as dirty and reuses nothing;
+3. **dirty pairs** — :meth:`IngestEngine.apply` propagates the
+   post-delta references of every pending name in one traced batch,
+   each under its own name's exclusions, and each name takes its own
+   rows of it (the same bytes as its batch in a cold run). Only pairs
+   touching a dirty or new reference are re-evaluated from those rows
+   (so the recomputed values are bit-identical); clean pair values are
+   scattered from the previous feature arrays. A name whose exclusions
+   changed (it gained an object row) plans every old reference as dirty
+   and reuses nothing;
 4. **merges** — the patched pair matrices cluster through
    :meth:`~repro.core.distinct.Distinct.cluster_prepared`, the same
    dense-array merge loop a cold resolve runs.
@@ -42,10 +45,9 @@ Every rung preserves bytes, so ``ingest()`` produces resolutions equal
 to a cold ``prepare``/``cluster_prepared`` on the post-delta database —
 the property suite asserts full equality.
 
-:meth:`IngestEngine.refresh` is one name's work; called without
-:meth:`IngestEngine.propagate_pending` (which
-:meth:`IngestEngine.refresh_all` and the exact-mode ``repro ingest``
-runner call first), it propagates its name alone.
+:meth:`IngestEngine.apply` runs the delta's one refresh batch;
+:meth:`IngestEngine.refresh` is one name's work on its rows of it and
+never propagates.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ class NameRefresh:
 
     name: str
     resolution: NameResolution
-    traces: dict[str, sparse.csr_matrix]
     n_refs_dirty: int
     n_refs_new: int
     n_pairs_recomputed: int
@@ -133,12 +134,15 @@ class IngestReport:
 @dataclass
 class _NameState:
     """Everything the engine keeps per tracked name; its rows and pair
-    features are the resolution's."""
+    features are the resolution's. ``traces`` are the visited patterns
+    of the batch that last propagated the name, shared with the other
+    names of that batch; ``trace_rows`` are the name's rows of them."""
 
     name: str
     object_rows: list[int]
     resolution: NameResolution
     traces: dict[str, sparse.csr_matrix]
+    trace_rows: slice
 
 
 @dataclass
@@ -147,26 +151,20 @@ class _RefreshPlan:
 
     ``refs`` carries the name's post-delta exclusions, new ones when it
     gained an object row (every old reference is then dirty).
-    ``propagated`` is a traced batch holding the name's references, and
-    the batch rows that are its own, once one ran.
+    ``propagated`` is the delta's traced batch and the batch rows that
+    are the name's own; a name with no pairs to score is in no batch.
     """
 
     refs: NameReferences  # the name's post-delta references
     new_rows: list[int]
     dirty_idx: np.ndarray  # positions (== leaf indices) of dirty old refs
-    propagated: (
-        tuple[dict[JoinPath, BatchedProfiles], dict[str, sparse.csr_matrix], slice]
-        | None
-    ) = None
+    propagated: tuple[
+        dict[JoinPath, BatchedProfiles], dict[str, sparse.csr_matrix], slice
+    ] = field(default_factory=lambda: ({}, {}, slice(0, 0)))
 
     @property
     def needed(self) -> bool:
         return bool(self.new_rows) or len(self.dirty_idx) > 0
-
-    @property
-    def propagates(self) -> bool:
-        """Whether the refresh needs a batch: it has pairs to score."""
-        return self.needed and len(self.refs.rows) > 1
 
 
 class IngestEngine:
@@ -231,7 +229,9 @@ class IngestEngine:
         # The traced batch is the one prepare() propagates.
         prep = self.distinct.prepare_references(refs, trace=traces)
         resolution = self._cluster(name, prep.rows, prep.features)
-        return _NameState(name, list(refs.object_rows), resolution, traces)
+        return _NameState(
+            name, list(refs.object_rows), resolution, traces, slice(0, len(prep.rows))
+        )
 
     def _cluster(
         self, name: str, rows: list[int], features: PairFeatures | None
@@ -246,13 +246,15 @@ class IngestEngine:
     # -- delta application -------------------------------------------------
 
     def apply(self, delta: Delta) -> AppliedDelta:
-        """Apply ``delta`` and plan the refreshes.
+        """Apply ``delta``, plan the refreshes and run their one batch.
 
+        The post-delta references of every pending name with pairs to
+        score propagate in one traced batch, each under its own name's
+        exclusions; a batch's read extends the step matrices it walks.
         After this returns, :meth:`pending` names the states whose
         resolutions must be recomputed (call :meth:`refresh` for each, in
-        any order); every other tracked name is provably unchanged. No
-        step matrix is touched: a batch's read extends the steps it
-        walks. A second ``apply`` before the pending refreshes run would
+        any order); every other tracked name is provably unchanged. A
+        second ``apply`` before the pending refreshes run would
         interleave epochs, so it raises.
         """
         if self._plans:
@@ -267,6 +269,10 @@ class IngestEngine:
                 name: self._plan(state, affected)
                 for name, state in self._states.items()
             }
+            self._propagate([
+                plan for plan in self._plans.values()
+                if plan.needed and len(plan.refs.rows) > 1
+            ])
             sp.annotate(
                 n_affected=sum(len(rows) for rows in affected.values()),
                 n_pending=len(self.pending()),
@@ -287,7 +293,9 @@ class IngestEngine:
         dirty_mask = np.zeros(len(old), dtype=bool)
         for relation, pattern in state.traces.items():
             if relation in affected:
-                dirty_mask |= touched_row_mask(pattern, affected[relation])
+                dirty_mask |= touched_row_mask(
+                    pattern, affected[relation], state.trace_rows
+                )
         return _RefreshPlan(
             refs=refs, new_rows=new_rows, dirty_idx=np.flatnonzero(dirty_mask),
         )
@@ -301,9 +309,9 @@ class IngestEngine:
     def refresh(self, name: str) -> NameRefresh:
         """Re-resolve one name along the invalidation ladder.
 
-        Requires a preceding :meth:`apply`. Clean names return their
-        unchanged resolution with ``refreshed=False``. A name whose rows
-        :meth:`propagate_pending` has not propagated propagates alone.
+        Requires a preceding :meth:`apply`, whose batch holds the name's
+        rows. Clean names return their unchanged resolution with
+        ``refreshed=False``.
         """
         state = self._state(name)
         plan = self._plans.get(name)
@@ -314,7 +322,7 @@ class IngestEngine:
             del self._plans[name]
             _NAMES_CLEAN.inc()
             return NameRefresh(
-                name=name, resolution=state.resolution, traces=state.traces,
+                name=name, resolution=state.resolution,
                 n_refs_dirty=0, n_refs_new=0, n_pairs_recomputed=0,
                 n_pairs_reused=(
                     state.resolution.features.n_pairs if state.resolution.features else 0
@@ -327,13 +335,11 @@ class IngestEngine:
             n_dirty=len(plan.dirty_idx),
             n_new=len(plan.new_rows),
         ) as sp:
-            if plan.propagates and plan.propagated is None:
-                self._propagate([plan])
             refresh = self._refresh_state(state, plan)
             sp.annotate(pairs_recomputed=refresh.n_pairs_recomputed)
         state.object_rows = list(plan.refs.object_rows)
         state.resolution = refresh.resolution
-        state.traces = refresh.traces
+        _, state.traces, state.trace_rows = plan.propagated
         del self._plans[name]
         _NAMES_REFRESHED.inc()
         _REFS_DIRTY.inc(refresh.n_refs_dirty)
@@ -341,22 +347,8 @@ class IngestEngine:
         _PAIRS_REUSED.inc(refresh.n_pairs_reused)
         return refresh
 
-    def propagate_pending(self) -> None:
-        """Propagate the post-delta references of every pending name not
-        yet propagated in one traced batch, each under its own name's
-        exclusions; each later :meth:`refresh` takes its name's rows."""
-        self._propagate([
-            plan for plan in self._plans.values()
-            if plan.propagates and plan.propagated is None
-        ])
-
     def refresh_all(self) -> list[NameRefresh]:
-        """Refresh every pending name; clean names report through too.
-
-        Every pending name propagates in one batch first
-        (:meth:`propagate_pending`).
-        """
-        self.propagate_pending()
+        """Refresh every pending name; clean names report through too."""
         return [self.refresh(name) for name in self._states if name in self._plans]
 
     def _propagate(self, plans: list[_RefreshPlan]) -> None:
@@ -394,17 +386,12 @@ class IngestEngine:
         if len(rows_new) <= 1:
             resolution = self._cluster(state.name, rows_new, None)
             return NameRefresh(
-                name=state.name, resolution=resolution, traces={},
+                name=state.name, resolution=resolution,
                 n_refs_dirty=len(plan.dirty_idx), n_refs_new=len(plan.new_rows),
                 n_pairs_recomputed=0, n_pairs_reused=0,
             )
-        # Every row pairs with a dirty one, so the recomputed pairs reach
-        # every row: the name's traced batch feeds them all.
-        assert plan.propagated is not None
-        matrices, traces, own = plan.propagated
-        # The pair kernel reads only the pairs' rows of the batch; the
-        # traces are kept, so they keep only the name's own.
-        traces = {relation: pattern[own] for relation, pattern in traces.items()}
+        # The pair kernel reads only the pairs' rows of the batch.
+        matrices = plan.propagated[0]
 
         # The old rows are a prefix of the new ones and both pair lists
         # are ``all_pairs`` order, so a clean pair (i, j) of old positions
@@ -440,7 +427,6 @@ class IngestEngine:
         return NameRefresh(
             name=state.name,
             resolution=resolution,
-            traces=traces,
             n_refs_dirty=len(plan.dirty_idx),
             n_refs_new=len(plan.new_rows),
             n_pairs_recomputed=len(recompute),

@@ -14,10 +14,11 @@ another.
 The run has two phases. *Cold phase*: each not-yet-checkpointed name is
 resolved on the pre-delta database, building the engine state a
 long-running service would already hold. *Ingest phase*: the delta is
-applied once, caches advance, and each name refreshes down the
-invalidation ladder (``mode="exact"``; every refresh takes its rows of
-one propagation batch, :meth:`IngestEngine.propagate_pending`) or
-through the greedy single-reference assigner (``mode="greedy"``), then
+applied once and caches advance. In ``mode="exact"``
+:meth:`IngestEngine.apply` plans every name and runs one propagation
+batch, and each name refreshes down the invalidation ladder on its rows
+of it; ``mode="greedy"`` applies the delta alone (no plan, no batch) and
+each name runs the greedy single-reference assigner. Each name then
 scores against the post-delta ground truth. Both phases are stages of
 one loop (``ingest.cold``, ``ingest.refresh``). Checkpoints record
 scored names after the ingest phase, so a crash at any point loses at
@@ -42,7 +43,7 @@ from repro.eval.experiment import ExperimentResult, NameResult, score_resolution
 from repro.eval.persistence import name_result_from_dict, name_result_to_dict
 from repro.eval.runner import ExperimentRunOutcome, NameLoop, NameMetrics
 from repro.obs import counter, histogram, span
-from repro.reldb.delta import Delta
+from repro.reldb.delta import Delta, apply_delta
 from repro.resilience import CheckpointStore, Deadline, ErrorCollector, Policy
 
 from repro.ingest.engine import IngestEngine, NameRefresh
@@ -186,11 +187,11 @@ def ingest_resilient(
 
         # -- ingest phase: one apply, then per-name refresh + score --------
         if not loop.interrupted:
-            outcome.epoch = engine.apply(delta).epoch
             if mode == "exact":
-                engine.propagate_pending()
+                outcome.epoch = engine.apply(delta).epoch
                 task, payload = _refresh_task, (engine, truth, stats)
             else:
+                outcome.epoch = apply_delta(distinct.db, delta).epoch
                 task, payload = _extend_task, (engine, truth, stats, cold)
             loop.run(
                 "ingest.refresh", task, payload, [n for n in names if n in cold],

@@ -14,13 +14,20 @@ from repro.ingest.greedy import extend_resolution
 from repro.obs import get_metrics
 from repro.paths.profiles import ProfileBuilder
 
-from tests.ingest.test_engine import MIN_SIM, NAMES, warm_pipeline
+from tests.ingest.test_engine import (
+    MIN_SIM,
+    NAMES,
+    assert_same_state,
+    own_traces,
+    warm_pipeline,
+)
 
 
 def test_every_batch_goes_through_matrices_for(fitted, small_world, monkeypatch):
     """Fit, prepare, calibration, explanation, ingest's cold resolves,
-    ``refresh_all``, a lone ``refresh`` and greedy assignment each
-    propagate, and every batch they run is one ``matrices_for`` call."""
+    its ``apply`` and greedy assignment each propagate, and every batch
+    they run is one ``matrices_for`` call; the refreshes after ``apply``
+    run none, and land on a cold resolve's resolution and traces."""
     calls: list[None] = []
     original = ProfileBuilder.matrices_for
 
@@ -49,7 +56,10 @@ def test_every_batch_goes_through_matrices_for(fitted, small_world, monkeypatch)
 
     engine = IngestEngine(distinct, min_sim=MIN_SIM)
     cold = through_route("cold", lambda: {name: engine.resolve(name) for name in NAMES})
-    through_route("refresh_all", lambda: (engine.apply(split.delta), engine.refresh_all()))
+    through_route("apply", lambda: engine.apply(split.delta))
+    n_calls = len(calls)
+    refreshes = engine.refresh_all()
+    assert len(calls) == n_calls
     known = set(cold["Jim Smith"].rows)
     new_rows = [row for row in engine.resolution("Jim Smith").rows if row not in known]
     assert new_rows
@@ -57,12 +67,20 @@ def test_every_batch_goes_through_matrices_for(fitted, small_world, monkeypatch)
         "extend", lambda: extend_resolution(distinct, cold["Jim Smith"], new_rows)
     )
 
-    alone_distinct, alone_split = warm_pipeline(fitted, small_world)
-    alone = IngestEngine(alone_distinct, min_sim=MIN_SIM)
-    for name in NAMES:
-        alone.resolve(name)
-    alone.apply(alone_split.delta)
-    through_route("refresh", lambda: alone.refresh("Jim Smith"))
+    cold_engine = IngestEngine(
+        Distinct.from_models(
+            distinct.db, distinct.resem_model_, distinct.walk_model_, config
+        ),
+        min_sim=MIN_SIM,
+    )
+    for refresh in refreshes:
+        name = refresh.name
+        want = through_route("cold resolve", lambda: cold_engine.resolve(name))
+        assert_same_state(
+            (refresh.resolution, own_traces(engine, name)),
+            (want, own_traces(cold_engine, name)),
+            refresh.refreshed,
+        )
 
 
 def test_prepare_extracts_references_once(fitted, monkeypatch):

@@ -38,3 +38,20 @@ def test_columns_past_the_pattern_width_are_ignored():
     # Rows the delta appended cannot appear in a pre-delta walk.
     assert touched_row_mask(_pattern(), np.array([4, 9])).tolist() == [False, False, False]
     assert touched_row_mask(_pattern(), np.array([3, 4])).tolist() == [False, False, True]
+
+
+def test_a_row_range_equals_the_sliced_pattern():
+    # A batch's patterns serve every name in it: each name reads its own
+    # range, first and last rows of the batch and empty ranges included.
+    rng = np.random.default_rng(3)
+    pattern = sparse.random(9, 12, density=0.25, format="csr", random_state=rng)
+    pattern.sort_indices()
+    assert pattern[0].nnz and pattern[8].nnz
+    for columns in (np.array([1, 5, 11]), np.array([0]), np.array([], dtype=np.int64)):
+        ranges = ((0, 9), (0, 1), (0, 4), (3, 7), (8, 9), (0, 0), (5, 5), (9, 9))
+        for start, stop in ranges:
+            rows = slice(start, stop)
+            want = touched_row_mask(pattern[rows], columns)
+            got = touched_row_mask(pattern, columns, rows)
+            assert got.dtype == bool
+            assert got.tolist() == want.tolist(), (start, stop)

@@ -43,6 +43,12 @@ def warm(fitted, small_world):
     return warm_pipeline(fitted, small_world)
 
 
+def own_traces(engine: IngestEngine, name: str) -> dict:
+    """A tracked name's visited traces: its rows of its last batch's."""
+    state = engine._states[name]
+    return {relation: p[state.trace_rows] for relation, p in state.traces.items()}
+
+
 def assert_same_state(got, want, same_width: bool = True) -> None:
     """Two resolutions, and their visited traces, byte for byte.
 
@@ -112,8 +118,8 @@ class TestStepMatricesAcrossDeltas:
 
 class TestOneBatchPerDelta:
     def test_ingest_propagates_every_dirty_name_in_one_batch(self, fitted, small_world):
-        """One batch for the delta; every name equals its own refresh and
-        a cold resolve of the post-delta database, traces included."""
+        """One batch for the delta; every name equals a cold resolve of
+        the post-delta database, traces included."""
         distinct, split = warm_pipeline(fitted, small_world)
         engine = IngestEngine(distinct, min_sim=MIN_SIM)
         for name in NAMES:
@@ -124,28 +130,36 @@ class TestOneBatchPerDelta:
         assert runs.value - before == 1
         assert len(report.names_refreshed) >= 2
 
-        alone_distinct, alone_split = warm_pipeline(fitted, small_world)
-        alone = IngestEngine(alone_distinct, min_sim=MIN_SIM)
-        for name in NAMES:
-            alone.resolve(name)
-        alone.apply(alone_split.delta)
-        for name in NAMES:
-            alone.refresh(name)
-
         cold = IngestEngine(
             Distinct.from_models(
-                alone_distinct.db, fitted.resem_model_, fitted.walk_model_, fitted.config
+                distinct.db, fitted.resem_model_, fitted.walk_model_, fitted.config
             ),
             min_sim=MIN_SIM,
         )
         for refresh in report.refreshes:
             name = refresh.name
-            got = (refresh.resolution, refresh.traces)
-            assert_same_state(got, (alone.resolution(name), alone._states[name].traces))
             cold.resolve(name)
             assert_same_state(
-                got, (cold.resolution(name), cold._states[name].traces), refresh.refreshed
+                (refresh.resolution, own_traces(engine, name)),
+                (cold.resolution(name), own_traces(cold, name)),
+                refresh.refreshed,
             )
+
+    def test_apply_runs_the_batch_and_refresh_runs_none(self, warm):
+        """``apply`` runs exactly one batch when a name is pending and none
+        when none is; the refreshes that follow run none."""
+        distinct, split = warm
+        engine = IngestEngine(distinct, min_sim=MIN_SIM)
+        for name in NAMES:
+            engine.resolve(name)
+        runs = get_metrics().counter("propagation.batch.runs")
+        for delta, n_batches in ((split.delta, 1), (Delta(), 0)):
+            before = runs.value
+            engine.apply(delta)
+            assert bool(engine.pending()) == bool(n_batches)
+            assert runs.value - before == n_batches
+            engine.refresh_all()
+            assert runs.value - before == n_batches
 
     def test_steps_extend_only_when_read(self, warm):
         """A refreshing delta leaves every held step pair equal to a fresh
@@ -223,8 +237,8 @@ class TestExclusionChange:
         )
         cold.resolve("Jim Smith")
         assert_same_state(
-            (refresh.resolution, refresh.traces),
-            (cold.resolution("Jim Smith"), cold._states["Jim Smith"].traces),
+            (refresh.resolution, own_traces(engine, "Jim Smith")),
+            (cold.resolution("Jim Smith"), own_traces(cold, "Jim Smith")),
         )
         assert "Jim Smith" in engine.ingest(Delta()).names_clean
 

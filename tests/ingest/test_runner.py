@@ -26,6 +26,8 @@ from repro.obs import get_metrics
 from repro.reldb.delta import Delta
 from repro.resilience import Deadline, FaultInjected, FaultPlan, fault_plan
 
+from tests.ingest.test_engine import assert_same_state, own_traces
+
 NAMES = ["Wei Wang", "Rakesh Kumar", "Jim Smith"]
 MIN_SIM = 0.4
 
@@ -127,6 +129,25 @@ class TestGreedyMode:
         assert outcome.result.variant_key == "ingest:greedy"
         assert outcome.stats["names_refreshed"] == len(NAMES)
 
+    def test_greedy_run_plans_nothing_and_runs_no_exact_batch(
+        self, fitted, small_world, monkeypatch
+    ):
+        """Greedy mode applies the delta alone: no refresh plan, no
+        exact-mode batch, and the delta's epoch is still reported."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("greedy ingest ran exact-mode work")
+
+        monkeypatch.setattr(IngestEngine, "apply", forbidden)
+        monkeypatch.setattr(IngestEngine, "_plan", forbidden)
+        monkeypatch.setattr(IngestEngine, "_propagate", forbidden)
+        split = grown_split(small_world)
+        outcome = ingest_resilient(
+            warm(fitted, split), split.truth, NAMES, split.delta, MIN_SIM, mode="greedy"
+        )
+        assert outcome.complete and not outcome.errors
+        assert outcome.epoch == 1
+
 
 def grown_split(small_world):
     """The test world grown by five papers, split into base and delta."""
@@ -189,41 +210,44 @@ class TestOneRefreshBatch:
         self, fitted, small_world, monkeypatch
     ):
         """Exact mode propagates every refresh in one batch after the
-        per-name cold batches, and resolves exactly as refreshing each
-        name alone does."""
+        per-name cold batches, and resolves exactly as a cold resolve of
+        the post-delta database does, traces included."""
         resolutions = {}
-        score = runner.score_resolution
+        engines = []
+        score, refresh_task = runner.score_resolution, runner._refresh_task
 
         def scored(resolution, truth):
             resolutions[resolution.name] = resolution
             return score(resolution, truth)
 
+        def refreshed(payload, name):
+            engines.append(payload[0])
+            return refresh_task(payload, name)
+
         monkeypatch.setattr(runner, "score_resolution", scored)
+        monkeypatch.setattr(runner, "_refresh_task", refreshed)
         runs = get_metrics().counter("propagation.batch.runs")
         before = runs.value
         split = grown_split(small_world)
+        distinct = warm(fitted, split)
         outcome = ingest_resilient(
-            warm(fitted, split), split.truth, NAMES, split.delta, MIN_SIM
+            distinct, split.truth, NAMES, split.delta, MIN_SIM
         )
         assert outcome.complete
         assert outcome.stats["names_refreshed"] == len(NAMES)
         assert runs.value - before == len(NAMES) + 1
 
-        split = grown_split(small_world)
-        alone = IngestEngine(warm(fitted, split), min_sim=MIN_SIM)
+        cold = IngestEngine(
+            Distinct.from_models(
+                distinct.db, fitted.resem_model_, fitted.walk_model_, fitted.config
+            ),
+            min_sim=MIN_SIM,
+        )
         for name in NAMES:
-            alone.resolve(name)
-        alone.apply(split.delta)
-        for name in NAMES:
-            expected = alone.refresh(name).resolution
+            expected = cold.resolve(name)
             got = resolutions[name]
-            assert got.rows == expected.rows
-            assert got.clusters == expected.clusters
-            assert got.resem_matrix.tobytes() == expected.resem_matrix.tobytes()
-            assert got.walk_matrix.tobytes() == expected.walk_matrix.tobytes()
-            assert (
-                got.clustering.dendrogram.merges
-                == expected.clustering.dendrogram.merges
+            assert_same_state(
+                (got, own_traces(engines[0], name)), (expected, own_traces(cold, name))
             )
             assert (
                 np.asarray(got.clustering.merge_similarities).tobytes()

@@ -506,17 +506,16 @@ def optimality(svm, X, y):
     """(gradient norm, solver tolerance, KKT duality gap) at the fitted model.
 
     The dual point is the one the primal optimum implies for the squared
-    hinge, ``alpha_i = 2 C_i max(0, 1 - y_i f_i)``; its gap to the primal
+    hinge, ``alpha_i = 2 C max(0, 1 - y_i f_i)``; its gap to the primal
     objective is zero exactly at the optimum.
     """
     Xa = np.hstack([X, np.ones((len(y), 1))])
     w = np.append(svm.weights_, svm.bias_)
-    costs = svm._per_example_cost(y)
-    alpha = 2.0 * costs * np.maximum(1.0 - y * (Xa @ w), 0.0)
+    alpha = 2.0 * svm.C * np.maximum(1.0 - y * (Xa @ w), 0.0)
     v = (alpha * y) @ Xa
     grad = w - v
-    g0 = -2.0 * (costs * y) @ Xa
-    dual = np.sum(alpha) - 0.5 * v @ v - np.sum(alpha**2 / (4.0 * costs))
+    g0 = -2.0 * svm.C * y @ Xa
+    dual = np.sum(alpha) - 0.5 * v @ v - np.sum(alpha**2) / (4.0 * svm.C)
     tol = GRADIENT_TOL * max(1.0, float(np.linalg.norm(g0)))
     return float(np.linalg.norm(grad)), tol, svm.primal_objective(X, y) - dual
 

@@ -91,11 +91,9 @@ class TestPairwiseScoreProperties:
         assert forward.f1 == pytest.approx(backward.f1)
 
 
-@st.composite
-def labeled_data(draw):
-    n = draw(st.integers(min_value=6, max_value=30))
-    d = draw(st.integers(min_value=1, max_value=4))
-    seed = draw(st.integers(min_value=0, max_value=10_000))
+def labeled_set(n: int, d: int, seed: int):
+    """``n`` points in ``d`` dimensions labelled by a random hyperplane,
+    both classes present."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     w = rng.normal(size=d)
@@ -104,6 +102,14 @@ def labeled_data(draw):
     if len(set(y.tolist())) < 2:
         y[0] = -y[0]
     return X, y
+
+
+@st.composite
+def labeled_data(draw):
+    n = draw(st.integers(min_value=6, max_value=30))
+    d = draw(st.integers(min_value=1, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    return labeled_set(n, d, seed)
 
 
 class TestSVMProperties:
@@ -117,6 +123,18 @@ class TestSVMProperties:
         # to the solver's tolerance and the KKT dual point closes the gap.
         X, y = data
         svm = LinearSVM(C=C).fit(X, y)
+        grad_norm, tol, gap = optimality(svm, X, y)
+        assert grad_norm <= tol
+        scale = max(1.0, svm.primal_objective(X, y))
+        assert gap == pytest.approx(0.0, abs=1e-9 * scale)
+
+    @pytest.mark.parametrize("seed", [395, 2308, 3008, 3147])
+    def test_weak_duality_on_sets_the_gradient_test_alone_left_open(self, seed):
+        # With C = 1e6 these 10 x 4 sets pass the gradient test with KKT
+        # gaps of 3e-8 to 2e-6, above the bound, unless the fit finishes on
+        # its active set's exact minimizer.
+        X, y = labeled_set(10, 4, seed)
+        svm = LinearSVM(C=1e6).fit(X, y)
         grad_norm, tol, gap = optimality(svm, X, y)
         assert grad_norm <= tol
         scale = max(1.0, svm.primal_objective(X, y))
