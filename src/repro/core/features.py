@@ -32,6 +32,7 @@ oracle in ``tests/oracle.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -100,15 +101,36 @@ def compute_pair_features(
     walk = np.zeros((len(pairs), len(paths)))
     if not pairs or not paths:
         return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
-    index = {row: k for k, row in enumerate(matrices[paths[0]].rows)}
-    idx_a = np.fromiter((index[a] for a, _ in pairs), dtype=np.int64, count=len(pairs))
-    idx_b = np.fromiter((index[b] for _, b in pairs), dtype=np.int64, count=len(pairs))
+    at = _batch_positions(
+        matrices[paths[0]].rows,
+        np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs)),
+    )
+    idx_a, idx_b = at[0::2], at[1::2]
     for p, path in enumerate(paths):
         stacked = matrices[path]
         resem[:, p], walk[:, p] = pair_similarities(
             stacked.forward, stacked.backward, idx_a, idx_b
         )
     return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
+
+
+def _batch_positions(batch_rows: list[int], rows: np.ndarray) -> np.ndarray:
+    """The position of each of ``rows`` in ``batch_rows`` (the last one,
+    if a row repeats), through one table over the batch's row-id range.
+
+    Raises ``KeyError`` for a row the batch does not hold.
+    """
+    ids = np.asarray(batch_rows, dtype=np.int64)
+    low, high = (int(ids.min()), int(ids.max())) if len(ids) else (0, -1)
+    table = np.full(high - low + 1, -1, dtype=np.int64)
+    np.maximum.at(table, ids - low, np.arange(len(ids), dtype=np.int64))
+    offset = rows - low
+    inside = (offset >= 0) & (offset < len(table))
+    at = np.full(len(rows), -1, dtype=np.int64)
+    at[inside] = table[offset[inside]]
+    if (at < 0).any():
+        raise KeyError(int(rows[np.argmax(at < 0)]))
+    return at
 
 
 def all_pairs(rows: list[int]) -> list[tuple[int, int]]:

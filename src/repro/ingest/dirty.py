@@ -3,10 +3,11 @@
 Delta ingest's first invalidation rung. A batch of appended tuples
 changes the partner list of an existing row ``i`` across a join step
 iff some new row of the step's destination relation joins to ``i`` —
-partner lists only ever grow (indexes are append-only), so the affected
-set is found by looking each new row's join value up in the *source*
-relation's index (:func:`repro.perf.transitions.grown_partner_rows`,
-the probe a step matrix's extension runs too). :func:`affected_rows`
+partner lists only ever grow (tables are append-only), so the affected
+set is found by looking the new rows' join-value codes up in the
+*source* relation's key column, all at once
+(:func:`repro.perf.transitions.grown_partner_rows`, the probe a step
+matrix's extension runs too). :func:`affected_rows`
 runs that probe once per delta over every step of the configured paths
 **and every step's reverse**, which covers both propagation directions:
 forward mass splits use the forward partner lists, and the backward

@@ -11,14 +11,20 @@ Both share ``A``'s sparsity pattern, so :func:`extend_step` builds them
 in one pass, on shared index arrays, and no caller ever transposes or
 converts one.
 
+Partners come from the integer key columns of the database
+(:class:`repro.reldb.index.KeyColumn`): the partners of source rows are
+the spans of their codes in the destination column's code-ordered rows,
+found for all the rows at once, with no per-row Python loop and no
+per-value lookup.
+
 Tables are append-only, so a pair built over the first ``s`` source and
 ``d`` destination rows stays right for those rows except where a
 destination row appended since joins an old source row
 (:func:`grown_partner_rows`, the same probe delta ingest runs to find
 its dirty rows). Extending a pair re-lists those rows and the appended
-source rows from the hash index, copies every other row's partner span,
-and renormalizes. A fresh build (:func:`build_step`) is the extension
-of the empty pair.
+source rows from the key columns, copies every other row's partner
+span, and renormalizes. A fresh build (:func:`build_step`) is the
+extension of the empty pair.
 
 :class:`StepMatrices` holds these pairs for one database object. A read
 (:meth:`StepMatrices.get`, the only way a pair grows) that finds either
@@ -38,7 +44,6 @@ change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -121,22 +126,15 @@ def grown_partner_rows(db: Any, step: Any, n_src: int, n_dst: int) -> np.ndarray
     ``n_dst`` joins, ascending: the old rows whose partner lists across
     ``step`` grew when the destination relation grew past ``n_dst`` rows.
 
-    Each appended destination row's join value is looked up in the
-    source relation's hash index; a NULL value joins nothing.
+    The appended destination rows' codes are looked up in the source
+    relation's key column, all at once; a NULL code joins nothing.
     """
     if n_src == 0:
         return np.empty(0, dtype=np.int64)
-    destination = db.table(step.dst_relation)
-    position = destination.schema.position(step.dst_attribute)
-    src_index = db.index(step.src_relation, step.src_attribute)
-    grown: set[int] = set()
-    for row in destination.rows[n_dst:]:
-        value = row[position]
-        if value is not None:
-            grown.update(i for i in src_index.lookup(value) if i < n_src)
-    rows = np.fromiter(grown, dtype=np.int64, count=len(grown))
-    rows.sort()
-    return rows
+    appended = db.index(step.dst_relation, step.dst_attribute).codes[n_dst:]
+    source = db.index(step.src_relation, step.src_attribute)
+    rows = source.rows_in(*source.spans(appended))
+    return np.unique(rows[rows < n_src])
 
 
 def extend_step(db: Any, step: Any, pair: StepPair) -> StepPair:
@@ -145,14 +143,15 @@ def extend_step(db: Any, step: Any, pair: StepPair) -> StepPair:
     ``pair`` covers the first ``pair.shape`` source and destination rows.
     The source rows it does not cover, and the old rows a new destination
     row joins (:func:`grown_partner_rows`), are re-listed from the
-    destination's hash index (each row's columns ascending, as the hash
-    index lists them); every other row's partner span is copied. Both
-    matrices are then renormalized over the whole pattern, so the result
-    is byte-equal to a fresh :func:`build_step`.
+    destination's key column: the span of each row's code, its rows
+    ascending, for all the rows at once. Every other row's partner span
+    is copied. Both matrices are then renormalized over the whole
+    pattern, so the result is byte-equal to a fresh :func:`build_step`.
     """
     n_src_old, n_dst_old = pair.shape
-    source = db.table(step.src_relation)
-    shape = (len(source.rows), len(db.table(step.dst_relation).rows))
+    source = db.index(step.src_relation, step.src_attribute)
+    destination = db.index(step.dst_relation, step.dst_attribute)
+    shape = (len(source.codes), len(destination.codes))
     # Only a grown destination can add partners to an old source row.
     grown = (
         grown_partner_rows(db, step, n_src_old, n_dst_old)
@@ -160,13 +159,8 @@ def extend_step(db: Any, step: Any, pair: StepPair) -> StepPair:
         else np.empty(0, dtype=np.int64)
     )
     relisted = np.concatenate([grown, np.arange(n_src_old, shape[0], dtype=np.int64)])
-    index = db.index(step.dst_relation, step.dst_attribute)
-    position = source.schema.position(step.src_attribute)
-    partners = [
-        () if (value := source.rows[i][position]) is None else index.lookup(value)
-        for i in relisted.tolist()
-    ]
-    listed = np.fromiter(map(len, partners), dtype=np.int64, count=len(partners))
+    lo, hi = destination.spans(source.codes[relisted])
+    listed = hi - lo
     old_indptr, old_indices = pair.forward.indptr, pair.forward.indices
     old_counts = np.diff(old_indptr)
     counts = np.zeros(shape[0], dtype=np.int64)
@@ -185,9 +179,7 @@ def extend_step(db: Any, step: Any, pair: StepPair) -> StepPair:
     indices[(np.arange(len(old_indices)) + shift)[copied]] = old_indices[copied]
     n_listed = int(listed.sum())
     shift = np.repeat(indptr[relisted] - (np.cumsum(listed) - listed), listed)
-    indices[np.arange(n_listed) + shift] = np.fromiter(
-        chain.from_iterable(partners), dtype=dtype, count=n_listed
-    )
+    indices[np.arange(n_listed) + shift] = destination.rows_in(lo, hi)
     _BUILT.inc()
     return StepPair(
         forward=_row_normalized(indptr, indices, shape),

@@ -2,7 +2,7 @@
 
 The paper assumes the data lives in a relational database (Fig 2 shows the
 DBLP schema). This subpackage provides that substrate from scratch: typed
-relations with primary/foreign keys, hash indexes on join columns,
+relations with primary/foreign keys, integer key columns for joins,
 referential-integrity checking, join-step execution, and the attribute-value
 virtualization of §2.1 (every distinct value of a non-key attribute becomes a
 tuple in a single-column virtual relation).
@@ -10,7 +10,7 @@ tuple in a single-column virtual relation).
 
 from repro.reldb.schema import Attribute, ForeignKey, RelationSchema, Schema
 from repro.reldb.table import Table
-from repro.reldb.index import HashIndex
+from repro.reldb.index import KeyColumn
 from repro.reldb.database import Database
 from repro.reldb.delta import AppliedDelta, Delta, apply_delta, load_delta, save_delta
 from repro.reldb.joins import JoinStep
@@ -22,7 +22,7 @@ __all__ = [
     "RelationSchema",
     "Schema",
     "Table",
-    "HashIndex",
+    "KeyColumn",
     "Database",
     "JoinStep",
     "Delta",

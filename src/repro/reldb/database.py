@@ -1,11 +1,13 @@
-"""The Database: schema + tables + indexes + integrity checking."""
+"""The Database: schema + tables + integer key columns + integrity checking."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.errors import IntegrityError, UnknownRelationError
-from repro.reldb.index import HashIndex
+from repro.reldb.index import NULL_CODE, KeyColumn, ValueCodes
 from repro.reldb.schema import RelationSchema, Schema
 from repro.reldb.table import Table
 
@@ -13,9 +15,12 @@ from repro.reldb.table import Table
 class Database:
     """An in-memory relational database.
 
-    Holds one :class:`Table` per relation in the schema and builds
-    :class:`HashIndex` objects lazily per (relation, attribute) as join
-    machinery asks for them. The schema is validated on construction.
+    Holds one :class:`Table` per relation in the schema and codes a
+    :class:`~repro.reldb.index.KeyColumn` lazily per (relation,
+    attribute) as join machinery asks for one, all through the one
+    :class:`~repro.reldb.index.ValueCodes` dict of this database, so
+    equal values in different columns share a code. The schema is
+    validated on construction.
 
     ``epoch`` is a monotonically increasing batch counter: it starts at 0
     and is bumped once per :func:`repro.reldb.delta.apply_delta` batch;
@@ -34,7 +39,8 @@ class Database:
         self.tables: dict[str, Table] = {
             name: Table(rel) for name, rel in schema.relations.items()
         }
-        self._indexes: dict[tuple[str, str], HashIndex] = {}
+        self._value_codes = ValueCodes()
+        self._indexes: dict[tuple[str, str], KeyColumn] = {}
         self.epoch: int = 0
 
     # -- data access ------------------------------------------------------
@@ -50,12 +56,13 @@ class Database:
     def insert_many(self, relation: str, rows: Iterable[Iterable[object]]) -> list[int]:
         return self.table(relation).insert_many(rows)
 
-    def index(self, relation: str, attribute: str) -> HashIndex:
-        """The hash index on ``relation.attribute`` (built/refreshed on demand)."""
+    def index(self, relation: str, attribute: str) -> KeyColumn:
+        """The key column of ``relation.attribute`` (coded on demand,
+        refreshed when the table has grown)."""
         key = (relation, attribute)
         idx = self._indexes.get(key)
         if idx is None:
-            idx = HashIndex(self.table(relation), attribute)
+            idx = KeyColumn(self.table(relation), attribute, self._value_codes)
             self._indexes[key] = idx
         elif idx.stale:
             idx.refresh()
@@ -67,21 +74,21 @@ class Database:
         """Verify every foreign-key value references an existing target row.
 
         Raises :class:`IntegrityError` on the first dangling reference.
-        ``None`` FK values are treated as nullable and skipped.
+        ``None`` FK values are treated as nullable and skipped. Each
+        foreign key is one membership test of the source column's codes
+        in the target column's.
         """
         for fk in self.schema.foreign_keys:
-            src = self.table(fk.src_relation)
-            dst_index = self.index(fk.dst_relation, fk.dst_attribute)
-            pos = src.schema.position(fk.src_attribute)
-            for row_id, row in enumerate(src.rows):
-                value = row[pos]
-                if value is None:
-                    continue
-                if dst_index.count(value) == 0:
-                    raise IntegrityError(
-                        f"dangling foreign key {fk}: row {row_id} of "
-                        f"{fk.src_relation} references missing {value!r}"
-                    )
+            codes = self.index(fk.src_relation, fk.src_attribute).codes
+            lo, hi = self.index(fk.dst_relation, fk.dst_attribute).spans(codes)
+            dangling = np.flatnonzero((lo == hi) & (codes != NULL_CODE))
+            if len(dangling):
+                row_id = int(dangling[0])
+                value = self.table(fk.src_relation).value(row_id, fk.src_attribute)
+                raise IntegrityError(
+                    f"dangling foreign key {fk}: row {row_id} of "
+                    f"{fk.src_relation} references missing {value!r}"
+                )
 
     # -- schema evolution (used by virtualization) -------------------------
 

@@ -22,7 +22,7 @@ def select(
 ) -> Iterator[int]:
     """Yield row ids of ``relation`` matching all equality conditions.
 
-    When ``where`` has exactly one condition, the per-column hash index is
+    When ``where`` has exactly one condition, the per-column key column is
     used; otherwise the narrowest indexed condition prefilters and the rest
     are checked per row. ``predicate`` (over the row-as-dict) is applied last.
     """

@@ -1,6 +1,7 @@
 """The one propagation route: every batch any caller propagates goes
-through :meth:`repro.paths.profiles.ProfileBuilder.matrices_for`, and
-resolving a name extracts its references once."""
+through :meth:`repro.paths.profiles.ProfileBuilder.matrices_for`,
+resolving a name extracts its references once, and a database codes
+each joined column once."""
 
 from __future__ import annotations
 
@@ -8,11 +9,13 @@ import repro.core.distinct as distinct_module
 import repro.core.references as references
 from repro import Distinct, DistinctConfig
 from repro.core.explain import explain_pair
+from repro.data.world import world_to_database
 from repro.eval.calibration import calibrate_min_sim
 from repro.ingest import IngestEngine
 from repro.ingest.greedy import extend_resolution
 from repro.obs import get_metrics
 from repro.paths.profiles import ProfileBuilder
+from repro.reldb.index import KeyColumn
 
 from tests.ingest.test_engine import (
     MIN_SIM,
@@ -96,3 +99,35 @@ def test_prepare_extracts_references_once(fitted, monkeypatch):
     for name in ("Wei Wang", "Jim Smith"):
         fitted.prepare(name)
     assert names == ["Wei Wang", "Jim Smith"]
+
+
+def test_a_fit_codes_each_joined_column_once(small_world, monkeypatch):
+    """Loading a database and fitting on it code every column a live
+    path joins on exactly once; a second fit on the same database codes
+    none."""
+    coded: list[tuple[str, str]] = []
+    original = KeyColumn.refresh
+
+    def spy(self):
+        if self.stale:
+            coded.append((self.table.schema.name, self.attribute))
+        return original(self)
+
+    monkeypatch.setattr(KeyColumn, "refresh", spy)
+    db, _ = world_to_database(small_world)
+    config = DistinctConfig(n_positive=40, n_negative=40, svm_C=10.0)
+    distinct = Distinct(config).fit(db)
+    joined = {
+        column
+        for path in distinct.paths_
+        for step in path
+        for column in (
+            (step.src_relation, step.src_attribute),
+            (step.dst_relation, step.dst_attribute),
+        )
+    }
+    assert joined and joined <= set(coded)
+    assert len(coded) == len(set(coded))
+    coded.clear()
+    Distinct(config).fit(db)
+    assert coded == []

@@ -22,6 +22,12 @@ that route to:
 - :func:`profile_matrices` and :func:`weights_for` — conversions between
   profiles and the stacked CSR matrices the runtime works on.
 
+:class:`HashIndex` is the value -> row-id list index the runtime's
+integer key columns (:class:`repro.reldb.index.KeyColumn`) must match
+lookup for lookup; the scalar oracle reads its partners from it.
+:func:`hash_build_step` and :func:`hash_grown_partner_rows` are the
+step matrices and the grown-row probe of
+:mod:`repro.perf.transitions` read one row at a time through it.
 :func:`assert_rows_are_partner_splits` holds a step matrix to the scalar
 partner lists (:meth:`ScalarPropagation._partners`, no exclusions) row
 by row.
@@ -53,6 +59,7 @@ from repro.paths.joinpath import JoinPath
 from repro.paths.profiles import ProfileBuilder
 from repro.paths.propagation import Exclusions
 from repro.paths.trie import _build_trie, _TrieNode
+from repro.perf.transitions import StepPair
 
 _EMPTY_SET: frozenset[int] = frozenset()
 
@@ -106,6 +113,18 @@ class ScalarPropagation:
         self.db = db
         self.exclusions = {k: frozenset(v) for k, v in (exclusions or {}).items()}
         self.tuples_visited = 0
+        self._indexes: dict[tuple[str, str], HashIndex] = {}
+
+    def index(self, relation: str, attribute: str) -> HashIndex:
+        """The hash index of ``relation.attribute``, refreshed to its table."""
+        index = self._indexes.get((relation, attribute))
+        if index is None:
+            index = self._indexes[relation, attribute] = HashIndex(
+                self.db.table(relation), attribute
+            )
+        elif index.stale:
+            index.refresh()
+        return index
 
     def propagate(self, path: JoinPath, origin_row: int) -> PropagationResult:
         """Propagate from ``origin_row`` of ``path.start_relation`` along ``path``."""
@@ -137,7 +156,7 @@ class ScalarPropagation:
         """Push one level of probability mass across one join step."""
         src_table = self.db.table(step.src_relation)
         src_pos = src_table.schema.position(step.src_attribute)
-        dst_index = self.db.index(step.dst_relation, step.dst_attribute)
+        dst_index = self.index(step.dst_relation, step.dst_attribute)
         excluded = self.exclusions.get(step.dst_relation, _EMPTY_SET)
         drop_origin = step.dst_relation == start_relation
 
@@ -174,7 +193,7 @@ class ScalarPropagation:
         back = step.reverse()  # relation of level k -> relation of level k-1
         src_table = self.db.table(back.src_relation)
         src_pos = src_table.schema.position(back.src_attribute)
-        dst_index = self.db.index(back.dst_relation, back.dst_attribute)
+        dst_index = self.index(back.dst_relation, back.dst_attribute)
         excluded = self.exclusions.get(back.dst_relation, _EMPTY_SET)
         drop_origin = (
             not gather_into_origin_level and back.dst_relation == start_relation
@@ -484,13 +503,103 @@ def weights_for(batched: BatchedProfiles, k: int) -> dict[int, tuple[float, floa
 # -- step matrices and the SVM --------------------------------------------------
 
 
+class HashIndex:
+    """Value -> row-id list index over one attribute of one table."""
+
+    def __init__(self, table, attribute: str) -> None:
+        self.table = table
+        self.attribute = attribute
+        self._position = table.schema.position(attribute)
+        self._buckets: dict[object, list[int]] = {}
+        self._rows_seen = 0
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Index rows appended since the last refresh."""
+        rows = self.table.rows
+        for row_id in range(self._rows_seen, len(rows)):
+            value = rows[row_id][self._position]
+            self._buckets.setdefault(value, []).append(row_id)
+        self._rows_seen = len(rows)
+
+    @property
+    def stale(self) -> bool:
+        return self._rows_seen != len(self.table)
+
+    def lookup(self, value: object) -> list[int]:
+        """Row ids whose indexed attribute equals ``value`` (possibly empty)."""
+        return self._buckets.get(value, [])
+
+    def count(self, value: object) -> int:
+        return len(self.lookup(value))
+
+    def distinct_values(self) -> list[object]:
+        return list(self._buckets.keys())
+
+    def __len__(self) -> int:
+        return len(self._buckets)
+
+
+def hash_grown_partner_rows(db, step, n_src: int, n_dst: int) -> np.ndarray:
+    """Source rows below ``n_src`` that a destination row at or past
+    ``n_dst`` joins, ascending, from one hash lookup per appended row."""
+    destination = db.table(step.dst_relation)
+    position = destination.schema.position(step.dst_attribute)
+    src_index = HashIndex(db.table(step.src_relation), step.src_attribute)
+    grown: set[int] = set()
+    for row in destination.rows[n_dst:]:
+        value = row[position]
+        if value is not None:
+            grown.update(i for i in src_index.lookup(value) if i < n_src)
+    return np.array(sorted(grown), dtype=np.int64)
+
+
+def hash_build_step(db, step) -> StepPair:
+    """Both matrices of ``step`` over the full relations of ``db``, each
+    source row's partners one hash lookup (none for NULL)."""
+    source = db.table(step.src_relation)
+    position = source.schema.position(step.src_attribute)
+    index = HashIndex(db.table(step.dst_relation), step.dst_attribute)
+    partners = [
+        [] if row[position] is None else index.lookup(row[position])
+        for row in source.rows
+    ]
+    shape = (len(source), len(db.table(step.dst_relation)))
+    nnz = sum(map(len, partners))
+    dtype = np.int32 if max(nnz, *shape) < np.iinfo(np.int32).max else np.int64
+    counts = np.array([len(p) for p in partners], dtype=np.int64)
+    indptr = np.zeros(shape[0] + 1, dtype=dtype)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.array([j for p in partners for j in p], dtype=dtype)
+    column_counts = np.bincount(indices, minlength=shape[1])
+
+    def csr(data):
+        matrix = sparse.csr_matrix((data, indices, indptr), shape=shape, copy=False)
+        matrix.has_sorted_indices = True
+        return matrix
+
+    return StepPair(
+        forward=csr(np.repeat(1.0 / np.maximum(counts, 1), counts)),
+        backward=csr(1.0 / column_counts[indices]),
+    )
+
+
+def assert_same_step_bytes(got: StepPair, want: StepPair) -> None:
+    """``got`` and ``want`` hold the same CSR arrays, dtypes included."""
+    for a, b in ((got.forward, want.forward), (got.backward, want.backward)):
+        assert a.shape == b.shape
+        assert a.has_sorted_indices and b.has_sorted_indices
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def assert_rows_are_partner_splits(matrix, db, step) -> None:
     """Row ``i`` of ``matrix`` is ``1/|P(i)|`` on exactly ``_partners``,
     the unfiltered join partners of source row ``i`` across ``step``."""
     oracle = ScalarPropagation(db)
     src_table = db.table(step.src_relation)
     src_pos = src_table.schema.position(step.src_attribute)
-    dst_index = db.index(step.dst_relation, step.dst_attribute)
+    dst_index = oracle.index(step.dst_relation, step.dst_attribute)
     assert matrix.shape == (len(src_table), len(db.table(step.dst_relation)))
     for row in range(matrix.shape[0]):
         partners = list(

@@ -1,7 +1,8 @@
 import pytest
 
 from repro.errors import IntegrityError
-from repro.reldb import Attribute, HashIndex, RelationSchema, Table
+from repro.reldb import Attribute, KeyColumn, RelationSchema, Table
+from repro.reldb.index import ValueCodes
 
 
 @pytest.fixture
@@ -52,11 +53,11 @@ class TestTable:
         assert list(authors)[2] == (3, "Wei Wang II")
 
 
-class TestHashIndex:
+class TestKeyColumn:
     def test_lookup_groups_rows_by_value(self):
         table = Table(RelationSchema("R", [Attribute("x")]))
         table.insert_many([("a",), ("b",), ("a",), ("a",)])
-        index = HashIndex(table, "x")
+        index = KeyColumn(table, "x", ValueCodes())
         assert index.lookup("a") == [0, 2, 3]
         assert index.lookup("b") == [1]
         assert index.lookup("zzz") == []
@@ -64,14 +65,14 @@ class TestHashIndex:
     def test_count_matches_lookup_length(self):
         table = Table(RelationSchema("R", [Attribute("x")]))
         table.insert_many([(1,), (1,), (2,)])
-        index = HashIndex(table, "x")
+        index = KeyColumn(table, "x", ValueCodes())
         assert index.count(1) == 2
         assert index.count(3) == 0
 
     def test_incremental_refresh_sees_appended_rows(self):
         table = Table(RelationSchema("R", [Attribute("x")]))
         table.insert(("a",))
-        index = HashIndex(table, "x")
+        index = KeyColumn(table, "x", ValueCodes())
         table.insert(("a",))
         assert index.stale
         index.refresh()
@@ -81,6 +82,6 @@ class TestHashIndex:
     def test_distinct_values_and_len(self):
         table = Table(RelationSchema("R", [Attribute("x")]))
         table.insert_many([("a",), ("b",), ("a",)])
-        index = HashIndex(table, "x")
+        index = KeyColumn(table, "x", ValueCodes())
         assert sorted(index.distinct_values()) == ["a", "b"]
         assert len(index) == 2
