@@ -19,7 +19,9 @@ def default_path_config() -> PathEnumerationConfig:
     author's-other-papers, proceedings/conference/year/location/publisher and
     conference-sibling paths (27 enumerated on DBLP, 17 once
     :func:`repro.core.references.live_paths` drops the ten that enter the
-    reference's own, excluded author row). The 7-hop budget including
+    reference's own, excluded author row). Three of the 17 have their
+    prefix's features (:func:`repro.core.references.shared_paths`), so 14
+    are propagated and scored. The 7-hop budget including
     coauthors-of-coauthors is available via :func:`deep_path_config` and is
     studied in the path ablation bench."""
     return PathEnumerationConfig(
@@ -29,7 +31,7 @@ def default_path_config() -> PathEnumerationConfig:
 
 def deep_path_config() -> PathEnumerationConfig:
     """7-hop budget reaching the coauthor-of-coauthor path (47 paths on DBLP,
-    28 live)."""
+    28 live, 5 of them sharing their prefix's features)."""
     return PathEnumerationConfig(
         max_hops=7, max_sibling_expansions=3, max_start_revisits=3
     )

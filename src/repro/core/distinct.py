@@ -35,6 +35,7 @@ from repro.core.references import (
     exclusions_for_name,
     extract_references,
     live_paths,
+    shared_paths,
 )
 from repro.errors import NotFittedError
 from repro.ml.model import PathWeightModel
@@ -115,8 +116,11 @@ class Distinct:
     appended rows when its relations grow.
 
     ``paths_`` holds the enumerated join paths the exclusion rule leaves
-    alive (:func:`~repro.core.references.live_paths`);
-    ``n_enumerated_paths_`` counts them all.
+    alive (:func:`~repro.core.references.live_paths`), one feature
+    column each; ``n_enumerated_paths_`` counts them all.
+    :attr:`shared_paths_` are the live paths whose features are their
+    prefix's (:func:`~repro.core.references.shared_paths`): no batch
+    finalizes them and no kernel scores them.
     """
 
     def __init__(self, config: DistinctConfig | None = None) -> None:
@@ -235,19 +239,30 @@ class Distinct:
                 by_row.setdefault(row, by_name[name])
         rows = list(by_row)
         matrices = self.profiles.matrices_for(rows, [by_row[row] for row in rows])
-        pairs = [(p.row_a, p.row_b) for p in training_set.pairs]
-        return compute_pair_features(self.paths_, pairs, matrices)
+        pairs = np.array([(p.row_a, p.row_b) for p in training_set.pairs], dtype=np.int64)
+        return compute_pair_features(self.paths_, pairs, matrices, self.shared_paths_)
+
+    @property
+    def shared_paths_(self) -> dict[JoinPath, JoinPath]:
+        """Each live path whose features are its prefix's, mapped to that
+        prefix (:func:`~repro.core.references.shared_paths`)."""
+        if self.paths_ is None:
+            raise NotFittedError("call fit(db) before reading the paths")
+        return shared_paths(self.paths_, self.config)
 
     @property
     def profiles(self) -> ProfileBuilder:
-        """The pipeline's one way into propagation: its live paths over
-        the shared ``steps``. Every feature computation, whatever the
-        caller, propagates here, each reference under its own name's
-        exclusions, so resolution, training, calibration, explanation
-        and ingest see the same values."""
+        """The pipeline's one way into propagation: its live paths, less
+        the shared ones, over the shared ``steps``. Every feature
+        computation, whatever the caller, propagates here, each reference
+        under its own name's exclusions, so resolution, training,
+        calibration, explanation and ingest see the same values."""
         if self.db is None or self.paths_ is None:
             raise NotFittedError("call fit(db) before building profiles")
-        return ProfileBuilder(self.db, self.paths_, self.steps)
+        shared = self.shared_paths_
+        return ProfileBuilder(
+            self.db, [path for path in self.paths_ if path not in shared], self.steps
+        )
 
     def _train_measure(
         self, measure: str, X: np.ndarray, labels: np.ndarray
@@ -363,21 +378,21 @@ class Distinct:
             )
         pairs = all_pairs(refs.rows)
         with span("resolve.similarity", name=refs.name, n_pairs=len(pairs)):
-            features = compute_pair_features(self.paths_, pairs, matrices)
+            features = compute_pair_features(
+                self.paths_, pairs, matrices, self.shared_paths_
+            )
         _PAIRS_SCORED.inc(len(pairs))
         log.debug("prepared %r: %d references, %d pairs", refs.name, len(refs.rows),
                   len(pairs))
         return NamePreparation(name=refs.name, rows=list(refs.rows), features=features)
 
-    def pair_features(
-        self, exclusions: Exclusions, pairs: list[tuple[int, int]]
-    ) -> PairFeatures:
-        """Features of ``pairs`` of one name's references: one batch over
-        the pairs' rows, all under the name's ``exclusions``, so each pair
-        scores as in :meth:`prepare`."""
-        rows = list(dict.fromkeys(row for pair in pairs for row in pair))
+    def pair_features(self, exclusions: Exclusions, pairs: np.ndarray) -> PairFeatures:
+        """Features of ``pairs`` (an ``(n_pairs, 2)`` array) of one name's
+        references: one batch over the pairs' rows, all under the name's
+        ``exclusions``, so each pair scores as in :meth:`prepare`."""
+        rows = list(dict.fromkeys(np.ravel(pairs).tolist()))
         matrices = self.profiles.matrices_for(rows, [exclusions] * len(rows))
-        return compute_pair_features(self.paths_, pairs, matrices)
+        return compute_pair_features(self.paths_, pairs, matrices, self.shared_paths_)
 
     def cluster_prepared(
         self,

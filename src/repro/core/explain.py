@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.distinct import Distinct
 from repro.core.references import exclusions_for_name
 from repro.errors import NotFittedError
@@ -93,7 +95,8 @@ def explain_pair(
         raise NotFittedError("explanations use the supervised models")
 
     features = distinct.pair_features(
-        exclusions_for_name(distinct.db, name, distinct.config), [(row_a, row_b)]
+        exclusions_for_name(distinct.db, name, distinct.config),
+        np.array([[row_a, row_b]], dtype=np.int64),
     )
     resem_weights, walk_weights = distinct.combiners(features.paths)
     resem_values, walk_values = features.combined(resem_weights, walk_weights)

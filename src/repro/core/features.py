@@ -22,7 +22,12 @@ Pair features take one route:
 
 The paths are the pipeline's live ones
 (:func:`repro.core.references.live_paths`), so no column is zero by
-construction.
+construction, though paths 0 and 1 (the reference's paper, and that
+paper's other authorship rows) are 0 on every measured pair: a pair
+scores there only when its two references sit on one paper. A path
+whose features are provably its prefix's
+(:func:`repro.core.references.shared_paths`) is not scored: its columns
+are copies of the prefix's.
 
 The equivalence tests compare this route against the paper's
 definitions read one reference and one pair at a time (the scalar
@@ -31,8 +36,8 @@ oracle in ``tests/oracle.py``).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -60,13 +65,13 @@ def intersecting_pair_mask() -> None:
 class PairFeatures:
     """Per-pair, per-path similarity features.
 
-    ``pairs[k] = (row_a, row_b)``; ``resemblance[k, p]`` and ``walk[k, p]``
-    are the two measures for pair ``k`` along path ``p`` (column order =
-    ``paths`` order).
+    ``pairs[k] = (row_a, row_b)``, an ``(n_pairs, 2)`` int64 array;
+    ``resemblance[k, p]`` and ``walk[k, p]`` are the two measures for pair
+    ``k`` along path ``p`` (column order = ``paths`` order).
     """
 
     paths: list[JoinPath]
-    pairs: list[tuple[int, int]]
+    pairs: np.ndarray
     resemblance: np.ndarray
     walk: np.ndarray
 
@@ -87,31 +92,42 @@ class PairFeatures:
 
 def compute_pair_features(
     paths: list[JoinPath],
-    pairs: list[tuple[int, int]],
+    pairs: np.ndarray,
     matrices: dict[JoinPath, BatchedProfiles],
+    shared: Mapping[JoinPath, JoinPath] | None = None,
 ) -> PairFeatures:
     """Compute both measures for every pair along every path of ``paths``.
 
-    ``matrices`` is the batch that propagated the pairs' references
-    (``matrices_for(rows, ...)`` with every row of ``pairs`` among
-    ``rows``); the kernel reads only the pairs' rows of it.
+    ``pairs`` is an ``(n_pairs, 2)`` array of reference rows (or anything
+    ``np.asarray`` makes one of). ``matrices`` is the batch that
+    propagated the pairs' references (``matrices_for(rows, ...)`` with
+    every row of ``pairs`` among ``rows``); the kernel reads only the
+    pairs' rows of it. ``shared`` maps a path to the prefix whose
+    features it has (:func:`repro.core.references.shared_paths`): its
+    columns are copies of the prefix's, and ``matrices`` need not hold
+    it.
     """
     fault_check("features.backend")
+    shared = shared or {}
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     resem = np.zeros((len(pairs), len(paths)))
     walk = np.zeros((len(pairs), len(paths)))
-    if not pairs or not paths:
-        return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
-    at = _batch_positions(
-        matrices[paths[0]].rows,
-        np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs)),
-    )
+    if not len(pairs) or not paths:
+        return PairFeatures(paths=paths, pairs=pairs, resemblance=resem, walk=walk)
+    scored = [p for p, path in enumerate(paths) if path not in shared]
+    at = _batch_positions(matrices[paths[scored[0]]].rows, pairs.ravel())
     idx_a, idx_b = at[0::2], at[1::2]
-    for p, path in enumerate(paths):
-        stacked = matrices[path]
+    for p in scored:
+        stacked = matrices[paths[p]]
         resem[:, p], walk[:, p] = pair_similarities(
             stacked.forward, stacked.backward, idx_a, idx_b
         )
-    return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
+    column = {path: p for p, path in enumerate(paths)}
+    for p, path in enumerate(paths):
+        if path in shared:
+            q = column[shared[path]]
+            resem[:, p], walk[:, p] = resem[:, q], walk[:, q]
+    return PairFeatures(paths=paths, pairs=pairs, resemblance=resem, walk=walk)
 
 
 def _batch_positions(batch_rows: list[int], rows: np.ndarray) -> np.ndarray:
@@ -133,11 +149,12 @@ def _batch_positions(batch_rows: list[int], rows: np.ndarray) -> np.ndarray:
     return at
 
 
-def all_pairs(rows: list[int]) -> list[tuple[int, int]]:
-    """All unordered pairs of ``rows``, in (i < j) index order."""
+def all_pairs(rows: list[int]) -> np.ndarray:
+    """All unordered pairs of ``rows``, in (i < j) index order, as an
+    ``(n_pairs, 2)`` int64 array."""
     pos_a, pos_b = np.triu_indices(len(rows), k=1)
     ids = np.asarray(rows, dtype=np.int64)
-    return list(zip(ids[pos_a].tolist(), ids[pos_b].tolist()))
+    return np.stack([ids[pos_a], ids[pos_b]], axis=1)
 
 
 def pair_matrix(n: int, values: np.ndarray) -> np.ndarray:

@@ -116,6 +116,67 @@ def live_paths(
     return live
 
 
+def shared_paths(
+    paths: list[JoinPath], config: DistinctConfig | None = None
+) -> dict[JoinPath, JoinPath]:
+    """Each path of ``paths`` whose features are its prefix's (the path
+    without its last step, also in ``paths``), mapped to that prefix.
+
+    Such a path ends by crossing one foreign-key edge from child to
+    parent (an ``n1`` step) and coming straight back (its ``1n``
+    reverse: the enumerator's sibling expansion). Its last relation is
+    not the object relation, nor the reference relation unless the last
+    step is the own-object join reversed (object -> reference on
+    ``object_key``), which reaches only other names' references.
+
+    Write ``f(t)`` and ``b(t)`` for a reference's forward and backward
+    probabilities at a parent ``t`` along the prefix, and ``d(t)`` for
+    ``t``'s children. The path gives each child ``c`` of ``t`` the
+    values ``f(t) / d(t)`` and ``b(t)``, because:
+
+    - every child has one parent, so the walk back from ``c`` reaches
+      ``t`` with probability 1;
+    - every re-entered tuple keeps at least the child it came from
+      (no excluded row), so ``d(t) >= 1`` and no mass is lost;
+    - a child excluded for a reference hangs only under a tuple that
+      this reference cannot reach. Exclusions fall only on the object
+      relation (a name's object rows) and on the reference relation
+      (each reference's origin, which hangs under its own object row,
+      excluded by every reference: :attr:`NameReferences.exclusions`
+      and their union for pooled names). So every reference reaching
+      ``t`` splits it over the same ``d(t)`` children.
+
+    Summed over the children, the set resemblance's ``Σ min`` and
+    ``Σ max`` and the walk's ``Σ f b`` are then the prefix's, term by
+    term, for any two references, whatever their exclusions.
+    """
+    config = config or DistinctConfig()
+    own_object_reversed = (
+        config.object_relation,
+        config.object_key,
+        config.reference_relation,
+        config.object_key,
+    )
+    shared: dict[JoinPath, JoinPath] = {}
+    for path in paths:
+        if path.length < 2:
+            continue
+        before, last = path.steps[-2:]
+        join = (last.src_relation, last.src_attribute, last.dst_relation,
+                last.dst_attribute)
+        prefix = JoinPath(path.steps[:-1])
+        if (
+            before.cardinality == "n1"
+            and last.is_reverse_of(before)
+            and last.dst_relation != config.object_relation
+            and (last.dst_relation != config.reference_relation
+                 or join == own_object_reversed)
+            and prefix in paths
+        ):
+            shared[path] = prefix
+    return shared
+
+
 def reference_counts_by_name(
     db: Database, config: DistinctConfig | None = None
 ) -> dict[str, int]:

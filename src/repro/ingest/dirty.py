@@ -9,7 +9,8 @@ set is found by looking the new rows' join-value codes up in the
 (:func:`repro.perf.transitions.grown_partner_rows`, the probe a step
 matrix's extension runs too). :func:`affected_rows`
 runs that probe once per delta over every step of the configured paths
-**and every step's reverse**, which covers both propagation directions:
+**and every step's reverse** (:func:`probe_steps`, built once per
+path set), which covers both propagation directions:
 forward mass splits use the forward partner lists, and the backward
 DP's denominators count reverse partners. It lists no row the delta
 appended: no reference walked one before the delta, so no trace holds
@@ -27,6 +28,8 @@ bytes; a clean reference provably kept its exact walk.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 from scipy import sparse
 
@@ -35,30 +38,36 @@ from repro.paths.joinpath import JoinPath
 from repro.perf.transitions import grown_partner_rows
 from repro.reldb.database import Database
 from repro.reldb.delta import AppliedDelta
+from repro.reldb.joins import JoinStep
 
-__all__ = ["affected_rows", "touched_row_mask"]
+__all__ = ["affected_rows", "probe_steps", "touched_row_mask"]
 
 _AFFECTED = counter("ingest.rows_affected")
 
 
+def probe_steps(paths: list[JoinPath]) -> tuple[JoinStep, ...]:
+    """Every step of ``paths`` and its reverse, each once: the steps
+    :func:`affected_rows` probes."""
+    return tuple(dict.fromkeys(
+        s for path in paths for step in path for s in (step, step.reverse())
+    ))
+
+
 def affected_rows(
-    db: Database, paths: list[JoinPath], applied: AppliedDelta
+    db: Database, steps: Sequence[JoinStep], applied: AppliedDelta
 ) -> dict[str, np.ndarray]:
     """Pre-delta rows whose partner lists the delta grew, per relation.
 
-    For every step of ``paths`` in both directions whose destination
-    relation ``applied`` grew, an *old* source row grew when one of the
-    delta's new destination rows carries its (non-NULL) join value. Each
-    value is one relation's rows, sorted and unique; a relation with no
-    such row is absent.
+    For every one of ``steps`` (:func:`probe_steps` of the paths) whose
+    destination relation ``applied`` grew, an *old* source row grew when
+    one of the delta's new destination rows carries its (non-NULL) join
+    value. Each value is one relation's rows, sorted and unique; a
+    relation with no such row is absent.
     """
 
     def old_size(relation: str) -> int:
         return len(db.table(relation)) - len(applied.new_rows(relation))
 
-    steps = dict.fromkeys(
-        s for path in paths for step in path for s in (step, step.reverse())
-    )
     probed: dict[str, list[np.ndarray]] = {}
     for step in steps:
         if applied.new_rows(step.dst_relation):

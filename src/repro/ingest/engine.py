@@ -71,7 +71,7 @@ from repro.paths.joinpath import JoinPath
 from repro.reldb.delta import AppliedDelta, Delta, apply_delta
 from repro.resilience.faults import fault_check
 
-from repro.ingest.dirty import affected_rows, touched_row_mask
+from repro.ingest.dirty import affected_rows, probe_steps, touched_row_mask
 
 __all__ = ["IngestEngine", "IngestReport", "NameRefresh"]
 
@@ -192,6 +192,7 @@ class IngestEngine:
         self.supervised = supervised
         self._states: dict[str, _NameState] = {}
         self._plans: dict[str, _RefreshPlan] = {}
+        self._probe_steps = probe_steps(distinct.paths_)
 
     @property
     def db(self):
@@ -264,7 +265,7 @@ class IngestEngine:
         db = self.db
         with span("ingest.apply", n_rows=delta.n_rows(), epoch=db.epoch + 1) as sp:
             applied = apply_delta(db, delta)
-            affected = affected_rows(db, self.distinct.paths_, applied)
+            affected = affected_rows(db, self._probe_steps, applied)
             self._plans = {
                 name: self._plan(state, affected)
                 for name, state in self._states.items()
@@ -415,7 +416,7 @@ class IngestEngine:
             resem[keep] = previous.features.resemblance[old_k]
             walk[keep] = previous.features.walk[old_k]
         sub = compute_pair_features(
-            distinct.paths_, [pairs_new[k] for k in recompute], matrices
+            distinct.paths_, pairs_new[recompute], matrices, distinct.shared_paths_
         )
         resem[recompute] = sub.resemblance
         walk[recompute] = sub.walk

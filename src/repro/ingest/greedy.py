@@ -68,11 +68,14 @@ def extend_resolution(
     for k, new_row in enumerate(new_rows):
         if new_row in rows or new_row in new_rows[:k]:
             raise ValueError(f"reference row {new_row} already resolved")
-    pairs = [
-        (new_row, row)
-        for k, new_row in enumerate(new_rows)
-        for row in rows + list(new_rows[:k])
-    ]
+    pairs = np.array(
+        [
+            (new_row, row)
+            for k, new_row in enumerate(new_rows)
+            for row in rows + list(new_rows[:k])
+        ],
+        dtype=np.int64,
+    )
     features = distinct.pair_features(
         exclusions_for_name(distinct.db, resolution.name, config), pairs
     )

@@ -113,8 +113,3 @@ def _admissible(
         if revisits > config.max_start_revisits:
             return False
     return True
-
-
-def paths_by_signature(paths: list[JoinPath]) -> dict[str, JoinPath]:
-    """Index a path list by signature (used by model deserialization)."""
-    return {p.signature(): p for p in paths}

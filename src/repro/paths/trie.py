@@ -1,8 +1,9 @@
 """The step trie: many join paths arranged by their shared prefixes.
 
-The path set is heavily prefix-redundant: all 17 live default DBLP paths
-start with ``Publish -> Publications``, and deeper paths extend shorter
-ones. Propagating each path independently would recompute the shared
+The path set is heavily prefix-redundant: all 14 paths the pipeline
+propagates on the default DBLP budget (the 17 live ones less the three
+whose features are their prefix's) start with ``Publish ->
+Publications``, and deeper paths extend shorter ones. Propagating each path independently would recompute the shared
 prefixes' levels over and over. :func:`_build_trie` arranges the paths in
 a trie of join steps, so batched propagation
 (:func:`repro.paths.batch.batch_profile_matrices`) runs each forward and

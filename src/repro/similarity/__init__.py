@@ -8,21 +8,15 @@ by the pair kernel (:mod:`repro.similarity.vectorized`):
 - **random walk probability**: probability of walking from one reference
   to the other through the path's neighbor tuples — linkage strength.
 
-:mod:`repro.similarity.combine` turns per-path values into one number, with
-learned weights (Eq 1) or uniform unsupervised weights, and provides the
-geometric-mean composition used by the clustering stage.
+:mod:`repro.similarity.combine` holds the per-path weights of Eq 1
+(:class:`PathWeights`, which :meth:`repro.core.features.PairFeatures
+.combined` applies to every pair at once) and the geometric-mean
+composition used by the clustering stage.
 """
 
-from repro.similarity.combine import (
-    PathWeights,
-    combine,
-    geometric_mean,
-    uniform_weights,
-)
+from repro.similarity.combine import PathWeights, geometric_mean
 
 __all__ = [
     "PathWeights",
-    "combine",
     "geometric_mean",
-    "uniform_weights",
 ]

@@ -11,6 +11,8 @@ available on the model for inspection.
 
 Unsupervised combination (the baselines of Fig 4) uses uniform weights over
 the raw per-path similarities, as the unweighted prior work sums them.
+Both apply to a whole pair list at once
+(:meth:`repro.core.features.PairFeatures.combined`).
 
 The clustering stage composes the two measures with a geometric mean
 (§4.1)::
@@ -41,13 +43,6 @@ class PathWeights:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def apply(self, features: Sequence[float]) -> float:
-        if len(features) != len(self.weights):
-            raise ValueError(
-                f"feature/weight length mismatch: {len(features)} vs {len(self.weights)}"
-            )
-        return sum(w * f for w, f in zip(self.weights, features))
-
     def total(self) -> float:
         return sum(self.weights)
 
@@ -57,18 +52,6 @@ class PathWeights:
         if total == 0.0:
             return PathWeights(self.weights, clamp_negative=False)
         return PathWeights([w / total for w in self.weights], clamp_negative=False)
-
-
-def uniform_weights(n_paths: int) -> PathWeights:
-    """Equal weights ``1 / n_paths``: every path counts the same."""
-    if n_paths <= 0:
-        raise ValueError("need at least one path")
-    return PathWeights([1.0 / n_paths] * n_paths, clamp_negative=False)
-
-
-def combine(weights: PathWeights, features: Sequence[float]) -> float:
-    """``sum_P w(P) * Sim_P`` — Eq 1 of the paper."""
-    return weights.apply(features)
 
 
 def geometric_mean(resemblance: float, walk_probability: float) -> float:

@@ -66,6 +66,7 @@ class TestTrainingFeatures:
                     for path, stacked in batch.items()
                 }
         got = fitted._training_features(training_set)
+        assert got.resemblance.shape[1] == len(fitted.paths_)
         for k, pair in enumerate(training_set.pairs):
             a, b = profile_of[pair.row_a], profile_of[pair.row_b]
             two_rows = {
@@ -75,10 +76,13 @@ class TestTrainingFeatures:
                     sparse.vstack([a[path][0], b[path][0]], format="csr"),
                     sparse.vstack([a[path][1], b[path][1]], format="csr"),
                 )
-                for path in fitted.paths_
+                for path in a
             }
             want = compute_pair_features(
-                fitted.paths_, [(pair.row_a, pair.row_b)], two_rows
+                fitted.paths_,
+                np.array([[pair.row_a, pair.row_b]]),
+                two_rows,
+                fitted.shared_paths_,
             )
             assert got.resemblance[k].tobytes() == want.resemblance[0].tobytes()
             assert got.walk[k].tobytes() == want.walk[0].tobytes()

@@ -74,10 +74,12 @@ class TestPairFeatures:
         return compute_pair_features([COAUTHOR], pairs, matrices), pairs
 
     def test_all_pairs(self):
-        assert all_pairs([1, 2, 3]) == [(1, 2), (1, 3), (2, 3)]
-        assert all_pairs([9, 4, 7]) == [(9, 4), (9, 7), (4, 7)]
-        assert all_pairs([7]) == []
-        assert all_pairs([]) == []
+        assert all_pairs([1, 2, 3]).tolist() == [[1, 2], [1, 3], [2, 3]]
+        assert all_pairs([9, 4, 7]).tolist() == [[9, 4], [9, 7], [4, 7]]
+        for rows in ([7], []):
+            pairs = all_pairs(rows)
+            assert pairs.shape == (0, 2)
+            assert pairs.dtype == np.int64
 
     def test_shapes(self):
         features, pairs = self.make_features()
@@ -87,7 +89,9 @@ class TestPairFeatures:
 
     def test_known_values(self):
         features, pairs = self.make_features()
-        value = {p: features.resemblance[k, 0] for k, p in enumerate(pairs)}
+        value = {
+            tuple(p): features.resemblance[k, 0] for k, p in enumerate(pairs.tolist())
+        }
         assert value[(0, 6)] == pytest.approx(1 / 3)
         assert value[(0, 3)] == 0.0
 
@@ -113,7 +117,7 @@ class TestPairFeatures:
     def test_pair_matrix_unsorted_rows_and_pairs(self):
         # Rows [30, 10, 20] in any order; values in all_pairs order of them:
         # (30, 10), (30, 20), (10, 20).
-        assert all_pairs([30, 10, 20]) == [(30, 10), (30, 20), (10, 20)]
+        assert all_pairs([30, 10, 20]).tolist() == [[30, 10], [30, 20], [10, 20]]
         matrix = pair_matrix(3, np.array([2.0, 1.0, 0.0]))
         expected = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(matrix, expected)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.distinct import Distinct
+from repro.core.features import all_pairs, compute_pair_features
 from repro.core.references import extract_references
 from repro.data.deltas import grow_world, split_world
 from repro.errors import ReproError
@@ -104,8 +105,9 @@ class TestStepMatricesAcrossDeltas:
         refs = extract_references(db, "Jim Smith")
         exclusions = [refs.exclusions] * len(refs.rows)
         got = builder.matrices_for(refs.rows, exclusions)
-        fresh = ProfileBuilder(db, distinct.paths_).matrices_for(refs.rows, exclusions)
-        for path in distinct.paths_:
+        fresh = ProfileBuilder(db, builder.paths).matrices_for(refs.rows, exclusions)
+        assert got.keys() == fresh.keys()
+        for path in builder.paths:
             for old, new in (
                 (got[path].forward, fresh[path].forward),
                 (got[path].backward, fresh[path].backward),
@@ -114,6 +116,15 @@ class TestStepMatricesAcrossDeltas:
                 assert old.indptr.tobytes() == new.indptr.tobytes()
                 assert old.indices.tobytes() == new.indices.tobytes()
                 assert old.data.tobytes() == new.data.tobytes()
+        # Every feature column, the shared ones included, from either batch.
+        pairs = all_pairs(refs.rows)
+        old, new = (
+            compute_pair_features(distinct.paths_, pairs, batch, distinct.shared_paths_)
+            for batch in (got, fresh)
+        )
+        assert old.resemblance.shape == (len(pairs), len(distinct.paths_))
+        assert old.resemblance.tobytes() == new.resemblance.tobytes()
+        assert old.walk.tobytes() == new.walk.tobytes()
 
 
 class TestOneBatchPerDelta:

@@ -30,8 +30,10 @@ WW_TRUTH = {0: "ww-unc", 6: "ww-unc", 3: "ww-unsw", 8: "ww-unsw"}
 WW_AUTHOR_ROW = 0
 
 
-def build_minidb(prepared: bool = True) -> Database:
-    db = new_dblp_database()
+def build_minidb(prepared: bool = True, with_citations: bool = False) -> Database:
+    """The database above; ``with_citations`` adds the (empty) ``Cites``
+    relation to its schema."""
+    db = new_dblp_database(with_citations=with_citations)
     db.insert_many(
         "Authors",
         [

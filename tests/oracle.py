@@ -338,10 +338,11 @@ class ScalarProfileBuilder(ProfileBuilder):
             exclusions = [self.exclusions] * len(origin_rows)
         return super().matrices_for(origin_rows, exclusions, trace)
 
-    def route_features(self, pairs: list[tuple[int, int]]) -> PairFeatures:
+    def route_features(self, pairs) -> PairFeatures:
         """The runtime's features of ``pairs``: one batch over their rows
         under the oracle's exclusions, then the pair kernel."""
-        rows = list(dict.fromkeys(row for pair in pairs for row in pair))
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        rows = list(dict.fromkeys(pairs.ravel().tolist()))
         return compute_pair_features(self.paths, pairs, self.matrices_for(rows))
 
     def profile(self, path: JoinPath, origin_row: int) -> NeighborProfile:
@@ -424,21 +425,21 @@ def walk_probability(a: NeighborProfile, b: NeighborProfile) -> float:
     return 0.5 * (directed_walk_probability(a, b) + directed_walk_probability(b, a))
 
 
-def scalar_pair_features(
-    oracle: ScalarProfileBuilder, pairs: list[tuple[int, int]]
-) -> PairFeatures:
+def scalar_pair_features(oracle: ScalarProfileBuilder, pairs) -> PairFeatures:
     """Pair features from the scalar propagation and per-pair measures,
-    over ``oracle``'s database, paths and exclusions."""
+    over ``oracle``'s database, paths and exclusions; ``pairs`` as
+    :func:`~repro.core.features.compute_pair_features` takes them."""
     paths = oracle.paths
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     resem = np.zeros((len(pairs), len(paths)))
     walk = np.zeros((len(pairs), len(paths)))
-    for k, (row_a, row_b) in enumerate(pairs):
+    for k, (row_a, row_b) in enumerate(pairs.tolist()):
         profiles_a = oracle.profiles_for(row_a)
         profiles_b = oracle.profiles_for(row_b)
         for p, path in enumerate(paths):
             resem[k, p] = set_resemblance(profiles_a[path], profiles_b[path])
             walk[k, p] = walk_probability(profiles_a[path], profiles_b[path])
-    return PairFeatures(paths=paths, pairs=list(pairs), resemblance=resem, walk=walk)
+    return PairFeatures(paths=paths, pairs=pairs, resemblance=resem, walk=walk)
 
 
 # -- profiles <-> stacked matrices ----------------------------------------------

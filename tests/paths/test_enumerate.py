@@ -2,7 +2,6 @@ import pytest
 
 from repro.data.dblp_schema import dblp_schema
 from repro.paths import PathEnumerationConfig, enumerate_paths
-from repro.paths.enumerate import paths_by_signature
 from repro.reldb.virtual import is_virtual_relation
 
 from tests.minidb import build_minidb
@@ -111,10 +110,3 @@ class TestEnumerationWithVirtualRelations:
             "Publish~Publications~Proceedings~Conferences~_v_Conferences_publisher"
             in descr
         )
-
-    def test_paths_by_signature_round_trip(self, prepared_schema):
-        paths = enumerate_paths(
-            prepared_schema, "Publish", PathEnumerationConfig(max_hops=4)
-        )
-        index = paths_by_signature(paths)
-        assert all(index[p.signature()] == p for p in paths)

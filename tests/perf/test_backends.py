@@ -39,7 +39,7 @@ class TestBackendEquivalence:
         pairs = all_pairs(WW_REFS)
         scalar = scalar_pair_features(_oracle(), pairs)
         route = _oracle().route_features(pairs)
-        assert scalar.pairs == route.pairs
+        np.testing.assert_array_equal(scalar.pairs, route.pairs)
         np.testing.assert_allclose(
             scalar.resemblance, route.resemblance, rtol=0, atol=1e-12
         )
@@ -69,7 +69,7 @@ class TestPropagationBackends:
             _oracle().route_features(pairs),
             compute_pair_features(PATHS, pairs, batch),
         ):
-            assert got.pairs == reference.pairs
+            np.testing.assert_array_equal(got.pairs, reference.pairs)
             np.testing.assert_allclose(
                 got.resemblance, reference.resemblance, rtol=0, atol=1e-12
             )

@@ -2,12 +2,7 @@ import math
 
 import pytest
 
-from repro.similarity import (
-    PathWeights,
-    combine,
-    geometric_mean,
-    uniform_weights,
-)
+from repro.similarity import PathWeights, geometric_mean
 
 
 class TestPathWeights:
@@ -19,15 +14,6 @@ class TestPathWeights:
         weights = PathWeights([0.5, -0.2], clamp_negative=False)
         assert weights.weights == [0.5, -0.2]
 
-    def test_apply_is_dot_product(self):
-        weights = PathWeights([2.0, 3.0])
-        assert weights.apply([1.0, 1.0]) == pytest.approx(5.0)
-        assert combine(weights, [0.5, 0.0]) == pytest.approx(1.0)
-
-    def test_apply_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            PathWeights([1.0]).apply([1.0, 2.0])
-
     def test_normalized_sums_to_one(self):
         weights = PathWeights([2.0, 6.0]).normalized()
         assert weights.total() == pytest.approx(1.0)
@@ -36,13 +22,6 @@ class TestPathWeights:
     def test_normalized_all_zero_is_identity(self):
         weights = PathWeights([0.0, 0.0]).normalized()
         assert weights.weights == [0.0, 0.0]
-
-    def test_uniform_weights(self):
-        weights = uniform_weights(4)
-        assert weights.total() == pytest.approx(1.0)
-        assert len(weights) == 4
-        with pytest.raises(ValueError):
-            uniform_weights(0)
 
 
 class TestGeometricMean:
