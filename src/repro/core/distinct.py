@@ -50,7 +50,6 @@ from repro.paths.propagation import Exclusions
 from repro.perf.transitions import StepMatrices
 from repro.reldb.database import Database
 from repro.resilience.faults import fault_check
-from repro.similarity.combine import PathWeights
 
 MEASURES = ("combined", "resemblance", "walk")
 
@@ -430,11 +429,10 @@ class Distinct:
             sp.annotate(n_clusters=result.n_clusters)
         _NAMES_RESOLVED.inc()
 
-        clusters = [{prep.rows[i] for i in cluster} for cluster in result.clusters]
         return NameResolution(
             name=prep.name,
             rows=list(prep.rows),
-            clusters=clusters,
+            clusters=row_clusters(prep.rows, result.clusters),
             clustering=result,
             features=features,
             resem_matrix=resem_matrix,
@@ -454,15 +452,14 @@ class Distinct:
         # paths live_paths drops only add zeros, and the variants' min-sim
         # grid is read on this scale.
         assert self.n_enumerated_paths_ is not None
-        uniform = PathWeights(
-            [1.0 / self.n_enumerated_paths_] * len(features.paths), clamp_negative=False
-        )
+        uniform = np.full(len(features.paths), 1.0 / self.n_enumerated_paths_)
         return features.combined(uniform, uniform)
 
-    def combiners(self, paths: list[JoinPath]) -> tuple[PathWeights, PathWeights]:
-        """The Eq-1 (resemblance, walk) combiners over ``paths``: each
+    def combiners(self, paths: list[JoinPath]) -> tuple[np.ndarray, np.ndarray]:
+        """The Eq-1 (resemblance, walk) weight arrays over ``paths``: each
         model's weights aligned to ``paths`` by signature, negative
-        weights clamped to 0, then rescaled to sum to 1.
+        weights clamped to 0, then rescaled to sum to 1 (all-zero weights
+        stay zero).
 
         A positive global rescale of one measure rescales every composite
         similarity equally, so cluster merge order is unchanged — but the
@@ -473,8 +470,8 @@ class Distinct:
         if self.resem_model_ is None or self.walk_model_ is None:
             raise NotFittedError("the combiners need the supervised models")
         return (
-            self.resem_model_.align_to(paths).combiner().normalized(),
-            self.walk_model_.align_to(paths).combiner().normalized(),
+            _eq1_weights(self.resem_model_.align_to(paths).weights),
+            _eq1_weights(self.walk_model_.align_to(paths).weights),
         )
 
     @staticmethod
@@ -486,6 +483,22 @@ class Distinct:
         if measure == "resemblance":
             return AverageLinkMeasure(resem_matrix)
         return CollectiveWalkMeasure(walk_matrix)
+
+
+def _eq1_weights(weights: list[float]) -> np.ndarray:
+    """Clamp negative weights to 0, then divide by their sum (taken in
+    list order), unless every weight is 0."""
+    clamped = [max(0.0, w) for w in weights]
+    total = sum(clamped)
+    return np.array(
+        clamped if total == 0.0 else [w / total for w in clamped], dtype=float
+    )
+
+
+def row_clusters(rows: list[int], leaf_clusters: list[set[int]]) -> list[set[int]]:
+    """A clustering of leaf indices (positions in ``rows``) as clusters
+    of reference rows."""
+    return [{rows[i] for i in cluster} for cluster in leaf_clusters]
 
 
 @dataclass

@@ -106,8 +106,8 @@ def explain_pair(
             path=path.describe(),
             resemblance=float(features.resemblance[0, i]),
             walk_probability=float(features.walk[0, i]),
-            resem_weight=float(resem_weights.weights[i]),
-            walk_weight=float(walk_weights.weights[i]),
+            resem_weight=float(resem_weights[i]),
+            walk_weight=float(walk_weights[i]),
         )
         for i, path in enumerate(features.paths)
     ]

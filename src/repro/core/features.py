@@ -45,7 +45,6 @@ from repro.obs import counter
 from repro.paths.batch import BatchedProfiles
 from repro.paths.joinpath import JoinPath
 from repro.resilience import fault_check
-from repro.similarity.combine import PathWeights
 from repro.similarity.vectorized import pair_similarities
 
 # The benchmark's per-layer ledger wraps ``intersecting_pair_mask`` and
@@ -80,11 +79,13 @@ class PairFeatures:
         return len(self.pairs)
 
     def combined(
-        self, resem_weights: PathWeights, walk_weights: PathWeights
+        self, resem_weights: np.ndarray, walk_weights: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Eq-1 combination: per-pair scalar (resemblance, walk) values."""
-        rw = np.asarray(resem_weights.weights)
-        ww = np.asarray(walk_weights.weights)
+        """Eq-1 combination: per-pair scalar (resemblance, walk) values,
+        from one weight per path and measure
+        (:meth:`repro.core.distinct.Distinct.combiners`)."""
+        rw = np.asarray(resem_weights, dtype=float)
+        ww = np.asarray(walk_weights, dtype=float)
         if len(rw) != len(self.paths) or len(ww) != len(self.paths):
             raise ValueError("weight vectors must have one entry per path")
         return self.resemblance @ rw, self.walk @ ww

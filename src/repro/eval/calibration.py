@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.distinct import Distinct, NamePreparation
 from repro.core.references import NameReferences, extract_references
 from repro.errors import DeadlineExceeded, NotFittedError, TrainingError
+from repro.eval.experiment import resolution_at
 from repro.eval.metrics import pairwise_scores
 from repro.eval.runner import NameLoop
 from repro.ml.trainingset import build_training_set
@@ -140,7 +141,8 @@ def prepare_synthetic(distinct: Distinct, synthetic: SyntheticName) -> NamePrepa
 
 
 def _calibrate_name_task(payload, synthetic: SyntheticName) -> dict:
-    """Profile + sweep one pooled name.
+    """Profile + sweep one pooled name: one clustering at ``min_sim = 0``,
+    cut at each grid point (:func:`repro.eval.experiment.resolution_at`).
 
     Returns the name's key and per-grid-point f1 list plus the phase
     wall times, so the :class:`CalibrationResult` timing fields sum the
@@ -150,11 +152,9 @@ def _calibrate_name_task(payload, synthetic: SyntheticName) -> dict:
     tp = time.perf_counter()
     prep = prepare_synthetic(distinct, synthetic)
     ts = time.perf_counter()
+    history = distinct.cluster_prepared(prep, min_sim=0.0)
     f1s = [
-        pairwise_scores(
-            distinct.cluster_prepared(prep, min_sim=min_sim).clusters,
-            synthetic.gold,
-        ).f1
+        pairwise_scores(resolution_at(history, min_sim).clusters, synthetic.gold).f1
         for min_sim in grid
     ]
     return {

@@ -2,17 +2,18 @@
 
 A run scores one pipeline variant on a set of ambiguous names against the
 ground truth: references of each name are prepared once (the expensive
-profiling + pair features), then clustered per (variant, min-sim) cheaply —
-which is what makes the paper's per-variant best-min-sim sweep affordable.
+profiling + pair features), then clustered once per variant and cut at
+each min-sim (:func:`resolution_at`) — which is what makes the paper's
+per-variant best-min-sim sweep affordable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.distinct import Distinct, NamePreparation
+from repro.core.distinct import Distinct, NamePreparation, NameResolution, row_clusters
 from repro.core.variants import VariantSpec
 from repro.data.world import GroundTruth
 from repro.eval.metrics import ClusterScores, pairwise_scores
@@ -116,6 +117,16 @@ def run_variant(
     return result
 
 
+def resolution_at(resolution: NameResolution, min_sim: float) -> NameResolution:
+    """``resolution``, clustered at ``min_sim = 0``, with the clusters of a
+    run at ``min_sim``: a cut of its merge history
+    (:meth:`repro.cluster.Dendrogram.cut`)."""
+    if resolution.clustering is None:  # at most one reference
+        return resolution
+    leaves = resolution.clustering.dendrogram.cut(min_sim)
+    return replace(resolution, clusters=row_clusters(resolution.rows, leaves))
+
+
 def sweep_min_sim(
     distinct: Distinct,
     preparations: dict[str, NamePreparation],
@@ -126,12 +137,21 @@ def sweep_min_sim(
     """Run a variant across a threshold grid; return (best by avg accuracy, all).
 
     This mirrors the paper: "For each approach except DISTINCT, we choose
-    the min-sim that maximizes average accuracy."
+    the min-sim that maximizes average accuracy." Each grid point scores
+    a cut of one run at ``min_sim = 0`` (:func:`resolution_at`).
     """
-    runs = [
-        run_variant(distinct, preparations, truth, variant, min_sim)
-        for min_sim in grid
-    ]
+    with span("experiment.sweep", variant=variant.key, grid_size=len(grid)):
+        histories = [
+            distinct.cluster_prepared(prep, 0.0, variant.measure, variant.supervised)
+            for prep in preparations.values()
+        ]
+        runs = [
+            ExperimentResult(variant.key, min_sim, [
+                score_resolution(resolution_at(history, min_sim), truth)
+                for history in histories
+            ])
+            for min_sim in grid
+        ]
     best = max(runs, key=lambda r: (r.avg_accuracy, r.avg_f1))
     return best, runs
 

@@ -173,23 +173,15 @@ class IngestEngine:
     ``distinct`` must be fitted (or built from models); its models are
     held fixed across deltas — the byte-identity contract is against a
     cold ``prepare``/``cluster_prepared`` with the same models on the
-    post-delta database. ``min_sim``/``measure``/``supervised`` mirror
-    :meth:`~repro.core.distinct.Distinct.cluster_prepared`.
+    post-delta database. Every name clusters with DISTINCT's composite
+    measure over the supervised combiners, at ``min_sim``.
     """
 
-    def __init__(
-        self,
-        distinct: Distinct,
-        min_sim: float | None = None,
-        measure: str = "combined",
-        supervised: bool = True,
-    ) -> None:
+    def __init__(self, distinct: Distinct, min_sim: float | None = None) -> None:
         if distinct.db is None or distinct.paths_ is None:
             raise NotFittedError("fit the pipeline before building an IngestEngine")
         self.distinct = distinct
         self.min_sim = distinct.config.min_sim if min_sim is None else min_sim
-        self.measure = measure
-        self.supervised = supervised
         self._states: dict[str, _NameState] = {}
         self._plans: dict[str, _RefreshPlan] = {}
         self._probe_steps = probe_steps(distinct.paths_)
@@ -240,9 +232,7 @@ class IngestEngine:
         """The cold merge loop over ``features`` — every resolve and refresh
         clusters here."""
         prep = NamePreparation(name=name, rows=list(rows), features=features)
-        return self.distinct.cluster_prepared(
-            prep, self.min_sim, self.measure, self.supervised
-        )
+        return self.distinct.cluster_prepared(prep, self.min_sim)
 
     # -- delta application -------------------------------------------------
 

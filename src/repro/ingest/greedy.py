@@ -3,9 +3,9 @@
 The exact delta-ingest ladder (:mod:`repro.ingest.engine`) reproduces a
 cold refit byte-for-byte; this module is the cheap approximation the
 ``--mode greedy`` switch selects: assign each new reference to the most
-similar existing cluster (same composite measure, same ``min_sim``
-cutoff) without revisiting any previous merge. It is the online
-counterpart of §4.2's incremental aggregates.
+similar existing cluster (the merge loop's own
+:class:`~repro.cluster.composite.CompositeMeasure`, one slot per
+cluster, and ``min_sim`` cutoff) without revisiting any previous merge.
 
 Greedy assignment can disagree with a cold refit (an arrival that would
 have changed an early merge is pinned to the old dendrogram); the
@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster.composite import CompositeMeasure
 from repro.core.distinct import Distinct, NameResolution
 from repro.core.references import exclusions_for_name
 from repro.errors import NotFittedError
 from repro.obs import counter
-from repro.similarity.combine import geometric_mean
 
 __all__ = ["Assignment", "extend_resolution"]
 
@@ -79,65 +79,57 @@ def extend_resolution(
     features = distinct.pair_features(
         exclusions_for_name(distinct.db, resolution.name, config), pairs
     )
-    all_resem, all_walk = features.combined(*distinct.combiners(features.paths))
+    # Each arrival's pairs, one per row before it, are the lower
+    # triangle's entries past the old block, in ``np.tril_indices`` order.
+    n_old, n = len(rows), len(rows) + len(new_rows)
+    lower, upper = (ix[n_old * (n_old - 1) // 2 :] for ix in np.tril_indices(n, k=-1))
+    resem, walk = np.zeros((2, n, n))
+    resem[:n_old, :n_old] = resolution.resem_matrix
+    walk[:n_old, :n_old] = resolution.walk_matrix
+    resem[lower, upper], walk[lower, upper] = features.combined(
+        *distinct.combiners(features.paths)
+    )
+    resem[upper, lower], walk[upper, lower] = resem[lower, upper], walk[lower, upper]
 
-    clusters = [set(c) for c in resolution.clusters]
+    # Each old cluster's members fold into its first, in set order.
     index_of = {row: i for i, row in enumerate(rows)}
-    resem = resolution.resem_matrix.copy()
-    walk = resolution.walk_matrix.copy()
+    measure = CompositeMeasure(resem, walk)
+    clusters = [set(c) for c in resolution.clusters]
+    slots = []
+    for cluster in clusters:
+        first, *rest = (index_of[row] for row in cluster)
+        for member in rest:
+            measure.merge(first, member)
+        slots.append(first)
+
     assignments: list[Assignment] = []
-
-    start = 0
-    for new_row in new_rows:
-        # This row's pairs, one per row before it, in ``rows`` order.
-        resem_vals = all_resem[start : start + len(rows)]
-        walk_vals = all_walk[start : start + len(rows)]
-        start += len(rows)
-
-        best_cluster = -1
-        best_sim = 0.0
-        for idx, cluster in enumerate(clusters):
-            # pair k corresponds to rows[k], so cluster members map to their
-            # positions in `rows`.
-            member_idx = [index_of[r] for r in cluster]
-            r_sum = float(sum(resem_vals[i] for i in member_idx))
-            w_sum = float(sum(walk_vals[i] for i in member_idx))
-            avg_resem = r_sum / len(cluster)
-            coll_walk = 0.5 * (w_sum / 1 + w_sum / len(cluster))
-            sim = geometric_mean(avg_resem, coll_walk)
-            if sim > best_sim:
-                best_sim = sim
-                best_cluster = idx
-
-        created = best_cluster < 0 or best_sim < min_sim
+    for k, new_row in enumerate(new_rows):
+        slot = n_old + k
+        sims = measure.similarities(slot)[slots]  # each >= 0
+        best_cluster = int(np.argmax(sims))  # the first of the largest
+        best_sim = float(sims[best_cluster])
+        created = best_sim <= 0.0 or best_sim < min_sim
         if created:
             clusters.append({new_row})
+            slots.append(slot)
             best_cluster = len(clusters) - 1
             _NEW_CLUSTERS.inc()
         else:
             clusters[best_cluster].add(new_row)
+            measure.merge(slots[best_cluster], slot)
         _ASSIGNED.inc()
         assignments.append(
             Assignment(new_row, best_cluster, best_sim, created_new_cluster=created)
         )
 
-        # Grow the pair matrices so later rows see this one.
-        n = len(rows)
-        resem = np.pad(resem, ((0, 1), (0, 1)))
-        walk = np.pad(walk, ((0, 1), (0, 1)))
-        for i in range(n):
-            resem[n, i] = resem[i, n] = resem_vals[i]
-            walk[n, i] = walk[i, n] = walk_vals[i]
-        index_of[new_row] = n
-        rows.append(new_row)
-
     extended = NameResolution(
         name=resolution.name,
-        rows=rows,
+        rows=rows + list(new_rows),
         clusters=clusters,
-        clustering=resolution.clustering,
+        clustering=None,  # greedy assignment keeps no merge history
         features=None,
         resem_matrix=resem,
         walk_matrix=walk,
     )
     return extended, assignments
+

@@ -143,8 +143,6 @@ def ingest_resilient(
     delta: Delta,
     min_sim: float,
     mode: str = "exact",
-    measure: str = "combined",
-    supervised: bool = True,
     policy: Policy | str = Policy.RAISE,
     collector: ErrorCollector | None = None,
     checkpoint: CheckpointStore | None = None,
@@ -178,9 +176,7 @@ def ingest_resilient(
         n_names=len(names),
     ) as sp:
         # -- cold phase: pre-delta state for every name still to ingest ----
-        engine = IngestEngine(
-            distinct, min_sim=min_sim, measure=measure, supervised=supervised
-        )
+        engine = IngestEngine(distinct, min_sim=min_sim)
         cold = loop.run(
             "ingest.cold", IngestEngine.resolve, engine, metrics=_COLD_METRICS
         )

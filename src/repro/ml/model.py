@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.paths.joinpath import JoinPath
-from repro.similarity.combine import PathWeights
 
 
 @dataclass
@@ -23,9 +22,10 @@ class PathWeightModel:
     """Signed raw-space weights per path signature, plus a bias.
 
     ``measure`` labels which similarity the model scores ("resemblance" or
-    "walk"). :meth:`combiner` yields the non-negative :class:`PathWeights`
-    used as the Eq-1 similarity combiner; :meth:`decision_value` applies the
-    full signed model (weights and bias) as a classifier score.
+    "walk"). :meth:`repro.core.distinct.Distinct.combiners` turns the
+    weights into the non-negative Eq-1 similarity combiner;
+    :meth:`decision_value` applies the full signed model (weights and
+    bias) as a classifier score.
     """
 
     measure: str
@@ -39,9 +39,6 @@ class PathWeightModel:
             raise ValueError("one weight per path signature required")
 
     # -- use ------------------------------------------------------------------
-
-    def combiner(self, clamp_negative: bool = True) -> PathWeights:
-        return PathWeights(self.weights, clamp_negative=clamp_negative)
 
     def decision_value(self, features) -> float:
         features = np.asarray(features, dtype=float)

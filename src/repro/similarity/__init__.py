@@ -8,15 +8,15 @@ by the pair kernel (:mod:`repro.similarity.vectorized`):
 - **random walk probability**: probability of walking from one reference
   to the other through the path's neighbor tuples — linkage strength.
 
-:mod:`repro.similarity.combine` holds the per-path weights of Eq 1
-(:class:`PathWeights`, which :meth:`repro.core.features.PairFeatures
-.combined` applies to every pair at once) and the geometric-mean
-composition used by the clustering stage.
+:mod:`repro.similarity.combine` holds the geometric-mean composition
+of §4.1; the per-path weights of Eq 1 are arrays
+(:meth:`repro.core.distinct.Distinct.combiners`) that
+:meth:`repro.core.features.PairFeatures.combined` applies to every pair
+at once.
 """
 
-from repro.similarity.combine import PathWeights, geometric_mean
+from repro.similarity.combine import geometric_mean
 
 __all__ = [
-    "PathWeights",
     "geometric_mean",
 ]

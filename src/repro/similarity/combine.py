@@ -6,7 +6,8 @@ Supervised combination (Eq 1 of the paper)::
 
 with ``w(P)`` learned by the SVM of §3. For use as a similarity the weights
 are clamped at zero (a negative contribution would break the geometric-mean
-composition and the min-sim threshold semantics); the signed weights stay
+composition and the min-sim threshold semantics) and rescaled to sum to 1
+(:meth:`repro.core.distinct.Distinct.combiners`); the signed weights stay
 available on the model for inspection.
 
 Unsupervised combination (the baselines of Fig 4) uses uniform weights over
@@ -23,35 +24,6 @@ The clustering stage composes the two measures with a geometric mean
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-
-
-class PathWeights:
-    """A non-negative weight per feature dimension (join path).
-
-    ``weights[i]`` multiplies feature ``i``; construction clamps negatives
-    to zero by default.
-    """
-
-    def __init__(self, weights: Sequence[float], clamp_negative: bool = True) -> None:
-        if clamp_negative:
-            self.weights = [max(0.0, w) for w in weights]
-        else:
-            self.weights = list(weights)
-        self.clamped = clamp_negative
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def total(self) -> float:
-        return sum(self.weights)
-
-    def normalized(self) -> "PathWeights":
-        """Weights rescaled to sum to 1 (identity if all zero)."""
-        total = self.total()
-        if total == 0.0:
-            return PathWeights(self.weights, clamp_negative=False)
-        return PathWeights([w / total for w in self.weights], clamp_negative=False)
 
 
 def geometric_mean(resemblance: float, walk_probability: float) -> float:
@@ -59,4 +31,3 @@ def geometric_mean(resemblance: float, walk_probability: float) -> float:
     if resemblance <= 0.0 or walk_probability <= 0.0:
         return 0.0
     return math.sqrt(resemblance * walk_probability)
-

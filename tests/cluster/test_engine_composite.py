@@ -146,16 +146,6 @@ class TestDendrogram:
         assert d.cut(0.4) == [{0, 1, 2}, {3}]
         assert d.cut(0.95) == [{0}, {1}, {2}, {3}]
 
-    def test_cut_k(self):
-        d = Dendrogram(n_leaves=4)
-        d.record(0, 1, 0.9)
-        d.record(4, 2, 0.5)
-        d.record(5, 3, 0.1)
-        assert d.cut_k(2) == [{0, 1, 2}, {3}]
-        assert d.cut_k(1) == [{0, 1, 2, 3}]
-        with pytest.raises(ValueError):
-            d.cut_k(0)
-
     def test_cut_skips_orphaned_merges(self):
         d = Dendrogram(n_leaves=3)
         d.record(0, 1, 0.2)  # below a 0.5 cut -> children stay apart

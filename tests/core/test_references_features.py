@@ -12,7 +12,6 @@ from repro.core.references import (
 from repro.errors import ReproError
 from repro.paths import JoinPath, ProfileBuilder
 from repro.reldb.joins import JoinStep
-from repro.similarity.combine import PathWeights
 
 from tests.minidb import WW_AUTHOR_ROW, WW_REFS, build_minidb
 
@@ -97,14 +96,14 @@ class TestPairFeatures:
 
     def test_combined_weighted_sum(self):
         features, _ = self.make_features()
-        resem, walk = features.combined(PathWeights([2.0]), PathWeights([0.5]))
+        resem, walk = features.combined(np.array([2.0]), np.array([0.5]))
         assert np.allclose(resem, 2.0 * features.resemblance[:, 0])
         assert np.allclose(walk, 0.5 * features.walk[:, 0])
 
     def test_combined_length_mismatch(self):
         features, _ = self.make_features()
         with pytest.raises(ValueError):
-            features.combined(PathWeights([1.0, 2.0]), PathWeights([1.0]))
+            features.combined(np.array([1.0, 2.0]), np.array([1.0]))
 
     def test_pair_matrix_symmetric(self):
         features, pairs = self.make_features()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.core.distinct import Distinct
 from repro.errors import NotFittedError
 from repro.ml import (
     LinearSVM,
@@ -32,8 +33,11 @@ class TestPathWeightModel:
 
     def test_combiner_clamps_negative(self):
         model = self.make_model()
-        assert model.combiner().weights == [0.8, 0.0]
-        assert model.combiner(clamp_negative=False).weights == [0.8, -0.1]
+        distinct = Distinct()
+        distinct.resem_model_ = distinct.walk_model_ = model
+        resem, walk = distinct.combiners(PATHS)
+        assert resem.tolist() == walk.tolist() == [1.0, 0.0]
+        assert model.weights == [0.8, -0.1]  # the signed weights stay
 
     def test_decision_value(self):
         model = self.make_model()

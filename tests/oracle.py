@@ -39,7 +39,9 @@ by row.
 merge loop over the dict-of-dict measures :class:`DictPairMeasure` and
 :class:`DictCompositeMeasure`, which the dense-array engine
 (:class:`repro.cluster.AgglomerativeClusterer`) must match merge for
-merge, similarities byte for byte.
+merge, similarities byte for byte. :func:`greedy_assignments` is greedy
+assignment's (:func:`repro.ingest.extend_resolution`) scalar loop: each
+arrival against each cluster, summing the pair values member by member.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from scipy import sparse
 
 from repro.cluster.dendrogram import Dendrogram, Merge
 from repro.core.features import PairFeatures, compute_pair_features
+from repro.core.references import exclusions_for_name
 from repro.ml.svm import GRADIENT_TOL
 from repro.paths.batch import BatchedProfiles
 from repro.paths.joinpath import JoinPath
@@ -60,6 +63,7 @@ from repro.paths.profiles import ProfileBuilder
 from repro.paths.propagation import Exclusions
 from repro.paths.trie import _build_trie, _TrieNode
 from repro.perf.transitions import StepPair
+from repro.similarity.combine import geometric_mean
 
 _EMPTY_SET: frozenset[int] = frozenset()
 
@@ -792,3 +796,91 @@ def heap_merges(measure, min_sim: float) -> list[Merge]:
             push(merged, other)
         alive.add(merged)
     return dendrogram.merges
+
+
+# -- greedy assignment (ingest's fast path) -------------------------------------
+
+
+@dataclass
+class GreedyStep:
+    """One arrival of :func:`greedy_assignments`: its similarity to each
+    cluster standing when it arrived, and where it went."""
+
+    row: int
+    candidates: list[float]
+    cluster_index: int
+    similarity: float
+    created_new_cluster: bool
+
+
+def greedy_assignments(distinct, resolution, new_rows, min_sim):
+    """Assign ``new_rows`` one at a time to the most similar cluster of
+    ``resolution``: §4.1's composite similarity between the arrival and
+    each cluster, from sums over the cluster's members in the order its
+    set iterates. The pair values come from the runtime's pair features
+    and combiners.
+
+    Returns ``(rows, clusters, resem, walk, steps)``: the grown rows,
+    clusters and pair matrices, and one :class:`GreedyStep` per arrival.
+    """
+    rows = list(resolution.rows)
+    pairs = np.array(
+        [
+            (new_row, row)
+            for k, new_row in enumerate(new_rows)
+            for row in rows + list(new_rows[:k])
+        ],
+        dtype=np.int64,
+    )
+    features = distinct.pair_features(
+        exclusions_for_name(distinct.db, resolution.name, distinct.config), pairs
+    )
+    all_resem, all_walk = features.combined(*distinct.combiners(features.paths))
+
+    clusters = [set(c) for c in resolution.clusters]
+    index_of = {row: i for i, row in enumerate(rows)}
+    resem = resolution.resem_matrix.copy()
+    walk = resolution.walk_matrix.copy()
+    steps: list[GreedyStep] = []
+
+    start = 0
+    for new_row in new_rows:
+        # This row's pairs, one per row before it, in ``rows`` order.
+        resem_vals = all_resem[start : start + len(rows)]
+        walk_vals = all_walk[start : start + len(rows)]
+        start += len(rows)
+
+        candidates = []
+        best_cluster = -1
+        best_sim = 0.0
+        for idx, cluster in enumerate(clusters):
+            member_idx = [index_of[r] for r in cluster]
+            r_sum = float(sum(resem_vals[i] for i in member_idx))
+            w_sum = float(sum(walk_vals[i] for i in member_idx))
+            avg_resem = r_sum / len(cluster)
+            coll_walk = 0.5 * (w_sum / 1 + w_sum / len(cluster))
+            sim = geometric_mean(avg_resem, coll_walk)
+            candidates.append(sim)
+            if sim > best_sim:
+                best_sim = sim
+                best_cluster = idx
+
+        created = best_cluster < 0 or best_sim < min_sim
+        if created:
+            clusters.append({new_row})
+            best_cluster = len(clusters) - 1
+        else:
+            clusters[best_cluster].add(new_row)
+        steps.append(GreedyStep(new_row, candidates, best_cluster, best_sim, created))
+
+        # Grow the pair matrices so later rows see this one.
+        n = len(rows)
+        resem = np.pad(resem, ((0, 1), (0, 1)))
+        walk = np.pad(walk, ((0, 1), (0, 1)))
+        for i in range(n):
+            resem[n, i] = resem[i, n] = resem_vals[i]
+            walk[n, i] = walk[i, n] = walk_vals[i]
+        index_of[new_row] = n
+        rows.append(new_row)
+
+    return rows, clusters, resem, walk, steps

@@ -136,6 +136,11 @@ def tied_matrix(draw, n):
             max_size=n * (n - 1) // 2,
         )
     )
+    return symmetric_matrix(n, values)
+
+
+def symmetric_matrix(n, values):
+    """The symmetric n x n matrix with ``values`` above the diagonal."""
     matrix = np.zeros((n, n))
     matrix[np.triu_indices(n, k=1)] = values
     return matrix + matrix.T
@@ -196,6 +201,57 @@ class TestArrayLoopMatchesHeapOracle:
         assert np.asarray(result.merge_similarities).tobytes() == np.asarray(
             [m.similarity for m in expected], dtype=float
         ).tobytes()
+
+
+def cut_thresholds(similarities):
+    """0, every merge similarity, a point between each two adjacent
+    distinct ones, and one above them all."""
+    values = sorted(set(similarities))
+    between = [(lo + hi) / 2 for lo, hi in zip(values, values[1:])]
+    return [0.0, *values, *between, values[-1] * 2 + 1 if values else 1.0]
+
+
+def reversals(merges):
+    """Merges whose similarity exceeds the merge before them."""
+    return sum(b.similarity > a.similarity for a, b in zip(merges, merges[1:]))
+
+
+class TestCutEqualsRerun:
+    """``Dendrogram.cut(s)`` of the ``min_sim = 0`` run is the run at ``s``
+    (the proof is in :meth:`repro.cluster.Dendrogram.cut`), reversals
+    included."""
+
+    @pytest.mark.parametrize("kind", sorted(MEASURE_PAIRS))
+    def test_cut_of_the_zero_run_equals_a_rerun(self, kind):
+        make_array, _ = MEASURE_PAIRS[kind]
+        seen_reversals = []
+
+        @given(data=st.data())
+        @settings(max_examples=100, deadline=None)
+        def check(data):
+            n = data.draw(st.integers(min_value=1, max_value=10), label="n")
+            values = st.one_of(
+                tied_matrix(n),
+                st.lists(
+                    st.floats(0.0, 1.0, allow_nan=False),
+                    min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2,
+                ).map(lambda v: symmetric_matrix(n, v)),
+            )
+            resem = data.draw(values, label="resem")
+            walk = data.draw(values, label="walk")
+            full = AgglomerativeClusterer(0.0).cluster(make_array(resem, walk))
+            merges = full.dendrogram.merges
+            seen_reversals.append(reversals(merges))
+            for min_sim in cut_thresholds(full.merge_similarities):
+                rerun = AgglomerativeClusterer(min_sim).cluster(make_array(resem, walk))
+                assert full.dendrogram.cut(min_sim) == rerun.clusters
+                kept = rerun.dendrogram.merges
+                assert merge_bytes(kept) == merge_bytes(merges[: len(kept)])
+
+        check()
+        if kind in ("composite", "walk"):
+            assert sum(seen_reversals) > 0
 
 
 class TestEngineInvariants:

@@ -79,13 +79,3 @@ class TestDendrogramProperties:
         high = dendrogram.cut(1.1)
         assert len(low) <= len(high)
         assert len(high) == dendrogram.n_leaves
-
-    @given(random_dendrogram(), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_cut_k_returns_k_when_reachable(self, dendrogram, data):
-        max_k = dendrogram.n_leaves
-        k = data.draw(st.integers(min_value=1, max_value=max_k))
-        clusters = dendrogram.cut_k(k)
-        # k is reachable unless the merge history ran out first.
-        reachable = dendrogram.n_leaves - dendrogram.n_merges
-        assert len(clusters) == max(k, reachable)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.paths import JoinPath
 from repro.reldb.joins import JoinStep
 from repro.similarity import geometric_mean
-from repro.similarity.combine import PathWeights
 
 from tests.oracle import (
     NeighborProfile,
@@ -17,6 +16,7 @@ from tests.oracle import (
     set_resemblance,
     walk_probability,
 )
+from tests.similarity.test_combine import combiner
 
 PATH = JoinPath([JoinStep("A", "x", "B", "y", "n1")])
 
@@ -97,15 +97,14 @@ class TestCombineProperties:
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_clamped_weights_nonnegative(self, raw):
-        weights = PathWeights(raw)
-        assert all(w >= 0.0 for w in weights.weights)
+        assert (combiner(raw) >= 0.0).all()
 
     @given(
         st.lists(st.floats(0.01, 5, allow_nan=False), min_size=1, max_size=8)
     )
     @settings(max_examples=100, deadline=None)
     def test_normalized_sums_to_one(self, raw):
-        assert PathWeights(raw).normalized().total() == pytest.approx(1.0)
+        assert combiner(raw).sum() == pytest.approx(1.0)
 
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=150, deadline=None)
