@@ -13,6 +13,8 @@ the catalogue):
 - :mod:`.picklability` — task functions handed to the process pool;
 - :mod:`.lifecycle`    — file renames only inside the fsyncing
   checkpoint writer;
+- :mod:`.privateapi`   — private scipy modules only inside the sparse-
+  product module;
 - :mod:`.taint`        — RNG construction without a pinned seed.
 """
 
@@ -24,5 +26,6 @@ from repro.analysis.rules import (  # noqa: F401  (import-for-side-effect)
     lifecycle,
     metrics,
     picklability,
+    privateapi,
     taint,
 )

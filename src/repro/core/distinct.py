@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro.cluster.agglomerative import AgglomerativeClusterer, ClusteringResult
 from repro.cluster.composite import CollectiveWalkMeasure, CompositeMeasure
@@ -47,6 +46,7 @@ from repro.paths.enumerate import enumerate_paths
 from repro.paths.joinpath import JoinPath
 from repro.paths.profiles import ProfileBuilder
 from repro.paths.propagation import Exclusions
+from repro.perf.csr import Csr
 from repro.perf.transitions import StepMatrices
 from repro.reldb.database import Database
 from repro.resilience.faults import fault_check
@@ -362,7 +362,7 @@ class Distinct:
     def prepare_references(
         self,
         refs: NameReferences,
-        trace: dict[str, sparse.csr_matrix] | None = None,
+        trace: dict[str, Csr] | None = None,
     ) -> "NamePreparation":
         """:meth:`prepare` once the references are known: one batch over
         ``refs.rows``, each under ``refs.exclusions``, then every pair

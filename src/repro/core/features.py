@@ -121,7 +121,7 @@ def compute_pair_features(
     for p in scored:
         stacked = matrices[paths[p]]
         resem[:, p], walk[:, p] = pair_similarities(
-            stacked.forward, stacked.backward, idx_a, idx_b
+            stacked.fwd, stacked.back, idx_a, idx_b
         )
     column = {path: p for p, path in enumerate(paths)}
     for p, path in enumerate(paths):

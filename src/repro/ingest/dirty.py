@@ -31,10 +31,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.obs import counter
 from repro.paths.joinpath import JoinPath
+from repro.perf.csr import Csr
 from repro.perf.transitions import grown_partner_rows
 from repro.reldb.database import Database
 from repro.reldb.delta import AppliedDelta
@@ -85,7 +85,7 @@ def affected_rows(
 
 
 def touched_row_mask(
-    pattern: sparse.csr_matrix, columns: np.ndarray, rows: slice | None = None
+    pattern: Csr, columns: np.ndarray, rows: slice | None = None
 ) -> np.ndarray:
     """True per reference row whose support hits any of ``columns``.
 

@@ -55,7 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.distinct import Distinct, NamePreparation, NameResolution
 from repro.core.features import (
@@ -68,6 +67,7 @@ from repro.errors import NotFittedError, ReproError
 from repro.obs import counter, get_logger, span
 from repro.paths.batch import BatchedProfiles
 from repro.paths.joinpath import JoinPath
+from repro.perf.csr import Csr
 from repro.reldb.delta import AppliedDelta, Delta, apply_delta
 from repro.resilience.faults import fault_check
 
@@ -141,7 +141,7 @@ class _NameState:
     name: str
     object_rows: list[int]
     resolution: NameResolution
-    traces: dict[str, sparse.csr_matrix]
+    traces: dict[str, Csr]
     trace_rows: slice
 
 
@@ -159,7 +159,7 @@ class _RefreshPlan:
     new_rows: list[int]
     dirty_idx: np.ndarray  # positions (== leaf indices) of dirty old refs
     propagated: tuple[
-        dict[JoinPath, BatchedProfiles], dict[str, sparse.csr_matrix], slice
+        dict[JoinPath, BatchedProfiles], dict[str, Csr], slice
     ] = field(default_factory=lambda: ({}, {}, slice(0, 0)))
 
     @property
@@ -218,7 +218,7 @@ class IngestEngine:
 
     def _cold_state(self, name: str) -> _NameState:
         refs = extract_references(self.db, name, self.distinct.config)
-        traces: dict[str, sparse.csr_matrix] = {}
+        traces: dict[str, Csr] = {}
         # The traced batch is the one prepare() propagates.
         prep = self.distinct.prepare_references(refs, trace=traces)
         resolution = self._cluster(name, prep.rows, prep.features)
@@ -350,7 +350,7 @@ class IngestEngine:
             return
         rows = [row for plan in plans for row in plan.refs.rows]
         exclusions = [plan.refs.exclusions for plan in plans for _ in plan.refs.rows]
-        traces: dict[str, sparse.csr_matrix] = {}
+        traces: dict[str, Csr] = {}
         with span("ingest.propagate", n_names=len(plans), n_refs=len(rows)):
             matrices = self.distinct.profiles.matrices_for(rows, exclusions, trace=traces)
         stop = 0

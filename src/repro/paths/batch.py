@@ -17,6 +17,22 @@ extended when a relation grows, and shared by every name (the
 pipeline's :class:`repro.perf.transitions.StepMatrices`). The products
 never see an exclusion.
 
+Levels are arrays, not scipy matrices: each ``M_k`` and ``R_k`` is a
+:class:`repro.perf.csr.Csr`, the ``indptr``/``indices``/``data`` of a
+canonical CSR matrix (sorted, duplicate-free indices in every row, no
+stored zeros). The products are small (on the evaluation world a
+forward product averages about 710 left-hand and 1,430 output entries),
+so scipy's ``@`` would spend more on wrapping (two checked matrix
+objects, index-dtype lookups, then ``tocsr``/``sort_indices``/
+``eliminate_zeros``) than on arithmetic. Every product is one call to
+:func:`repro.perf.csr.matmul`, which runs scipy's compiled kernels on the
+arrays; it is the one user of the private ``scipy.sparse._sparsetools``,
+held byte for byte to the public ``@`` by its tests. The masks (the
+backward support, the exclusions and the final backward-on-forward
+restriction) compact the arrays directly, so every level, output and
+trace is canonical by construction and the pair kernel reads them
+without checking again.
+
 Each reference carries its own *excluded rows*: its name's object rows
 (:attr:`repro.core.references.NameReferences.exclusions`, the union of
 the members' for a pooled group in calibration), and, on the start
@@ -80,6 +96,7 @@ from repro.obs import counter
 from repro.paths.joinpath import JoinPath
 from repro.paths.propagation import Exclusions
 from repro.paths.trie import _TrieNode, _build_trie
+from repro.perf.csr import Csr, index_dtype, matmul
 from repro.perf.transitions import StepMatrices, StepPair
 from repro.reldb.database import Database
 
@@ -101,16 +118,25 @@ _BATCH_CORRECTIONS = counter("propagation.batch.origin_corrections")
 class BatchedProfiles:
     """Stacked neighbor profiles of one path for a batch of references.
 
-    ``forward[k, t]`` is ``Prob_P(r_k -> t)`` and ``backward[k, t]`` is
+    ``fwd[k, t]`` is ``Prob_P(r_k -> t)`` and ``back[k, t]`` is
     ``Prob_P(t -> r_k)`` for ``rows[k]``'s reference; columns span the
     *full* end relation (row id == column id), and the backward pattern
-    is a subset of the forward pattern.
+    is a subset of the forward pattern. Both are canonical CSR arrays;
+    :attr:`forward` and :attr:`backward` view them as scipy matrices.
     """
 
     path: JoinPath
     rows: list[int]
-    forward: sparse.csr_matrix
-    backward: sparse.csr_matrix
+    fwd: Csr
+    back: Csr
+
+    @property
+    def forward(self) -> sparse.csr_matrix:
+        return self.fwd.tocsr()
+
+    @property
+    def backward(self) -> sparse.csr_matrix:
+        return self.back.tocsr()
 
 
 def _member(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -180,12 +206,12 @@ class _BatchContext:
         return self.steps.get(self.db, step)
 
 
-def _entry_rows(matrix: sparse.csr_matrix) -> np.ndarray:
+def _entry_rows(matrix: Csr) -> np.ndarray:
     """The row of every stored entry, in storage order."""
     return np.repeat(np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr))
 
 
-def _entry_keys(matrix: sparse.csr_matrix) -> np.ndarray:
+def _entry_keys(matrix: Csr) -> np.ndarray:
     """``row * width + column`` of every stored entry; ascending when the
     indices are sorted."""
     return _entry_rows(matrix) * matrix.shape[1] + matrix.indices
@@ -198,23 +224,39 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _canonical(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    matrix = matrix.tocsr()
-    matrix.sort_indices()
-    matrix.eliminate_zeros()
-    return matrix
+def _indptr_from_keys(keys: np.ndarray, like: Csr) -> np.ndarray:
+    """The ``indptr`` of the sorted ``row * width + column`` keys
+    ``keys`` over ``like``'s shape, in its index dtype."""
+    indptr = np.zeros(like.shape[0] + 1, dtype=like.indptr.dtype)
+    np.cumsum(np.bincount(keys // like.shape[1], minlength=like.shape[0]), out=indptr[1:])
+    return indptr
 
 
-def _restricted(matrix: sparse.csr_matrix, keep: np.ndarray) -> sparse.csr_matrix:
+def _restricted(matrix: Csr, keep: np.ndarray) -> Csr:
     """``matrix`` with only the entries where ``keep`` holds."""
     before = np.zeros(len(keep) + 1, dtype=matrix.indptr.dtype)
     np.cumsum(keep, out=before[1:])
-    out = sparse.csr_matrix(
-        (matrix.data[keep], matrix.indices[keep], before[matrix.indptr]),
-        shape=matrix.shape,
+    return Csr(before[matrix.indptr], matrix.indices[keep], matrix.data[keep], matrix.shape)
+
+
+def _added(a: Csr, b: Csr) -> Csr:
+    """``a + b`` over one shape: an entry of both sums its two values, as
+    scipy's ``+`` does, and a sum of exactly zero is dropped."""
+    keys = np.concatenate([_entry_keys(a), _entry_keys(b)])
+    values = np.concatenate([a.data, b.data])
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    starts = _run_starts(keys)
+    sums = np.add.reduceat(values, starts)
+    keys = keys[starts]
+    nonzero = sums != 0.0
+    keys, sums = keys[nonzero], sums[nonzero]
+    return Csr(
+        _indptr_from_keys(keys, a),
+        (keys % a.shape[1]).astype(a.indices.dtype),
+        sums,
+        a.shape,
     )
-    out.has_sorted_indices = matrix.has_sorted_indices
-    return out
 
 
 def _partner_keys(
@@ -266,9 +308,7 @@ def _excluded_partner_counts(
     return counts
 
 
-def _without_excluded(
-    ctx: _BatchContext, level: sparse.csr_matrix, relation: str, origin: bool
-) -> sparse.csr_matrix:
+def _without_excluded(ctx: _BatchContext, level: Csr, relation: str, origin: bool) -> Csr:
     """``level`` (over ``relation``) without any entry ``(r, e)`` of a row
     ``e`` reference ``r`` excludes; with ``origin``, without ``(r, o_r)``."""
     rows = _entry_rows(level)
@@ -284,18 +324,15 @@ def _without_excluded(
     return _restricted(level, ~drop)
 
 
-def _forward_step_batch(
-    ctx: _BatchContext, step, current: sparse.csr_matrix
-) -> sparse.csr_matrix:
+def _forward_step_batch(ctx: _BatchContext, step, current: Csr) -> Csr:
     """One forward step for every reference: one SpMM plus the exclusion
     correction when the step lands on a relation with exclusions."""
     transition = ctx.step(step).forward
-    nxt = (current @ transition).tocsr()
+    nxt = matmul(current, transition)
     _BATCH_SPMM.inc()
     origin = step.dst_relation == ctx.start
     if origin or step.dst_relation in ctx.excluded:
         nxt = _forward_exclusion_fix(ctx, step, current, nxt, transition, origin)
-    nxt = _canonical(nxt)
     _TUPLES_VISITED.inc(nxt.nnz)
     return nxt
 
@@ -303,16 +340,16 @@ def _forward_step_batch(
 def _forward_exclusion_fix(
     ctx: _BatchContext,
     step,
-    current: sparse.csr_matrix,
-    nxt: sparse.csr_matrix,
+    current: Csr,
+    nxt: Csr,
     transition: sparse.csr_matrix,
     origin: bool,
-) -> sparse.csr_matrix:
+) -> Csr:
     """Redistribute the mass the generic product routed into excluded rows.
 
-    See the module docstring for the algebra. ``current`` is canonical.
-    A source row with one partner either keeps it or loses its mass, so
-    only rows with two or more partners can need ``U``.
+    See the module docstring for the algebra. A source row with one
+    partner either keeps it or loses its mass, so only rows with two or
+    more partners can need ``U``.
     """
     degree = np.diff(transition.indptr)[current.indices].astype(np.float64)
     multi = np.flatnonzero(degree >= 2.0)
@@ -332,60 +369,56 @@ def _forward_exclusion_fix(
             pick = multi[split]
             k = k[split]
             values = current.data[pick] * k / (degree[pick] - k)
-            # Fresh index arrays: ``current`` may be a level a sibling
-            # trie branch still reads.
-            indptr = np.zeros(current.shape[0] + 1, dtype=np.int64)
+            indptr = np.zeros(current.shape[0] + 1, dtype=current.indptr.dtype)
             np.cumsum(np.bincount(rows[split], minlength=current.shape[0]), out=indptr[1:])
-            update = sparse.csr_matrix(
-                (values, columns[split], indptr), shape=current.shape
-            )
-            nxt = (nxt + update @ transition).tocsr()
+            update = Csr(indptr, columns[split], values, current.shape)
+            nxt = _added(nxt, matmul(update, transition))
             _BATCH_SPMM.inc()
             _BATCH_CORRECTIONS.inc(len(values))
-    return _without_excluded(ctx, _canonical(nxt), step.dst_relation, origin)
+    return _without_excluded(ctx, nxt, step.dst_relation, origin)
 
 
 def _backward_step_batch(
     ctx: _BatchContext,
     step,
-    level: sparse.csr_matrix,
-    prev_rev: sparse.csr_matrix,
+    level: Csr,
+    prev_rev: Csr,
     gather_into_origin_level: bool,
-) -> sparse.csr_matrix:
+) -> Csr:
     """One backward-DP step for every reference.
 
     The product covers every destination row adjacent to the previous
     level; it is restricted to this level's union forward support, the
     DP's domain (rev values exist only for forward-reached tuples).
     """
-    rev = (prev_rev @ ctx.step(step).backward).tocsr()
+    rev = matmul(prev_rev, ctx.step(step).backward)
     _BATCH_SPMM.inc()
     support = np.zeros(rev.shape[1], dtype=bool)
     support[level.indices] = True
-    rev.data[~support[rev.indices]] = 0.0
+    supported = support[rev.indices]
+    if not supported.all():
+        rev = _restricted(rev, supported)
     origin = not gather_into_origin_level and step.src_relation == ctx.start
     if origin or step.src_relation in ctx.excluded:
         rev = _backward_exclusion_fix(ctx, step, rev, origin)
     lands_on_start = step.dst_relation == ctx.start
     if lands_on_start or step.dst_relation in ctx.excluded:
-        rev = _without_excluded(ctx, _canonical(rev), step.dst_relation, lands_on_start)
-    rev = _canonical(rev)
+        rev = _without_excluded(ctx, rev, step.dst_relation, lands_on_start)
     _TUPLES_VISITED.inc(rev.nnz)
     return rev
 
 
-def _backward_exclusion_fix(
-    ctx: _BatchContext, step, rev: sparse.csr_matrix, origin: bool
-) -> sparse.csr_matrix:
+def _backward_exclusion_fix(ctx: _BatchContext, step, rev: Csr, origin: bool) -> Csr:
     """Fix the gather denominators where an excluded row was a reverse
-    partner: ``rev[r, t] *= d_t / (d_t - k)``, or ``0`` when ``d_t == k``.
+    partner: ``rev[r, t] *= d_t / (d_t - k)``, or drop the entry when
+    ``d_t == k``.
 
     The excluded rows' *numerator* contributions are already zero (their
     rev entries were dropped at the previous level). A row with one
     reverse partner needs nothing: either it keeps the partner, or its
-    sole partner is excluded and its value is already zero.
+    sole partner is excluded and its value is already zero. ``rev`` is
+    this step's own level, so its values are rescaled in place.
     """
-    rev = _canonical(rev)
     degree = np.diff(ctx.step(step.reverse()).forward.indptr)[rev.indices]
     multi = np.flatnonzero(degree >= 2)
     if not len(multi):
@@ -404,21 +437,20 @@ def _backward_exclusion_fix(
     pos, k = multi[hit], k[hit]
     degree = degree[pos].astype(np.float64)
     lost = degree == k
-    rev.data[pos[lost]] = 0.0
+    dropped = pos[lost]
     pos, degree, k = pos[~lost], degree[~lost], k[~lost]
     scale = degree / (degree - k)
     values = rev.data[pos]
     rev.data[pos] = values + values * (scale - 1.0)
     _BATCH_CORRECTIONS.inc(len(pos))
+    if len(dropped):
+        keep = np.ones(rev.nnz, dtype=bool)
+        keep[dropped] = False
+        rev = _restricted(rev, keep)
     return rev
 
 
-def _finalize(
-    path: JoinPath,
-    origin_rows: list[int],
-    forward: sparse.csr_matrix,
-    rev: sparse.csr_matrix,
-) -> BatchedProfiles:
+def _finalize(path: JoinPath, origin_rows: list[int], forward: Csr, rev: Csr) -> BatchedProfiles:
     """Per-path output: backward masked to the forward support pattern.
 
     The backward pattern usually equals the forward one already, and is
@@ -430,14 +462,10 @@ def _finalize(
         backward = rev
     else:
         backward = _restricted(rev, _member(_entry_keys(rev), _entry_keys(forward)))
-    return BatchedProfiles(
-        path=path, rows=list(origin_rows), forward=forward, backward=backward
-    )
+    return BatchedProfiles(path=path, rows=list(origin_rows), fwd=forward, back=backward)
 
 
-def _visited_pattern(
-    levels: list[sparse.csr_matrix], shape: tuple[int, int]
-) -> sparse.csr_matrix:
+def _visited_pattern(levels: list[Csr]) -> Csr:
     """The union of ``levels``' nonzero patterns, as boolean CSR.
 
     Patterns are ``(n_refs, n_relation_rows)``; a set bit means the
@@ -445,17 +473,16 @@ def _visited_pattern(
     level. Delta ingest intersects these with the rows a delta touched to
     find exactly the references whose profiles can change.
     """
-    width = shape[1]
+    first = levels[0]
     keys = np.sort(np.concatenate([_entry_keys(level) for level in levels]))
     # A sorted scan, not ``np.unique``, which hashes and is far slower here.
     keys = keys[_run_starts(keys)]
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // width, minlength=shape[0]), out=indptr[1:])
-    pattern = sparse.csr_matrix(
-        (np.ones(len(keys), dtype=bool), keys % width, indptr), shape=shape
+    return Csr(
+        _indptr_from_keys(keys, first),
+        (keys % first.shape[1]).astype(first.indices.dtype),
+        np.ones(len(keys), dtype=bool),
+        first.shape,
     )
-    pattern.has_sorted_indices = True
-    return pattern
 
 
 def batch_profile_matrices(
@@ -464,7 +491,7 @@ def batch_profile_matrices(
     paths: list[JoinPath],
     origin_rows: list[int],
     exclusions: Sequence[Exclusions] | None = None,
-    trace: dict[str, sparse.csr_matrix] | None = None,
+    trace: dict[str, Csr] | None = None,
 ) -> dict[JoinPath, BatchedProfiles]:
     """Stacked (forward, backward) profile matrices for every path.
 
@@ -494,13 +521,17 @@ def batch_profile_matrices(
     _BATCH_RUNS.inc()
     start_relation = paths[0].start_relation
     ctx = _BatchContext(db, steps, start_relation, origin_rows, exclusions)
-    ones = np.ones(ctx.n_refs, dtype=np.float64)
-    ref_ids = np.arange(ctx.n_refs, dtype=np.int64)
-    initial = sparse.csr_matrix(
-        (ones, (ref_ids, ctx.origins)), shape=(ctx.n_refs, ctx.n_rows(start_relation))
+    shape = (ctx.n_refs, ctx.n_rows(start_relation))
+    if ctx.origins.min() < 0 or ctx.origins.max() >= shape[1]:
+        raise ValueError(f"origin rows outside {start_relation!r} ({shape[1]} rows)")
+    idx = index_dtype(max(shape))
+    initial = Csr(
+        np.arange(ctx.n_refs + 1, dtype=idx),
+        ctx.origins.astype(idx),
+        np.ones(ctx.n_refs, dtype=np.float64),
+        shape,
     )
-    initial.sort_indices()
-    visited: dict[str, list[sparse.csr_matrix]] = {start_relation: [initial]}
+    visited: dict[str, list[Csr]] = {start_relation: [initial]}
     # The first backward step gathers from the origins, less those a
     # reference excludes itself.
     initial_rev = _restricted(initial, ~ctx.origin_excluded)
@@ -508,9 +539,7 @@ def batch_profile_matrices(
     results: dict[JoinPath, BatchedProfiles] = {}
     root = _build_trie(paths)
 
-    def visit(
-        node: _TrieNode, forward: sparse.csr_matrix, rev: sparse.csr_matrix, depth: int
-    ) -> None:
+    def visit(node: _TrieNode, forward: Csr, rev: Csr, depth: int) -> None:
         for path in node.paths:
             results[path] = _finalize(path, origin_rows, forward, rev)
         for child in node.children.values():
@@ -531,5 +560,5 @@ def batch_profile_matrices(
         del visit
     if trace is not None:
         for relation, levels in visited.items():
-            trace[relation] = _visited_pattern(levels, levels[0].shape)
+            trace[relation] = _visited_pattern(levels)
     return results

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from scipy import sparse
-
 from repro.paths.batch import BatchedProfiles, batch_profile_matrices
 from repro.paths.joinpath import JoinPath
 from repro.paths.propagation import Exclusions
+from repro.perf.csr import Csr
 from repro.perf.transitions import StepMatrices
 from repro.reldb.database import Database
 
@@ -50,7 +49,7 @@ class ProfileBuilder:
         self,
         origin_rows: list[int],
         exclusions: Sequence[Exclusions],
-        trace: dict[str, sparse.csr_matrix] | None = None,
+        trace: dict[str, Csr] | None = None,
     ) -> dict[JoinPath, BatchedProfiles]:
         """Batched profile matrices for the given references, per path.
 

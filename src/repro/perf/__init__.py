@@ -16,7 +16,10 @@ machinery that accelerates them without changing results:
 - :mod:`repro.perf.transitions` — the row-normalized CSR matrices of
   every join step, built once, extended by appended rows and shared by
   every name, the building block of batched propagation
-  (:mod:`repro.paths.batch`).
+  (:mod:`repro.paths.batch`);
+- :mod:`repro.perf.csr` — canonical CSR matrices as plain arrays and
+  the one sparse product over them, scipy's compiled kernel without
+  its per-call wrapper work.
 
 The pair kernel itself lives in :mod:`repro.similarity.vectorized`.
 ``pipebench/`` measures all of it end to end and per layer.

@@ -42,6 +42,7 @@ from scipy import sparse
 
 from repro.obs import counter
 from repro.perf.chunking import budget_slices
+from repro.perf.csr import Csr
 
 #: One increment per (pair, path) value computed.
 _RESEM_CALLS = counter("similarity.resemblance.calls")
@@ -65,11 +66,8 @@ class _Entries:
     n_cols: int
 
     @classmethod
-    def of(
-        cls, forward: sparse.csr_matrix, backward: sparse.csr_matrix, first: int, last: int
-    ) -> "_Entries":
+    def of(cls, forward: Csr, backward: Csr, first: int, last: int) -> "_Entries":
         """The entries of rows ``first`` to ``last - 1``, renumbered from 0."""
-        forward, backward = _canonical(forward), _canonical(backward)
         n_rows, n_cols = last - first, forward.shape[1]
         start, stop = forward.indptr[first], forward.indptr[last]
         indptr = forward.indptr[first : last + 1] - start
@@ -98,14 +96,6 @@ class _Entries:
     def row_masses(self) -> np.ndarray:
         """``|F[i]|_1``, summed in ascending column order from 0.0."""
         return np.bincount(self.rows, weights=self.fwd, minlength=self.n_rows)
-
-
-def _canonical(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    if matrix.has_canonical_format:
-        return matrix
-    matrix = matrix.copy()
-    matrix.sum_duplicates()
-    return matrix
 
 
 #: One chunk of terms: the pair each term belongs to, then ``F`` and
@@ -210,9 +200,13 @@ def cheaper_enumeration(entries: _Entries, lo: np.ndarray, hi: np.ndarray) -> En
     return cooccurrence_terms if cooccurring <= candidates else intersection_terms
 
 
+def _arrays(matrix: Csr | sparse.csr_matrix) -> Csr:
+    return matrix if isinstance(matrix, Csr) else Csr.of(matrix)
+
+
 def pair_similarities(
-    forward: sparse.csr_matrix,
-    backward: sparse.csr_matrix,
+    forward: Csr | sparse.csr_matrix,
+    backward: Csr | sparse.csr_matrix,
     idx_a: np.ndarray,
     idx_b: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +214,9 @@ def pair_similarities(
 
     Returns ``(resemblance, walk)``, aligned with the pairs (rows of
     ``forward``/``backward``). ``backward``'s pattern must be a subset of
-    ``forward``'s, as batched propagation builds them. A pair's values
+    ``forward``'s, as batched propagation builds them. Batched
+    propagation's :class:`~repro.perf.csr.Csr` arrays are read as they
+    are; a scipy matrix is canonicalized first. A pair's values
     depend only on its two rows, and the work only on the rows from the
     pairs' lowest to their highest: a batch that stacks several names
     costs one name's pairs no more than the name's own rows.
@@ -236,7 +232,7 @@ def pair_similarities(
     lo = np.minimum(idx_a, idx_b)
     hi = np.maximum(idx_a, idx_b)
     first = int(lo.min())
-    entries = _Entries.of(forward, backward, first, int(hi.max()) + 1)
+    entries = _Entries.of(_arrays(forward), _arrays(backward), first, int(hi.max()) + 1)
     lo, hi = lo - first, hi - first
     n = entries.n_rows
     position = np.full(n * n, -1, dtype=np.int64)

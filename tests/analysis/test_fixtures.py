@@ -87,6 +87,17 @@ EXACT_CASES = [
             ),
         },
     ),
+    # fastmul imports three private scipy modules (the public names on
+    # line 6 pass); the fixture's own repro.perf.csr may import them.
+    (
+        "privateapi",
+        ["privateapi/scipy-private-module"],
+        {
+            ("privateapi/scipy-private-module", "src/repro/core/fastmul.py", 3),
+            ("privateapi/scipy-private-module", "src/repro/core/fastmul.py", 4),
+            ("privateapi/scipy-private-module", "src/repro/core/fastmul.py", 5),
+        },
+    ),
     (
         "taint",
         ["taint/unseeded-rng"],

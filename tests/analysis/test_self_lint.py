@@ -44,5 +44,6 @@ def test_rule_catalogue_covers_all_families():
         "config/stale-entry",
         "picklability/unpicklable-task",
         "lifecycle/fsync-before-rename",
+        "privateapi/scipy-private-module",
         "taint/unseeded-rng",
     } <= ids

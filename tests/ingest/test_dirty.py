@@ -6,13 +6,12 @@ import numpy as np
 from scipy import sparse
 
 from repro.ingest.dirty import touched_row_mask
+from repro.perf.csr import Csr
 
 
-def _pattern() -> sparse.csr_matrix:
+def _pattern() -> Csr:
     # Three references over four relation rows: 0 -> {0, 2}, 1 -> {}, 2 -> {3}.
-    return sparse.csr_matrix(
-        (np.ones(3), ([0, 0, 2], [0, 2, 3])), shape=(3, 4)
-    )
+    return Csr.of(sparse.csr_matrix((np.ones(3), ([0, 0, 2], [0, 2, 3])), shape=(3, 4)))
 
 
 def test_rows_hitting_a_changed_column_are_touched():
@@ -22,7 +21,7 @@ def test_rows_hitting_a_changed_column_are_touched():
 
 
 def test_empty_pattern_touches_nothing():
-    empty = sparse.csr_matrix((3, 4))
+    empty = Csr.of(sparse.csr_matrix((3, 4)))
     mask = touched_row_mask(empty, np.array([0, 1, 2, 3]))
     assert mask.dtype == bool
     assert mask.tolist() == [False, False, False]
@@ -51,7 +50,7 @@ def test_a_row_range_equals_the_sliced_pattern():
         ranges = ((0, 9), (0, 1), (0, 4), (3, 7), (8, 9), (0, 0), (5, 5), (9, 9))
         for start, stop in ranges:
             rows = slice(start, stop)
-            want = touched_row_mask(pattern[rows], columns)
-            got = touched_row_mask(pattern, columns, rows)
+            want = touched_row_mask(Csr.of(pattern[rows]), columns)
+            got = touched_row_mask(Csr.of(pattern), columns, rows)
             assert got.dtype == bool
             assert got.tolist() == want.tolist(), (start, stop)

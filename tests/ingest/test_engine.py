@@ -47,7 +47,9 @@ def warm(fitted, small_world):
 def own_traces(engine: IngestEngine, name: str) -> dict:
     """A tracked name's visited traces: its rows of its last batch's."""
     state = engine._states[name]
-    return {relation: p[state.trace_rows] for relation, p in state.traces.items()}
+    return {
+        relation: p.tocsr()[state.trace_rows] for relation, p in state.traces.items()
+    }
 
 
 def assert_same_state(got, want, same_width: bool = True) -> None:

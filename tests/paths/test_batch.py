@@ -93,6 +93,15 @@ class TestBatchMatchesScalar:
                 build_minidb(), StepMatrices(), PATHS, WW_REFS, [EXCLUSIONS]
             )
 
+    def test_origin_rows_outside_the_start_relation_rejected(self):
+        # The compiled product reads indices unchecked: a bad origin must
+        # stop the batch before any level is built.
+        db = build_minidb()
+        n_rows = len(db.table(PATHS[0].start_relation))
+        for bad in (-1, n_rows):
+            with pytest.raises(ValueError, match="origin rows outside"):
+                batch_profile_matrices(db, StepMatrices(), PATHS, [WW_REFS[0], bad])
+
     def test_empty_paths(self):
         assert batch_profile_matrices(build_minidb(), StepMatrices(), [], WW_REFS) == {}
 

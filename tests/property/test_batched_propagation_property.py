@@ -5,7 +5,10 @@ equivalence suite) and random exclusions, shared by the whole batch or
 drawn per reference:
 
 - the batched backend must reproduce every scalar profile to 1e-12,
-  each reference under its own exclusions;
+  each reference under its own exclusions, and hand out every forward,
+  backward and trace matrix canonical (sorted, duplicate-free indices
+  in every row, no stored zeros), which the pair kernel trusts without
+  checking;
 - a reference's rows (forward, backward and visited trace) must not
   depend on which other references share its batch, or in what order,
   or under which exclusions they propagate: they are byte-equal whether
@@ -102,16 +105,37 @@ def mixed_batch(draw):
     return db, exclusions
 
 
+def assert_canonical(matrix) -> None:
+    """Sorted, duplicate-free, in-range indices in every row and no
+    stored zeros, computed from the arrays (no scipy flag is read)."""
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    n_rows, n_cols = matrix.shape
+    assert len(indptr) == n_rows + 1 and indptr[0] == 0
+    assert len(indices) == len(data) == indptr[-1]
+    assert (np.diff(indptr) >= 0).all()
+    rows = np.repeat(np.arange(n_rows), np.diff(indptr))
+    same_row = rows[1:] == rows[:-1]
+    assert (np.diff(indices.astype(np.int64))[same_row] > 0).all()
+    assert ((indices >= 0) & (indices < n_cols)).all()
+    assert (data != 0).all()
+
+
 def assert_equivalent(db, exclusions=None) -> None:
     """Every reference of one batch against the scalar oracle under its
     own exclusions (``exclusions[k]`` for reference ``k``; none when
-    None)."""
+    None), and every output of the batch canonical."""
     refs = list(range(len(db.table("Refs"))))
     exclusions = exclusions or [{}] * len(refs)
     paths = chain_paths(db)
-    batched = batch_profile_matrices(db, StepMatrices(), paths, refs, exclusions)
+    trace: dict = {}
+    batched = batch_profile_matrices(db, StepMatrices(), paths, refs, exclusions, trace)
+    assert set(trace) == {"Refs", "Mid", "Top"}
+    for pattern in trace.values():
+        assert_canonical(pattern)
     for path in paths:
         stacked = batched[path]
+        assert_canonical(stacked.fwd)
+        assert_canonical(stacked.back)
         for k, row in enumerate(refs):
             scalar = ScalarPropagation(db, exclusions[k]).propagate(path, row)
             got = weights_for(stacked, k)
